@@ -9,6 +9,8 @@
 open Cmdliner
 open Cfq_quest
 open Cfq_core
+module Service = Cfq_service.Service
+module Source = Cfq_live.Source
 
 (* ------------------------------------------------------------------ *)
 (* shared options *)
@@ -67,44 +69,31 @@ let pairs_arg =
     value & opt int 0
     & info [ "pairs" ] ~docv:"N" ~doc:"Print the first N answer pairs.")
 
-let kernel_arg =
-  Arg.(
-    value
-    & opt (enum Cfq_mining.Counting.all_kernels) Cfq_mining.Counting.Trie
-    & info [ "kernel" ] ~docv:"KERNEL"
-        ~doc:
-          "Support-counting kernel: $(b,trie) (the default scan-per-level \
-           path), $(b,direct2) (direct level-2 count arrays), $(b,vertical) \
-           (tid-bitmap switchover) or $(b,auto) (adaptive cost model with \
-           shrinking projections).  Answers are identical for every kernel.")
-
-let no_calibrate_arg =
-  Arg.(
-    value & flag
-    & info [ "no-calibrate" ]
-        ~doc:
-          "Freeze the Auto planner's cost model at its fixed priors instead \
-           of feeding measured pass timings back into it.  Only affects \
-           kernel selection timing, never answers.")
-
-let condense_arg =
-  Arg.(
-    value & opt bool true
-    & info [ "condense" ] ~docv:"BOOL"
-        ~doc:
-          "Store the service's cached side collections closed-set condensed \
-           and its cached answers index-packed, so more distinct queries fit \
-           the same cache budget (see $(b,doc/CONDENSED.md)).  Answers are \
-           byte-identical either way; the condensation ratio is printed at \
-           shutdown.")
-
-let mine_domains_arg ~default_doc ~default =
-  Arg.(
-    value & opt int default
-    & info [ "mine-domains" ] ~docv:"N"
-        ~doc:
-          ("Domains each counting scan fans out over; 1 counts sequentially. "
-         ^ default_doc))
+(* one flag per service knob, generated from [Service.knobs]; [only]
+   narrows the set.  The term folds every given value into the default
+   config, and a malformed value is a usage error naming the knob. *)
+let knobs_term ?only () =
+  let wanted (k : Service.knob) =
+    match only with None -> true | Some names -> List.mem k.name names
+  in
+  List.fold_left
+    (fun acc (k : Service.knob) ->
+      let flag =
+        Arg.(
+          value
+          & opt (some string) None
+          & info [ k.name ] ~docv:(String.uppercase_ascii k.name)
+              ~doc:
+                (Printf.sprintf "%s Default: $(b,%s)." k.doc
+                   (k.print Service.default_config)))
+      in
+      let set acc v =
+        Result.bind acc (fun c -> Option.fold ~none:(Ok c) ~some:(fun v -> k.parse v c) v)
+      in
+      Term.(const set $ acc $ flag))
+    (Term.const (Ok Service.default_config))
+    (List.filter wanted Service.knobs)
+  |> Term.term_result' ~usage:true
 
 let data_arg =
   Arg.(
@@ -167,8 +156,8 @@ let load_or_generate ~tx ~items ~types ~seed ~data ~iteminfo =
               | exception Cfq_data.Item_csv.Bad_format msg -> Error (`Msg msg)
               | info -> Ok (db, info))))
 
-let run_cmd verbose tx items types seed strategy mine_domains kernel
-    no_calibrate n_pairs data iteminfo pairs_out text =
+let run_cmd verbose tx items types seed strategy (config : Service.config) n_pairs
+    data iteminfo pairs_out text =
   setup_logs verbose;
   match parse_query text with
   | Error e -> Error e
@@ -189,16 +178,16 @@ let run_cmd verbose tx items types seed strategy mine_domains kernel
       let ctx = Exec.context db info in
       let collect = n_pairs > 0 || pairs_out <> None in
       let mine_domains =
-        if mine_domains = 0 then Domain.recommended_domain_count ()
-        else max 1 mine_domains
+        if config.mine_domains = 0 then Domain.recommended_domain_count ()
+        else config.mine_domains
       in
       let par = Cfq_mining.Counting.par mine_domains in
       let kernel =
-        if kernel = Cfq_mining.Counting.Trie then None else Some kernel
+        if config.kernel = Cfq_mining.Counting.Trie then None else Some config.kernel
       in
       let r =
         Exec.run ~strategy ~collect_pairs:collect ~par ?kernel
-          ~calibrate:(not no_calibrate) ctx q
+          ~calibrate:config.calibrate ctx q
       in
       print_endline (Explain.result_to_string r);
       if n_pairs > 0 then begin
@@ -272,22 +261,6 @@ let explain_cmd text =
       print_endline (Explain.plan_to_string q plan);
       Ok ()
 
-let domains_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "domains" ] ~docv:"N" ~doc:"Worker domains of the query service.")
-
-let cache_mb_arg =
-  Arg.(
-    value & opt int 64
-    & info [ "cache-mb" ] ~docv:"MB" ~doc:"Cache memory budget in MiB.")
-
-let deadline_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "deadline" ] ~docv:"SECONDS" ~doc:"Per-query wall-clock deadline.")
-
 let repeat_arg =
   Arg.(
     value & opt int 1
@@ -317,32 +290,24 @@ let fault_seed_arg =
     value & opt int 0x5EED
     & info [ "fault-seed" ] ~docv:"SEED" ~doc:"Seed of the deterministic fault stream.")
 
-let retries_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "retries" ] ~docv:"N" ~doc:"Max retries of a transiently failed query.")
-
-let breaker_threshold_arg =
-  Arg.(
-    value & opt int 5
-    & info [ "breaker-threshold" ] ~docv:"N"
-        ~doc:"Consecutive failures that trip the circuit breaker (0 disables).")
+let fault_term =
+  let config transient_p corrupt_p spike_p seed =
+    {
+      Cfq_txdb.Fault.default_config with
+      Cfq_txdb.Fault.transient_p;
+      corrupt_p;
+      spike_p;
+      seed = Int64.of_int seed;
+    }
+  in
+  Term.(const config $ fault_transient_arg $ fault_corrupt_arg $ fault_spike_arg
+        $ fault_seed_arg)
 
 let batch_file_arg =
   Arg.(
     required
     & pos 0 (some file) None
     & info [] ~docv:"FILE" ~doc:"Batch file: one CFQ per line; '#' comments.")
-
-let live_arg =
-  Arg.(
-    value & flag
-    & info [ "live" ]
-        ~doc:
-          "Keep the answer cache live across seals: attach the backend as an \
-           ingestion source so sealed appends are folded into cached answers \
-           by incremental maintenance instead of cold-starting (see \
-           doc/LIVE.md).")
 
 let ingest_arg =
   Arg.(
@@ -351,8 +316,10 @@ let ingest_arg =
         ~doc:
           "FIMI file of transactions appended and sealed between replay \
            passes — one seal per file, in the order given (repeatable).  \
-           Implies $(b,--live); the pass count grows past $(b,--repeat) if \
-           needed so the batch replays once per epoch.")
+           The cache stays live across each seal: sealed appends are folded \
+           into cached answers by incremental maintenance instead of a cold \
+           start (see doc/LIVE.md).  The pass count grows past \
+           $(b,--repeat) if needed so the batch replays once per epoch.")
 
 (* replay the batch [repeat] times; between passes, consume the next
    [--ingest] file (append every transaction, then seal + maintain) so the
@@ -437,68 +404,18 @@ let print_condensation service =
       (float_of_int raw /. float_of_int (max 1 stored))
       m.Cfq_service.Metrics.reconstructions
 
-let serve_cmd verbose tx items types seed data iteminfo domains mine_domains
-    kernel no_calibrate condense cache_mb deadline repeat fault_transient
-    fault_corrupt fault_spike fault_seed retries breaker_threshold live ingest
-    file =
-  setup_logs verbose;
-  match load_or_generate ~tx ~items ~types ~seed ~data ~iteminfo with
-  | Error e -> Error e
-  | Ok (db, info) ->
-      Printf.printf "database: %d transactions (%d pages)\n\n"
-        (Cfq_txdb.Tx_db.size db) (Cfq_txdb.Tx_db.pages db);
-      let fault_config =
-        {
-          Cfq_txdb.Fault.default_config with
-          Cfq_txdb.Fault.transient_p = fault_transient;
-          corrupt_p = fault_corrupt;
-          spike_p = fault_spike;
-          seed = Int64.of_int fault_seed;
-        }
-      in
-      if Cfq_txdb.Fault.is_active fault_config then begin
-        Cfq_txdb.Tx_db.set_faults db (Some (Cfq_txdb.Fault.create fault_config));
-        Printf.printf
-          "fault injection: transient-p=%g corrupt-p=%g spike-p=%g seed=%d\n\n"
-          fault_transient fault_corrupt fault_spike fault_seed
-      end;
-      let config =
-        {
-          Cfq_service.Service.default_config with
-          Cfq_service.Service.domains;
-          mine_domains;
-          cache_budget = cache_mb * 1024 * 1024;
-          default_deadline = deadline;
-          retries;
-          breaker_threshold;
-          kernel;
-          calibrate = not no_calibrate;
-          condense;
-        }
-      in
-      let service = Cfq_service.Service.create ~config (Exec.context db info) in
-      if live || ingest <> [] then begin
-        let sets =
-          Array.init (Cfq_txdb.Tx_db.size db) (fun i ->
-              (Cfq_txdb.Tx_db.get db i).Cfq_txdb.Transaction.items)
-        in
-        Cfq_service.Service.attach_source service (Cfq_live.Source.of_mem sets)
-      end;
-      let result = run_live_passes service ~repeat ~ingest file in
-      print_condensation service;
-      Cfq_service.Service.shutdown service;
-      result
-
 (* ------------------------------------------------------------------ *)
 (* persistent store *)
 
-let store_path_arg =
-  Arg.(
-    required
-    & opt (some string) None
-    & info [ "store" ] ~docv:"PATH"
-        ~doc:"Store file (the sealed segment; the ingestion log lives at $(i,PATH).wal \
-              and the itemInfo table at $(i,PATH).info.csv).")
+let store_flag =
+  Arg.info [ "store" ] ~docv:"PATH"
+    ~doc:"Store file (the sealed segment or a sharded store's manifest; the \
+          ingestion log lives at $(i,PATH).wal and the itemInfo table at \
+          $(i,PATH).info.csv).  On $(b,serve), serve from this store instead \
+          of generated or $(b,--data) transactions."
+
+let store_path_arg = Arg.(required & opt (some string) None & store_flag)
+let serve_store_arg = Arg.(value & opt (some string) None & store_flag)
 
 let cache_pages_arg =
   Arg.(
@@ -515,8 +432,8 @@ let shards_arg =
         ~doc:"Partition the store into N shards under one manifest; mining \
               distributes each counting pass over the shards and merges the \
               partial supports (answers are identical to a single store).  On \
-              $(b,serve), N > 1 against a plain segment splits it into a \
-              sharded twin at $(i,PATH).sharded first.")
+              $(b,serve), N > 1 (or R > 1) against a plain segment splits it \
+              into a sharded twin at $(i,PATH).sharded first, reused later.")
 
 let replicas_arg =
   Arg.(
@@ -551,15 +468,9 @@ let verify_arg =
   Arg.(
     value & flag
     & info [ "verify" ]
-        ~doc:"Before serving, run every query of the batch on both the on-disk \
-              and an in-memory backend and require identical answers and \
+        ~doc:"Before serving, run every query of the batch on both the opened \
+              backend and an in-memory copy and require identical answers and \
               counters.")
-
-let store_info store_path universe_size =
-  let info_path = store_path ^ ".info.csv" in
-  if Sys.file_exists info_path then
-    Cfq_data.Item_csv.read info_path ~universe_size
-  else Cfq_itembase.Item_info.create ~universe_size
 
 let store_build_cmd verbose tx items types seed data iteminfo store_path shards
     replicas =
@@ -654,296 +565,158 @@ let verify_backends db info file =
       in
       go lines)
 
-(* the serve path runs against either a plain store or a sharded one;
-   the manifest magic at the path decides, --shards N splits a plain
-   segment into a sharded twin first *)
-type serve_backend =
-  | Plain of Cfq_store.Store.t
-  | Sharded of Cfq_shard.Sharded.t
+let msg r = Result.map_error (fun m -> `Msg m) r
 
-let open_backend ?(replicas = 1) store_path cache_pages shards =
-  try
-    if Cfq_shard.Manifest.is_manifest store_path then
-      Ok (store_path, Sharded (Cfq_shard.Sharded.open_ ~cache_pages store_path))
-    else if shards > 1 || replicas > 1 then begin
-      let mpath = store_path ^ ".sharded" in
-      if not (Cfq_shard.Manifest.is_manifest mpath) then
-        Cfq_shard.Sharded.build_from_segment ~replicas ~shards ~src:store_path
-          mpath;
-      Ok (mpath, Sharded (Cfq_shard.Sharded.open_ ~cache_pages mpath))
-    end
-    else Ok (store_path, Plain (Cfq_store.Store.open_ ~cache_pages store_path))
-  with
-  | Cfq_store.Segment.Bad_segment msg -> Error (`Msg msg)
-  | Cfq_shard.Manifest.Bad_manifest msg -> Error (`Msg msg)
-  | Unix.Unix_error (e, _, _) ->
-      Error (`Msg (store_path ^ ": " ^ Unix.error_message e))
-  | Sys_error msg -> Error (`Msg msg)
+(* the --fault-shard / --fault-replica target: a shard, optionally
+   narrowed to one replica *)
+let fault_target fault_shard fault_replica =
+  match (fault_shard, fault_replica) with
+  | Some _, Some _ -> Error "--fault-shard and --fault-replica: choose one"
+  | shard, None -> Ok (shard, None)
+  | None, Some s -> (
+      match String.split_on_char ':' s |> List.map int_of_string_opt with
+      | [ Some k; Some j ] -> Ok (Some k, Some j)
+      | _ -> Error "--fault-replica wants K:J (two integers)")
 
-let backend_db = function
-  | Plain store -> Cfq_store.Store.db store
-  | Sharded sh -> Cfq_shard.Sharded.db sh
+let inject_faults src fault ~shard ~replica =
+  let open Cfq_txdb in
+  if not (Fault.is_active fault) then
+    if shard = None then Ok ()
+    else Error "--fault-shard/--fault-replica need an active fault probability"
+  else
+    match Source.set_fault src ?shard ?replica (Some (Fault.create fault)) with
+    | Error msg -> Error ("fault injection: " ^ msg)
+    | Ok () ->
+        Printf.printf
+          "fault injection%s: transient-p=%g corrupt-p=%g spike-p=%g seed=%Ld\n\n"
+          (match (shard, replica) with
+          | Some k, Some j -> Printf.sprintf " (shard %d, replica %d)" k j
+          | Some k, None -> Printf.sprintf " (shard %d)" k
+          | None, _ -> "")
+          fault.Fault.transient_p fault.Fault.corrupt_p fault.Fault.spike_p
+          fault.Fault.seed;
+        Ok ()
 
-let backend_recovery_lines = function
-  | Plain store ->
-      let r = Cfq_store.Store.last_recovery store in
-      if r.Cfq_store.Store.replayed > 0 || r.Cfq_store.Store.truncated_bytes > 0
-      then
-        Printf.printf "recovery: replayed %d WAL records, dropped %d torn bytes\n"
-          r.Cfq_store.Store.replayed r.Cfq_store.Store.truncated_bytes
-  | Sharded sh ->
+(* physical I/O of the backend's buffer pools, printed at shutdown *)
+let print_backend_io src =
+  let open Cfq_txdb in
+  Option.iter
+    (fun store ->
+      let io = Cfq_store.Store.io store in
+      Printf.printf "buffer pool: %d hits, %d misses, %d evictions (cache %d of %d pages)\n"
+        (Io_stats.pool_hits io) (Io_stats.pool_misses io) (Io_stats.pool_evictions io)
+        (Cfq_store.Store.cache_pages store)
+        (Cfq_store.Store.pages store))
+    (Source.store src);
+  Option.iter
+    (fun sh ->
+      let ios = Tx_db.shard_io (Cfq_shard.Sharded.db sh) in
       Array.iteri
         (fun k st ->
-          let r = Cfq_store.Store.last_recovery st in
-          if r.Cfq_store.Store.replayed > 0 || r.Cfq_store.Store.truncated_bytes > 0
-          then
-            Printf.printf
-              "recovery: shard %d replayed %d WAL records, dropped %d torn bytes\n"
-              k r.Cfq_store.Store.replayed r.Cfq_store.Store.truncated_bytes)
-        (Cfq_shard.Sharded.stores sh)
-
-let store_serve_cmd verbose store_path cache_pages shards replicas fault_shard
-    fault_replica domains mine_domains kernel no_calibrate condense cache_mb
-    deadline
-    repeat fault_transient fault_corrupt fault_spike fault_seed retries
-    breaker_threshold live ingest verify file =
-  setup_logs verbose;
-  match open_backend ~replicas store_path cache_pages shards with
-  | Error e -> Error e
-  | Ok (opened_path, backend) ->
-      let finish result =
-        (match backend with
-        | Plain store ->
-            let io = Cfq_store.Store.io store in
-            Printf.printf
-              "buffer pool: %d hits, %d misses, %d evictions (cache %d of %d pages)\n"
-              (Cfq_txdb.Io_stats.pool_hits io)
-              (Cfq_txdb.Io_stats.pool_misses io)
-              (Cfq_txdb.Io_stats.pool_evictions io)
-              (Cfq_store.Store.cache_pages store)
-              (Cfq_store.Store.pages store);
-            Cfq_store.Store.close store
-        | Sharded sh ->
-            let ios = Cfq_txdb.Tx_db.shard_io (Cfq_shard.Sharded.db sh) in
-            Array.iteri
-              (fun k st ->
-                let io = Cfq_store.Store.io st in
-                Printf.printf
-                  "shard %d: %d scans, %d pages read; pool %d hits, %d misses, \
-                   %d evictions (cache %d of %d pages)\n"
-                  k
-                  (Cfq_txdb.Io_stats.scans ios.(k))
-                  (Cfq_txdb.Io_stats.pages_read ios.(k))
-                  (Cfq_txdb.Io_stats.pool_hits io)
-                  (Cfq_txdb.Io_stats.pool_misses io)
-                  (Cfq_txdb.Io_stats.pool_evictions io)
-                  (Cfq_store.Store.cache_pages st)
-                  (Cfq_store.Store.pages st))
-              (Cfq_shard.Sharded.stores sh);
-            if Cfq_shard.Sharded.replicas sh > 1 then
-              Printf.printf "replica failovers: %d\n"
-                (Cfq_shard.Sharded.failovers sh);
-            Cfq_shard.Sharded.close sh);
-        result
-      in
-      let db = backend_db backend in
-      let universe =
-        match backend with
-        | Plain store -> Cfq_store.Store.universe_size store
-        | Sharded sh -> Cfq_shard.Sharded.universe_size sh
-      in
-      let info = store_info store_path (max 1 universe) in
-      (match backend with
-      | Plain store ->
-          Printf.printf "store: %s (%d transactions, %d pages, cache %d pages)\n"
-            opened_path (Cfq_store.Store.size store)
-            (Cfq_store.Store.pages store) cache_pages
-      | Sharded sh ->
-          let m = Cfq_shard.Sharded.manifest sh in
+          let io = Cfq_store.Store.io st in
           Printf.printf
-            "sharded store: %s (%d shards, %s partition, %d transactions, %d \
-             pages, cache %d pages/shard)\n"
-            opened_path
-            (Cfq_shard.Sharded.shard_count sh)
-            (Cfq_shard.Manifest.partition_name m.Cfq_shard.Manifest.partition)
-            (Cfq_shard.Sharded.size sh) (Cfq_shard.Sharded.pages sh) cache_pages);
-      backend_recovery_lines backend;
-      print_newline ();
-      let verified = if verify then verify_backends db info file else Ok () in
-      (match verified with
-      | Error e -> finish (Error e)
-      | Ok () ->
-          let fault_config =
-            {
-              Cfq_txdb.Fault.default_config with
-              Cfq_txdb.Fault.transient_p = fault_transient;
-              corrupt_p = fault_corrupt;
-              spike_p = fault_spike;
-              seed = Int64.of_int fault_seed;
-            }
-          in
-          let fault_replica_target =
-            match fault_replica with
-            | None -> Ok None
-            | Some s -> (
-                match String.index_opt s ':' with
-                | Some i -> (
-                    let k = String.sub s 0 i in
-                    let j = String.sub s (i + 1) (String.length s - i - 1) in
-                    match (int_of_string_opt k, int_of_string_opt j) with
-                    | Some k, Some j -> Ok (Some (k, j))
-                    | _ -> Error "--fault-replica wants K:J (two integers)")
-                | None -> Error "--fault-replica wants K:J (two integers)")
-          in
-          let fault_error = ref None in
-          (match fault_replica_target with
-          | Error msg -> fault_error := Some msg
-          | Ok fault_replica ->
-              if Cfq_txdb.Fault.is_active fault_config then begin
-                let injector = Some (Cfq_txdb.Fault.create fault_config) in
-                (match (fault_shard, fault_replica, backend) with
-                | Some _, Some _, _ ->
-                    fault_error :=
-                      Some "--fault-shard and --fault-replica: choose one"
-                | None, None, _ -> Cfq_txdb.Tx_db.set_faults db injector
-                | Some k, None, Sharded sh -> (
-                    match Cfq_shard.Sharded.set_shard_fault sh ~shard:k injector with
-                    | () -> ()
-                    | exception Invalid_argument msg -> fault_error := Some msg)
-                | None, Some (k, j), Sharded sh -> (
-                    match
-                      Cfq_shard.Sharded.set_replica_fault sh ~shard:k ~replica:j
-                        injector
-                    with
-                    | () -> ()
-                    | exception Invalid_argument msg -> fault_error := Some msg)
-                | Some _, None, Plain _ ->
-                    fault_error := Some "--fault-shard requires a sharded store"
-                | None, Some _, Plain _ ->
-                    fault_error := Some "--fault-replica requires a sharded store");
-                if !fault_error = None then
-                  Printf.printf
-                    "fault injection%s: transient-p=%g corrupt-p=%g spike-p=%g \
-                     seed=%d\n\n"
-                    (match (fault_shard, fault_replica) with
-                    | Some k, _ -> Printf.sprintf " (shard %d)" k
-                    | _, Some (k, j) ->
-                        Printf.sprintf " (shard %d, replica %d)" k j
-                    | None, None -> "")
-                    fault_transient fault_corrupt fault_spike fault_seed
-              end
-              else if fault_shard <> None then
-                fault_error := Some "--fault-shard needs an active fault probability"
-              else if fault_replica <> None then
-                fault_error :=
-                  Some "--fault-replica needs an active fault probability");
-          match !fault_error with
-          | Some msg -> finish (Error (`Msg msg))
-          | None ->
-          let config =
-            {
-              Cfq_service.Service.default_config with
-              Cfq_service.Service.domains;
-              mine_domains;
-              cache_budget = cache_mb * 1024 * 1024;
-              default_deadline = deadline;
-              retries;
-              breaker_threshold;
-              kernel;
-              calibrate = not no_calibrate;
-              condense;
-            }
-          in
-          let service = Cfq_service.Service.create ~config (Exec.context db info) in
-          if live || ingest <> [] then
-            Cfq_service.Service.attach_source service
-              (match backend with
-              | Plain store -> Cfq_live.Source.of_store store
-              | Sharded sh -> Cfq_live.Source.of_sharded sh);
-          let result = run_live_passes service ~repeat ~ingest file in
-          print_condensation service;
-          Cfq_service.Service.shutdown service;
-          finish result)
+            "shard %d: %d scans, %d pages read; pool %d hits, %d misses, %d \
+             evictions (cache %d of %d pages)\n"
+            k (Io_stats.scans ios.(k)) (Io_stats.pages_read ios.(k))
+            (Io_stats.pool_hits io) (Io_stats.pool_misses io) (Io_stats.pool_evictions io)
+            (Cfq_store.Store.cache_pages st)
+            (Cfq_store.Store.pages st))
+        (Cfq_shard.Sharded.stores sh);
+      if Cfq_shard.Sharded.replicas sh > 1 then
+        Printf.printf "replica failovers: %d\n" (Cfq_shard.Sharded.failovers sh))
+    (Source.sharded src)
+
+(* the backend to serve: the store at --store, else generated or --data
+   transactions in memory *)
+let open_source ~store ~cache_pages ~shards ~replicas ~load =
+  let ( let* ) = Result.bind in
+  match store with
+  | None ->
+      let* db, info = load () in
+      let sets =
+        Array.init (Cfq_txdb.Tx_db.size db) (fun i ->
+            (Cfq_txdb.Tx_db.get db i).Cfq_txdb.Transaction.items)
+      in
+      let* src = msg (Source.open_ (Source.Mem sets)) in
+      Ok (src, info)
+  | Some path -> (
+      let spec = Source.Disk { path; cache_pages = Some cache_pages; shards; replicas } in
+      let* src = msg (Source.open_ spec) in
+      match Source.item_info src with
+      | Ok info -> Ok (src, info)
+      | Error m ->
+          Source.close src;
+          Error (`Msg m))
+
+let serve_cmd verbose tx items types seed data iteminfo store cache_pages shards
+    replicas verify config repeat fault fault_shard fault_replica ingest file =
+  setup_logs verbose;
+  let ( let* ) = Result.bind in
+  let load () = load_or_generate ~tx ~items ~types ~seed ~data ~iteminfo in
+  let* src, info = open_source ~store ~cache_pages ~shards ~replicas ~load in
+  Printf.printf "database: %s\n\n" (Source.summary src);
+  let served =
+    let db = Source.db src in
+    let* () = if verify then verify_backends db info file else Ok () in
+    let* shard, replica = msg (fault_target fault_shard fault_replica) in
+    let* () = msg (inject_faults src fault ~shard ~replica) in
+    let service = Service.create ~config (Exec.context db info) in
+    if ingest <> [] then Service.attach_source service src;
+    let result = run_live_passes service ~repeat ~ingest file in
+    print_condensation service;
+    Service.shutdown service;
+    result
+  in
+  print_backend_io src;
+  Source.close src;
+  served
 
 (* re-read every page of every replica fresh from disk and report health;
    with --repair, quarantined/stale replicas are rebuilt from healthy
    siblings (sharded stores only) *)
 let store_verify_cmd verbose store_path cache_pages repair =
   setup_logs verbose;
-  match open_backend store_path cache_pages 1 with
-  | Error e -> Error e
-  | Ok (opened_path, backend) -> (
-      let pp_faults faults =
-        String.concat ", "
-          (List.map
-             (fun f ->
-               Printf.sprintf "%d/%s" f.Cfq_store.Store.pf_page
-                 (Cfq_store.Store.page_fault_kind_name f.Cfq_store.Store.pf_kind))
-             faults)
-      in
-      match backend with
-      | Plain store ->
-          let faults = Cfq_store.Store.verify_pages store in
-          let n = Cfq_store.Store.pages store in
-          Cfq_store.Store.close store;
-          if faults = [] then begin
-            Printf.printf "%s: all %d pages verified\n" opened_path n;
-            Ok ()
-          end
-          else
-            Error
-              (`Msg
-                 (Printf.sprintf "%s: %d bad pages: %s" opened_path
-                    (List.length faults) (pp_faults faults)))
-      | Sharded sh ->
-          let finish r =
-            Cfq_shard.Sharded.close sh;
-            r
-          in
-          if repair then begin
-            let report = Cfq_shard.Scrub.run sh in
-            List.iter
-              (fun r ->
-                Printf.printf "shard %d replica %d: %s -> %s\n"
-                  r.Cfq_shard.Scrub.rr_shard r.Cfq_shard.Scrub.rr_replica
-                  (Cfq_shard.Scrub.outcome_name r.Cfq_shard.Scrub.rr_outcome)
-                  (Cfq_shard.Manifest.health_name r.Cfq_shard.Scrub.rr_health))
-              report.Cfq_shard.Scrub.rows;
-            Printf.printf
-              "scrubbed %d pages: %d faults, %d replicas repaired, %d repair \
-               failures\n"
-              report.Cfq_shard.Scrub.scrubbed_pages
-              report.Cfq_shard.Scrub.faults_found report.Cfq_shard.Scrub.repairs
-              report.Cfq_shard.Scrub.repair_failures;
-            finish
-              (if report.Cfq_shard.Scrub.repair_failures = 0 then Ok ()
-               else Error (`Msg "scrub left unrepaired replicas"))
-          end
-          else begin
-            let rows = Cfq_shard.Scrub.health_report sh in
-            List.iter
-              (fun r ->
-                Printf.printf "shard %d replica %d: %s (generation %d)%s\n"
-                  r.Cfq_shard.Scrub.hr_shard r.Cfq_shard.Scrub.hr_replica
-                  (Cfq_shard.Manifest.health_name r.Cfq_shard.Scrub.hr_health)
-                  r.Cfq_shard.Scrub.hr_generation
-                  (match r.Cfq_shard.Scrub.hr_faults with
-                  | [] -> ""
-                  | faults ->
-                      Printf.sprintf " -- %d bad pages: %s" (List.length faults)
-                        (pp_faults faults)))
-              rows;
-            finish
-              (if Cfq_shard.Scrub.healthy_report rows then begin
-                 print_endline "all replicas healthy, every page verified";
-                 Ok ()
-               end
-               else
-                 Error
-                   (`Msg
-                      "verification failed; run 'store verify --repair' to \
-                       quarantine and rebuild"))
-          end)
+  let spec =
+    Source.Disk
+      { path = store_path; cache_pages = Some cache_pages; shards = 1; replicas = 1 }
+  in
+  let verify src =
+    match (Source.store src, Source.sharded src) with
+    | Some store, _ ->
+        let opened = Cfq_store.Store.path store in
+        let faults = Cfq_store.Store.verify_pages store in
+        if faults = [] then begin
+          Printf.printf "%s: all %d pages verified\n" opened (Cfq_store.Store.pages store);
+          Ok ()
+        end
+        else
+          Error
+            (Printf.sprintf "%s: %d bad pages: %s" opened (List.length faults)
+               (Cfq_store.Store.page_faults_to_string faults))
+    | None, Some sh when repair ->
+        let report = Cfq_shard.Scrub.run sh in
+        List.iter
+          (fun r -> print_endline (Cfq_shard.Scrub.replica_report_to_string r))
+          report.Cfq_shard.Scrub.rows;
+        Printf.printf "scrubbed %d pages: %d faults, %d replicas repaired, %d repair failures\n"
+          report.Cfq_shard.Scrub.scrubbed_pages report.Cfq_shard.Scrub.faults_found
+          report.Cfq_shard.Scrub.repairs report.Cfq_shard.Scrub.repair_failures;
+        if report.Cfq_shard.Scrub.repair_failures = 0 then Ok ()
+        else Error "scrub left unrepaired replicas"
+    | None, Some sh ->
+        let rows = Cfq_shard.Scrub.health_report sh in
+        List.iter (fun r -> print_endline (Cfq_shard.Scrub.health_row_to_string r)) rows;
+        if Cfq_shard.Scrub.healthy_report rows then begin
+          print_endline "all replicas healthy, every page verified";
+          Ok ()
+        end
+        else
+          Error "verification failed; run 'store verify --repair' to quarantine and rebuild"
+    | None, None -> Ok ()
+  in
+  msg
+    (Result.bind (Source.open_ spec) (fun src ->
+         Fun.protect ~finally:(fun () -> Source.close src) (fun () -> verify src)))
 
 let repl_cmd () =
   let session = Cfq_shell.Shell.create () in
@@ -984,10 +757,8 @@ let run_t =
     term_result
       (const run_cmd $ verbose_arg $ tx_arg $ items_arg $ types_arg $ seed_arg
      $ strategy_arg
-     $ mine_domains_arg ~default:0
-         ~default_doc:"Default 0 = all recommended domains of the machine."
-     $ kernel_arg $ no_calibrate_arg $ pairs_arg $ data_arg $ iteminfo_arg
-     $ pairs_out_arg $ query_arg))
+     $ knobs_term ~only:[ "mine-domains"; "kernel"; "calibrate" ] ()
+     $ pairs_arg $ data_arg $ iteminfo_arg $ pairs_out_arg $ query_arg))
 
 let explain_t = Term.(term_result (const explain_cmd $ query_arg))
 
@@ -1041,22 +812,17 @@ let serve_t =
   Term.(
     term_result
       (const serve_cmd $ verbose_arg $ tx_arg $ items_arg $ types_arg $ seed_arg
-     $ data_arg $ iteminfo_arg $ domains_arg
-     $ mine_domains_arg ~default:0
-         ~default_doc:
-           "Default 0 = inherit $(b,--domains); helpers are borrowed idle \
-            workers, never extra domains."
-     $ kernel_arg $ no_calibrate_arg $ condense_arg $ cache_mb_arg
-     $ deadline_arg $ repeat_arg
-     $ fault_transient_arg
-     $ fault_corrupt_arg $ fault_spike_arg $ fault_seed_arg $ retries_arg
-     $ breaker_threshold_arg $ live_arg $ ingest_arg $ batch_file_arg))
+     $ data_arg $ iteminfo_arg $ serve_store_arg $ cache_pages_arg $ shards_arg
+     $ replicas_arg $ verify_arg $ knobs_term () $ repeat_arg $ fault_term
+     $ fault_shard_arg $ fault_replica_arg $ ingest_arg $ batch_file_arg))
 
 let serve_cmd_info =
   Cmd.info "serve"
     ~doc:
       "Execute a batch file of CFQs through the concurrent caching query service \
-       and print per-query outcomes plus cache metrics."
+       and print per-query outcomes plus cache metrics.  With $(b,--store) the \
+       service runs over an on-disk store (plain, sharded or replicated), \
+       decoding pages through bounded buffer pools."
 
 let store_build_t =
   Term.(
@@ -1078,27 +844,10 @@ let store_verify_t =
       (const store_verify_cmd $ verbose_arg $ store_path_arg $ cache_pages_arg
      $ repair_arg))
 
-let store_serve_t =
-  Term.(
-    term_result
-      (const store_serve_cmd $ verbose_arg $ store_path_arg $ cache_pages_arg
-     $ shards_arg $ replicas_arg $ fault_shard_arg $ fault_replica_arg
-     $ domains_arg
-     $ mine_domains_arg ~default:0
-         ~default_doc:
-           "Default 0 = inherit $(b,--domains); helpers are borrowed idle \
-            workers, never extra domains."
-     $ kernel_arg $ no_calibrate_arg $ condense_arg $ cache_mb_arg
-     $ deadline_arg $ repeat_arg
-     $ fault_transient_arg
-     $ fault_corrupt_arg $ fault_spike_arg $ fault_seed_arg $ retries_arg
-     $ breaker_threshold_arg $ live_arg $ ingest_arg $ verify_arg
-     $ batch_file_arg))
-
 let store_cmd =
   Cmd.group
     (Cmd.info "store"
-       ~doc:"Build and serve persistent on-disk transaction stores.")
+       ~doc:"Build and verify persistent on-disk transaction stores.")
     [
       Cmd.v
         (Cmd.info "build"
@@ -1106,12 +855,6 @@ let store_cmd =
              "Write a database (generated, or loaded with $(b,--data)) to a \
               sealed on-disk store plus its itemInfo CSV.")
         store_build_t;
-      Cmd.v
-        (Cmd.info "serve"
-           ~doc:
-             "Serve a batch of CFQs from an on-disk store through the caching \
-              query service, decoding pages through a bounded buffer pool.")
-        store_serve_t;
       Cmd.v
         (Cmd.info "verify"
            ~doc:

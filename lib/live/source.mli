@@ -1,6 +1,7 @@
-(** A unified ingestion handle over every backend the service can sit on:
-    the in-memory array, a plain {!Cfq_store.Store}, or a
-    sharded/replicated {!Cfq_shard.Sharded} store.
+(** The one handle over every backend the service can sit on: the
+    in-memory array, a plain {!Cfq_store.Store}, or a sharded/replicated
+    {!Cfq_shard.Sharded} store.  {!open_} is the only place that decides
+    which backend a path denotes.
 
     The source owns the append → flush → seal lifecycle and mints a
     monotone {e epoch} at each successful seal — the generation tag the
@@ -21,12 +22,28 @@ open Cfq_txdb
 
 type t
 
+(** What to open.  [Disk] names a store file; [cache_pages] bounds each
+    buffer pool (the store's default when [None]). *)
+type spec =
+  | Mem of Itemset.t array
+  | Disk of { path : string; cache_pages : int option; shards : int; replicas : int }
+
+(** [open_ spec] opens a backend.  For [Disk]: a manifest at [path] opens
+    sharded as-is; otherwise [shards > 1 || replicas > 1] splits the plain
+    segment once into a sharded twin at [path ^ ".sharded"] (reused by
+    later opens); anything else opens the plain store.  Damaged or
+    missing files, and [shards]/[replicas] below 1, are [Error]s. *)
+val open_ : spec -> (t, string) result
+
 (** [of_mem ?rebuild sets] — storeless source; [rebuild] constructs the
     database view from the full set array (default [Tx_db.create]). *)
 val of_mem : ?rebuild:(Itemset.t array -> Tx_db.t) -> Itemset.t array -> t
 
 val of_store : Cfq_store.Store.t -> t
 val of_sharded : Cfq_shard.Sharded.t -> t
+
+(** Release the backend's files (no-op in memory). *)
+val close : t -> unit
 
 (** The current sealed database view.  Replaced by {!seal}; a handle
     fetched before a seal keeps serving the pre-seal snapshot (the store
@@ -42,6 +59,41 @@ val pending : t -> int
 
 val size : t -> int
 val backend_name : t -> string
+
+(** {2 Backend introspection} *)
+
+(** The plain store behind the source, if that is the backend. *)
+val store : t -> Cfq_store.Store.t option
+
+(** The sharded store behind the source, if that is the backend. *)
+val sharded : t -> Cfq_shard.Sharded.t option
+
+(** The file opened: the plain segment or the manifest ([None] in memory). *)
+val path : t -> string option
+
+(** [located_at t p] — [p] is the file opened or the path the {!Disk}
+    spec named (a plain segment whose sharded twin was opened). *)
+val located_at : t -> string -> bool
+
+(** The itemInfo table stored beside the source ([PATH.info.csv] of the
+    opened file, else of the path the spec named), or a bare table over
+    the item universe when there is none. *)
+val item_info : t -> (Item_info.t, string) result
+
+(** One line: path, size, pages, pool or shard layout, and what recovery
+    did on open. *)
+val summary : t -> string
+
+(** [set_fault t ?shard ?replica f] installs (or with [None] clears) a
+    fault injector: on the whole database, on one shard's slice of every
+    scan, or on one physical replica of that shard (reads fail over around
+    it).  [Error] for an out-of-range shard or replica, a replica without
+    a shard, or a shard pin on a backend that is not sharded. *)
+val set_fault :
+  t -> ?shard:int -> ?replica:int -> Fault.t option -> (unit, string) result
+
+(** {2 Ingestion} *)
+
 val append_tx : t -> Itemset.t -> unit
 val flush : t -> unit
 

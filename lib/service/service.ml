@@ -3,6 +3,7 @@ open Cfq_txdb
 open Cfq_constr
 open Cfq_mining
 open Cfq_core
+open Cfq_exec_pool
 
 let log_src = Logs.Src.create "cfq.service" ~doc:"CFQ query service"
 
@@ -42,6 +43,113 @@ let default_config =
     calibrate = true;
     condense = true;
   }
+
+type knob = {
+  name : string;
+  doc : string;
+  print : config -> string;
+  parse : string -> config -> (config, string) result;
+}
+
+let knob_error name expected v = Error (Printf.sprintf "%s: expected %s, got %S" name expected v)
+
+let int_knob name ~min ~doc get set =
+  {
+    name;
+    doc;
+    print = (fun c -> string_of_int (get c));
+    parse =
+      (fun v c ->
+        match int_of_string_opt v with
+        | Some n when n >= min -> Ok (set c n)
+        | Some _ | None -> knob_error name (Printf.sprintf "an integer >= %d" min) v);
+  }
+
+let bool_knob name ~doc get set =
+  {
+    name;
+    doc;
+    print = (fun c -> if get c then "on" else "off");
+    parse =
+      (fun v c ->
+        match v with
+        | "on" | "true" | "1" -> Ok (set c true)
+        | "off" | "false" | "0" -> Ok (set c false)
+        | _ -> knob_error name "on or off" v);
+  }
+
+(* shortest decimal that reads back as the same float *)
+let print_float x =
+  let s = Printf.sprintf "%g" x in
+  if float_of_string s = x then s else Printf.sprintf "%.17g" x
+
+let mib = 1024 * 1024
+
+let knobs =
+  [
+    int_knob "domains" ~min:1 ~doc:"Worker domains of the query service."
+      (fun c -> c.domains)
+      (fun c domains -> { c with domains });
+    int_knob "mine-domains" ~min:0
+      ~doc:
+        "Domains each counting scan fans out over, borrowed from idle \
+         workers; 0 inherits domains (for a single run: every recommended \
+         domain of the machine), 1 counts sequentially."
+      (fun c -> c.mine_domains)
+      (fun c mine_domains -> { c with mine_domains });
+    int_knob "cache-mb" ~min:0 ~doc:"Cache memory budget in MiB."
+      (fun c -> c.cache_budget / mib)
+      (fun c mb -> { c with cache_budget = mb * mib });
+    {
+      name = "deadline";
+      doc = "Per-query wall-clock deadline in seconds; none = unbounded.";
+      print =
+        (fun c -> match c.default_deadline with None -> "none" | Some s -> print_float s);
+      parse =
+        (fun v c ->
+          match (v, float_of_string_opt v) with
+          | ("none" | "off"), _ -> Ok { c with default_deadline = None }
+          | _, Some s when s > 0. -> Ok { c with default_deadline = Some s }
+          | _ -> knob_error "deadline" "a positive number of seconds or none" v);
+    };
+    int_knob "retries" ~min:0 ~doc:"Max retries of a transiently failed query."
+      (fun c -> c.retries)
+      (fun c retries -> { c with retries });
+    int_knob "breaker-threshold" ~min:0
+      ~doc:"Consecutive failures that trip the circuit breaker (0 disables)."
+      (fun c -> c.breaker_threshold)
+      (fun c breaker_threshold -> { c with breaker_threshold });
+    {
+      name = "kernel";
+      doc =
+        "Support-counting kernel: trie (the scan-per-level path), direct2 \
+         (direct level-2 count arrays), vertical (tid-bitmap switchover) or \
+         auto (adaptive cost model with shrinking projections).  Answers are \
+         identical for every kernel.";
+      print = (fun c -> Counting.kernel_name c.kernel);
+      parse =
+        (fun v c ->
+          match Counting.kernel_of_string v with
+          | Some kernel -> Ok { c with kernel }
+          | None ->
+              knob_error "kernel"
+                ("one of " ^ String.concat ", " (List.map fst Counting.all_kernels))
+                v);
+    };
+    bool_knob "calibrate"
+      ~doc:
+        "Feed measured pass timings into the Auto planner's cost model; off \
+         keeps its fixed priors.  Only affects kernel choice, never answers."
+      (fun c -> c.calibrate)
+      (fun c calibrate -> { c with calibrate });
+    bool_knob "condense"
+      ~doc:
+        "Store cached side collections closed-set condensed and cached \
+         answers index-packed, so more distinct queries fit the cache \
+         budget.  Answers are byte-identical either way."
+      (fun c -> c.condense)
+      (fun c condense -> { c with condense });
+  ]
 
 type served_from =
   | Cold

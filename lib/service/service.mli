@@ -105,6 +105,20 @@ type config = {
     on. *)
 val default_config : config
 
+(** One service knob the front ends expose: the shell's [set NAME VALUE]
+    and the CLI's [--NAME VALUE] flags are both generated from {!knobs}. *)
+type knob = {
+  name : string;
+  doc : string;  (** plain text, one or two sentences *)
+  print : config -> string;  (** the knob's current value *)
+  parse : string -> config -> (config, string) result;
+      (** validate a value and set it; the [Error] names the knob *)
+}
+
+(** domains, mine-domains, cache-mb, deadline, retries, breaker-threshold,
+    kernel, calibrate and condense, in that order. *)
+val knobs : knob list
+
 type served_from =
   | Cold  (** at least one side ran the mining engine *)
   | Answer_cache  (** verbatim answer-cache hit *)

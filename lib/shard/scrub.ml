@@ -217,3 +217,16 @@ let healthy_report rows =
   List.for_all
     (fun r -> r.hr_health = Manifest.Healthy && r.hr_faults = [])
     rows
+
+let health_row_to_string r =
+  Printf.sprintf "shard %d replica %d: %s (generation %d)%s" r.hr_shard r.hr_replica
+    (Manifest.health_name r.hr_health) r.hr_generation
+    (match r.hr_faults with
+    | [] -> ""
+    | faults ->
+        Printf.sprintf " -- %d bad pages: %s" (List.length faults)
+          (Store.page_faults_to_string faults))
+
+let replica_report_to_string r =
+  Printf.sprintf "shard %d replica %d: %s -> %s" r.rr_shard r.rr_replica
+    (outcome_name r.rr_outcome) (Manifest.health_name r.rr_health)

@@ -41,6 +41,9 @@ type report = {
 
 val outcome_name : outcome -> string
 
+(** ["shard K replica J: OUTCOME -> HEALTH"], one scrubbed replica. *)
+val replica_report_to_string : replica_report -> string
+
 (** [run t] scrubs and (by default) repairs.  [~repair:false] verifies
     and quarantines only.  [throttle_pages]/[throttle_sleep] sleep that
     long after every that-many page reads — the I/O throttle. *)
@@ -68,3 +71,7 @@ val health_report :
 
 (** Every replica healthy with zero faults. *)
 val healthy_report : health_row list -> bool
+
+(** ["shard K replica J: HEALTH (generation G)"], plus
+    [" -- N bad pages: P/KIND, ..."] when verification found faults. *)
+val health_row_to_string : health_row -> string

@@ -2,22 +2,21 @@ open Cfq_itembase
 open Cfq_txdb
 open Cfq_quest
 open Cfq_core
+module Service = Cfq_service.Service
+module Source = Cfq_live.Source
 
 type t = {
   mutable ctx : Exec.ctx option;
   mutable strategy : Plan.strategy;
   mutable min_conf : float;
-  mutable mine_domains : int;
-  mutable kernel : Cfq_mining.Counting.kernel;
-  mutable calibrate : bool;
-  mutable condense : bool;
+  mutable config : Service.config;
+      (* the service knobs; [run] reads mine-domains, kernel, calibrate *)
   mutable last : Exec.result option;
   mutable last_rules : Cfq_rules.Rule.t list;
-  mutable service : Cfq_service.Service.t option;
-  mutable store : Cfq_store.Store.t option;
-  mutable shard : Cfq_shard.Sharded.t option;
+  mutable service : Service.t option;
+  mutable source : Source.t option;  (* the attached on-disk backend *)
   mutable replicas : int;
-  mutable last_live : Cfq_service.Service.live option;
+  mutable last_live : Service.live option;
 }
 
 type response = {
@@ -30,24 +29,20 @@ let create ?ctx () =
     ctx;
     strategy = Plan.Optimized;
     min_conf = 0.5;
-    mine_domains = 1;
-    kernel = Cfq_mining.Counting.Trie;
-    calibrate = true;
-    condense = true;
+    config = Service.default_config;
     last = None;
     last_rules = [];
     service = None;
-    store = None;
-    shard = None;
+    source = None;
     replicas = 1;
     last_live = None;
   }
 
-let par_of t = Cfq_mining.Counting.par (max 1 t.mine_domains)
+let par_of t = Cfq_mining.Counting.par (max 1 t.config.mine_domains)
 
 (* the trie default stays the plain legacy path (no session, no note) *)
 let kernel_of t =
-  if t.kernel = Cfq_mining.Counting.Trie then None else Some t.kernel
+  if t.config.kernel = Cfq_mining.Counting.Trie then None else Some t.config.kernel
 
 (* the serving layer is bound to one database: (re)create it lazily and
    retire it when the session attaches a different context *)
@@ -55,41 +50,29 @@ let drop_service t =
   match t.service with
   | None -> ()
   | Some s ->
-      Cfq_service.Service.shutdown s;
+      Service.shutdown s;
       t.service <- None
 
 (* a persistent store backs the current ctx's database: close it only
    after the session has moved to a different context *)
-let drop_store t =
-  (match t.store with
-  | None -> ()
-  | Some s ->
-      (try Cfq_store.Store.close s with _ -> ());
-      t.store <- None);
-  match t.shard with
-  | None -> ()
-  | Some s ->
-      (try Cfq_shard.Sharded.close s with _ -> ());
-      t.shard <- None
+let drop_source t =
+  Option.iter (fun s -> try Source.close s with _ -> ()) t.source;
+  t.source <- None
 
 let service_for t ctx =
   match t.service with
-  | Some s when Cfq_service.Service.ctx s == ctx -> s
+  | Some s when Service.ctx s == ctx -> s
   | _ ->
       drop_service t;
-      let s =
-        Cfq_service.Service.create
-          ~config:
-            {
-              Cfq_service.Service.default_config with
-              kernel = t.kernel;
-              calibrate = t.calibrate;
-              condense = t.condense;
-            }
-          ctx
-      in
+      let s = Service.create ~config:t.config ctx in
       t.service <- Some s;
       s
+
+(* the running service, if it serves the attached context *)
+let live_service t =
+  match (t.service, t.ctx) with
+  | Some s, Some c when Service.ctx s == c -> Some s
+  | _ -> None
 
 let say fmt = Format.kasprintf (fun output -> { output; quit = false }) fmt
 
@@ -101,8 +84,9 @@ let help_text =
       "  gen <n_tx> <n_items> [seed]    generate a synthetic Quest database";
       "  open <store> [<cache_pages>] [shards=N]";
       "                                 attach a persistent store (buffer-pooled);";
-      "                                 a manifest opens sharded, shards=N splits a";
-      "                                 plain segment into a sharded twin first";
+      "                                 a manifest opens sharded; shards=N (or set";
+      "                                 replicas above 1) splits a plain segment";
+      "                                 into a sharded twin first";
       "  save <store>                   write the attached database to a store";
       "  ingest <store> <tx.fimi>       append transactions to a store and seal;";
       "                                 a running service over that store is kept";
@@ -113,15 +97,12 @@ let help_text =
       "                                 report per-replica page health";
       "  scrub                          verify + quarantine bad replicas, rebuild";
       "                                 them from healthy siblings, re-admit";
+      "  set                            list every setting's current value";
       "  set strategy <name>            apriori+ | cap | optimized | sequential | fm";
       "  set minconf <float>            rule confidence threshold";
-      "  set domains <n>                counting domains per scan (1 = sequential)";
-      "  set kernel <name>              counting kernel: auto | trie | direct2 | vertical";
-      "  set calibrate <on|off>         feed measured pass timings into the Auto";
-      "                                 planner's cost model (on; off = fixed priors)";
-      "  set condense <on|off>          store the service's cached collections and";
-      "                                 answers closed-set condensed (on); answers";
-      "                                 are byte-identical either way";
+      "  set <knob> <value>             service knob; a change restarts the service:";
+      "                                 "
+      ^ String.concat " | " (List.map (fun k -> k.Service.name) Service.knobs);
       "  set replicas <r>               replicas per shard for the next sharded split";
       "  set fault <p> [<cp> [<seed>]] [shard=K [replica=J]]";
       "                                 inject faults: transient-p, corrupt-p, seed;";
@@ -191,7 +172,7 @@ let do_load t path info_path =
           t.ctx <- Some (Exec.context db info);
           t.last <- None;
           drop_service t;
-          drop_store t;
+          drop_source t;
           say "loaded %d transactions over %d items" (Tx_db.size db) universe_size)
 
 let do_gen t n_tx n_items seed =
@@ -203,113 +184,30 @@ let do_gen t n_tx n_items seed =
   t.ctx <- Some (Exec.context db (Item_gen.item_info ~prices ~types ()));
   t.last <- None;
   drop_service t;
-  drop_store t;
+  drop_source t;
   say "generated %d transactions over %d items (avg length %.1f; Price, Type attributes)"
     (Tx_db.size db) n_items (Tx_db.avg_tx_len db)
 
 let info_csv_path store_path = store_path ^ ".info.csv"
 
-(* attach an already-built sharded store: the manifest lives at [mpath],
-   the itemInfo table beside it or beside the original plain segment the
-   shards were split from *)
-let do_open_sharded t mpath cache_pages ~info_candidates =
-  match Cfq_shard.Sharded.open_ ?cache_pages mpath with
-  | exception Cfq_shard.Manifest.Bad_manifest msg -> say "open failed: %s" msg
-  | exception Cfq_store.Segment.Bad_segment msg -> say "open failed: %s" msg
-  | exception Unix.Unix_error (e, _, _) ->
-      say "open failed: %s: %s" mpath (Unix.error_message e)
-  | exception Sys_error msg -> say "open failed: %s" msg
-  | sh -> (
-      let universe_size = max 1 (Cfq_shard.Sharded.universe_size sh) in
-      let info_result =
-        match List.find_opt Sys.file_exists info_candidates with
-        | None -> Ok (Item_info.create ~universe_size)
-        | Some p -> (
-            match Cfq_data.Item_csv.read p ~universe_size with
-            | info -> Ok info
-            | exception Cfq_data.Item_csv.Bad_format msg -> Error msg
-            | exception Sys_error msg -> Error msg)
-      in
-      match info_result with
+(* 'open' front door: [Source.open_] decides plain, sharded, or a split
+   into a sharded twin (shards=N, or 'set replicas' above 1) *)
+let do_open t path cache_pages shards =
+  let spec = Source.Disk { path; cache_pages; shards; replicas = t.replicas } in
+  match Source.open_ spec with
+  | Error msg -> say "open failed: %s" msg
+  | Ok src -> (
+      match Source.item_info src with
       | Error msg ->
-          Cfq_shard.Sharded.close sh;
+          Source.close src;
           say "open failed: %s" msg
       | Ok info ->
-          t.ctx <- Some (Exec.context (Cfq_shard.Sharded.db sh) info);
+          t.ctx <- Some (Exec.context (Source.db src) info);
           t.last <- None;
           drop_service t;
-          drop_store t;
-          t.shard <- Some sh;
-          let m = Cfq_shard.Sharded.manifest sh in
-          let r = Cfq_shard.Sharded.replicas sh in
-          say "opened %s: %d shards (%s)%s, %d transactions, %d pages, generation %d"
-            mpath
-            (Cfq_shard.Sharded.shard_count sh)
-            (Cfq_shard.Manifest.partition_name m.Cfq_shard.Manifest.partition)
-            (if r > 1 then Printf.sprintf " x %d replicas" r else "")
-            (Cfq_shard.Sharded.size sh) (Cfq_shard.Sharded.pages sh)
-            m.Cfq_shard.Manifest.generation)
-
-let do_open t path cache_pages =
-  match Cfq_store.Store.open_ ?cache_pages path with
-  | exception Cfq_store.Segment.Bad_segment msg -> say "open failed: %s" msg
-  | exception Unix.Unix_error (e, _, _) ->
-      say "open failed: %s: %s" path (Unix.error_message e)
-  | exception Sys_error msg -> say "open failed: %s" msg
-  | store -> (
-      let universe_size = max 1 (Cfq_store.Store.universe_size store) in
-      let info_path = info_csv_path path in
-      let info_result =
-        if not (Sys.file_exists info_path) then Ok (Item_info.create ~universe_size)
-        else
-          match Cfq_data.Item_csv.read info_path ~universe_size with
-          | info -> Ok info
-          | exception Cfq_data.Item_csv.Bad_format msg -> Error msg
-          | exception Sys_error msg -> Error msg
-      in
-      match info_result with
-      | Error msg ->
-          Cfq_store.Store.close store;
-          say "open failed: %s" msg
-      | Ok info ->
-          t.ctx <- Some (Exec.context (Cfq_store.Store.db store) info);
-          t.last <- None;
-          drop_service t;
-          drop_store t;
-          t.store <- Some store;
-          let r = Cfq_store.Store.last_recovery store in
-          say "opened %s: %d transactions, %d pages, cache %d pages%s" path
-            (Cfq_store.Store.size store) (Cfq_store.Store.pages store)
-            (Cfq_store.Store.cache_pages store)
-            (if r.Cfq_store.Store.replayed > 0 || r.Cfq_store.Store.truncated_bytes > 0
-             then
-               Printf.sprintf " (recovered %d WAL records, dropped %d torn bytes)"
-                 r.Cfq_store.Store.replayed r.Cfq_store.Store.truncated_bytes
-             else ""))
-
-(* 'open' front door: a manifest at [path] opens sharded as-is; a plain
-   segment with [shards=N] (N>1) is split once into a sharded twin at
-   [path.sharded] (reused on later opens); otherwise the plain store *)
-let do_open_any t path cache_pages shards =
-  if Cfq_shard.Manifest.is_manifest path then
-    do_open_sharded t path cache_pages ~info_candidates:[ info_csv_path path ]
-  else if shards > 1 then begin
-    let mpath = path ^ ".sharded" in
-    match
-      if not (Cfq_shard.Manifest.is_manifest mpath) then
-        Cfq_shard.Sharded.build_from_segment ~replicas:t.replicas ~shards ~src:path
-          mpath
-    with
-    | exception Cfq_store.Segment.Bad_segment msg -> say "open failed: %s" msg
-    | exception Cfq_shard.Manifest.Bad_manifest msg -> say "open failed: %s" msg
-    | exception Unix.Unix_error (e, _, _) ->
-        say "open failed: %s: %s" path (Unix.error_message e)
-    | exception Sys_error msg -> say "open failed: %s" msg
-    | () ->
-        do_open_sharded t mpath cache_pages
-          ~info_candidates:[ info_csv_path mpath; info_csv_path path ]
-  end
-  else do_open t path cache_pages
+          drop_source t;
+          t.source <- Some src;
+          say "opened %s" (Source.summary src))
 
 let do_save ctx path =
   match
@@ -323,89 +221,69 @@ let do_save ctx path =
       say "save failed: %s: %s" path (Unix.error_message e)
   | exception Sys_error msg -> say "save failed: %s" msg
 
+let append_all src_db append =
+  for i = 0 to Tx_db.size src_db - 1 do
+    append (Tx_db.get src_db i).Transaction.items
+  done
+
+(* [store_path] may name the attached source (its segment, its manifest,
+   or the plain segment its sharded twin was split from); any other store
+   is opened for the ingest and closed again.  Appends are group-commit
+   buffered: a crash mid-loop may lose the last partial group, but nothing
+   is acknowledged until the seal, which flushes and folds everything
+   durably. *)
 let do_ingest t store_path fimi_path =
   match Cfq_data.Fimi.read fimi_path with
-  | exception Cfq_data.Fimi.Bad_format msg -> say "ingest failed: %s" msg
-  | exception Sys_error msg -> say "ingest failed: %s" msg
-  | src -> (
-      (* appends are group-commit buffered: a crash mid-loop may lose
-         the last partial group, but nothing is acknowledged until the
-         seal below, which flushes and folds everything durably *)
-      let ingest store =
-        for i = 0 to Tx_db.size src - 1 do
-          Cfq_store.Store.append_tx store (Tx_db.get src i).Transaction.items
-        done;
-        ignore (Cfq_store.Store.seal store)
+  | exception (Cfq_data.Fimi.Bad_format msg | Sys_error msg) -> say "ingest failed: %s" msg
+  | src_db -> (
+      let n = Tx_db.size src_db in
+      let seal source =
+        append_all src_db (Source.append_tx source);
+        ignore (Source.seal source (Io_stats.create ()));
+        say "ingested %d transactions into %s (now %d total)" n store_path
+          (Source.size source)
       in
-      match t.store with
-      | Some store when Cfq_store.Store.path store = store_path -> (
-          let live_service =
-            match (t.service, t.ctx) with
-            | Some s, Some c when Cfq_service.Service.ctx s == c -> Some s
-            | _ -> None
-          in
-          match live_service with
-          | Some service -> (
-              (* the service stays up across the seal: appends go through
-                 its live source, and the seal's maintenance pass promotes
-                 the warm caches to the new epoch instead of dropping them
-                 (in-flight queries finish on the still-readable pre-seal
-                 snapshot) *)
-              (match Cfq_service.Service.live_source service with
-              | Some _ -> ()
-              | None ->
-                  Cfq_service.Service.attach_source service
-                    (Cfq_live.Source.of_store store));
-              for i = 0 to Tx_db.size src - 1 do
-                Cfq_service.Service.ingest service (Tx_db.get src i).Transaction.items
-              done;
-              match Cfq_service.Service.seal_live service with
-              | None -> say "nothing to ingest: %s holds no transactions" fimi_path
-              | Some lv ->
-                  t.last_live <- Some lv;
-                  t.ctx <- Some (Cfq_service.Service.ctx service);
-                  t.last <- None;
-                  say
-                    "ingested %d transactions into %s (now %d total)@\n\
-                     epoch %d: %d sides + %d answers promoted, %d + %d \
-                     evicted; %d candidates recounted (%d old-db scans), %d \
-                     maintenance pages"
-                    (Tx_db.size src) store_path
-                    (Cfq_store.Store.size store)
-                    lv.Cfq_service.Service.lv_epoch
-                    lv.Cfq_service.Service.lv_sides_promoted
-                    lv.Cfq_service.Service.lv_answers_promoted
-                    lv.Cfq_service.Service.lv_sides_evicted
-                    lv.Cfq_service.Service.lv_answers_evicted
-                    lv.Cfq_service.Service.lv_recounted
-                    lv.Cfq_service.Service.lv_old_scans
-                    lv.Cfq_service.Service.lv_pages_read)
-          | None ->
-              (* no service over this store: retire any stale one, seal, and
-                 rebuild the context around the replaced db handle *)
-              drop_service t;
-              ingest store;
-              (match t.ctx with
-              | Some ctx ->
-                  t.ctx <-
-                    Some (Exec.context (Cfq_store.Store.db store) ctx.Exec.s_info)
-              | None -> ());
+      match (t.source, live_service t) with
+      | Some source, Some service when Source.located_at source store_path -> (
+          (* the service stays up across the seal: appends go through its
+             live source, and the seal's maintenance pass promotes the warm
+             caches to the new epoch instead of dropping them (in-flight
+             queries finish on the still-readable pre-seal snapshot) *)
+          if Option.is_none (Service.live_source service) then
+            Service.attach_source service source;
+          append_all src_db (Service.ingest service);
+          match Service.seal_live service with
+          | None -> say "nothing to ingest: %s holds no transactions" fimi_path
+          | Some lv ->
+              t.last_live <- Some lv;
+              t.ctx <- Some (Service.ctx service);
               t.last <- None;
-              say "ingested %d transactions into %s (now %d total)"
-                (Tx_db.size src) store_path
-                (Cfq_store.Store.size store))
+              say
+                "ingested %d transactions into %s (now %d total)@\n\
+                 epoch %d: %d sides + %d answers promoted, %d + %d evicted; %d \
+                 candidates recounted (%d old-db scans), %d maintenance pages"
+                n store_path (Source.size source) lv.Service.lv_epoch
+                lv.Service.lv_sides_promoted lv.Service.lv_answers_promoted
+                lv.Service.lv_sides_evicted lv.Service.lv_answers_evicted
+                lv.Service.lv_recounted lv.Service.lv_old_scans lv.Service.lv_pages_read)
+      | Some source, None when Source.located_at source store_path ->
+          (* no service over this source: retire any stale one, seal, and
+             rebuild the context around the replaced db handle *)
+          drop_service t;
+          let r = seal source in
+          Option.iter
+            (fun ctx -> t.ctx <- Some (Exec.context (Source.db source) ctx.Exec.s_info))
+            t.ctx;
+          t.last <- None;
+          r
       | _ -> (
-          match Cfq_store.Store.open_ store_path with
-          | exception Cfq_store.Segment.Bad_segment msg -> say "ingest failed: %s" msg
-          | exception Unix.Unix_error (e, _, _) ->
-              say "ingest failed: %s: %s" store_path (Unix.error_message e)
-          | exception Sys_error msg -> say "ingest failed: %s" msg
-          | store ->
-              ingest store;
-              let total = Cfq_store.Store.size store in
-              Cfq_store.Store.close store;
-              say "ingested %d transactions into %s (now %d total)" (Tx_db.size src)
-                store_path total))
+          let spec =
+            Source.Disk { path = store_path; cache_pages = None; shards = 1; replicas = 1 }
+          in
+          match Source.open_ spec with
+          | Error msg -> say "ingest failed: %s" msg
+          | Ok source ->
+              Fun.protect ~finally:(fun () -> Source.close source) (fun () -> seal source)))
 
 let do_live t =
   match t.service with
@@ -415,13 +293,13 @@ let do_live t =
          into the attached store keeps it live across seals"
   | Some s ->
       let source_line =
-        match Cfq_service.Service.live_source s with
+        match Service.live_source s with
         | None -> "no ingestion source attached (the first 'ingest' attaches one)"
         | Some src ->
             Printf.sprintf "source: %s, %d transactions sealed, %d pending"
-              (Cfq_live.Source.backend_name src)
-              (Cfq_live.Source.size src)
-              (Cfq_live.Source.pending src)
+              (Source.backend_name src)
+              (Source.size src)
+              (Source.pending src)
       in
       let seal_line =
         match t.last_live with
@@ -431,22 +309,22 @@ let do_live t =
               "last seal (epoch %d): %d txs folded; %d sides + %d answers \
                promoted, %d + %d evicted; %d candidates recounted (%d old-db \
                scans), %d scans / %d pages of maintenance I/O"
-              lv.Cfq_service.Service.lv_epoch lv.Cfq_service.Service.lv_sealed
-              lv.Cfq_service.Service.lv_sides_promoted
-              lv.Cfq_service.Service.lv_answers_promoted
-              lv.Cfq_service.Service.lv_sides_evicted
-              lv.Cfq_service.Service.lv_answers_evicted
-              lv.Cfq_service.Service.lv_recounted
-              lv.Cfq_service.Service.lv_old_scans
-              lv.Cfq_service.Service.lv_scans
-              lv.Cfq_service.Service.lv_pages_read
+              lv.Service.lv_epoch lv.Service.lv_sealed
+              lv.Service.lv_sides_promoted
+              lv.Service.lv_answers_promoted
+              lv.Service.lv_sides_evicted
+              lv.Service.lv_answers_evicted
+              lv.Service.lv_recounted
+              lv.Service.lv_old_scans
+              lv.Service.lv_scans
+              lv.Service.lv_pages_read
       in
-      say "epoch %d@\n%s@\n%s" (Cfq_service.Service.epoch s) source_line seal_line
+      say "epoch %d@\n%s@\n%s" (Service.epoch s) source_line seal_line
 
 let do_run t ctx q =
   match
     Exec.run_result ~strategy:t.strategy ~collect_pairs:true ~par:(par_of t)
-      ?kernel:(kernel_of t) ~calibrate:t.calibrate ctx q
+      ?kernel:(kernel_of t) ~calibrate:t.config.calibrate ctx q
   with
   | Ok r ->
       t.last <- Some r;
@@ -495,11 +373,10 @@ let injector_report db =
         s.Fault.transient s.Fault.spikes s.Fault.crashes s.Fault.tampered
         s.Fault.checksum_failures
 
+(* shard=K pins the injector to one shard of a sharded store; replica=J
+   narrows it further to one physical replica of that shard (the sibling
+   replicas stay clean, so reads fail over around it) *)
 let do_set_fault t ctx args =
-  let composite = ctx.Exec.db in
-  (* shard=K pins the injector to one shard of a sharded composite;
-     replica=J narrows it further to one physical replica of that shard
-     (the sibling replicas stay clean, so reads fail over around it) *)
   let tagged prefix words = List.partition (String.starts_with ~prefix) words in
   let shard_args, args = tagged "shard=" args in
   let replica_args, args = tagged "replica=" args in
@@ -507,58 +384,39 @@ let do_set_fault t ctx args =
     let n = String.length prefix in
     int_of_string_opt (String.sub s n (String.length s - n))
   in
-  match parse_fault_spec args with
-  | Error msg -> say "%s" msg
-  | Ok (spec, desc) -> (
-      match (shard_args, replica_args) with
-      | _ :: _ :: _, _ | _, _ :: _ :: _ ->
-          say "set fault: at most one shard=K and one replica=J"
-      | [], _ :: _ -> say "set fault: replica=J needs shard=K"
-      | [ s ], [ r ] -> (
-          match (int_of "shard=" s, int_of "replica=" r, t.shard) with
-          | None, _, _ | _, None, _ -> say "set fault: shard= and replica= want integers"
-          | _, _, None -> say "set fault: the attached store is not sharded"
-          | Some k, Some j, Some sh ->
-              let n_shards = Cfq_shard.Sharded.shard_count sh in
-              let n_replicas = Cfq_shard.Sharded.replicas sh in
-              if k < 0 || k >= n_shards then
-                say "set fault: shard %d out of range (store has %d shards)" k n_shards
-              else if j < 0 || j >= n_replicas then
-                say "set fault: replica %d out of range (store has %d replicas)" j
-                  n_replicas
-              else begin
-                Cfq_shard.Sharded.set_replica_fault sh ~shard:k ~replica:j
-                  (Option.map Fault.create spec);
-                say "fault injection %s (shard %d, replica %d)" desc k j
-              end)
-      | [ s ], [] -> (
-          match (int_of "shard=" s, Tx_db.shards composite) with
-          | None, _ -> say "set fault: shard= wants an integer"
-          | Some _, None -> say "set fault: the attached database is not sharded"
-          | Some k, Some subs when k >= 0 && k < Array.length subs ->
-              let db = subs.(k) in
-              if spec = None then begin
-                let report = injector_report db in
-                Tx_db.set_faults db None;
-                say "%s (shard %d)" report k
-              end
-              else begin
-                Tx_db.set_faults db (Option.map Fault.create spec);
-                say "fault injection %s (shard %d)" desc k
-              end
-          | Some k, Some subs ->
-              say "set fault: shard %d out of range (store has %d shards)" k
-                (Array.length subs))
-      | [], [] ->
-          if spec = None then begin
-            let report = injector_report composite in
-            Tx_db.set_faults composite None;
-            say "%s" report
-          end
-          else begin
-            Tx_db.set_faults composite (Option.map Fault.create spec);
-            say "fault injection %s" desc
-          end)
+  let scope_of prefix = function
+    | [] -> Ok None
+    | [ w ] -> (
+        match int_of prefix w with
+        | Some k -> Ok (Some k)
+        | None -> Error "shard= and replica= want integers")
+    | _ -> Error "at most one shard=K and one replica=J"
+  in
+  match
+    (parse_fault_spec args, scope_of "shard=" shard_args, scope_of "replica=" replica_args)
+  with
+  | Error msg, _, _ -> say "%s" msg
+  | _, Error msg, _ | _, _, Error msg -> say "set fault: %s" msg
+  | Ok (spec, desc), Ok shard, Ok replica -> (
+      (* an unscoped 'off' reports what the injector did before clearing *)
+      let report =
+        if spec = None && shard = None then injector_report ctx.Exec.db
+        else "fault injection " ^ desc
+      in
+      let f = Option.map Fault.create spec in
+      let applied =
+        match (t.source, shard, replica) with
+        | Some src, _, _ -> Source.set_fault src ?shard ?replica f
+        | None, None, None ->
+            Tx_db.set_faults ctx.Exec.db f;
+            Ok ()
+        | None, _, _ -> Error "the attached database is not sharded"
+      in
+      match (applied, shard, replica) with
+      | Error msg, _, _ -> say "set fault: %s" msg
+      | Ok (), Some k, Some j -> say "%s (shard %d, replica %d)" report k j
+      | Ok (), Some k, None -> say "%s (shard %d)" report k
+      | Ok (), None, _ -> say "%s" report)
 
 let do_pairs t n =
   match t.last with
@@ -593,52 +451,26 @@ let do_rules t ctx q =
     (if shown = [] then "" else "\n")
     (String.concat "\n" shown)
 
-(* one line per physical replica: health, generation, page faults *)
-let render_health_rows rows =
-  String.concat "\n"
-    (List.map
-       (fun r ->
-         Printf.sprintf "  shard %d replica %d: %s (generation %d)%s"
-           r.Cfq_shard.Scrub.hr_shard r.Cfq_shard.Scrub.hr_replica
-           (Cfq_shard.Manifest.health_name r.Cfq_shard.Scrub.hr_health)
-           r.Cfq_shard.Scrub.hr_generation
-           (match r.Cfq_shard.Scrub.hr_faults with
-           | [] -> ""
-           | faults ->
-               Printf.sprintf " -- %d bad pages: %s" (List.length faults)
-                 (String.concat ", "
-                    (List.map
-                       (fun f ->
-                         Printf.sprintf "%d/%s" f.Cfq_store.Store.pf_page
-                           (Cfq_store.Store.page_fault_kind_name
-                              f.Cfq_store.Store.pf_kind))
-                       faults))))
-       rows)
-
 let do_verify t =
-  match (t.shard, t.store) with
-  | Some sh, _ ->
+  match Option.map (fun s -> (Source.sharded s, Source.store s)) t.source with
+  | Some (Some sh, _) ->
       let rows = Cfq_shard.Scrub.health_report sh in
       say "%s\n%s"
         (if Cfq_shard.Scrub.healthy_report rows then
            "all replicas healthy, every page verified"
          else "VERIFICATION FAILED -- run 'scrub' to quarantine and repair")
-        (render_health_rows rows)
-  | None, Some store -> (
+        (String.concat "\n"
+           (List.map (fun r -> "  " ^ Cfq_shard.Scrub.health_row_to_string r) rows))
+  | Some (None, Some store) -> (
       match Cfq_store.Store.verify_pages store with
       | [] -> say "all %d pages verified" (Cfq_store.Store.pages store)
       | faults ->
           say "VERIFICATION FAILED -- %d bad pages: %s" (List.length faults)
-            (String.concat ", "
-               (List.map
-                  (fun f ->
-                    Printf.sprintf "%d/%s" f.Cfq_store.Store.pf_page
-                      (Cfq_store.Store.page_fault_kind_name f.Cfq_store.Store.pf_kind))
-                  faults)))
-  | None, None -> say "no persistent store attached; use 'open' first"
+            (Cfq_store.Store.page_faults_to_string faults))
+  | _ -> say "no persistent store attached; use 'open' first"
 
 let do_scrub t =
-  match t.shard with
+  match Option.bind t.source Source.sharded with
   | None -> say "scrub wants an attached sharded store; use 'open' first"
   | Some sh ->
       (* the scrubber may seal and repair, replacing db handles: quiesce
@@ -658,17 +490,10 @@ let do_scrub t =
       say "scrubbed %d pages: %d faults, %d replicas repaired, %d repair failures%s"
         report.Cfq_shard.Scrub.scrubbed_pages report.Cfq_shard.Scrub.faults_found
         report.Cfq_shard.Scrub.repairs report.Cfq_shard.Scrub.repair_failures
-        (if rows = [] then ""
-         else
-           "\n"
-           ^ String.concat "\n"
-               (List.map
-                  (fun r ->
-                    Printf.sprintf "  shard %d replica %d: %s -> %s"
-                      r.Cfq_shard.Scrub.rr_shard r.Cfq_shard.Scrub.rr_replica
-                      (Cfq_shard.Scrub.outcome_name r.Cfq_shard.Scrub.rr_outcome)
-                      (Cfq_shard.Manifest.health_name r.Cfq_shard.Scrub.rr_health))
-                  rows))
+        (String.concat ""
+           (List.map
+              (fun r -> "\n  " ^ Cfq_shard.Scrub.replica_report_to_string r)
+              rows))
 
 let do_stats t ctx =
   let db = ctx.Exec.db in
@@ -678,7 +503,7 @@ let do_stats t ctx =
     |> String.concat ", "
   in
   let store_line =
-    match t.store with
+    match Option.bind t.source Source.store with
     | None -> ""
     | Some s ->
         let io = Cfq_store.Store.io s in
@@ -688,8 +513,9 @@ let do_stats t ctx =
           (Io_stats.pool_hits io) (Io_stats.pool_misses io)
           (Io_stats.pool_evictions io)
   in
+  let shard = Option.bind t.source Source.sharded in
   let manifest_line =
-    match t.shard with
+    match shard with
     | None -> ""
     | Some sh ->
         let m = Cfq_shard.Sharded.manifest sh in
@@ -704,7 +530,7 @@ let do_stats t ctx =
     | Some subs ->
         let ios = Tx_db.shard_io db in
         let replica_lines k =
-          match t.shard with
+          match shard with
           | None -> ""
           | Some sh ->
               let g = (Cfq_shard.Sharded.groups sh).(k) in
@@ -735,6 +561,17 @@ let do_stats t ctx =
     (Tx_db.size db) (Tx_db.avg_tx_len db) (Tx_db.pages db) (Tx_db.chunk_runs db)
     (if attrs = "" then "(none)" else attrs)
     store_line manifest_line shard_lines
+
+let settings t =
+  String.concat "\n"
+    ([
+       Printf.sprintf "  %-18s %s" "strategy" (Plan.strategy_name t.strategy);
+       Printf.sprintf "  %-18s %.2f" "minconf" t.min_conf;
+       Printf.sprintf "  %-18s %d" "replicas" t.replicas;
+     ]
+    @ List.map
+        (fun k -> Printf.sprintf "  %-18s %s" k.Service.name (k.Service.print t.config))
+        Service.knobs)
 
 let split_words line =
   String.split_on_char ' ' line |> List.filter (fun w -> w <> "")
@@ -792,64 +629,23 @@ let eval t line =
                    ingestion, read failover)"
                   n
           | Some _ | None -> say "replicas must be an integer >= 1")
-      | [ "domains"; n ] -> (
-          match int_of_string_opt n with
-          | Some d when d >= 1 ->
-              t.mine_domains <- d;
-              if d = 1 then say "counting set to sequential"
-              else say "counting fans out over %d domains per scan" d
-          | Some _ | None -> say "domains must be an integer >= 1")
-      | [ "calibrate"; v ] -> (
-          match v with
-          | "on" | "true" | "1" ->
-              if not t.calibrate then begin
-                t.calibrate <- true;
+      | [ name; v ] when List.exists (fun k -> k.Service.name = name) Service.knobs -> (
+          let k = List.find (fun k -> k.Service.name = name) Service.knobs in
+          match k.Service.parse v t.config with
+          | Error msg -> say "%s" msg
+          | Ok config ->
+              (* the service bakes its config in: retire it so the next
+                 'serve' picks the new value up *)
+              if config <> t.config then begin
+                t.config <- config;
                 drop_service t
               end;
-              say "calibration on: measured throughput tunes the Auto planner"
-          | "off" | "false" | "0" ->
-              if t.calibrate then begin
-                t.calibrate <- false;
-                drop_service t
-              end;
-              say "calibration off: the cost model keeps its fixed priors"
-          | _ -> say "usage: set calibrate <on|off>")
-      | [ "condense"; v ] -> (
-          match v with
-          | "on" | "true" | "1" ->
-              if not t.condense then begin
-                t.condense <- true;
-                drop_service t
-              end;
-              say
-                "condensation on: cached collections stored as closed sets, \
-                 answers index-packed"
-          | "off" | "false" | "0" ->
-              if t.condense then begin
-                t.condense <- false;
-                drop_service t
-              end;
-              say "condensation off: the cache stores raw collections"
-          | _ -> say "usage: set condense <on|off>")
-      | [ "kernel"; name ] -> (
-          match Cfq_mining.Counting.kernel_of_string name with
-          | Some k ->
-              if k <> t.kernel then begin
-                t.kernel <- k;
-                (* the service bakes the kernel into its config: retire it so
-                   the next 'serve' picks the new one up *)
-                drop_service t
-              end;
-              say "counting kernel set to %s" (Cfq_mining.Counting.kernel_name k)
-          | None ->
-              say "unknown kernel %S; one of: %s" name
-                (String.concat ", "
-                   (List.map fst Cfq_mining.Counting.all_kernels)))
+              say "%s set to %s" name (k.Service.print config))
+      | [] -> say "%s" (settings t)
       | _ ->
           say
-            "usage: set strategy <name> | set minconf <float> | set domains <n> | \
-             set kernel <name> | set calibrate <on|off> | set condense <on|off> | \
-             set replicas <r> | set fault ...")
+            "usage: set | set strategy <name> | set minconf <float> | set <knob> \
+             <value> | set replicas <r> | set fault ...")
   | "explain" ->
       with_ctx t (fun ctx ->
           parse_query t ctx rest (fun (t, q) ->
@@ -901,7 +697,7 @@ let eval t line =
       with_ctx t (fun ctx ->
           say "%s"
             (Cfq_report.Table.render
-               (Cfq_service.Service.metrics_table (service_for t ctx))))
+               (Service.metrics_table (service_for t ctx))))
   | "open" -> (
       let usage () = say "usage: open <store.cfqdb> [<cache_pages>] [shards=N]" in
       match split_words rest with
@@ -923,7 +719,7 @@ let eval t line =
           | _, Some msg ->
               let u = usage () in
               say "%s\n%s" msg u.output
-          | (cache_pages, shards), None -> do_open_any t path cache_pages shards)
+          | (cache_pages, shards), None -> do_open t path cache_pages shards)
       | [] -> usage ())
   | "save" -> (
       match split_words rest with

@@ -14,6 +14,8 @@
     gen <n_tx> <n_items> [seed]    generate a synthetic Quest database
     set strategy <name>            apriori+ | cap | optimized | sequential | fm
     set minconf <float>            rule confidence threshold
+    set <knob> <value>             a knob of Cfq_service.Service.knobs
+    set                            list every setting's current value
     explain <query>                show the optimizer's plan, run nothing
     advise <query>                 probe the data, recommend a strategy
     run <query>                    execute and summarise

@@ -209,6 +209,12 @@ let page_fault_kind_name = function
   | Bad_crc -> "bad-crc"
   | Bad_checksum -> "bad-checksum"
 
+let page_faults_to_string faults =
+  String.concat ", "
+    (List.map
+       (fun f -> Printf.sprintf "%d/%s" f.pf_page (page_fault_kind_name f.pf_kind))
+       faults)
+
 let pread_exact t ~off buf len =
   ignore (Unix.lseek t.seg.Segment.fd off Unix.SEEK_SET);
   let o = ref 0 in

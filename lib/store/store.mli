@@ -153,6 +153,10 @@ type page_fault = { pf_page : int; pf_kind : page_fault_kind }
 
 val page_fault_kind_name : page_fault_kind -> string
 
+(** ["3/bad-crc, 7/bad-checksum"] — how every verify command prints
+    faults. *)
+val page_faults_to_string : page_fault list -> string
+
 (** [verify_pages ?throttle t] re-reads every data page fresh from disk and
     checks (1) the raw CRC-32 against the segment footer and (2) the
     logical {!Cfq_txdb.Tx_db.Checksum} of each page's decoded transactions.

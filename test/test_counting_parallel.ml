@@ -266,14 +266,14 @@ let default_work_floor_is_result_identical () =
     Alcotest.fail "forced fan-out diverged from sequential"
 
 let with_pool f =
-  let pool = Cfq_service.Pool.create ~domains:2 ~queue_capacity:8 () in
-  Fun.protect ~finally:(fun () -> Cfq_service.Pool.shutdown pool) (fun () -> f pool)
+  let pool = Cfq_exec_pool.Pool.create ~domains:2 ~queue_capacity:8 () in
+  Fun.protect ~finally:(fun () -> Cfq_exec_pool.Pool.shutdown pool) (fun () -> f pool)
 
 let borrowed_helpers_from_a_shut_down_pool () =
   (* borrowing from a dead or saturated pool must degrade to fewer
      participants, never fail the count *)
-  let pool = Cfq_service.Pool.create ~domains:1 ~queue_capacity:1 () in
-  Cfq_service.Pool.shutdown pool;
+  let pool = Cfq_exec_pool.Pool.create ~domains:1 ~queue_capacity:1 () in
+  Cfq_exec_pool.Pool.shutdown pool;
   let db = db_of_lists (List.init 20 (fun i -> [ i mod 4; 4 ])) in
   let cands = [| Itemset.of_list [ 4 ] |] in
   let io = Io_stats.create () in

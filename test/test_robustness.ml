@@ -7,6 +7,7 @@ open Cfq_constr
 open Cfq_mining
 open Cfq_core
 open Cfq_service
+open Cfq_exec_pool
 
 let price = Helpers.price
 

@@ -422,8 +422,32 @@ let prop_refinement ((n, db), q1, extra, bump) =
   in
   check_one "q1" q1 && check_one "q2 (refinement)" q2
 
+(* every knob's printed default parses back to the default, and a
+   malformed value is an Error that names the knob *)
+let knobs_round_trip () =
+  let d = Service.default_config in
+  List.iter
+    (fun (k : Service.knob) ->
+      (match k.parse (k.print d) d with
+      | Ok c -> Alcotest.(check bool) (k.name ^ " default round-trips") true (c = d)
+      | Error msg -> Alcotest.failf "%s: default rejected: %s" k.name msg);
+      match k.parse "not-a-value" d with
+      | Ok _ -> Alcotest.failf "%s accepted a malformed value" k.name
+      | Error msg ->
+          Alcotest.(check bool) (k.name ^ " named in the error") true
+            (Astring_contains.contains msg k.name))
+    Service.knobs;
+  Alcotest.(check (list string)) "the nine knobs"
+    [
+      "domains"; "mine-domains"; "cache-mb"; "deadline"; "retries"; "breaker-threshold";
+      "kernel"; "calibrate"; "condense";
+    ]
+    (List.map (fun (k : Service.knob) -> k.name) Service.knobs)
+
 let suite =
   [
+    Alcotest.test_case "knobs: defaults round-trip, bad values named" `Quick
+      knobs_round_trip;
     Alcotest.test_case "lru: evicts at budget" `Quick lru_evicts_at_budget;
     Alcotest.test_case "lru: find bumps recency" `Quick lru_find_bumps_recency;
     Alcotest.test_case "lru: oversized entry refused" `Quick lru_oversized_refused;

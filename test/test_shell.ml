@@ -248,4 +248,44 @@ let suite =
               (out t2 q);
             let _ = Shell.eval t2 "quit" in
             ()));
+    unit "ingest reaches an attached sharded store by either name" (fun () ->
+        let t = session_with_db () in
+        let path = Filename.temp_file "cfq_shell_twin" ".cfqdb" in
+        let m = path ^ ".sharded" in
+        let fimi = Filename.temp_file "cfq_shell_twin" ".fimi" in
+        Fun.protect
+          ~finally:(fun () ->
+            Cfq_shard.Sharded.remove_files m;
+            List.iter
+              (fun p -> try Sys.remove p with Sys_error _ -> ())
+              [ path; path ^ ".wal"; path ^ ".info.csv"; fimi ])
+          (fun () ->
+            Out_channel.with_open_text fimi (fun oc -> output_string oc "0 1\n2 3\n");
+            let _ = out t ("save " ^ path) in
+            let t2 = Shell.create () in
+            Alcotest.(check bool) "opened sharded" true
+              (contains (out t2 ("open " ^ path ^ " shards=2")) "2 shards");
+            (* the plain segment the twin was split from names the twin *)
+            Alcotest.(check bool) "ingest by segment" true
+              (contains (out t2 ("ingest " ^ path ^ " " ^ fimi)) "now 8 total");
+            Alcotest.(check bool) "stats see the appends" true
+              (contains (out t2 "stats") "transactions: 8");
+            Alcotest.(check bool) "ingest by manifest" true
+              (contains (out t2 ("ingest " ^ m ^ " " ^ fimi)) "now 10 total");
+            Alcotest.(check bool) "stats see both" true
+              (contains (out t2 "stats") "transactions: 10");
+            (* a running service follows the seal to the next epoch *)
+            let _ = out t2 "cachestats" in
+            let o = out t2 ("ingest " ^ path ^ " " ^ fimi) in
+            Alcotest.(check bool) "service kept live" true
+              (contains o "now 12 total" && contains o "epoch 3");
+            Alcotest.(check bool) "live sees the sharded source" true
+              (contains (out t2 "live") "source: sharded, 12 transactions sealed");
+            Alcotest.(check bool) "stats after the live seal" true
+              (contains (out t2 "stats") "transactions: 12");
+            (* the plain segment itself was never appended to *)
+            Alcotest.(check bool) "segment untouched" true
+              (contains (out (Shell.create ()) ("open " ^ path)) "6 transactions");
+            let _ = Shell.eval t2 "quit" in
+            ()));
   ]
