@@ -4,6 +4,7 @@
    paper isolates an effect, relative to CAP with 1-var pushing only). *)
 
 open Cfq_mining
+open Cfq_baselines
 open Cfq_core
 open Cfq_report
 
@@ -325,7 +326,7 @@ let miners scale =
       (Apriori.mine db info io ~minsup ()).Apriori.frequent);
   timed "fp-growth" (fun io -> Fp_growth.mine db io ~minsup ~universe_size:n);
   timed "eclat (vertical)" (fun io ->
-      Vertical.mine (Vertical.build db io ~universe_size:n) ~minsup);
+      Tidset.mine (Tidset.of_db db io ~universe_size:n) ~minsup);
   timed "partition (2 scans)" (fun io ->
       Partition.mine db io ~minsup ~n_partitions:4 ~universe_size:n);
   timed "dhp (hash filter)" (fun io ->

@@ -64,7 +64,7 @@ let tests_extra () =
     Quest_gen.generate rng { (Quest_gen.scaled 2000) with Quest_gen.n_items = 300 }
   in
   let io = Cfq_txdb.Io_stats.create () in
-  let vertical = Vertical.build db io ~universe_size:300 in
+  let tidset = Tidset.of_db db io ~universe_size:300 in
   let probe = Itemset.of_list [ 3; 40; 77 ] in
   let a = Bitvec.of_itemset ~universe_size:1000 (Itemset.of_array (Array.init 100 (fun i -> i * 7))) in
   let b = Bitvec.of_itemset ~universe_size:1000 (Itemset.of_array (Array.init 100 (fun i -> i * 5))) in
@@ -87,7 +87,7 @@ let tests_extra () =
       ~two_var ()
   in
   [
-    Test.make ~name:"vertical-support" (Staged.stage (fun () -> Vertical.support vertical probe));
+    Test.make ~name:"vertical-support" (Staged.stage (fun () -> Tidset.support tidset probe));
     Test.make ~name:"bitvec-inter-card" (Staged.stage (fun () -> Bitvec.inter_cardinal a b));
     Test.make ~name:"bitvec-union" (Staged.stage (fun () -> Bitvec.union a b));
     Test.make ~name:"pairs-sort-join-400x400" (Staged.stage (form [ minmax ]));

@@ -125,14 +125,12 @@ let direct2_admissible plan ~n_cands ~n_cells =
 
 let vertical_admissible plan ~n_live_items ~n_rows ~min_card =
   min_card >= plan.vertical_min_card
-  && Tid_bitmaps.words_needed ~n_items:n_live_items ~n_rows <= plan.budget_words
+  && Tidset.words_needed ~n_items:n_live_items ~n_rows <= plan.budget_words
 
 let projection_admissible plan ~est_words =
   plan.projection && est_words <= plan.budget_words
 
-let words_per_row n_rows =
-  let b = Cfq_itembase.Bitvec.bits_per_word in
-  (n_rows + b - 1) / b
+let words_per_row n_rows = Tidset.words_needed ~n_items:1 ~n_rows
 
 (* Cold-build admission: standing up bitmaps with a charged scan only pays
    when the estimated build + probe time undercuts the trie walk it
@@ -168,7 +166,7 @@ type session = {
   plan : plan;
   calib : calibration;
   mutable bound_db : Tx_db.t option;
-  mutable bitmaps : Tid_bitmaps.t option;
+  mutable bitmaps : Tidset.t option;
   mutable proj : Projection.t option;
   mutable last_fams : string list;
   mutable n_trie : int;
@@ -439,118 +437,37 @@ let scan_count ~par db io substrate fams ~proj_spec =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Bitmap building                                                     *)
+(* Candidate geometry                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Word-aligned row ranges: concurrent [set_row] calls then touch disjoint
-   words of every bitvector, so the parallel build is race-free. *)
-let word_ranges rows max_chunks =
-  let bpw = Cfq_itembase.Bitvec.bits_per_word in
-  let words = (rows + bpw - 1) / bpw in
-  if words = 0 then []
-  else begin
-    let k = max 1 (min max_chunks words) in
-    let per = words / k and rem = words mod k in
-    let out = ref [] and wlo = ref 0 in
-    for c = 0 to k - 1 do
-      let len = per + if c < rem then 1 else 0 in
-      if len > 0 then begin
-        let lo = !wlo * bpw and hi = min rows ((!wlo + len) * bpw) - 1 in
-        out := (lo, hi) :: !out
-      end;
-      wlo := !wlo + len
-    done;
-    List.rev !out
-  end
+(* What a pass's kernel choice reads off its candidates: the smallest
+   cardinality ([max_int] when there are none), which items occur (a mask
+   indexed by item) and those items ascending. *)
+type geometry = { min_card : int; live_mask : bool array; live : int array }
 
-let build_bitmaps ~par db io substrate live ~valid_min_card =
-  let rows = substrate_rows db substrate in
-  let bm = Tid_bitmaps.create ~n_rows:rows ~valid_min_card live in
-  let domains = eff_domains par ~work_items:rows in
-  if domains = 1 || rows = 0 then begin
-    let row = ref 0 in
-    iter_sub db io substrate (fun items ->
-        Tid_bitmaps.set_row bm ~row:!row items;
-        incr row)
-  end
-  else begin
-    (match substrate with
-    | S_db -> Tx_db.begin_scan db io
-    | S_proj p -> Projection.charge_scan p io);
-    let ranges = Array.of_list (word_ranges rows (4 * domains)) in
-    ignore
-      (Cfq_exec_pool.Pool.fan_out ?pool:par.pool ~domains
-         ~n_tasks:(Array.length ranges)
-         ~init:(fun () -> ())
-         ~work:(fun () c ->
-           let lo, hi = ranges.(c) in
-           let row = ref lo in
-           iter_range_sub db substrate ~lo ~hi (fun items ->
-               Tid_bitmaps.set_row bm ~row:!row items;
-               incr row))
-         ()
-        : unit list)
-  end;
-  bm
+let geometry cands_list =
+  let min_card = ref max_int and max_item = ref (-1) in
+  List.iter
+    (Array.iter (fun c ->
+         let k = Cfq_itembase.Itemset.cardinal c in
+         if k < !min_card then min_card := k;
+         match Cfq_itembase.Itemset.max_item c with
+         | Some i when i > !max_item -> max_item := i
+         | _ -> ()))
+    cands_list;
+  let live_mask = Array.make (!max_item + 1) false in
+  List.iter
+    (Array.iter (Cfq_itembase.Itemset.iter (fun i -> live_mask.(i) <- true)))
+    cands_list;
+  let live = ref [] in
+  for i = Array.length live_mask - 1 downto 0 do
+    if live_mask.(i) then live := i :: !live
+  done;
+  { min_card = !min_card; live_mask; live = Array.of_list !live }
 
-(* Fused build: the rows were just materialised in memory by the prior
-   pass's charged scan (the projection buffer), so standing the bitmaps up
-   from them costs no further I/O — the vertical analogue of projection
-   chaining.  Word-aligned ranges keep the parallel fill race-free. *)
-let bitmaps_of_txs ~par txs live ~valid_min_card =
-  let rows = Array.length txs in
-  let bm = Tid_bitmaps.create ~n_rows:rows ~valid_min_card live in
-  let domains = eff_domains par ~work_items:rows in
-  if domains = 1 || rows = 0 then
-    Array.iteri (fun row items -> Tid_bitmaps.set_row bm ~row items) txs
-  else begin
-    let ranges = Array.of_list (word_ranges rows (4 * domains)) in
-    ignore
-      (Cfq_exec_pool.Pool.fan_out ?pool:par.pool ~domains
-         ~n_tasks:(Array.length ranges)
-         ~init:(fun () -> ())
-         ~work:(fun () c ->
-           let lo, hi = ranges.(c) in
-           for row = lo to hi do
-             Tid_bitmaps.set_row bm ~row txs.(row)
-           done)
-         ()
-        : unit list)
-  end;
-  bm
-
-(* Zero-I/O probes, fanned over candidate ranges.  Each participant owns a
-   private scratch bitvector and writes disjoint slots of [out], so the
-   supports are identical to the sequential batch at any width. *)
-let supports_par ~par bm cands =
-  let n = Array.length cands in
-  if n = 0 then [||]
-  else begin
-    let domains = eff_domains par ~work_items:n in
-    if domains = 1 then Tid_bitmaps.supports bm cands
-    else begin
-      let out = Array.make n 0 in
-      let n_tasks = min n (4 * domains) in
-      let per = n / n_tasks and rem = n mod n_tasks in
-      let ranges =
-        Array.init n_tasks (fun c ->
-            let lo = (c * per) + min c rem in
-            let hi = lo + per + (if c < rem then 1 else 0) - 1 in
-            (lo, hi))
-      in
-      ignore
-        (Cfq_exec_pool.Pool.fan_out ?pool:par.pool ~domains ~n_tasks
-           ~init:(fun () -> Tid_bitmaps.scratch bm)
-           ~work:(fun scr c ->
-             let lo, hi = ranges.(c) in
-             for i = lo to hi do
-               out.(i) <- Tid_bitmaps.support_into bm scr cands.(i)
-             done)
-           ()
-          : Tid_bitmaps.scratch list);
-      out
-    end
-  end
+(* Materialised tid sets answer the pass with zero I/O. *)
+let bitmaps_answer bm g =
+  Tidset.valid_min_card bm <= g.min_card && Tidset.covers bm g.live
 
 (* ------------------------------------------------------------------ *)
 (* The adaptive pass                                                   *)
@@ -566,16 +483,8 @@ let adaptive s ~par db io families =
       s.bitmaps <- None;
       s.proj <- None);
   let cands_list = List.map snd families in
-  let min_card = ref max_int and max_item = ref (-1) in
-  List.iter
-    (Array.iter (fun c ->
-         let k = Cfq_itembase.Itemset.cardinal c in
-         if k < !min_card then min_card := k;
-         match Cfq_itembase.Itemset.max_item c with
-         | Some i when i > !max_item -> max_item := i
-         | _ -> ()))
-    cands_list;
-  let min_card = !min_card in
+  let g = geometry cands_list in
+  let min_card = g.min_card and live_mask = g.live_mask and live = g.live in
   if min_card < 1 then begin
     (* an empty-set candidate: only the trie path handles cardinality 0 *)
     s.n_trie <- s.n_trie + 1;
@@ -584,20 +493,7 @@ let adaptive s ~par db io families =
   end
   else begin
     let plan = s.plan in
-    let live_mask = Array.make (!max_item + 1) false in
-    List.iter
-      (Array.iter (Cfq_itembase.Itemset.iter (fun i -> live_mask.(i) <- true)))
-      cands_list;
-    let n_live = Array.fold_left (fun a b -> if b then a + 1 else a) 0 live_mask in
-    let live = Array.make n_live 0 in
-    let w = ref 0 in
-    Array.iteri
-      (fun i b ->
-        if b then begin
-          live.(!w) <- i;
-          incr w
-        end)
-      live_mask;
+    let n_live = Array.length live in
     let n_cands_total =
       List.fold_left (fun a c -> a + Array.length c) 0 cands_list
     in
@@ -608,7 +504,9 @@ let adaptive s ~par db io families =
       let out =
         List.map
           (fun cands ->
-            if Array.length cands = 0 then [||] else supports_par ~par bm cands)
+            Tidset.supports ?pool:par.pool
+              ~domains:(eff_domains par ~work_items:(Array.length cands))
+              bm cands)
           cands_list
       in
       if s.plan.calibrate then
@@ -617,13 +515,11 @@ let adaptive s ~par db io families =
           ~units:
             (float_of_int n_cands_total
             *. float_of_int (max 1 (min_card - 1))
-            *. float_of_int (words_per_row (Tid_bitmaps.n_rows bm)));
+            *. float_of_int (words_per_row (Tidset.n_rows bm)));
       out
     in
     match s.bitmaps with
-    | Some bm
-      when Tid_bitmaps.valid_min_card bm <= min_card && Tid_bitmaps.covers bm live
-      ->
+    | Some bm when bitmaps_answer bm g ->
         (* zero-I/O pass: every level answered from the materialised bitmaps *)
         answer_from bm
     | _ -> (
@@ -649,7 +545,15 @@ let adaptive s ~par db io families =
             match substrate with S_db -> 1 | S_proj p -> Projection.min_len p
           in
           let t0 = if plan.calibrate then Unix.gettimeofday () else 0. in
-          let bm = build_bitmaps ~par db io substrate live ~valid_min_card in
+          let bm =
+            Tidset.build ?pool:par.pool
+              ~domains:(eff_domains par ~work_items:rows)
+              ~valid_min_card io
+              (match substrate with
+              | S_db -> Tidset.Db db
+              | S_proj p -> Tidset.Projected p)
+              live
+          in
           if plan.calibrate then
             observe_build s.calib
               ~seconds:(Unix.gettimeofday () -. t0)
@@ -743,7 +647,9 @@ let adaptive s ~par db io families =
               if fused then begin
                 let t0 = if plan.calibrate then Unix.gettimeofday () else 0. in
                 let bm =
-                  bitmaps_of_txs ~par txs live ~valid_min_card:next_card
+                  Tidset.build ?pool:par.pool
+                    ~domains:(eff_domains par ~work_items:n_rows')
+                    ~valid_min_card:next_card io (Tidset.Rows txs) live
                 in
                 if plan.calibrate then
                   observe_build s.calib
@@ -793,38 +699,16 @@ let shard_session s k n =
    composite scan charge is skipped — exactly as the unsharded session
    skips it. *)
 let all_bitmap_covered s subs families =
-  let ns = Array.length subs in
-  Array.length s.shard_sessions = ns
+  Array.length s.shard_sessions = Array.length subs
   && begin
-       let cands_list = List.map snd families in
-       let min_card = ref max_int and max_item = ref (-1) in
-       List.iter
-         (Array.iter (fun c ->
-              let k = Cfq_itembase.Itemset.cardinal c in
-              if k < !min_card then min_card := k;
-              match Cfq_itembase.Itemset.max_item c with
-              | Some i when i > !max_item -> max_item := i
-              | _ -> ()))
-         cands_list;
-       !min_card >= 1
-       && begin
-            let live_mask = Array.make (!max_item + 1) false in
-            List.iter
-              (Array.iter
-                 (Cfq_itembase.Itemset.iter (fun i -> live_mask.(i) <- true)))
-              cands_list;
-            let live = ref [] in
-            Array.iteri (fun i b -> if b then live := i :: !live) live_mask;
-            let live = Array.of_list (List.rev !live) in
-            Array.for_all
-              (fun sk ->
-                match sk.bitmaps with
-                | Some bm ->
-                    Tid_bitmaps.valid_min_card bm <= !min_card
-                    && Tid_bitmaps.covers bm live
-                | None -> false)
-              s.shard_sessions
-          end
+       let g = geometry (List.map snd families) in
+       g.min_card >= 1
+       && Array.for_all
+            (fun sk ->
+              match sk.bitmaps with
+              | Some bm -> bitmaps_answer bm g
+              | None -> false)
+            s.shard_sessions
      end
 
 let distributed ~par ~session db subs io families =

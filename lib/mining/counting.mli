@@ -15,7 +15,7 @@
     {- {e trie} — the general flat-array trie walk, any cardinality;}
     {- {e direct2} — {!Direct2}: a triangular count array over the ranks of
        the level-2 candidates' items, no trie;}
-    {- {e vertical} — {!Tid_bitmaps}: word-packed per-item tid bitvectors
+    {- {e vertical} — {!Tidset}: word-packed per-item tid bitvectors
        materialised by one charged scan, after which every deeper pass is a
        popcount intersection with {e zero} further I/O;}
     {- {e projection} — {!Projection}: an in-memory store shrunk to the

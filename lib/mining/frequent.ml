@@ -28,6 +28,23 @@ let of_levels ls =
   done;
   build (Array.sub arr 0 !last)
 
+let of_entries entries =
+  let max_k = List.fold_left (fun m e -> max m (Itemset.cardinal e.set)) 0 entries in
+  let levels = Array.make max_k [] in
+  List.iter
+    (fun e ->
+      let k = Itemset.cardinal e.set in
+      if k >= 1 then levels.(k - 1) <- e :: levels.(k - 1))
+    entries;
+  of_levels
+    (Array.to_list
+       (Array.map
+          (fun l ->
+            let level = Array.of_list l in
+            Array.sort (fun a b -> Itemset.compare a.set b.set) level;
+            level)
+          levels))
+
 let max_level t = Array.length t.levels
 let level t k = if k >= 1 && k <= Array.length t.levels then t.levels.(k - 1) else [||]
 let n_sets t = Itemset.Hashtbl.length t.table

@@ -15,6 +15,10 @@ val empty : t
     sets, etc.; empty trailing levels allowed). *)
 val of_levels : entry array list -> t
 
+(** [of_entries es] groups [es] by cardinality and sorts each level by
+    {!Itemset.compare} (entries of the empty set are dropped). *)
+val of_entries : entry list -> t
+
 (** Number of the deepest non-empty level (0 when empty). *)
 val max_level : t -> int
 

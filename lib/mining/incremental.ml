@@ -18,24 +18,6 @@ let count_in db io cands =
     Trie.counts trie
   end
 
-let to_frequent entries =
-  let by_level = Hashtbl.create 16 in
-  List.iter
-    (fun (set, support) ->
-      let k = Itemset.cardinal set in
-      Hashtbl.replace by_level k
-        ({ Frequent.set; support }
-        :: Option.value ~default:[] (Hashtbl.find_opt by_level k)))
-    entries;
-  let max_k = Hashtbl.fold (fun k _ acc -> max k acc) by_level 0 in
-  Frequent.of_levels
-    (List.init max_k (fun i ->
-         let level =
-           Array.of_list (Option.value ~default:[] (Hashtbl.find_opt by_level (i + 1)))
-         in
-         Array.sort (fun a b -> Itemset.compare a.Frequent.set b.Frequent.set) level;
-         level))
-
 let update_abs ?max_level ?stats ~old_db ~old_frequent ~delta io ~old_minsup
     ~union_minsup ~universe_size () =
   if union_minsup < old_minsup then
@@ -52,13 +34,14 @@ let update_abs ?max_level ?stats ~old_db ~old_frequent ~delta io ~old_minsup
         delta_counts.(i)
         + Option.value ~default:0 (Frequent.support old_frequent set)
       in
-      if total >= union_minsup then winners := (set, total) :: !winners)
+      if total >= union_minsup then
+        winners := { Frequent.set; support = total } :: !winners)
     old_sets;
   (* 2. a set that was not frequent in the old database needs at least this
      much support inside the increment to be frequent overall *)
   let threshold_delta = max 1 (union_minsup - (old_minsup - 1)) in
   let delta_frequent =
-    Vertical.mine (Vertical.build delta io ~universe_size) ~minsup:threshold_delta
+    Tidset.mine (Tidset.of_db delta io ~universe_size) ~minsup:threshold_delta
   in
   let within_cap set =
     match max_level with None -> true | Some k -> Itemset.cardinal set <= k
@@ -83,7 +66,8 @@ let update_abs ?max_level ?stats ~old_db ~old_frequent ~delta io ~old_minsup
           old_counts.(i)
           + Option.value ~default:0 (Frequent.support delta_frequent set)
         in
-        if total >= union_minsup then winners := (set, total) :: !winners)
+        if total >= union_minsup then
+          winners := { Frequent.set; support = total } :: !winners)
       new_cands
   end;
   (* per-level observability: candidates = old sets re-counted in the delta
@@ -107,7 +91,7 @@ let update_abs ?max_level ?stats ~old_db ~old_frequent ~delta io ~old_minsup
       in
       Array.iter (fun set -> bump set `Old) old_sets;
       Array.iter (fun set -> bump set `New) new_cands;
-      List.iter (fun (set, _) -> bump set `Frequent) !winners;
+      List.iter (fun e -> bump e.Frequent.set `Frequent) !winners;
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) levels []
       |> List.sort compare
       |> List.iter (fun (level, (o, n, f)) ->
@@ -120,7 +104,7 @@ let update_abs ?max_level ?stats ~old_db ~old_frequent ~delta io ~old_minsup
                  kernel = (if n > 0 then "fup-old" else "fup-delta");
                }));
   {
-    frequent = to_frequent !winners;
+    frequent = Frequent.of_entries !winners;
     old_scans = !old_scans;
     counted_against_old = Array.length new_cands;
   }

@@ -4,6 +4,7 @@
 open Cfq_itembase
 open Cfq_txdb
 open Cfq_mining
+open Cfq_baselines
 
 let unit name f = Alcotest.test_case name `Quick f
 

@@ -9,6 +9,7 @@
 open Cfq_itembase
 open Cfq_txdb
 open Cfq_mining
+open Cfq_baselines
 open Cfq_core
 
 let unit name f = Alcotest.test_case name `Quick f
@@ -171,7 +172,7 @@ let test_direct2_cutoffs () =
 
 let test_vertical_cutoffs () =
   let p = { plan with Counting.budget_words = 64; vertical_min_card = 3 } in
-  let words = Tid_bitmaps.words_needed ~n_items:4 ~n_rows:100 in
+  let words = Tidset.words_needed ~n_items:4 ~n_rows:100 in
   Alcotest.(check bool) "words fit budget" true (words <= 64);
   Alcotest.(check bool)
     "admitted" true
@@ -392,30 +393,30 @@ let test_kernel_names_roundtrip () =
     (Counting.kernel_of_string "quantum" = None)
 
 (* ------------------------------------------------------------------ *)
-(* Vertical scratch reuse (satellite): batched probes match singles     *)
+(* Tidset scratch reuse: batched probes match singles                   *)
 (* ------------------------------------------------------------------ *)
 
 let test_vertical_scratch_reuse () =
   let db = dense_db () in
   let io = Io_stats.create () in
-  let v = Vertical.build db io ~universe_size:6 in
+  let v = Tidset.of_db db io ~universe_size:6 in
   let cands =
     Array.of_list
       (List.filter
          (fun s -> not (Itemset.is_empty s))
          (Helpers.all_subsets 6))
   in
-  let batched = Vertical.supports v cands in
-  let scratch = Vertical.scratch v in
+  let batched = Tidset.supports v cands in
+  let scratch = Tidset.scratch v in
   Array.iteri
     (fun i s ->
       Alcotest.(check int)
         ("support of " ^ Itemset.to_string s)
-        (Vertical.support v s) batched.(i);
+        (Tidset.support v s) batched.(i);
       Alcotest.(check int)
         ("scratch support of " ^ Itemset.to_string s)
         batched.(i)
-        (Vertical.support_into v scratch s))
+        (Tidset.support_into v scratch s))
     cands
 
 (* ------------------------------------------------------------------ *)

@@ -105,7 +105,7 @@ let update_abs_equals_union_mine =
       let union_db = Tx_db.create sets in
       let io = Io_stats.create () in
       let old_frequent =
-        Vertical.mine (Vertical.build old_db io ~universe_size:n) ~minsup:old_m
+        Tidset.mine (Tidset.of_db old_db io ~universe_size:n) ~minsup:old_m
       in
       let union_m = old_m + slack in
       let lstats = Level_stats.create () in
@@ -114,7 +114,7 @@ let update_abs_equals_union_mine =
           ~old_minsup:old_m ~union_minsup:union_m ~universe_size:n ()
       in
       let reference =
-        Vertical.mine (Vertical.build union_db io ~universe_size:n) ~minsup:union_m
+        Tidset.mine (Tidset.of_db union_db io ~universe_size:n) ~minsup:union_m
       in
       if out.Incremental.old_scans > 1 then
         QCheck2.Test.fail_reportf "FUP paid %d old scans" out.Incremental.old_scans;
