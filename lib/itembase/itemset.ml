@@ -17,6 +17,8 @@ let of_sorted_array a =
     invalid_arg "Itemset.of_sorted_array: not strictly increasing";
   a
 
+let unsafe_of_sorted_array a = a
+
 let of_array a =
   let b = Array.copy a in
   Array.sort Item.compare b;

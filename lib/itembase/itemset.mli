@@ -16,6 +16,11 @@ val singleton : Item.t -> t
     Raises [Invalid_argument] otherwise.  O(n) check. *)
 val of_sorted_array : Item.t array -> t
 
+(** [unsafe_of_sorted_array a] adopts [a] without the check; the caller
+    has established that [a] is strictly increasing (a decoder that checks
+    while it fills). *)
+val unsafe_of_sorted_array : Item.t array -> t
+
 (** [of_array a] sorts and dedupes a copy of [a]. *)
 val of_array : Item.t array -> t
 
@@ -82,7 +87,8 @@ val prefix_join : t -> t -> t option
 val iter_subsets_k : t -> int -> (t -> unit) -> unit
 
 (** [iter_delete_one s f] applies [f] to each of the [cardinal s] subsets
-    obtained by deleting exactly one item. *)
+    obtained by deleting exactly one item; the [d]-th call drops
+    [get s d]. *)
 val iter_delete_one : t -> (t -> unit) -> unit
 
 (** [powerset s f] applies [f] to all [2^n] subsets of [s] (small sets only;

@@ -8,9 +8,9 @@
     that received appends).  {!extract} reads just those ranges once —
     fault-validated, charged to the maintenance {!Cfq_txdb.Io_stats} at
     the delta's page span, not the whole database — and materialises them
-    as a resident [Tx_db] twin so the per-entry FUP passes
-    ({!Maintain.promote}) rescan the delta for free page-model-identical
-    charges instead of re-touching the store. *)
+    as a resident [Tx_db] twin so the shared FUP pass
+    ({!Maintain.promote_all}) rescans the delta for a free
+    page-model-identical charge instead of re-touching the store. *)
 
 open Cfq_txdb
 

@@ -1,5 +1,11 @@
 open Cfq_mining
 
+type side = {
+  frequent : Frequent.t;
+  old_minsup : int;
+  max_level : int option;
+}
+
 type stats = {
   recounted : int;
   old_scans : int;
@@ -15,18 +21,27 @@ let promoted_minsup ~old_minsup ~base_txs ~union_txs =
   if base_txs = 0 then max 1 old_minsup
   else max old_minsup (((old_minsup - 1) * union_txs / base_txs) + 1)
 
-let promote ?stats:lstats ~old_db ~(delta : Delta.t) io ~old_minsup ~max_level
-    ~universe_size freq =
-  let m' =
-    promoted_minsup ~old_minsup ~base_txs:delta.Delta.base_txs
+let promote_all ?stats:lstats ~old_db ~(delta : Delta.t) io ~universe_size sides =
+  let union_minsup s =
+    promoted_minsup ~old_minsup:s.old_minsup ~base_txs:delta.Delta.base_txs
       ~union_txs:(Delta.union_txs delta)
   in
   let outcome =
-    Incremental.update_abs ?max_level ?stats:lstats ~old_db ~old_frequent:freq
-      ~delta:delta.Delta.twin io ~old_minsup ~union_minsup:m' ~universe_size ()
+    Incremental.update_abs ?stats:lstats ~old_db ~delta:delta.Delta.twin io
+      ~universe_size
+      (List.map
+         (fun s ->
+           {
+             Incremental.old_frequent = s.frequent;
+             old_minsup = s.old_minsup;
+             union_minsup = union_minsup s;
+             max_level = s.max_level;
+           })
+         sides)
   in
-  ( outcome.Incremental.frequent,
-    m',
+  ( List.map2
+      (fun s r -> Result.map (fun f -> (f, union_minsup s)) r)
+      sides outcome.Incremental.frequent,
     {
       recounted = outcome.Incremental.counted_against_old;
       old_scans = outcome.Incremental.old_scans;

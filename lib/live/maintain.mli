@@ -1,18 +1,28 @@
-(** Promote one cached frequent collection across a seal's delta.
+(** Promote every cached frequent collection across a seal's delta.
 
-    The FUP pass ({!Cfq_mining.Incremental.update_abs}): every set of the
-    old collection is delta-counted against the resident twin (its union
-    support can only move by the delta); candidates that were not in the
-    old collection are seeded by mining the delta at the slack threshold
-    and counted against the old database only when that seeding found any
-    — at most one old-database scan per entry, usually zero. *)
+    One shared FUP pass ({!Cfq_mining.Incremental.update_abs}): the
+    resident twin is scanned once into tid sets, which delta-count every
+    distinct set of every old collection (its union support can only move
+    by the delta) and, mined once at the lowest slack threshold any
+    collection needs, seed the candidates that were not in an old
+    collection.  The distinct seeded candidates of all collections are
+    counted against the old database in at most one scan per seal, and
+    only when some seeding found any. *)
 
 open Cfq_txdb
 open Cfq_mining
 
+(** One cached collection: its sets, the absolute threshold it is exact
+    at, and its level cap. *)
+type side = {
+  frequent : Frequent.t;
+  old_minsup : int;
+  max_level : int option;
+}
+
 type stats = {
-  recounted : int;  (** candidates counted against the old database *)
-  old_scans : int;  (** old-database scans this promotion cost (0 or 1) *)
+  recounted : int;  (** distinct candidates counted against the old database *)
+  old_scans : int;  (** old-database scans the pass paid (0 or 1) *)
 }
 
 (** [promoted_minsup ~old_minsup ~base_txs ~union_txs] is the lowest
@@ -22,23 +32,22 @@ type stats = {
     [old_minsup]. *)
 val promoted_minsup : old_minsup:int -> base_txs:int -> union_txs:int -> int
 
-(** [promote ~old_db ~delta io ~old_minsup ~max_level ~universe_size freq]
-    is [(freq', minsup', stats)]: the collection promoted to the union
-    database, exact at the new absolute threshold [minsup'] (for every set
-    within [max_level] satisfying whatever constraints [freq] was mined
-    under — extra unconstrained sets seeded from the delta are harmless,
-    the service re-filters on serve).  All scans are charged to [io]:
-    delta passes against the resident twin, plus at most one [old_db]
-    scan.  [?stats] forwards to {!Cfq_mining.Incremental.update_abs}'s
-    per-level rows, so a seal's maintenance cost is observable at
-    {!Cfq_mining.Level_stats} granularity. *)
-val promote :
+(** [promote_all ?stats ~old_db ~delta io ~universe_size sides] is
+    [(results, stats)] with one result per side, in order: [Ok (freq',
+    minsup')] — the collection promoted to the union database, exact at
+    the new absolute threshold [minsup' = promoted_minsup ...] for every
+    set within the side's [max_level] satisfying whatever constraints it
+    was mined under (extra unconstrained sets seeded from the delta are
+    harmless, the service re-filters on serve) — or [Error e] when the
+    side needed the shared old-database count and that scan raised [e].
+    All scans are charged to [io]: one pass over the resident twin plus
+    at most one [old_db] scan.  [?stats] receives the shared pass's
+    per-level {!Cfq_mining.Level_stats} rows. *)
+val promote_all :
   ?stats:Level_stats.t ->
   old_db:Tx_db.t ->
   delta:Delta.t ->
   Io_stats.t ->
-  old_minsup:int ->
-  max_level:int option ->
   universe_size:int ->
-  Frequent.t ->
-  Frequent.t * int * stats
+  side list ->
+  (Frequent.t * int, exn) result list * stats

@@ -73,32 +73,39 @@ let filter_entries p t =
 
 let filter p t = filter_entries (fun e -> p e.set) t
 
-let closed t =
+(* [iter_l1_extensions t f] calls [f sub support] for every recorded set
+   [sup] (with its recorded [support]) and every delete-one subset [sub]
+   whose removed item is in L1: exactly the pairs (S, S ∪ {i}), i ∈ L1,
+   that the closed/maximal definitions probe, found in O(sets × k) *)
+let iter_l1_extensions t f =
   let l1 = l1_items t in
+  Itemset.Hashtbl.iter
+    (fun sup support ->
+      let d = ref 0 in
+      Itemset.iter_delete_one sup (fun sub ->
+          if Itemset.mem (Itemset.get sup !d) l1 then f sub support;
+          incr d))
+    t.table
+
+let closed t =
+  (* a set is absorbed when an L1 extension of it has equal support *)
+  let extension_supports = Itemset.Hashtbl.create 64 in
+  iter_l1_extensions t (fun sub support ->
+      if mem t sub then Itemset.Hashtbl.add extension_supports sub support);
   fold
     (fun acc e ->
-      let absorbed =
-        Itemset.exists
-          (fun i ->
-            (not (Itemset.mem i e.set))
-            && support t (Itemset.add i e.set) = Some e.support)
-          l1
-      in
-      if absorbed then acc else e :: acc)
+      if List.mem e.support (Itemset.Hashtbl.find_all extension_supports e.set)
+      then acc
+      else e :: acc)
     [] t
   |> List.rev
 
 let maximal t =
   (* a set is maximal iff none of its single-item extensions within L1 is
-     frequent; checking against the next level suffices *)
-  let l1 = l1_items t in
+     frequent *)
+  let extendable = Itemset.Hashtbl.create 64 in
+  iter_l1_extensions t (fun sub _ -> Itemset.Hashtbl.replace extendable sub ());
   fold
-    (fun acc e ->
-      let extendable =
-        Itemset.exists
-          (fun i -> (not (Itemset.mem i e.set)) && mem t (Itemset.add i e.set))
-          l1
-      in
-      if extendable then acc else e :: acc)
+    (fun acc e -> if Itemset.Hashtbl.mem extendable e.set then acc else e :: acc)
     [] t
   |> List.rev

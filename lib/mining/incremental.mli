@@ -15,47 +15,66 @@
 
 open Cfq_txdb
 
-type outcome = {
-  frequent : Frequent.t;  (** exact frequent sets of the union *)
-  old_scans : int;  (** scans of the old database (the expensive ones) *)
-  counted_against_old : int;  (** candidate sets counted against [DB] *)
+(** One cached collection to promote, with the thresholds it was and must
+    become exact at. *)
+type side = {
+  old_frequent : Frequent.t;
+      (** every set of interest whose support in the old database is at
+          least [old_minsup], with exact supports (a constraint-pruned
+          collection is fine: sets it omits are either old-infrequent —
+          reseeded from the delta — or fail constraints the caller
+          re-checks anyway) *)
+  old_minsup : int;
+  union_minsup : int;  (** must be [>= old_minsup] *)
+  max_level : int option;
+      (** caps the cardinality of candidates seeded from the delta,
+          matching a level-capped input collection *)
 }
 
-(** [update_abs ~old_db ~old_frequent ~delta io ~old_minsup ~union_minsup
-    ~universe_size ()] is the integer-threshold core used by live cache
-    maintenance ([Cfq_live]).  [old_frequent] must contain every set of
-    interest whose support in [old_db] is at least [old_minsup] (a
-    constraint-pruned collection is fine: sets it omits are either
-    old-infrequent — reseeded from the delta — or fail constraints the
-    caller re-checks anyway), with exact supports.  Requires
-    [old_minsup <= union_minsup]; raises [Invalid_argument] otherwise.
-    The result is exact at [union_minsup] over [old_db ∪ delta] for every
-    set the input collection could answer.  [?max_level] caps the
-    cardinality of candidates seeded from the delta, matching a
-    level-capped input collection.  All scans — the delta pass, the delta
-    seed mining, and the at-most-one old-database candidate count — are
-    charged to [io].  With [?stats], one {!Level_stats} row is recorded
-    per level touched: [candidates]/[counted] are the old sets delta-passed
-    plus the seeded newcomers of that level, [frequent] the union winners,
-    and the kernel tag is ["fup-old"] when the level paid the old-database
-    count and ["fup-delta"] when the delta alone decided it. *)
+type 'a outcome = {
+  frequent : 'a;  (** exact frequent sets of the union *)
+  old_scans : int;  (** scans of the old database (the expensive ones) *)
+  counted_against_old : int;
+      (** distinct candidate sets counted against [DB] *)
+}
+
+(** [update_abs ?stats ~old_db ~delta io ~universe_size sides] promotes
+    every side in one shared FUP pass — the integer-threshold core used by
+    live cache maintenance ([Cfq_live]).  The pass makes one charged scan
+    of [delta] into tid sets; those count the deduplicated union of every
+    side's old sets, and one Eclat over them at the lowest seeding
+    threshold any side needs seeds every side's newcomers.  The
+    deduplicated union of the newcomers is counted in at most one scan of
+    [old_db].  All scans are charged to [io].
+
+    The result has one entry per side, in order: [Ok f] with [f] exact at
+    that side's [union_minsup] over [old_db ∪ delta] for every set of the
+    universe the side's input could answer — the same collection a
+    one-side call returns — or [Error e] when the side needed the
+    old-database count and that scan raised [e].  A side whose seeding
+    found no newcomers is decided by the delta alone and never fails.
+    Raises [Invalid_argument] if a side has [union_minsup < old_minsup].
+
+    With [?stats], one {!Level_stats} row is recorded per level touched:
+    [candidates]/[counted] are the distinct old sets delta-counted plus
+    the distinct seeded newcomers of that level, [frequent] the distinct
+    sets that won for at least one side, and the kernel tag is ["fup-old"]
+    when the level paid the old-database count and ["fup-delta"] when the
+    delta alone decided it. *)
 val update_abs :
-  ?max_level:int ->
   ?stats:Level_stats.t ->
   old_db:Tx_db.t ->
-  old_frequent:Frequent.t ->
   delta:Tx_db.t ->
   Io_stats.t ->
-  old_minsup:int ->
-  union_minsup:int ->
   universe_size:int ->
-  unit ->
-  outcome
+  side list ->
+  (Frequent.t, exn) result list outcome
 
 (** [update ~old_db ~old_frequent ~delta io ~minsup_frac ~universe_size]
     where [old_frequent] must be the exact frequent collection of [old_db]
     at relative threshold [minsup_frac].  The result is exact for
-    [old_db ∪ delta] at the same relative threshold. *)
+    [old_db ∪ delta] at the same relative threshold: {!update_abs} with
+    one side, re-raising a failed old-database scan. *)
 val update :
   old_db:Tx_db.t ->
   old_frequent:Frequent.t ->
@@ -63,4 +82,4 @@ val update :
   Io_stats.t ->
   minsup_frac:float ->
   universe_size:int ->
-  outcome
+  Frequent.t outcome

@@ -60,11 +60,11 @@ type snapshot = {
   answers_promoted : int;  (** cached answers re-derived at the new epoch *)
   answers_evicted : int;  (** cached answers dropped by maintenance *)
   maint_recounted : int;
-      (** seeded candidates counted against the old database
-          ([Incremental.outcome.counted_against_old], summed) *)
+      (** distinct seeded candidates counted against the old database
+          ([Incremental.outcome.counted_against_old], summed over seals) *)
   maint_old_scans : int;
-      (** old-database scans maintenance paid
-          ([Incremental.outcome.old_scans], summed) *)
+      (** old-database scans maintenance paid, at most one per seal
+          ([Incremental.outcome.old_scans], summed over seals) *)
   maint_scans : int;  (** all maintenance scans (delta twin + old db) *)
   maint_pages_read : int;  (** pages those scans charged *)
   cond_raw_bytes : int;

@@ -1226,72 +1226,81 @@ let ingest t items =
   | Some src -> Cfq_live.Source.append_tx src items
   | None -> invalid_arg "Service.ingest: no live source attached"
 
-(* the maintenance pass for one seal.  Promotions count only the resident
-   delta twin (plus at most one old-database scan per entry, for seeded
-   candidates); cached answers are then re-derived from the promoted
-   collections — the same filter + pair formation the subsumption path
-   runs, no scans at all.  Inserts are guarded by the epoch: if another
-   seal raced us, our results are stale and the final purge removes them. *)
+(* the maintenance pass for one seal.  One shared FUP pass promotes every
+   stale side: it scans the resident delta twin once, plus at most one
+   old-database scan for the seeded candidates of all sides.  Cached
+   answers are then re-derived from the promoted collections — the same
+   filter + pair formation the subsumption path runs, no scans at all.
+   Inserts are guarded by the epoch: if another seal raced us, our results
+   are stale and the final purge removes them. *)
 let maintain t ~old_ctx ~new_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_io
     ~stale_sides ~stale_answers () =
   let sides_promoted = ref 0 and sides_evicted = ref 0 in
   let answers_promoted = ref 0 and answers_evicted = ref 0 in
-  let recounted = ref 0 and old_scans = ref 0 in
-  (* one Level_stats per seal: every promotion's FUP rows land here, so the
-     pass's per-level cost is observable alongside the Metrics counters *)
+  (* one Level_stats per seal: the shared FUP pass's rows land here, so its
+     per-level cost is observable alongside the Metrics counters *)
   let lstats = Level_stats.create () in
   let universe =
     max
       (Item_info.universe_size old_ctx.Exec.s_info)
       (Item_info.universe_size old_ctx.Exec.t_info)
   in
-  List.iter
-    (fun (key, e) ->
-      if e.se_epoch < new_epoch then begin
-        match
-          (* a condensed entry is rebuilt first: FUP delta-counts the full
-             collection (reconstructed from its closed sets), and the
-             promoted result is re-closed below before re-insertion *)
-          Cfq_live.Maintain.promote ~stats:lstats ~old_db:old_ctx.Exec.db ~delta
-            maint_io ~old_minsup:e.se_minsup ~max_level:e.se_max_level
-            ~universe_size:universe (side_frequent t e)
-        with
-        | exception _ ->
-            (* a faulted promotion leaves the entry stale; the purge below
-               removes it, so the cache still lands on a consistent epoch *)
-            incr sides_evicted
-        | freq', m', pstats ->
-            recounted := !recounted + pstats.Cfq_live.Maintain.recounted;
-            old_scans := !old_scans + pstats.Cfq_live.Maintain.old_scans;
-            let cond' = condense_frequent t freq' in
-            let e' =
-              {
-                e with
-                se_epoch = new_epoch;
-                se_minsup = m';
-                se_cond = cond';
-                se_weight = Condensed.bytes cond';
-              }
-            in
-            let key' =
-              Fingerprint.side_key ~info:e.se_info ~minsup_abs:m'
-                ~max_level:e.se_max_level e.se_constraints
-            in
-            locked t (fun () ->
-                if t.epoch = new_epoch then begin
-                  (* the old binding may have been re-keyed over by another
-                     promotion landing on this key (its threshold moved onto
-                     ours): remove only while it is still stale *)
-                  (match Lru.find t.sides key with
-                  | Some cur when cur.se_epoch < new_epoch ->
-                      Lru.remove t.sides key
-                  | Some _ | None -> ());
-                  if Lru.insert t.sides key' ~weight:e'.se_weight e' then
-                    incr sides_promoted
-                  else incr sides_evicted
-                end)
-      end)
-    stale_sides;
+  let stale = List.filter (fun (_, e) -> e.se_epoch < new_epoch) stale_sides in
+  let results, recounted, old_scans =
+    (* a condensed entry is rebuilt first: FUP delta-counts the full
+       collection (reconstructed from its closed sets), and each promoted
+       result is re-closed below before re-insertion *)
+    match
+      Cfq_live.Maintain.promote_all ~stats:lstats ~old_db:old_ctx.Exec.db ~delta
+        maint_io ~universe_size:universe
+        (List.map
+           (fun (_, e) ->
+             {
+               Cfq_live.Maintain.frequent = side_frequent t e;
+               old_minsup = e.se_minsup;
+               max_level = e.se_max_level;
+             })
+           stale)
+    with
+    | results, { Cfq_live.Maintain.recounted; old_scans } ->
+        (results, recounted, old_scans)
+    | exception e -> (List.map (fun _ -> Error e) stale, 0, 0)
+  in
+  List.iter2
+    (fun (key, e) result ->
+      match result with
+      | Error _ ->
+          (* a faulted promotion leaves the entry stale; the purge below
+             removes it, so the cache still lands on a consistent epoch *)
+          incr sides_evicted
+      | Ok (freq', m') ->
+          let cond' = condense_frequent t freq' in
+          let e' =
+            {
+              e with
+              se_epoch = new_epoch;
+              se_minsup = m';
+              se_cond = cond';
+              se_weight = Condensed.bytes cond';
+            }
+          in
+          let key' =
+            Fingerprint.side_key ~info:e.se_info ~minsup_abs:m'
+              ~max_level:e.se_max_level e.se_constraints
+          in
+          locked t (fun () ->
+              if t.epoch = new_epoch then begin
+                (* the old binding may have been re-keyed over by another
+                   promotion landing on this key (its threshold moved onto
+                   ours): remove only while it is still stale *)
+                (match Lru.find t.sides key with
+                | Some cur when cur.se_epoch < new_epoch -> Lru.remove t.sides key
+                | Some _ | None -> ());
+                if Lru.insert t.sides key' ~weight:e'.se_weight e' then
+                  incr sides_promoted
+                else incr sides_evicted
+              end))
+    stale results;
   List.iter
     (fun (old_key, ca) ->
       if ca.ca_epoch < new_epoch then begin
@@ -1363,8 +1372,8 @@ let maintain t ~old_ctx ~new_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_i
       List.iter (Lru.remove t.answers) answer_keys;
       Metrics.record_maintenance t.service_metrics ~sides_promoted:!sides_promoted
         ~sides_evicted:!sides_evicted ~answers_promoted:!answers_promoted
-        ~answers_evicted:!answers_evicted ~recounted:!recounted
-        ~old_scans:!old_scans ~scans:(Io_stats.scans maint_io)
+        ~answers_evicted:!answers_evicted ~recounted ~old_scans
+        ~scans:(Io_stats.scans maint_io)
         ~pages_read:(Io_stats.pages_read maint_io));
   Log.debug (fun m ->
       m "epoch %d: %d+%d sides, %d+%d answers promoted+evicted (%d pages)@ %a"
@@ -1379,8 +1388,8 @@ let maintain t ~old_ctx ~new_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_i
     lv_sides_evicted = !sides_evicted;
     lv_answers_promoted = !answers_promoted;
     lv_answers_evicted = !answers_evicted;
-    lv_recounted = !recounted;
-    lv_old_scans = !old_scans;
+    lv_recounted = recounted;
+    lv_old_scans = old_scans;
     lv_scans = Io_stats.scans maint_io;
     lv_pages_read = Io_stats.pages_read maint_io;
   }

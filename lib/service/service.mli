@@ -197,11 +197,11 @@ val metrics_table : t -> Cfq_report.Table.t
     are exact for, and every lookup path — answer cache, subsumption,
     degraded serving, breaker-open cache serving — checks the stamp.
     {!seal_live} seals the pending appends and runs a maintenance pass on
-    the worker pool: each cached side collection is promoted by the FUP
-    rule (delta-count against a resident twin of just the appended
-    transactions; candidates the delta seeds are counted against the old,
-    still-readable pre-seal snapshot — at most one old scan per entry),
-    and cached answers are re-derived from the promoted collections with
+    the worker pool: one shared FUP pass promotes every cached side
+    collection (one delta count against a resident twin of just the
+    appended transactions; the candidates the delta seeds for all sides
+    are counted against the old, still-readable pre-seal snapshot in at
+    most one scan per seal), and cached answers are re-derived from the promoted collections with
     pure filtering and pair formation.  Promoted entries answer exactly
     what a cold remine would; entries a fault or budget refusal leaves
     behind are purged, so the caches always land on one consistent
@@ -230,9 +230,11 @@ type live = {
   lv_sides_evicted : int;
   lv_answers_promoted : int;
   lv_answers_evicted : int;
-  lv_recounted : int;  (** seeded candidates counted against the old db *)
-  lv_old_scans : int;  (** full old-database scans the pass paid *)
-  lv_scans : int;  (** all maintenance scans (mostly delta-twin passes) *)
+  lv_recounted : int;
+      (** distinct seeded candidates counted against the old db *)
+  lv_old_scans : int;
+      (** full old-database scans the shared pass paid (at most 1) *)
+  lv_scans : int;  (** all maintenance scans (extraction, twin pass, old db) *)
   lv_pages_read : int;  (** pages charged — delta-sized, not database-sized *)
 }
 

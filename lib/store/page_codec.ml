@@ -68,9 +68,13 @@ let decode_tx l ~tid buf ~at =
   if stored_tid <> tid || n <> l.sizes.(tid) then corrupt ();
   let ib = l.pm.Page_model.item_bytes in
   let base = at + l.pm.Page_model.tid_bytes in
-  let items =
-    Array.init n (fun k -> Int32.to_int (Bytes.get_int32_le buf (base + (k * ib))))
-  in
-  match Itemset.of_sorted_array items with
-  | set -> Transaction.make ~tid ~items:set
-  | exception Invalid_argument _ -> corrupt ()
+  (* strict increase is checked while the array fills: one pass *)
+  let items = Array.make n 0 in
+  let prev = ref min_int in
+  for k = 0 to n - 1 do
+    let it = Int32.to_int (Bytes.get_int32_le buf (base + (k * ib))) in
+    if it <= !prev then corrupt ();
+    items.(k) <- it;
+    prev := it
+  done;
+  Transaction.make ~tid ~items:(Itemset.unsafe_of_sorted_array items)

@@ -57,9 +57,37 @@ let make_db seg pool =
       Page_codec.decode_tx l ~tid tmp ~at:0
     end
   in
+  (* a scan pins each page once and decodes all of its in-range
+     transactions under that pin, delivering them after the unpin; a
+     decode fault still delivers the page's earlier transactions first, so
+     a failover resumes right after the last one delivered *)
+  let one_page tid =
+    let off = l.Page_codec.offsets.(tid) in
+    off / ps = (off + Page_codec.tx_bytes l tid - 1) / ps
+  in
   let iter ~lo ~hi f =
-    for k = lo to hi do
-      f (read_tx k)
+    let k = ref lo in
+    while !k <= hi do
+      if not (one_page !k) then begin
+        f (read_tx !k);
+        incr k
+      end
+      else begin
+        let page = l.Page_codec.offsets.(!k) / ps in
+        let decoded = ref [] and fault = ref None in
+        Buffer_pool.with_page pool page (fun buf ->
+            try
+              while
+                !k <= hi && one_page !k && l.Page_codec.offsets.(!k) / ps = page
+              do
+                let at = l.Page_codec.offsets.(!k) mod ps in
+                decoded := Page_codec.decode_tx l ~tid:!k buf ~at :: !decoded;
+                incr k
+              done
+            with Cfq_error.Error _ as e -> fault := Some e);
+        List.iter f (List.rev !decoded);
+        Option.iter raise !fault
+      end
     done
   in
   let avg_tx_len =

@@ -12,6 +12,56 @@ let frequent_equal a b =
        (fun acc e -> acc && Frequent.support b e.Frequent.set = Some e.Frequent.support)
        true a
 
+(* the probing definitions of closed/maximal, kept as the reference for
+   the delete-one walk in [Frequent] *)
+let closed_reference t =
+  let l1 = Frequent.l1_items t in
+  Frequent.fold
+    (fun acc (e : Frequent.entry) ->
+      let absorbed =
+        Itemset.exists
+          (fun i ->
+            (not (Itemset.mem i e.Frequent.set))
+            && Frequent.support t (Itemset.add i e.Frequent.set) = Some e.Frequent.support)
+          l1
+      in
+      if absorbed then acc else e :: acc)
+    [] t
+  |> List.rev
+
+let maximal_reference t =
+  let l1 = Frequent.l1_items t in
+  Frequent.fold
+    (fun acc (e : Frequent.entry) ->
+      let extendable =
+        Itemset.exists
+          (fun i ->
+            (not (Itemset.mem i e.Frequent.set))
+            && Frequent.mem t (Itemset.add i e.Frequent.set))
+          l1
+      in
+      if extendable then acc else e :: acc)
+    [] t
+  |> List.rev
+
+(* arbitrary collections: not downward closed, supports unrelated to
+   containment, a set sometimes recorded twice *)
+let gen_collection =
+  QCheck2.Gen.(
+    let* n = int_range 2 7 in
+    let* entries =
+      list_size (int_range 0 40)
+        (pair (Helpers.gen_itemset n) (int_range 1 4))
+    in
+    return (List.map (fun (set, support) -> { Frequent.set; support }) entries))
+
+let print_collection entries =
+  String.concat " "
+    (List.map
+       (fun (e : Frequent.entry) ->
+         Printf.sprintf "%s@%d" (Itemset.to_string e.Frequent.set) e.Frequent.support)
+       entries)
+
 let suite =
   [
     Helpers.qtest ~count:150 "trie counting equals naive subset counting"
@@ -194,6 +244,17 @@ let suite =
           (Itemset.equal (Frequent.l1_items f) (Itemset.of_list [ 1 ]));
         let g = Frequent.filter (fun s -> Itemset.cardinal s = 1) f in
         Alcotest.(check int) "filtered" 1 (Frequent.n_sets g));
+    Helpers.qtest ~count:300 "closed and maximal equal their probing definitions"
+      gen_collection print_collection (fun entries ->
+        let t = Frequent.of_entries entries in
+        let check name got want =
+          if print_collection got <> print_collection want then
+            QCheck2.Test.fail_reportf "%s:\n got %s\nwant %s" name
+              (print_collection got) (print_collection want)
+        in
+        check "closed" (Frequent.closed t) (closed_reference t);
+        check "maximal" (Frequent.maximal t) (maximal_reference t);
+        true);
     unit "counters merge" (fun () ->
         let a = Counters.create () in
         let b = Counters.create () in

@@ -14,6 +14,13 @@ let session_with_db () =
 
 let out t line = (Shell.eval t line).Shell.output
 
+(* [run] output with its wall-clock [time: ...] line dropped, so two runs
+   of the same query compare equal *)
+let untimed output =
+  String.split_on_char '\n' output
+  |> List.filter (fun l -> not (String.starts_with ~prefix:"time: " (String.trim l)))
+  |> String.concat "\n"
+
 let suite =
   [
     unit "help lists the commands" (fun () ->
@@ -129,7 +136,8 @@ let suite =
             Alcotest.(check bool) "opened" true
               (contains (out t2 ("open " ^ path ^ " 2")) "6 transactions");
             (* identical answers from the disk backend *)
-            Alcotest.(check string) "same run output" before (out t2 q);
+            Alcotest.(check string) "same run output" (untimed before)
+              (untimed (out t2 q));
             Alcotest.(check bool) "stats show the pool" true
               (contains (out t2 "stats") "store:");
             let _ = Shell.eval t2 "quit" in
@@ -222,7 +230,8 @@ let suite =
             Alcotest.(check bool) "replica fault pinned" true
               (contains (out t2 "set fault 1 0 7 shard=0 replica=0")
                  "(shard 0, replica 0)");
-            Alcotest.(check string) "failover answers identically" before (out t2 q);
+            Alcotest.(check string) "failover answers identically" (untimed before)
+              (untimed (out t2 q));
             Alcotest.(check bool) "failover counted" true
               (contains (out t2 "stats") "failovers: ");
             Alcotest.(check bool) "fault cleared" true
@@ -244,8 +253,8 @@ let suite =
               (contains (out t2 "scrub") "1 replicas repaired");
             Alcotest.(check bool) "verify clean after repair" true
               (contains (out t2 "verify") "all replicas healthy");
-            Alcotest.(check string) "post-repair answers identically" before
-              (out t2 q);
+            Alcotest.(check string) "post-repair answers identically"
+              (untimed before) (untimed (out t2 q));
             let _ = Shell.eval t2 "quit" in
             ()));
     unit "ingest reaches an attached sharded store by either name" (fun () ->

@@ -139,11 +139,10 @@ let verify_pages_finds_bad_crc () =
     (fault_names (Store.verify_pages store));
   Store.close store
 
-(* corrupt a page but re-patch its footer CRC: the raw layer is fooled,
-   the logical checksum is not *)
-let verify_pages_finds_bad_checksum () =
-  let path = tmp () in
-  Store.build ~page_model:small_pm path (sets_of_lists verify_sets);
+(* flip the low bit of the data byte at [at] (from the start of the data
+   region, 64-byte pages) and re-patch the page's footer CRC: the raw
+   layer is fooled, the record checks and logical checksum are not *)
+let tamper_crc_consistent path ~at =
   let ps = 64 in
   (* geometry probe: open_ loads the footer tables into memory, so the
      tampering below must happen before the verifying handle opens *)
@@ -154,23 +153,115 @@ let verify_pages_finds_bad_checksum () =
     g
   in
   let b = read_file path in
-  (* tamper a tid byte of page 0 *)
-  let poff = ps in
-  Bytes.set b poff (Char.chr (Char.code (Bytes.get b poff) lxor 0x01));
-  (* fix up footer: crcs[0], then the footer's own CRC *)
+  let off = ps + at in
+  Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0x01));
+  (* fix up footer: crcs[page], then the footer's own CRC *)
+  let page = at / ps in
+  let poff = ps + (page * ps) in
   let footer_off = ps + (n_pages * ps) in
   let o1 = 4 * n in
   let o3 = o1 + (4 * n_pages) + (8 * n_pages) in
   Bytes.set_int32_le b
-    (footer_off + o1)
+    (footer_off + o1 + (4 * page))
     (Int32.of_int (Crc32.sub b poff ps));
   let footer = Bytes.sub b footer_off (o3 + 4) in
   Bytes.set_int32_le b (footer_off + o3) (Int32.of_int (Crc32.sub footer 0 o3));
-  write_file path b;
+  write_file path b
+
+let verify_pages_finds_bad_checksum () =
+  let path = tmp () in
+  Store.build ~page_model:small_pm path (sets_of_lists verify_sets);
+  (* tamper a tid byte of page 0 *)
+  tamper_crc_consistent path ~at:0;
   let store = Store.open_ ~cache_pages:2 path in
   Alcotest.(check (list (pair int string))) "bad checksum pinned to page 0"
     [ (0, "bad-checksum") ]
     (fault_names (Store.verify_pages store));
+  Store.close store
+
+(* the bitwise CRC-32 the slicing-by-8 tables must reproduce *)
+let crc32_bitwise b off len =
+  let c = ref 0xFFFFFFFF in
+  for i = off to off + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let crc32_known_answer () =
+  Alcotest.(check int) "check value" 0xCBF43926 (Crc32.bytes (Bytes.of_string "123456789"));
+  Alcotest.(check int) "empty" 0 (Crc32.bytes Bytes.empty)
+
+let qcheck_crc32_slices =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"crc32 slicing-by-8 equals the bitwise CRC" ~count:300
+       ~print:(fun (s, a, b) -> Printf.sprintf "%S off=%d len=%d" s a b)
+       QCheck2.Gen.(triple (string_size (int_range 0 80)) nat nat)
+       (fun (s, a, b) ->
+         let b_ = Bytes.of_string s in
+         let n = Bytes.length b_ in
+         let off = if n = 0 then 0 else a mod (n + 1) in
+         let len = if n - off = 0 then 0 else b mod (n - off + 1) in
+         Crc32.sub b_ off len = crc32_bitwise b_ off len))
+
+(* 4 two-item transactions fill a 64-byte page; one oversized transaction
+   spans dedicated pages *)
+let scan_sets =
+  List.init 10 (fun i -> [ i; i + 1 ])
+  @ [ List.init 30 (fun i -> 2 * i) ]
+  @ List.init 5 (fun i -> [ i ])
+
+let cached_scan_one_lookup_per_page () =
+  let path = tmp () in
+  Store.build ~page_model:small_pm path (sets_of_lists scan_sets);
+  let store = Store.open_ ~cache_pages:64 path in
+  let db = Store.db store in
+  let lookups () =
+    Io_stats.pool_hits (Store.io store) + Io_stats.pool_misses (Store.io store)
+  in
+  let io = Io_stats.create () in
+  Tx_db.iter_scan db io (fun _ -> ());
+  Alcotest.(check int) "cold scan: one miss per page" (Tx_db.pages db) (lookups ());
+  let n = ref 0 in
+  Tx_db.iter_scan db io (fun _ -> incr n);
+  Alcotest.(check int) "every tuple delivered" (Tx_db.size db) !n;
+  Alcotest.(check bool) "several tuples share a page" true (Tx_db.pages db < Tx_db.size db);
+  Alcotest.(check int) "warm scan: one lookup per page" (2 * Tx_db.pages db) (lookups ());
+  Store.close store
+
+(* items must be strictly increasing: a CRC-consistent swap of order is
+   a typed corrupt page, not a silently wrong transaction *)
+let unsorted_record_is_corrupt () =
+  let path = tmp () in
+  Store.build ~page_model:small_pm path (sets_of_lists scan_sets);
+  (* transaction 0 is [0; 1]: its second item (bytes 12..15) becomes 0 *)
+  tamper_crc_consistent path ~at:12;
+  let store = Store.open_ ~cache_pages:4 path in
+  (match Tx_db.iter_range (Store.db store) ~lo:0 ~hi:0 ignore with
+  | () -> Alcotest.fail "unsorted record went undetected"
+  | exception Cfq_error.Error (Cfq_error.Corrupt_page { page }) ->
+      Alcotest.(check int) "page" 0 page);
+  Store.close store
+
+(* a record fault in the middle of a page surfaces typed, after the page's
+   earlier transactions were delivered — where a failover resumes *)
+let mid_page_fault_delivers_prefix () =
+  let path = tmp () in
+  Store.build ~page_model:small_pm path (sets_of_lists scan_sets);
+  (* the tid of transaction 1 (bytes 16..19 of page 0) *)
+  tamper_crc_consistent path ~at:16;
+  let store = Store.open_ ~cache_pages:4 path in
+  let delivered = ref [] in
+  (match
+     Tx_db.iter_range (Store.db store) ~lo:0 ~hi:3 (fun tx ->
+         delivered := tx.Transaction.tid :: !delivered)
+   with
+  | () -> Alcotest.fail "tampered record went undetected"
+  | exception Cfq_error.Error (Cfq_error.Corrupt_page { page }) ->
+      Alcotest.(check int) "page" 0 page);
+  Alcotest.(check (list int)) "prefix delivered" [ 0 ] (List.rev !delivered);
   Store.close store
 
 (* ------------------------------------------------------------------ *)
@@ -561,4 +652,10 @@ let suite =
     unit "verify_pages: clean pass, throttle, bad crc" verify_pages_finds_bad_crc;
     unit "verify_pages: crc-consistent logical corruption" verify_pages_finds_bad_checksum;
     qcheck_wal_fuzz;
+    unit "crc32 known answer" crc32_known_answer;
+    qcheck_crc32_slices;
+    unit "a fully cached scan looks each page up once" cached_scan_one_lookup_per_page;
+    unit "a mid-page record fault delivers the page's prefix"
+      mid_page_fault_delivers_prefix;
+    unit "an out-of-order record is a typed corrupt page" unsorted_record_is_corrupt;
   ]
