@@ -17,6 +17,9 @@
    - maintenance I/O is delta-sized: one shared pass per seal pays at
      most one old-database candidate count, and every other maintenance
      scan is bounded by the sealed batch's pages;
+   - re-deriving the cached answers reuses the collections the seal's
+     pass just promoted: a seal reconstructs at most its stale sides (the
+     pass's inputs), never once per answer;
    - warm support counting across all epochs ≪ the cold baseline's. *)
 
 open Cfq_itembase
@@ -113,6 +116,7 @@ let run (scale : Workloads.scale) =
   let mismatches = ref 0 in
   let post_seal_scans = ref 0 in
   let io_violations = ref 0 in
+  let reuse_violations = ref 0 in
   let seal_rows = ref [] in
   let check_epoch e served =
     List.iteri
@@ -150,6 +154,8 @@ let run (scale : Workloads.scale) =
     let old_pages = Cfq_txdb.Tx_db.pages (Cfq_live.Source.db src) in
     let delta = chunk (s - 1) in
     Array.iter (Service.ingest service) delta;
+    let reconstructions () = (Service.metrics service).Metrics.reconstructions in
+    let rebuilt_before = reconstructions () in
     (match Service.seal_live service with
     | None ->
         incr mismatches;
@@ -177,7 +183,16 @@ let run (scale : Workloads.scale) =
           Printf.printf "seal %d: %d old-db scans, more than one per seal\n" s
             lv.Service.lv_old_scans
         end;
-        seal_rows := lv :: !seal_rows;
+        let rebuilt = reconstructions () - rebuilt_before in
+        let stale_sides = lv.Service.lv_sides_promoted + lv.Service.lv_sides_evicted in
+        if rebuilt > stale_sides then begin
+          incr reuse_violations;
+          Printf.printf
+            "seal %d: %d reconstructions for %d stale sides — answers were \
+             re-derived without the promoted collections\n"
+            s rebuilt stale_sides
+        end;
+        seal_rows := (lv, rebuilt) :: !seal_rows;
         Printf.printf
           "seal %d -> epoch %d: +%d tx; %d sides + %d answers promoted, %d + \
            %d evicted; %d recounted (%d old-db scans, %d pages)\n%!"
@@ -223,6 +238,11 @@ let run (scale : Workloads.scale) =
       !io_violations;
     exit 1
   end;
+  if !reuse_violations > 0 then begin
+    Printf.printf "\nFAIL: %d seals reconstructed once per answer\n"
+      !reuse_violations;
+    exit 1
+  end;
   if warm_counted >= cold_counted then begin
     Printf.printf
       "\nFAIL: live service counted %d sets, not fewer than the %d a cold \
@@ -236,7 +256,7 @@ let run (scale : Workloads.scale) =
     (float_of_int cold_counted /. float_of_int (max 1 warm_counted))
     warm_counted cold_counted;
 
-  let seal_json lv =
+  let seal_json (lv, rebuilt) =
     String.concat ""
       [
         "    { \"epoch\": ";
@@ -259,6 +279,8 @@ let run (scale : Workloads.scale) =
         string_of_int lv.Service.lv_scans;
         ", \"pages_read\": ";
         string_of_int lv.Service.lv_pages_read;
+        ", \"reconstructions\": ";
+        string_of_int rebuilt;
         " }";
       ]
   in

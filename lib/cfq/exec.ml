@@ -431,7 +431,8 @@ let run ?(strategy = Plan.Optimized) ?(collect_pairs = false) ?par ?kernel
   let valid_t = validate_side ctx.t_info t_counters q.Query.t_constraints t_freq in
   let collected = ref [] in
   let on_pair =
-    if collect_pairs then fun es et -> collected := (es, et) :: !collected
+    if collect_pairs then fun i j ->
+      collected := (valid_s.(i), valid_t.(j)) :: !collected
     else fun _ _ -> ()
   in
   let pair_stats =

@@ -33,7 +33,7 @@ type emitter = {
   mutable checks : int;
   paired_s : bool array;
   paired_t : bool array;
-  on_pair : Frequent.entry -> Frequent.entry -> unit;
+  on_pair : int -> int -> unit;
 }
 
 let emit em ~s_info ~t_info ~residual valid_s valid_t i j =
@@ -49,7 +49,7 @@ let emit em ~s_info ~t_info ~residual valid_s valid_t i j =
     em.n_pairs <- em.n_pairs + 1;
     em.paired_s.(i) <- true;
     em.paired_t.(j) <- true;
-    em.on_pair es et
+    em.on_pair i j
   end
 
 let finish em join =

@@ -41,13 +41,14 @@ type stats = {
 val join_method_name : join_method -> string
 
 (** [form ~s_info ~t_info ~valid_s ~valid_t ~two_var ()] enumerates the
-    valid pairs, invoking [on_pair] on each (in unspecified order). *)
+    valid pairs, invoking [on_pair i j] on each (in unspecified order, each
+    pair exactly once): the pair is [(valid_s.(i), valid_t.(j))]. *)
 val form :
   s_info:Item_info.t ->
   t_info:Item_info.t ->
   valid_s:Frequent.entry array ->
   valid_t:Frequent.entry array ->
   two_var:Two_var.t list ->
-  ?on_pair:(Frequent.entry -> Frequent.entry -> unit) ->
+  ?on_pair:(int -> int -> unit) ->
   unit ->
   stats

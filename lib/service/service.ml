@@ -344,9 +344,6 @@ let locked t f =
 
 let entry_weight = Condensed.entry_weight
 
-let raw_answer_weight (a : answer) =
-  List.fold_left (fun acc (s, p) -> acc + 16 + entry_weight s + entry_weight p) 256 a.pairs
-
 let packed_weight pk =
   let sum = Array.fold_left (fun acc e -> acc + entry_weight e) in
   256 + sum 0 pk.pk_s + sum 0 pk.pk_t + (8 * Array.length pk.pk_idx)
@@ -385,71 +382,134 @@ let side_frequent t entry =
     locked t (fun () -> Metrics.record_reconstruction t.service_metrics);
   Condensed.to_frequent entry.se_cond
 
-let pack_answer t (a : answer) =
-  if not (condense_on t) then (Raw_pairs a.pairs, raw_answer_weight a)
-  else begin
-    (* within one answer a side's set determines its entry (all entries of
-       a side come from one collection), so sets key the dedup tables *)
-    let dedup proj =
-      let tbl = Itemset.Hashtbl.create 64 in
-      let entries = ref [] and n = ref 0 in
-      let idx (e : Frequent.entry) =
-        match Itemset.Hashtbl.find_opt tbl e.Frequent.set with
-        | Some i -> i
-        | None ->
-            let i = !n in
-            incr n;
-            Itemset.Hashtbl.add tbl e.Frequent.set i;
-            entries := e :: !entries;
-            i
-      in
-      let ids = List.map (fun p -> idx (proj p)) a.pairs in
-      (Array.of_list (List.rev !entries), ids)
-    in
-    let s_entries, s_ids = dedup fst in
-    let t_entries, t_ids = dedup snd in
-    let idx = Array.make (2 * List.length a.pairs) 0 in
-    List.iteri
-      (fun i (si, ti) ->
-        idx.(2 * i) <- si;
-        idx.((2 * i) + 1) <- ti)
-      (List.combine s_ids t_ids);
-    let pk = { pk_s = s_entries; pk_t = t_entries; pk_idx = idx } in
-    (Packed_pairs pk, packed_weight pk)
-  end
+(* ------------------------------------------------------------------ *)
+(* packing a join's output straight from its indices *)
 
-let make_cached_answer t ~epoch q (a : answer) =
-  let ca_pairs, ca_weight = pack_answer t a in
+(* the index stream is buffered in chunks small enough to be allocated in
+   the minor heap (at most 256 words), then copied once into an exact-size
+   [pk_idx]; an even size keeps a pair's two indices in one chunk *)
+let chunk_words = 256
+
+(* one side's remap: packed ids go out in first-appearance order, so the
+   packed entry array lists the side's paired entries in the order the
+   join first reached them *)
+type side_ids = {
+  valid : Frequent.entry array;
+  ids : int array;  (* index into [valid] -> packed id, or -1 *)
+  order : int array;  (* packed id -> index into [valid] *)
+  mutable n : int;
+}
+
+type packer = {
+  ps : side_ids;
+  pt : side_ids;
+  mutable full : int array list;  (* filled chunks, newest first *)
+  mutable chunk : int array;
+  mutable fill : int;
+  mutable raw_weight : int;  (* what the pair list would be charged *)
+}
+
+let side_ids valid =
+  let n = Array.length valid in
+  { valid; ids = Array.make n (-1); order = Array.make n 0; n = 0 }
+
+let packer valid_s valid_t =
+  {
+    ps = side_ids valid_s;
+    pt = side_ids valid_t;
+    full = [];
+    chunk = Array.make chunk_words 0;
+    fill = 0;
+    raw_weight = 256;
+  }
+
+let packed_id side i =
+  match side.ids.(i) with
+  | -1 ->
+      let k = side.n in
+      side.ids.(i) <- k;
+      side.order.(k) <- i;
+      side.n <- k + 1;
+      k
+  | k -> k
+
+let pack_pair p i j =
+  if p.fill = chunk_words then begin
+    p.full <- p.chunk :: p.full;
+    p.chunk <- Array.make chunk_words 0;
+    p.fill <- 0
+  end;
+  p.chunk.(p.fill) <- packed_id p.ps i;
+  p.chunk.(p.fill + 1) <- packed_id p.pt j;
+  p.fill <- p.fill + 2;
+  p.raw_weight <-
+    p.raw_weight + 16 + entry_weight p.ps.valid.(i) + entry_weight p.pt.valid.(j)
+
+(* the packed pairs and the raw-equivalent weight *)
+let finish_packer p =
+  let n_full = List.length p.full in
+  let idx = Array.make ((n_full * chunk_words) + p.fill) 0 in
+  List.iteri
+    (fun k c -> Array.blit c 0 idx ((n_full - 1 - k) * chunk_words) chunk_words)
+    p.full;
+  Array.blit p.chunk 0 idx (n_full * chunk_words) p.fill;
+  let entries side = Array.init side.n (fun k -> side.valid.(side.order.(k))) in
+  ({ pk_s = entries p.ps; pk_t = entries p.pt; pk_idx = idx }, p.raw_weight)
+
+(* join two filtered sides and pack the pairs as the join emits them *)
+let join_packed (ctx : Exec.ctx) (q : Query.t) ~valid_s ~valid_t =
+  let p = packer valid_s valid_t in
+  let stats =
+    Pairs.form ~s_info:ctx.Exec.s_info ~t_info:ctx.Exec.t_info ~valid_s ~valid_t
+      ~two_var:q.Query.two_var ~on_pair:(pack_pair p) ()
+  in
+  (stats, finish_packer p)
+
+(* the pairs a packed answer stands for, in join order *)
+let unpack_pairs pk =
+  let pairs = ref [] in
+  for i = (Array.length pk.pk_idx / 2) - 1 downto 0 do
+    pairs :=
+      (pk.pk_s.(pk.pk_idx.(2 * i)), pk.pk_t.(pk.pk_idx.((2 * i) + 1))) :: !pairs
+  done;
+  !pairs
+
+(* [template] carries everything but the pairs; with condensation off the
+   pair list is rebuilt once and stored raw *)
+let make_cached_answer t ~epoch q (template : answer) (pk, raw_weight) =
+  let ca_pairs, ca_weight =
+    if condense_on t then (Packed_pairs pk, packed_weight pk)
+    else (Raw_pairs (unpack_pairs pk), raw_weight)
+  in
   {
     ca_epoch = epoch;
     ca_query = q;
-    ca_answer = { a with pairs = [] };
+    ca_answer = { template with pairs = [] };
     ca_pairs;
     ca_weight;
   }
 
-(* with [t.lock] held: price an answer insert for the ratio metrics.
-   [a] must still carry its pairs (the raw-equivalent weight needs them). *)
-let record_answer_condensed_locked t (a : answer) ca =
-  Metrics.record_condensed t.service_metrics ~raw:(raw_answer_weight a)
-    ~stored:ca.ca_weight
+(* with [t.lock] held: price an answer insert for the ratio metrics *)
+let record_answer_condensed_locked t ~raw_weight ca =
+  Metrics.record_condensed t.service_metrics ~raw:raw_weight ~stored:ca.ca_weight
     ~condensed:
       (match ca.ca_pairs with Packed_pairs _ -> true | Raw_pairs _ -> false)
 
+(* the pair list of a cached answer; touches nothing shared, so a hit can
+   rebuild it outside the lock *)
+let answer_pairs ca =
+  match ca.ca_pairs with Raw_pairs pairs -> pairs | Packed_pairs pk -> unpack_pairs pk
+
+(* with [t.lock] held: count the rebuild a hit on [ca] is about to pay *)
+let record_unpack_locked t ca =
+  match ca.ca_pairs with
+  | Packed_pairs _ -> Metrics.record_reconstruction t.service_metrics
+  | Raw_pairs _ -> ()
+
 (* with [t.lock] held: rebuild the pair list of a cached answer *)
 let unpack_answer_locked t ca =
-  match ca.ca_pairs with
-  | Raw_pairs pairs -> { ca.ca_answer with pairs }
-  | Packed_pairs pk ->
-      Metrics.record_reconstruction t.service_metrics;
-      let n = Array.length pk.pk_idx / 2 in
-      let pairs = ref [] in
-      for i = n - 1 downto 0 do
-        pairs :=
-          (pk.pk_s.(pk.pk_idx.(2 * i)), pk.pk_t.(pk.pk_idx.((2 * i) + 1)))
-          :: !pairs
-      done;
-      { ca.ca_answer with pairs = !pairs }
+  record_unpack_locked t ca;
+  { ca.ca_answer with pairs = answer_pairs ca }
 
 (* ------------------------------------------------------------------ *)
 (* deadline handling *)
@@ -649,13 +709,17 @@ let execute t ~deadline (q : Query.t) =
         match Lru.find t.answers key with
         | Some ca when ca.ca_epoch = epoch ->
             Metrics.record_answer_hit t.service_metrics;
-            Some (unpack_answer_locked t ca)
+            record_unpack_locked t ca;
+            Some ca
         | Some _ | None ->
             Metrics.record_answer_miss t.service_metrics;
             None)
   in
   match cached with
-  | Some a ->
+  | Some ca ->
+      (* rebuilt outside the lock: a large answer must not stall the other
+         domains' lookups and inserts *)
+      let a = { ca.ca_answer with pairs = answer_pairs ca } in
       let latency = Unix.gettimeofday () -. t0 in
       locked t (fun () ->
           Metrics.record_query t.service_metrics ~latency ~support_counted:0
@@ -673,9 +737,9 @@ let execute t ~deadline (q : Query.t) =
       let io = Io_stats.create () in
       let counters = Counters.create () in
       let checks = ref 0 in
-      let answer =
+      let answer, packed =
         if rw.Rewrite.s_unsat || rw.Rewrite.t_unsat then
-          {
+          ( {
             pairs = [];
             n_pairs = 0;
             served_from = Cold;
@@ -685,7 +749,8 @@ let execute t ~deadline (q : Query.t) =
             pages_read = 0;
             latency_seconds = 0.;
             notes = rw.Rewrite.notes @ [ "query is unsatisfiable; nothing was mined" ];
-          }
+          },
+            finish_packer (packer [||] [||]) )
         else begin
           let valid_s, s_cached =
             resolve_side t ~deadline ~ctx ~epoch (side_spec_of ctx q `S) io
@@ -696,16 +761,10 @@ let execute t ~deadline (q : Query.t) =
               counters checks
           in
           check_deadline deadline;
-          let collected = ref [] in
-          let pair_stats =
-            Pairs.form ~s_info:ctx.Exec.s_info ~t_info:ctx.Exec.t_info ~valid_s ~valid_t
-              ~two_var:q.Query.two_var
-              ~on_pair:(fun es et -> collected := (es, et) :: !collected)
-              ()
-          in
+          let pair_stats, packed = join_packed ctx q ~valid_s ~valid_t in
           let served_from = if s_cached && t_cached then Subsumed else Cold in
-          {
-            pairs = List.rev !collected;
+          ( {
+            pairs = [];
             n_pairs = pair_stats.Pairs.n_pairs;
             served_from;
             support_counted = Counters.support_counted counters;
@@ -714,15 +773,17 @@ let execute t ~deadline (q : Query.t) =
             pages_read = Io_stats.pages_read io;
             latency_seconds = 0.;
             notes = rw.Rewrite.notes;
-          }
+          },
+            packed )
         end
       in
+      let ca = make_cached_answer t ~epoch q answer packed in
+      let answer = { answer with pairs = answer_pairs ca } in
       let latency = Unix.gettimeofday () -. t0 in
       let answer = { answer with latency_seconds = latency } in
-      let ca = make_cached_answer t ~epoch q answer in
       locked t (fun () ->
           if t.epoch = epoch then begin
-            record_answer_condensed_locked t answer ca;
+            record_answer_condensed_locked t ~raw_weight:(snd packed) ca;
             ignore (Lru.insert t.answers key ~weight:ca.ca_weight ca : bool)
           end;
           Metrics.record_query t.service_metrics ~latency
@@ -1266,6 +1327,10 @@ let maintain t ~old_ctx ~new_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_i
         (results, recounted, old_scans)
     | exception e -> (List.map (fun _ -> Error e) stale, 0, 0)
   in
+  (* this seal's promoted raw collections, by new key: re-deriving an
+     answer over a side the pass just promoted reuses them instead of
+     reconstructing the re-closed entry *)
+  let promoted = Hashtbl.create 16 in
   List.iter2
     (fun (key, e) result ->
       match result with
@@ -1296,11 +1361,20 @@ let maintain t ~old_ctx ~new_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_i
                 (match Lru.find t.sides key with
                 | Some cur when cur.se_epoch < new_epoch -> Lru.remove t.sides key
                 | Some _ | None -> ());
-                if Lru.insert t.sides key' ~weight:e'.se_weight e' then
+                if Lru.insert t.sides key' ~weight:e'.se_weight e' then begin
+                  Hashtbl.replace promoted key' (e', freq');
                   incr sides_promoted
+                end
                 else incr sides_evicted
               end))
     stale results;
+  (* a covering entry is the one this pass promoted under its key unless a
+     racing insert replaced it since *)
+  let covering_frequent (key, e) =
+    match Hashtbl.find_opt promoted key with
+    | Some (e', freq') when e' == e -> freq'
+    | Some _ | None -> side_frequent t e
+  in
   List.iter
     (fun (old_key, ca) ->
       if ca.ca_epoch < new_epoch then begin
@@ -1316,36 +1390,27 @@ let maintain t ~old_ctx ~new_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_i
                   ( covering_entry_locked t ~epoch:new_epoch spec_s,
                     covering_entry_locked t ~epoch:new_epoch spec_t )
                 with
-                | Some (_, es), Some (_, et) -> Some (spec_s, spec_t, es, et)
+                | Some cs, Some ct -> Some (spec_s, spec_t, cs, ct)
                 | _ -> None)
         in
         match covering with
         | None ->
             locked t (fun () -> Lru.remove t.answers old_key);
             incr answers_evicted
-        | Some (spec_s, spec_t, es, et) ->
-            let valid_s = filter_valid spec_s (side_frequent t es) checks in
-            let valid_t = filter_valid spec_t (side_frequent t et) checks in
-            let collected = ref [] in
-            let pair_stats =
-              Pairs.form ~s_info:new_ctx.Exec.s_info ~t_info:new_ctx.Exec.t_info
-                ~valid_s ~valid_t ~two_var:q.Query.two_var
-                ~on_pair:(fun es et -> collected := (es, et) :: !collected)
-                ()
+        | Some (spec_s, spec_t, cs, ct) ->
+            let valid_s = filter_valid spec_s (covering_frequent cs) checks in
+            let valid_t = filter_valid spec_t (covering_frequent ct) checks in
+            let pair_stats, packed = join_packed new_ctx q ~valid_s ~valid_t in
+            let ca' =
+              make_cached_answer t ~epoch:new_epoch q
+                { ca.ca_answer with n_pairs = pair_stats.Pairs.n_pairs }
+                packed
             in
-            let a' =
-              {
-                ca.ca_answer with
-                pairs = List.rev !collected;
-                n_pairs = pair_stats.Pairs.n_pairs;
-              }
-            in
-            let ca' = make_cached_answer t ~epoch:new_epoch q a' in
             let key' = Fingerprint.query_key new_ctx q in
             locked t (fun () ->
                 Lru.remove t.answers old_key;
                 if t.epoch = new_epoch then
-                  record_answer_condensed_locked t a' ca';
+                  record_answer_condensed_locked t ~raw_weight:(snd packed) ca';
                 if
                   t.epoch = new_epoch
                   && Lru.insert t.answers key' ~weight:ca'.ca_weight ca'

@@ -522,6 +522,68 @@ let condensed_twin_across_seals () =
   Alcotest.(check bool) "condensed twin reconstructed across seals" true
     (m.Metrics.reconstructions > 0)
 
+(* re-deriving cached answers on a seal reuses the collections the shared
+   pass just promoted: on a correlated database whose sides really condense,
+   a seal reconstructs only the stale sides it feeds the pass, never once
+   per answer *)
+let seal_reuses_promoted_sides () =
+  let correlated i =
+    if i mod 3 = 2 then Itemset.of_list [ i mod 5 ] else Itemset.of_list [ 0; 1; 2; 3 ]
+  in
+  let base = Array.init 30 correlated in
+  let info = Helpers.small_info 5 in
+  let src = Cfq_live.Source.of_mem base in
+  let service =
+    Service.create
+      ~config:{ Service.default_config with domains = 1; condense = true }
+      (Cfq_core.Exec.context (Cfq_live.Source.db src) info)
+  in
+  Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+  Service.attach_source service src;
+  let queries =
+    [
+      Query.make ~s_minsup:0.2 ~t_minsup:0.2 ();
+      Query.make ~s_minsup:0.3 ~t_minsup:0.2
+        ~s_constraints:[ Cfq_constr.One_var.Card_cmp (Cfq_constr.Cmp.Le, 2) ]
+        ();
+      Query.make ~s_minsup:0.2 ~t_minsup:0.25
+        ~two_var:
+          [ Cfq_constr.Two_var.(Set2 (Helpers.typ, Intersect, Helpers.typ)) ]
+        ();
+    ]
+  in
+  List.iter
+    (fun q -> ignore (expect_ok (Service.run service q) : Service.answer))
+    queries;
+  let delta = Array.init 9 (fun i -> correlated (i + 30)) in
+  Array.iter (Service.ingest service) delta;
+  let before = (Service.metrics service).Metrics.reconstructions in
+  let live =
+    match Service.seal_live service with
+    | Some live -> live
+    | None -> Alcotest.fail "seal with pending returned None"
+  in
+  let rebuilt = (Service.metrics service).Metrics.reconstructions - before in
+  Alcotest.(check int) "every answer promoted" (List.length queries)
+    live.Service.lv_answers_promoted;
+  Alcotest.(check bool) "the stale sides were condensed" true (rebuilt >= 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d reconstructions for %d stale sides" rebuilt
+       (live.Service.lv_sides_promoted + live.Service.lv_sides_evicted))
+    true
+    (rebuilt <= live.Service.lv_sides_promoted + live.Service.lv_sides_evicted);
+  let cold_ctx = Cfq_core.Exec.context (Tx_db.create (Array.append base delta)) info in
+  List.iter
+    (fun q ->
+      let r = expect_ok (Service.run service q) in
+      Alcotest.(check string) "served from the promoted answer" "answer-cache"
+        (Service.served_from_name r.Service.served_from);
+      let cold = Cfq_core.Exec.run ~collect_pairs:true cold_ctx q in
+      Alcotest.(check string) "answer matches cold remine"
+        (pair_str cold.Cfq_core.Exec.pairs)
+        (pair_str r.Service.pairs))
+    queries
+
 let suite =
   [
     Alcotest.test_case "promoted_minsup units" `Quick promoted_minsup_units;
@@ -533,4 +595,5 @@ let suite =
     Alcotest.test_case "fault during maintenance" `Quick fault_during_maintenance;
     Alcotest.test_case "clean seal promotes in place" `Quick clean_seal_promotes;
     Alcotest.test_case "condensed twin across seals" `Quick condensed_twin_across_seals;
+    Alcotest.test_case "seal reuses the promoted sides" `Quick seal_reuses_promoted_sides;
   ]

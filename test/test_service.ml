@@ -369,6 +369,130 @@ let service_condensed_matches_raw () =
     (m.Metrics.cond_bytes <= m.Metrics.cond_raw_bytes);
   Alcotest.(check bool) "lookups reconstructed" true (m.Metrics.reconstructions > 0)
 
+(* doc/CONDENSED.md's byte model, written out independently of the service:
+   an entry weighs 32 + (24 + 8 per item); a raw answer 256 + 16 per pair
+   plus both entries; a packed one 256 + each side's distinct entries + two
+   8-byte indices per pair *)
+let entry_bytes (e : Frequent.entry) = 56 + (8 * Itemset.cardinal e.Frequent.set)
+
+let raw_answer_bytes pairs =
+  List.fold_left (fun acc (s, t) -> acc + 16 + entry_bytes s + entry_bytes t) 256 pairs
+
+let packed_answer_bytes pairs =
+  let distinct proj =
+    List.sort_uniq Itemset.compare (List.map (fun p -> (proj p).Frequent.set) pairs)
+    |> List.fold_left (fun acc set -> acc + 56 + (8 * Itemset.cardinal set)) 0
+  in
+  256 + distinct fst + distinct snd + (16 * List.length pairs)
+
+(* every insert of a session is priced by the byte model over the pairs it
+   returned: after a cold anchor query mines one side collection, distinct
+   refinements are all subsumed, so each adds exactly one answer insert to
+   the ratio metrics, and the answer cache ends holding every answer.  A
+   re-issue is a hit that inserts nothing. *)
+let service_bytes_follow_model condense () =
+  let ctx = fixture () in
+  let service =
+    Service.create ~config:{ Service.default_config with domains = 1; condense } ctx
+  in
+  Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+  let in_order pairs =
+    pairs_str (List.map (fun (s, t) -> (s.Frequent.set, t.Frequent.set)) pairs)
+  in
+  (* unconstrained, both paths filter the same level-sorted collection, so
+     the anchor's pairs, packed over several index chunks, must come back
+     in exactly the order Exec's join emits them *)
+  let anchor_q = Query.make ~s_minsup:0.1 ~t_minsup:0.1 () in
+  let anchor = expect_ok (Service.run service anchor_q) in
+  Alcotest.(check bool) "the anchor answer spans several index chunks" true
+    (anchor.Service.n_pairs > 256);
+  Alcotest.(check string) "anchor pairs in the join's order"
+    (in_order (Exec.run ~collect_pairs:true ctx anchor_q).Exec.pairs)
+    (in_order anchor.Service.pairs);
+  let refinements =
+    [
+      broad_query;
+      Query.make ~s_minsup:0.1 ~t_minsup:0.15
+        ~two_var:[ Two_var.Set2 (typ, Two_var.Set_eq, typ) ]
+        ();
+      Query.make ~s_minsup:0.2 ~t_minsup:0.1
+        ~two_var:[ Two_var.Agg2 (Agg.Max, price, Cmp.Le, Agg.Min, price) ]
+        ();
+      Query.make ~s_minsup:0.1 ~t_minsup:0.1 ~max_level:2
+        ~s_constraints:[ One_var.Card_cmp (Cmp.Ge, 2) ]
+        ();
+    ]
+  in
+  let inserted =
+    List.map
+      (fun q ->
+        let before = Service.metrics service in
+        let a = check_against_exec ctx service "refinement matches Exec" q in
+        let after = Service.metrics service in
+        Alcotest.(check string) "both sides subsumed" "subsumed"
+          (Service.served_from_name a.Service.served_from);
+        let packed = after.Metrics.cond_inserts - before.Metrics.cond_inserts = 1 in
+        if condense then Alcotest.(check bool) "condense on packs" true packed;
+        let stored =
+          if packed then packed_answer_bytes a.Service.pairs
+          else raw_answer_bytes a.Service.pairs
+        in
+        Alcotest.(check int) "raw-equivalent bytes"
+          (raw_answer_bytes a.Service.pairs)
+          (after.Metrics.cond_raw_bytes - before.Metrics.cond_raw_bytes);
+        Alcotest.(check int) "stored bytes" stored
+          (after.Metrics.cond_bytes - before.Metrics.cond_bytes);
+        (* a re-issue is a hit: it inserts nothing and returns the same
+           pairs in the same order *)
+        let hit = expect_ok (Service.run service q) in
+        Alcotest.(check string) "re-issue is an answer-cache hit" "answer-cache"
+          (Service.served_from_name hit.Service.served_from);
+        Alcotest.(check string) "the hit returns the same pairs in order"
+          (in_order a.Service.pairs) (in_order hit.Service.pairs);
+        (stored, packed, a.Service.n_pairs))
+      refinements
+  in
+  Alcotest.(check bool) "the refinements returned pairs" true
+    (List.exists (fun (_, _, n) -> n > 0) inserted);
+  let _, packed, _ = List.hd inserted in
+  let anchor_bytes =
+    if packed then packed_answer_bytes anchor.Service.pairs
+    else raw_answer_bytes anchor.Service.pairs
+  in
+  let m = Service.metrics service in
+  Alcotest.(check int) "answer-cache bytes"
+    (List.fold_left (fun acc (b, _, _) -> acc + b) anchor_bytes inserted)
+    m.Metrics.answer_bytes
+
+(* a side with no valid set and a join with no pair both pack to an empty
+   answer that weighs the 256-byte base and serves back empty *)
+let service_empty_answers condense () =
+  let ctx = fixture () in
+  let service =
+    Service.create ~config:{ Service.default_config with domains = 1; condense } ctx
+  in
+  Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+  let empty_side = Query.make ~s_minsup:0.99 ~t_minsup:0.1 () in
+  let empty_join =
+    (* prices 10 40 70 30 60 20: every S-set costs >= 60, every T-set <= 20 *)
+    Query.make ~s_minsup:0.1 ~t_minsup:0.1
+      ~s_constraints:[ One_var.Agg_cmp (Agg.Min, price, Cmp.Ge, 60.) ]
+      ~t_constraints:[ One_var.Agg_cmp (Agg.Max, price, Cmp.Le, 20.) ]
+      ~two_var:[ Two_var.Agg2 (Agg.Max, price, Cmp.Le, Agg.Min, price) ]
+      ()
+  in
+  List.iteri
+    (fun k (name, q) ->
+      let a = check_against_exec ctx service name q in
+      Alcotest.(check int) (name ^ ": no pairs") 0 a.Service.n_pairs;
+      let hit = expect_ok (Service.run service q) in
+      Alcotest.(check string) (name ^ ": served again from the cache") "answer-cache"
+        (Service.served_from_name hit.Service.served_from);
+      Alcotest.(check int) (name ^ ": still empty") 0 (List.length hit.Service.pairs);
+      Alcotest.(check int) (name ^ ": base weight only") (256 * (k + 1))
+        (Service.metrics service).Metrics.answer_bytes)
+    [ ("empty side", empty_side); ("empty join", empty_join) ]
+
 (* ------------------------------------------------------------------ *)
 (* qcheck: a (possibly cache-served) refinement returns exactly the
    brute-force answer *)
@@ -464,6 +588,14 @@ let suite =
     Alcotest.test_case "service: eviction at the memory budget" `Quick service_eviction_at_budget;
     Alcotest.test_case "service: condensed cache answers match raw" `Quick
       service_condensed_matches_raw;
+    Alcotest.test_case "service: cache bytes follow the byte model (condensed)" `Quick
+      (service_bytes_follow_model true);
+    Alcotest.test_case "service: cache bytes follow the byte model (raw)" `Quick
+      (service_bytes_follow_model false);
+    Alcotest.test_case "service: empty side and empty join (condensed)" `Quick
+      (service_empty_answers true);
+    Alcotest.test_case "service: empty side and empty join (raw)" `Quick
+      (service_empty_answers false);
     Helpers.qtest ~count:200 "lru: weight stays within budget" gen_lru_ops print_lru_ops
       prop_lru_budget_invariant;
     Helpers.qtest ~count:60 "service: refinement equals brute force" gen_refinement
