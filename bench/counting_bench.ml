@@ -176,7 +176,6 @@ let run (scale : Workloads.scale) =
      & S.Type = T.Type}"
   in
   let q = Parser.parse query_text in
-  let ref_pairs = ref [] and ref_counted = ref 0 in
   let sorted_pairs l =
     List.sort
       (fun (a1, b1) (a2, b2) ->
@@ -185,22 +184,22 @@ let run (scale : Workloads.scale) =
          (fun (s, t) -> (s.Cfq_mining.Frequent.set, t.Cfq_mining.Frequent.set))
          l)
   in
+  (* the trie run is the reference every other run must reproduce *)
+  let trie_ref = Exec.run ~collect_pairs:true ~kernel:Counting.Trie ctx q in
+  let ref_pairs = sorted_pairs trie_ref.Exec.pairs in
+  let ref_counted = Exec.total_counted trie_ref in
   (* the fused path under test: adaptive kernels AND chunked parallelism in
-     the same run.  [calibrate:false] pins every domain count to the same
-     prior-driven plan, so the rows time identical work *)
+     the same run.  Auto's plan is a pure function of the candidates, so
+     every domain count times identical work *)
   let exec_run d =
     let r =
       Exec.run ~collect_pairs:true
         ~par:(Counting.par ~min_rows_per_domain:1 d)
-        ~kernel:Counting.Auto ~calibrate:false ctx q
+        ~kernel:Counting.Auto ctx q
     in
-    let pairs = sorted_pairs r.Exec.pairs in
-    if d = 1 then begin
-      ref_pairs := pairs;
-      ref_counted := Exec.total_counted r
-    end
-    else if pairs <> !ref_pairs || Exec.total_counted r <> !ref_counted then begin
-      Printf.printf "FAIL: Exec.run at %d domains diverged from sequential\n" d;
+    if sorted_pairs r.Exec.pairs <> ref_pairs || Exec.total_counted r <> ref_counted
+    then begin
+      Printf.printf "FAIL: Exec.run at %d domains diverged from the trie answer\n" d;
       exit 1
     end
   in
@@ -208,22 +207,19 @@ let run (scale : Workloads.scale) =
   print_rows
     (Printf.sprintf "full Exec.run (kernel=auto): %s" query_text)
     exec_rows;
-  Printf.printf "\nanswers and counters identical across all domain counts\n";
+  Printf.printf "\nanswers and counters identical to the trie at every domain count\n";
 
   (* ---- (b') auto vs the best fixed kernel on the same exec workload ---- *)
   let exec_with kernel =
-    let r = Exec.run ~collect_pairs:true ?kernel ctx q in
-    if sorted_pairs r.Exec.pairs <> !ref_pairs
-       || Exec.total_counted r <> !ref_counted
+    let r = Exec.run ~collect_pairs:true ~kernel ctx q in
+    if sorted_pairs r.Exec.pairs <> ref_pairs || Exec.total_counted r <> ref_counted
     then begin
       Printf.printf "FAIL: Exec.run with kernel %s diverged from the trie answer\n"
-        (match kernel with
-        | Some k -> Counting.kernel_name k
-        | None -> "none");
+        (Counting.kernel_name kernel);
       exit 1
     end
   in
-  let time_kernel k = time_best ~repeats:2 (fun () -> exec_with (Some k)) in
+  let time_kernel k = time_best ~repeats:2 (fun () -> exec_with k) in
   let fixed =
     List.map
       (fun k -> (Counting.kernel_name k, time_kernel k))

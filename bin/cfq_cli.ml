@@ -182,12 +182,8 @@ let run_cmd verbose tx items types seed strategy (config : Service.config) n_pai
         else config.mine_domains
       in
       let par = Cfq_mining.Counting.par mine_domains in
-      let kernel =
-        if config.kernel = Cfq_mining.Counting.Trie then None else Some config.kernel
-      in
       let r =
-        Exec.run ~strategy ~collect_pairs:collect ~par ?kernel
-          ~calibrate:config.calibrate ctx q
+        Exec.run ~strategy ~collect_pairs:collect ~par ~kernel:config.kernel ctx q
       in
       print_endline (Explain.result_to_string r);
       if n_pairs > 0 then begin
@@ -757,7 +753,7 @@ let run_t =
     term_result
       (const run_cmd $ verbose_arg $ tx_arg $ items_arg $ types_arg $ seed_arg
      $ strategy_arg
-     $ knobs_term ~only:[ "mine-domains"; "kernel"; "calibrate" ] ()
+     $ knobs_term ~only:[ "mine-domains"; "kernel" ] ()
      $ pairs_arg $ data_arg $ iteminfo_arg $ pairs_out_arg $ query_arg))
 
 let explain_t = Term.(term_result (const explain_cmd $ query_arg))

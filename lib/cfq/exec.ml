@@ -63,13 +63,13 @@ let validate_side info counters constraints frequent =
 (* ------------------------------------------------------------------ *)
 (* Apriori+ *)
 
-let run_apriori_plus ?par ?session ctx (q : Query.t) io =
+let run_apriori_plus ?par ~session ctx (q : Query.t) io =
   let minsup_s = Tx_db.absolute_support ctx.db q.Query.s_minsup in
   let minsup_t = Tx_db.absolute_support ctx.db q.Query.t_minsup in
   if ctx.s_info == ctx.t_info then begin
     (* one domain: mine once at the laxer threshold, split by side *)
     let outcome =
-      Apriori.mine ctx.db ctx.s_info io ?max_level:q.Query.max_level ?par ?session
+      Apriori.mine ctx.db ctx.s_info io ?max_level:q.Query.max_level ?par ~session
         ~minsup:(min minsup_s minsup_t) ()
     in
     let side minsup =
@@ -83,7 +83,7 @@ let run_apriori_plus ?par ?session ctx (q : Query.t) io =
   else begin
     let run info minsup =
       let outcome =
-        Apriori.mine ctx.db info io ?max_level:q.Query.max_level ?par ?session ~minsup ()
+        Apriori.mine ctx.db info io ?max_level:q.Query.max_level ?par ~session ~minsup ()
       in
       (outcome.Apriori.frequent, outcome.Apriori.counters, Level_stats.rows outcome.Apriori.stats)
     in
@@ -148,7 +148,7 @@ let filters_of_handling ctx h =
       (if h.Plan.jmax_on_s then [ on_s () ] else [])
       @ (if h.Plan.jmax_on_t then [ on_t () ] else [])
 
-let run_lattices ?(notes = ref []) ?par ?session ctx (q : Query.t) (plan : Plan.t) io =
+let run_lattices ?(notes = ref []) ?par ~session ctx (q : Query.t) (plan : Plan.t) io =
   let minsup_s = Tx_db.absolute_support ctx.db q.Query.s_minsup in
   let minsup_t = Tx_db.absolute_support ctx.db q.Query.t_minsup in
   (* when the two variables point at one and the same lattice computation
@@ -165,7 +165,7 @@ let run_lattices ?(notes = ref []) ?par ?session ctx (q : Query.t) (plan : Plan.
     let state =
       Cap.create ctx.db ctx.s_info ?max_level:q.Query.max_level ~minsup:minsup_s bundle
     in
-    let freq = Cap.run ?par ?session state io in
+    let freq = Cap.run ?par ~session state io in
     let rows = Level_stats.rows (Cap.stats state) in
     ( (freq, Cap.counters state, rows),
       (freq, Counters.create (), rows) )
@@ -233,7 +233,7 @@ let run_lattices ?(notes = ref []) ?par ?session ctx (q : Query.t) (plan : Plan.
       s_filters
   in
   let s_freq, t_freq =
-    Dovetail.run ?par ?session io ~s:s_state ~t:t_state ~after_l1 ~on_s_level
+    Dovetail.run ?par ~session io ~s:s_state ~t:t_state ~after_l1 ~on_s_level
       ~on_t_level ()
   in
   ( (s_freq, Cap.counters s_state, Level_stats.rows (Cap.stats s_state)),
@@ -245,7 +245,7 @@ let run_lattices ?(notes = ref []) ?par ?session ctx (q : Query.t) (plan : Plan.
    the whole T lattice, then prune S against exact bounds (the "global
    maximum M" strategy).  More scans, tighter pruning. *)
 
-let run_sequential ?par ?session ctx (q : Query.t) (plan : Plan.t) io =
+let run_sequential ?par ~session ctx (q : Query.t) (plan : Plan.t) io =
   let minsup_s = Tx_db.absolute_support ctx.db q.Query.s_minsup in
   let minsup_t = Tx_db.absolute_support ctx.db q.Query.t_minsup in
   let s_bundle = Bundle.compile ~nonneg:ctx.nonneg ctx.s_info q.Query.s_constraints in
@@ -261,12 +261,11 @@ let run_sequential ?par ?session ctx (q : Query.t) (plan : Plan.t) io =
     | None -> ()
     | Some cands ->
         let counts =
-          Counting.count_level ?par ?session ctx.db io (Cap.counters state) cands
+          Counting.count_level ?par ~session ctx.db io (Cap.counters state) cands
         in
-        let kernel =
-          match session with Some s -> Counting.last_kernel s | None -> "trie"
+        let (_ : Frequent.entry array) =
+          Cap.absorb ~kernel:(Counting.last_kernel session) state counts
         in
-        let (_ : Frequent.entry array) = Cap.absorb ~kernel state counts in
         ()
   in
   (* both level-1 sets first, so the full reduction is available to the T
@@ -286,7 +285,7 @@ let run_sequential ?par ?session ctx (q : Query.t) (plan : Plan.t) io =
   List.iter
     (fun red -> Cap.add_constraints ~nonneg:ctx.nonneg t_state red.Reduce.t_conds)
     reductions;
-  let t_freq = Cap.run ?par ?session t_state io in
+  let t_freq = Cap.run ?par ~session t_state io in
   begin
     List.iter
       (fun red -> Cap.add_constraints ~nonneg:ctx.nonneg s_state red.Reduce.s_conds)
@@ -319,7 +318,7 @@ let run_sequential ?par ?session ctx (q : Query.t) (plan : Plan.t) io =
     if exact_filters <> [] then
       Cap.set_extra_filter s_state (fun set -> List.for_all (fun f -> f set) exact_filters)
   end;
-  let s_freq = Cap.run ?par ?session s_state io in
+  let s_freq = Cap.run ?par ~session s_state io in
   ( (s_freq, Cap.counters s_state, Level_stats.rows (Cap.stats s_state)),
     (t_freq, Cap.counters t_state, Level_stats.rows (Cap.stats t_state)) )
 
@@ -373,8 +372,8 @@ let resolve_par par =
       ( Some { p with Counting.pool = Some pool },
         fun () -> Cfq_exec_pool.Pool.shutdown pool )
 
-let run ?(strategy = Plan.Optimized) ?(collect_pairs = false) ?par ?kernel
-    ?calibration ?(calibrate = true) ctx (q : Query.t) =
+let run ?(strategy = Plan.Optimized) ?(collect_pairs = false) ?par
+    ?(kernel = Counting.Direct2) ctx (q : Query.t) =
   (* normalise the constraint conjunction first; provably empty queries never
      touch the database *)
   let rw = Rewrite.simplify q in
@@ -392,40 +391,24 @@ let run ?(strategy = Plan.Optimized) ?(collect_pairs = false) ?par ?kernel
   let par, cleanup_pool = resolve_par par in
   (* one adaptive-kernel session per run: projections and bitmaps built for
      one pass serve the later passes of the same run and nothing else *)
-  let session =
-    Option.map
-      (fun k ->
-        let plan = { (Counting.plan_of_kernel k) with Counting.calibrate } in
-        Counting.create_session ~plan ?calibration ())
-      kernel
-  in
+  let session = Counting.create_session ~plan:(Counting.plan_of_kernel kernel) () in
   let (s_freq, s_counters, s_levels), (t_freq, t_counters, t_levels) =
     Fun.protect ~finally:cleanup_pool (fun () ->
         match strategy with
-        | Plan.Apriori_plus -> run_apriori_plus ?par ?session ctx q io
+        | Plan.Apriori_plus -> run_apriori_plus ?par ~session ctx q io
         | Plan.Cap_one_var | Plan.Optimized ->
-            run_lattices ~notes ?par ?session ctx q plan io
-        | Plan.Sequential_t_first -> run_sequential ?par ?session ctx q plan io
+            run_lattices ~notes ?par ~session ctx q plan io
+        | Plan.Sequential_t_first -> run_sequential ?par ~session ctx q plan io
         | Plan.Full_materialize ->
             (* FM counts exactly one explicit candidate batch; the trie pass
                is already the direct representation there *)
-            (match kernel with
-            | Some k when k <> Counting.Trie ->
-                notes :=
-                  Printf.sprintf "kernel %s ignored by full-materialize"
-                    (Counting.kernel_name k)
-                  :: !notes
-            | _ -> ());
             run_full_mat ctx q io)
   in
-  (match session with
-  | Some s ->
-      notes :=
-        Printf.sprintf "counting kernels (%s): %s"
-          (Counting.kernel_name (Counting.session_plan s).Counting.kernel)
-          (Counting.describe s)
-        :: !notes
-  | None -> ());
+  if strategy <> Plan.Full_materialize then
+    notes :=
+      Printf.sprintf "counting kernels (%s): %s" (Counting.kernel_name kernel)
+        (Counting.describe session)
+      :: !notes;
   let t1 = Sys.time () in
   let valid_s = validate_side ctx.s_info s_counters q.Query.s_constraints s_freq in
   let valid_t = validate_side ctx.t_info t_counters q.Query.t_constraints t_freq in
@@ -458,9 +441,8 @@ let run ?(strategy = Plan.Optimized) ?(collect_pairs = false) ?par ?kernel
   }
   end
 
-let run_result ?strategy ?collect_pairs ?par ?kernel ?calibration ?calibrate ctx
-    q =
-  match run ?strategy ?collect_pairs ?par ?kernel ?calibration ?calibrate ctx q with
+let run_result ?strategy ?collect_pairs ?par ?kernel ctx q =
+  match run ?strategy ?collect_pairs ?par ?kernel ctx q with
   | r -> Ok r
   | exception Cfq_error.Error e -> Error e
   | exception Stack_overflow -> Error (Cfq_error.Query_crash "stack overflow")

@@ -70,27 +70,19 @@ val total_counted : result -> int
     the sequential execution for every [domains] value.
 
     [kernel] selects the support-counting kernel (see {!Counting.kernel});
-    omitted means the legacy trie path, [Auto] the adaptive cost model.
+    the default [Direct2] counts level 2 with direct arrays and charges
+    exactly the trie's scans, so the paper's scan-per-level I/O profile
+    holds; [Trie] is the reference path and [Auto] the adaptive cost model.
     Answers, frequent collections, and ccc counters are byte-identical for
     every kernel; only the documented logical page charges differ (the
-    chosen kernels per pass appear in [levels] and a summary note).  When
-    faults are installed every pass is pinned to the trie.  The default
-    stays the trie path because its scan-per-level I/O profile is the
-    paper's cost model.
-
-    [calibration] shares a measured per-kernel cost record across runs (a
-    service passes its own so early queries calibrate the planner for
-    later ones); absent, the run's session starts from the committed
-    machine-profile priors.  [calibrate] (default true) lets the run feed
-    its measured pass timings back into that record; with [false] the
-    record never moves and the Auto planner's decisions are reproducible. *)
+    chosen kernels per pass appear in [levels] and a summary note, which
+    [Full_materialize] does not emit: it counts one explicit batch with the
+    trie).  When faults are installed every pass is pinned to the trie. *)
 val run :
   ?strategy:Plan.strategy ->
   ?collect_pairs:bool ->
   ?par:Counting.par ->
   ?kernel:Counting.kernel ->
-  ?calibration:Counting.calibration ->
-  ?calibrate:bool ->
   ctx ->
   Query.t ->
   result
@@ -105,8 +97,6 @@ val run_result :
   ?collect_pairs:bool ->
   ?par:Counting.par ->
   ?kernel:Counting.kernel ->
-  ?calibration:Counting.calibration ->
-  ?calibrate:bool ->
   ctx ->
   Query.t ->
   (result, Cfq_error.t) Stdlib.result

@@ -46,7 +46,6 @@ type plan = {
   projection : bool;
   vertical_min_card : int;
   direct2_max_sparsity : int;
-  calibrate : bool;
 }
 
 let default_plan =
@@ -56,69 +55,23 @@ let default_plan =
     projection = true;
     vertical_min_card = 3;
     direct2_max_sparsity = 16;
-    calibrate = true;
   }
 
 let plan_of_kernel k = { default_plan with kernel = k; projection = k = Auto }
 
 (* ------------------------------------------------------------------ *)
-(* Calibration                                                         *)
+(* Planner cutoffs                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Measured per-kernel unit costs, EMA-smoothed over the passes of a
-   session (or shared across the sessions of a service).  The defaults are
-   priors taken from the committed BENCH_counting.json of a commodity
-   x86-64 box; every observation halves their weight, so a few passes are
-   enough to re-anchor the record to the machine at hand.  Units:
-   seconds per item occurrence scanned (trie, direct2, bitmap build) and
-   seconds per candidate-word intersected (bitmap probes). *)
-type calibration = {
-  mutable samples : int;
-  mutable trie_cost : float;
-  mutable direct2_cost : float;
-  mutable build_cost : float;
-  mutable probe_cost : float;
-  mu : Mutex.t;
-}
-
-let create_calibration () =
-  {
-    samples = 0;
-    trie_cost = 6e-7;
-    direct2_cost = 5e-8;
-    build_cost = 5e-8;
-    probe_cost = 2.5e-9;
-    mu = Mutex.create ();
-  }
-
-let calibration_samples c = Mutex.protect c.mu (fun () -> c.samples)
-
-let describe_calibration c =
-  Mutex.protect c.mu (fun () ->
-      Printf.sprintf
-        "samples=%d trie=%.3gns/occ direct2=%.3gns/occ build=%.3gns/occ probe=%.3gns/cw"
-        c.samples (c.trie_cost *. 1e9) (c.direct2_cost *. 1e9)
-        (c.build_cost *. 1e9) (c.probe_cost *. 1e9))
-
-(* The defaults always serve as the prior: an observation moves the
-   coefficient halfway, never replaces it, so one noisy pass cannot wreck
-   the model.  Sub-microsecond timings are discarded as timer noise. *)
-let observe c get set ~seconds ~units =
-  if units > 0. && seconds > 1e-6 then
-    Mutex.protect c.mu (fun () ->
-        set ((0.5 *. get ()) +. (0.5 *. (seconds /. units)));
-        c.samples <- c.samples + 1)
-
-let observe_trie c = observe c (fun () -> c.trie_cost) (fun v -> c.trie_cost <- v)
-
-let observe_direct2 c =
-  observe c (fun () -> c.direct2_cost) (fun v -> c.direct2_cost <- v)
-
-let observe_build c =
-  observe c (fun () -> c.build_cost) (fun v -> c.build_cost <- v)
-
-let observe_probe c =
-  observe c (fun () -> c.probe_cost) (fun v -> c.probe_cost <- v)
+(* Per-kernel unit costs the Auto planner prices its bitmap decisions
+   with, taken from the committed BENCH_counting.json of a commodity
+   x86-64 box: seconds per item occurrence scanned (trie walk, bitmap
+   build) and seconds per candidate-word intersected (bitmap probes).
+   They are constants, so every plan is a pure function of the candidate
+   geometry and repeats exactly for a seed. *)
+let trie_cost = 6e-7
+let build_cost = 5e-8
+let probe_cost = 2.5e-9
 
 let direct2_admissible plan ~n_cands ~n_cells =
   n_cells <= plan.budget_words && n_cells <= plan.direct2_max_sparsity * max 1 n_cands
@@ -132,23 +85,25 @@ let projection_admissible plan ~est_words =
 
 let words_per_row n_rows = Tidset.words_needed ~n_items:1 ~n_rows
 
+(* Building bitmaps over [n_rows] rows holding [occ] item occurrences, then
+   probing [n_cands] candidates of cardinality [card], must cost no more
+   than the trie walk over the same rows (deeper passes then come free, so
+   beating one pass is a conservative bar). *)
+let bitmaps_beat_trie ~occ ~n_rows ~card ~n_cands =
+  let words = float_of_int (words_per_row n_rows) in
+  let inters = float_of_int (max 1 (card - 1)) in
+  (occ *. build_cost) +. (float_of_int n_cands *. inters *. words *. probe_cost)
+  <= occ *. trie_cost
+
 (* Cold-build admission: standing up bitmaps with a charged scan only pays
-   when the estimated build + probe time undercuts the trie walk it
-   replaces (deeper passes then come free, so beating one pass is a
-   conservative bar).  This is the 0.73x fix: huge candidate sets over few
-   rows make the probes alone slower than the scan. *)
-let vertical_cold_admissible plan calib ~n_live_items ~n_rows ~min_card ~avg_len
-    ~n_cands =
+   when the bitmaps beat the trie walk it replaces.  This is the 0.73x fix:
+   huge candidate sets over few rows make the probes alone slower than the
+   scan. *)
+let vertical_cold_admissible plan ~n_live_items ~n_rows ~min_card ~avg_len ~n_cands =
   vertical_admissible plan ~n_live_items ~n_rows ~min_card
-  && begin
-       let occ = float_of_int n_rows *. Float.max 1. avg_len in
-       let words = float_of_int (words_per_row n_rows) in
-       let inters = float_of_int (max 1 (min_card - 1)) in
-       let scan = occ *. calib.trie_cost in
-       let build = occ *. calib.build_cost in
-       let probe = float_of_int n_cands *. inters *. words *. calib.probe_cost in
-       build +. probe <= scan
-     end
+  && bitmaps_beat_trie
+       ~occ:(float_of_int n_rows *. Float.max 1. avg_len)
+       ~n_rows ~card:min_card ~n_cands
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
@@ -164,7 +119,6 @@ type pass_counts = {
 
 type session = {
   plan : plan;
-  calib : calibration;
   mutable bound_db : Tx_db.t option;
   mutable bitmaps : Tidset.t option;
   mutable proj : Projection.t option;
@@ -180,11 +134,9 @@ type session = {
   mutable shard_sessions : session array;
 }
 
-let create_session ?(plan = default_plan) ?calibration () =
+let create_session ?(plan = default_plan) () =
   {
     plan;
-    calib =
-      (match calibration with Some c -> c | None -> create_calibration ());
     bound_db = None;
     bitmaps = None;
     proj = None;
@@ -197,8 +149,6 @@ let create_session ?(plan = default_plan) ?calibration () =
     shard_sessions = [||];
   }
 
-let session_plan s = s.plan
-let session_calibration s = s.calib
 let last_kernels s = s.last_fams
 
 let last_kernel s =
@@ -208,27 +158,17 @@ let last_kernel s =
   | [] -> "trie"
   | ls -> String.concat "+" ls
 
-(* pass counts aggregate the session's own passes plus every shard
-   sub-session's: a distributed level runs one pass per shard, and the
-   totals make that visible rather than hiding it *)
+(* logical passes: a distributed level counts once, like the composite's
+   one charged scan, so the same mine reports the same counts on every
+   backend *)
 let pass_counts s =
-  Array.fold_left
-    (fun acc sk ->
-      {
-        trie_passes = acc.trie_passes + sk.n_trie;
-        direct2_passes = acc.direct2_passes + sk.n_direct2;
-        vertical_passes = acc.vertical_passes + sk.n_vertical;
-        projected_scans = acc.projected_scans + sk.n_projected;
-        bitmap_builds = acc.bitmap_builds + sk.n_builds;
-      })
-    {
-      trie_passes = s.n_trie;
-      direct2_passes = s.n_direct2;
-      vertical_passes = s.n_vertical;
-      projected_scans = s.n_projected;
-      bitmap_builds = s.n_builds;
-    }
-    s.shard_sessions
+  {
+    trie_passes = s.n_trie;
+    direct2_passes = s.n_direct2;
+    vertical_passes = s.n_vertical;
+    projected_scans = s.n_projected;
+    bitmap_builds = s.n_builds;
+  }
 
 let describe s =
   let c = pass_counts s in
@@ -237,7 +177,7 @@ let describe s =
     c.bitmap_builds
 
 (* ------------------------------------------------------------------ *)
-(* The legacy trie pass — also the fault-pinned and forced-trie path    *)
+(* The trie pass — the reference, fault-pinned and forced-trie path    *)
 (* ------------------------------------------------------------------ *)
 
 (* ccc support-counted is charged by [count_shared] before dispatch, so the
@@ -500,23 +440,12 @@ let adaptive s ~par db io families =
     let answer_from bm =
       s.n_vertical <- s.n_vertical + 1;
       s.last_fams <- List.map (fun _ -> "vertical") families;
-      let t0 = if s.plan.calibrate then Unix.gettimeofday () else 0. in
-      let out =
-        List.map
-          (fun cands ->
-            Tidset.supports ?pool:par.pool
-              ~domains:(eff_domains par ~work_items:(Array.length cands))
-              bm cands)
-          cands_list
-      in
-      if s.plan.calibrate then
-        observe_probe s.calib
-          ~seconds:(Unix.gettimeofday () -. t0)
-          ~units:
-            (float_of_int n_cands_total
-            *. float_of_int (max 1 (min_card - 1))
-            *. float_of_int (words_per_row (Tidset.n_rows bm)));
-      out
+      List.map
+        (fun cands ->
+          Tidset.supports ?pool:par.pool
+            ~domains:(eff_domains par ~work_items:(Array.length cands))
+            bm cands)
+        cands_list
     in
     match s.bitmaps with
     | Some bm when bitmaps_answer bm g ->
@@ -536,7 +465,7 @@ let adaptive s ~par db io families =
           | Auto ->
               (* cold build: a charged scan stands the bitmaps up, so it
                  must beat the trie walk it displaces on measured costs *)
-              vertical_cold_admissible plan s.calib ~n_live_items:n_live
+              vertical_cold_admissible plan ~n_live_items:n_live
                 ~n_rows:rows ~min_card ~avg_len ~n_cands:n_cands_total
           | Trie | Direct2 -> false
         in
@@ -544,7 +473,6 @@ let adaptive s ~par db io families =
           let valid_min_card =
             match substrate with S_db -> 1 | S_proj p -> Projection.min_len p
           in
-          let t0 = if plan.calibrate then Unix.gettimeofday () else 0. in
           let bm =
             Tidset.build ?pool:par.pool
               ~domains:(eff_domains par ~work_items:rows)
@@ -554,10 +482,6 @@ let adaptive s ~par db io families =
               | S_proj p -> Tidset.Projected p)
               live
           in
-          if plan.calibrate then
-            observe_build s.calib
-              ~seconds:(Unix.gettimeofday () -. t0)
-              ~units:(float_of_int rows *. avg_len);
           (match substrate with
           | S_proj _ -> s.n_projected <- s.n_projected + 1
           | S_db -> ());
@@ -606,19 +530,11 @@ let adaptive s ~par db io families =
               if allowed then Some (live_mask, min_card + 1) else None
             end
           in
-          let t0 = if plan.calibrate then Unix.gettimeofday () else 0. in
           let counts, new_proj =
             scan_count ~par db io substrate
               (List.combine cands_list reps)
               ~proj_spec
           in
-          (if plan.calibrate then
-             let seconds = Unix.gettimeofday () -. t0 in
-             let units = float_of_int rows *. avg_len in
-             match List.sort_uniq compare (List.map rep_label reps) with
-             | [ "trie" ] -> observe_trie s.calib ~seconds ~units
-             | [ "direct2" ] -> observe_direct2 s.calib ~seconds ~units
-             | _ -> ());
           (match new_proj with
           | Some txs ->
               (* amortized vertical switch: the projected rows are already
@@ -637,24 +553,15 @@ let adaptive s ~par db io families =
                 plan.kernel = Auto
                 && vertical_admissible plan ~n_live_items:n_live
                      ~n_rows:n_rows' ~min_card:next_card
-                && float_of_int occ' *. s.calib.build_cost
-                   +. float_of_int n_cands_total
-                      *. float_of_int (max 1 (next_card - 1))
-                      *. float_of_int (words_per_row n_rows')
-                      *. s.calib.probe_cost
-                   <= float_of_int occ' *. s.calib.trie_cost
+                && bitmaps_beat_trie ~occ:(float_of_int occ') ~n_rows:n_rows'
+                     ~card:next_card ~n_cands:n_cands_total
               in
               if fused then begin
-                let t0 = if plan.calibrate then Unix.gettimeofday () else 0. in
                 let bm =
                   Tidset.build ?pool:par.pool
                     ~domains:(eff_domains par ~work_items:n_rows')
                     ~valid_min_card:next_card io (Tidset.Rows txs) live
                 in
-                if plan.calibrate then
-                  observe_build s.calib
-                    ~seconds:(Unix.gettimeofday () -. t0)
-                    ~units:(float_of_int occ');
                 s.bitmaps <- Some bm;
                 s.proj <- None;
                 s.n_builds <- s.n_builds + 1
@@ -688,51 +595,53 @@ let adaptive s ~par db io families =
    scan per pass (same as the sequential path on the same composite); each
    shard's local I/O lands in its [Tx_db.shard_io] sink. *)
 
-let shard_session s k n =
+(* Called on the coordinator before any shard runs: allocating lazily from
+   inside the fan-out would let two domains each install their own array,
+   losing one shard's sub-session and the bitmaps it builds. *)
+let ensure_shard_sessions s n =
   if Array.length s.shard_sessions <> n then
-    s.shard_sessions <- Array.init n (fun _ -> create_session ~plan:s.plan ());
-  s.shard_sessions.(k)
+    s.shard_sessions <- Array.init n (fun _ -> create_session ~plan:s.plan ())
 
 (* Mirror of [adaptive]'s zero-I/O branch, evaluated over every shard
    sub-session: when each shard would answer the pass from materialised
    bitmaps covering the live items, no shard touches its pages and the
    composite scan charge is skipped — exactly as the unsharded session
    skips it. *)
-let all_bitmap_covered s subs families =
-  Array.length s.shard_sessions = Array.length subs
-  && begin
-       let g = geometry (List.map snd families) in
-       g.min_card >= 1
-       && Array.for_all
-            (fun sk ->
-              match sk.bitmaps with
-              | Some bm -> bitmaps_answer bm g
-              | None -> false)
-            s.shard_sessions
-     end
+let all_bitmap_covered s families =
+  let g = geometry (List.map snd families) in
+  g.min_card >= 1
+  && Array.for_all
+       (fun sk ->
+         match sk.bitmaps with Some bm -> bitmaps_answer bm g | None -> false)
+       s.shard_sessions
 
 let distributed ~par ~session db subs io families =
   let ns = Array.length subs in
   let cands_list = List.map snd families in
-  (* [backend_faulted] also sees a replica-level injector hidden behind a
-     shard's failover view, so replica faults pin the pass to the same
-     deterministic sequential order as shard or composite faults *)
-  let sub_faulted = Array.exists Tx_db.backend_faulted subs in
-  let faulted = Tx_db.backend_faulted db || sub_faulted in
+  (* an injector on the composite or on a shard pins the pass to the trie,
+     as in the unsharded path.  A replica-level injector does not: failover
+     hides it, so the pass it sees is the healthy one.  [backend_faulted]
+     does see that injector, and any of them keeps the shards in their
+     deterministic sequential order below. *)
   let pinned_trie =
-    faulted
+    Tx_db.faults db <> None
+    || Array.exists (fun sub -> Tx_db.faults sub <> None) subs
     || match session with None -> true | Some s -> s.plan.kernel = Trie
+  in
+  let faulted =
+    Tx_db.backend_faulted db || Array.exists Tx_db.backend_faulted subs
   in
   (match session with
   | Some s when pinned_trie ->
       s.n_trie <- s.n_trie + 1;
       s.last_fams <- List.map (fun _ -> "trie") families
-  | _ -> ());
+  | Some s -> ensure_shard_sessions s ns
+  | None -> ());
   let zero_io =
     (not pinned_trie)
     &&
     match session with
-    | Some s -> all_bitmap_covered s subs families
+    | Some s -> all_bitmap_covered s families
     | None -> false
   in
   (* one logical scan for the whole composite pass; with composite-level
@@ -746,7 +655,7 @@ let distributed ~par ~session db subs io families =
       if pinned_trie then trie_count ~par:sequential sub sh_io.(k) cands_list
       else
         let s = Option.get session in
-        adaptive (shard_session s k ns) ~par:sequential sub sh_io.(k) families
+        adaptive s.shard_sessions.(k) ~par:sequential sub sh_io.(k) families
     with Cfq_error.Error e ->
       (* shard-local error pages -> composite coordinates *)
       let base = Tx_db.shard_page_base db k in
@@ -760,6 +669,15 @@ let distributed ~par ~session db subs io families =
       in
       Cfq_error.raise_error e
   in
+  let shard_work () =
+    match session with
+    | Some s when not pinned_trie ->
+        Array.fold_left
+          (fun (p, b) sk -> (p + sk.n_projected, b + sk.n_builds))
+          (0, 0) s.shard_sessions
+    | _ -> (0, 0)
+  in
+  let projected0, builds0 = shard_work () in
   let per_shard = Array.make ns [] in
   if faulted || max 1 par.domains = 1 then
     (* sequential shard order: with injectors installed the first failing
@@ -777,9 +695,18 @@ let distributed ~par ~session db subs io families =
         : unit list);
   (* labels of a distributed adaptive pass: per family, the union of the
      shards' kernel choices (shards may legitimately diverge — a small
-     shard can go vertical while a big one still scans) *)
+     shard can go vertical while a big one still scans).  The pass counts
+     once per kernel any shard ran, and once if any shard scanned a
+     projection or built bitmaps. *)
   (match session with
   | Some s when not pinned_trie ->
+      let ran l = Array.exists (fun sk -> List.mem l sk.last_fams) s.shard_sessions in
+      if ran "trie" then s.n_trie <- s.n_trie + 1;
+      if ran "direct2" then s.n_direct2 <- s.n_direct2 + 1;
+      if ran "vertical" then s.n_vertical <- s.n_vertical + 1;
+      let projected1, builds1 = shard_work () in
+      if projected1 > projected0 then s.n_projected <- s.n_projected + 1;
+      if builds1 > builds0 then s.n_builds <- s.n_builds + 1;
       let label_of fi =
         let labs =
           Array.fold_left

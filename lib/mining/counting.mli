@@ -8,8 +8,9 @@
     {2 Adaptive kernels}
 
     A pass does not have to walk a trie.  With a {!session} attached, each
-    pass picks a counting kernel per family from a small cost model over
-    the candidate geometry (see doc/COUNTING.md):
+    pass runs the plan's kernel — a fixed one, or under [Auto] one picked
+    per family from a small cost model over the candidate geometry (see
+    doc/COUNTING.md):
 
     {ul
     {- {e trie} — the general flat-array trie walk, any cardinality;}
@@ -31,6 +32,8 @@
     nothing — and only in those documented ways.  When faults are
     installed on the database, every pass is pinned to the trie kernel so
     the page/fault walk of the paper's I/O model is preserved exactly.
+    [direct2] charges exactly the trie's scans, so under the default
+    [Direct2] plan every page and ccc charge is the paper's.
 
     Every pass can run multi-core via {!par}: the coordinator charges and
     validates one logical scan, then page-aligned chunks fan out to a fixed
@@ -50,11 +53,14 @@
     partition, so the totals are exact.  The caller is charged one logical
     composite scan per pass (skipped only when {e every} shard answers
     from covering bitmaps), each shard's local I/O lands in its
-    {!Tx_db.shard_io} sink, and {!pass_counts} aggregates the shard
-    sub-sessions.  With faults installed — on the composite or on any
-    shard — passes are pinned to the trie kernel and shards run in index
-    order, so the injector draw sequence is deterministic; shard-local
-    error pages are translated to composite coordinates. *)
+    {!Tx_db.shard_io} sink, and {!pass_counts} counts the distributed pass
+    once, as on an unsharded database.  With faults installed on the composite or on any shard
+    ({!Tx_db.faults}), passes are pinned to the trie kernel.  A
+    replica-level injector behind a shard's failover view does not pin
+    the kernel — failover hides it — but any backend fault
+    ({!Tx_db.backend_faulted}) makes shards run in index order, so the
+    injector draw sequence is deterministic; shard-local error pages are
+    translated to composite coordinates. *)
 
 open Cfq_itembase
 open Cfq_txdb
@@ -92,8 +98,10 @@ val sequential : par
 
 type kernel =
   | Auto  (** cost-model choice per pass, plus shrinking projections *)
-  | Trie  (** always the trie — the paper-faithful legacy path *)
-  | Direct2  (** direct level-2 arrays where applicable, trie elsewhere *)
+  | Trie  (** always the trie — the reference path, and the one faults pin *)
+  | Direct2
+      (** direct level-2 arrays where applicable, trie elsewhere; the
+          default of [Exec.run] and the service *)
   | Vertical  (** switch to tid bitmaps at the first opportunity *)
 
 val kernel_name : kernel -> string
@@ -113,14 +121,10 @@ type plan = {
           at least this cardinality (default 3) *)
   direct2_max_sparsity : int;
       (** admit direct2 only when cells <= sparsity * candidates *)
-  calibrate : bool;
-      (** feed measured pass timings back into the session's
-          {!calibration} record; off, the record keeps its machine-profile
-          priors and every planning decision is deterministic *)
 }
 
 (** [Auto], 4M words, projections on, switchover at cardinality 3,
-    sparsity 16, calibration on. *)
+    sparsity 16. *)
 val default_plan : plan
 
 (** [plan_of_kernel k] is {!default_plan} pinned to [k]; fixed kernels get
@@ -128,42 +132,23 @@ val default_plan : plan
     ([Auto] keeps projections on). *)
 val plan_of_kernel : kernel -> plan
 
-(** {2 Calibration}
+(** {2 Planner cutoffs}
 
-    Measured per-kernel unit costs — seconds per item occurrence scanned
-    (trie, direct2, bitmap build) and seconds per candidate-word
-    intersected (probes) — EMA-smoothed over a session's passes, with the
-    committed bench machine profile as the prior.  The Auto planner's
-    admission cutoffs read the record; with [plan.calibrate = false] it
-    never moves, so plans are reproducible.  A record may be shared across
-    the sessions of a service (updates are mutex-guarded); shard
-    sub-sessions always keep private records, since shards fan out in
-    parallel. *)
-
-type calibration
-
-val create_calibration : unit -> calibration
-
-(** Observations folded in so far (0 = priors only). *)
-val calibration_samples : calibration -> int
-
-(** One-line [samples=... trie=...ns/occ ...] summary for notes. *)
-val describe_calibration : calibration -> string
-
-(** Pure planner predicates (unit-tested cutoffs). *)
+    Pure predicates, unit-tested.  The cost-priced ones read fixed
+    per-kernel unit costs from the committed bench machine profile, so
+    every plan repeats exactly for the same input. *)
 
 val direct2_admissible : plan -> n_cands:int -> n_cells:int -> bool
 val vertical_admissible : plan -> n_live_items:int -> n_rows:int -> min_card:int -> bool
 val projection_admissible : plan -> est_words:int -> bool
 
 (** [vertical_cold_admissible] gates the {e charged} bitmap build: on top
-    of {!vertical_admissible}, the estimated build-plus-probe time (from
-    the calibration record) must not exceed the trie walk it displaces —
-    the guard against standing bitmaps up when huge candidate sets over
-    few rows make the probes alone slower than the scan. *)
+    of {!vertical_admissible}, the estimated build-plus-probe time must not
+    exceed the trie walk it displaces — the guard against standing bitmaps
+    up when huge candidate sets over few rows make the probes alone slower
+    than the scan. *)
 val vertical_cold_admissible :
   plan ->
-  calibration ->
   n_live_items:int ->
   n_rows:int ->
   min_card:int ->
@@ -177,13 +162,8 @@ val vertical_cold_admissible :
     run. *)
 type session
 
-(** [create_session ?plan ?calibration ()] — [calibration] lets a service
-    share one measured-cost record across many sessions; absent, the
-    session gets a fresh record seeded with the priors. *)
-val create_session : ?plan:plan -> ?calibration:calibration -> unit -> session
+val create_session : ?plan:plan -> unit -> session
 
-val session_plan : session -> plan
-val session_calibration : session -> calibration
 
 (** Kernel labels of the families of the most recent pass (aligned with
     the [families] argument), e.g. ["direct2"; "trie"]. *)
@@ -200,6 +180,10 @@ type pass_counts = {
   bitmap_builds : int;
 }
 
+(** Logical passes: a pass over a sharded composite counts once per
+    kernel any shard ran (and once if any shard scanned a projection or
+    built bitmaps), so the same mine under a fixed kernel reports the
+    same counts on every backend. *)
 val pass_counts : session -> pass_counts
 
 (** One-line summary of {!pass_counts} for notes and reports. *)

@@ -39,7 +39,6 @@ type snapshot = {
   kernel_vertical_passes : int;
   kernel_projected_scans : int;
   kernel_bitmap_builds : int;
-  calibration_samples : int;
   live_epoch : int;
   seals : int;
   sides_promoted : int;
@@ -92,7 +91,6 @@ type t = {
   mutable kernel_vertical_passes : int;
   mutable kernel_projected_scans : int;
   mutable kernel_bitmap_builds : int;
-  mutable calibration_samples : int;
   mutable live_epoch : int;
   mutable seals : int;
   mutable sides_promoted : int;
@@ -139,7 +137,6 @@ let create () =
     kernel_vertical_passes = 0;
     kernel_projected_scans = 0;
     kernel_bitmap_builds = 0;
-    calibration_samples = 0;
     live_epoch = 0;
     seals = 0;
     sides_promoted = 0;
@@ -185,7 +182,6 @@ let reset t =
   t.kernel_vertical_passes <- 0;
   t.kernel_projected_scans <- 0;
   t.kernel_bitmap_builds <- 0;
-  t.calibration_samples <- 0;
   t.live_epoch <- 0;
   t.seals <- 0;
   t.sides_promoted <- 0;
@@ -237,10 +233,6 @@ let record_kernel_passes t ~trie ~direct2 ~vertical ~projected_scans ~bitmap_bui
   t.kernel_vertical_passes <- t.kernel_vertical_passes + vertical;
   t.kernel_projected_scans <- t.kernel_projected_scans + projected_scans;
   t.kernel_bitmap_builds <- t.kernel_bitmap_builds + bitmap_builds
-
-(* a gauge, not a counter: the caller reports the shared record's current
-   observation count *)
-let observe_calibration_samples t samples = t.calibration_samples <- samples
 
 (* one seal's maintenance pass: the epoch is a gauge, everything else
    accumulates so the warm-across-seals cost stays visible in aggregate *)
@@ -303,7 +295,6 @@ let snapshot t ?(shards = []) ?(failovers = 0) ~answer_entries ~answer_bytes
     kernel_vertical_passes = t.kernel_vertical_passes;
     kernel_projected_scans = t.kernel_projected_scans;
     kernel_bitmap_builds = t.kernel_bitmap_builds;
-    calibration_samples = t.calibration_samples;
     live_epoch = t.live_epoch;
     seals = t.seals;
     sides_promoted = t.sides_promoted;
@@ -362,7 +353,6 @@ let table (s : snapshot) =
   int "kernel passes: vertical" s.kernel_vertical_passes;
   int "kernel projected scans" s.kernel_projected_scans;
   int "kernel bitmap builds" s.kernel_bitmap_builds;
-  int "calibration samples" s.calibration_samples;
   int "live epoch" s.live_epoch;
   int "seals maintained" s.seals;
   int "live: sides promoted" s.sides_promoted;

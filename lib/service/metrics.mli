@@ -51,8 +51,6 @@ type snapshot = {
   kernel_vertical_passes : int;
   kernel_projected_scans : int;  (** passes answered from a projection *)
   kernel_bitmap_builds : int;
-  calibration_samples : int;
-      (** observations in the service's shared calibration record *)
   live_epoch : int;  (** current epoch (0 = never sealed); a gauge *)
   seals : int;  (** seals whose maintenance this service ran *)
   sides_promoted : int;  (** side collections promoted across a seal *)
@@ -113,10 +111,6 @@ val record_inline_run : t -> unit
     transients).  [Deadline]/[Overload] are counted by their own
     dedicated counters, not here. *)
 val record_fault : t -> Cfq_txdb.Cfq_error.t -> unit
-
-(** Set the calibration-samples gauge to the shared record's current
-    observation count. *)
-val observe_calibration_samples : t -> int -> unit
 
 (** One seal happened: bump the seal count and set the epoch gauge. *)
 val record_seal : t -> epoch:int -> unit

@@ -22,7 +22,6 @@ type config = {
   degrade : bool;
   jitter_seed : int64;
   kernel : Counting.kernel;
-  calibrate : bool;
   condense : bool;
 }
 
@@ -39,8 +38,7 @@ let default_config =
     breaker_cooldown = 8;
     degrade = true;
     jitter_seed = 0x0DDB1A5EL;
-    kernel = Counting.Trie;
-    calibrate = true;
+    kernel = Counting.Direct2;
     condense = true;
   }
 
@@ -122,10 +120,11 @@ let knobs =
     {
       name = "kernel";
       doc =
-        "Support-counting kernel: trie (the scan-per-level path), direct2 \
-         (direct level-2 count arrays), vertical (tid-bitmap switchover) or \
-         auto (adaptive cost model with shrinking projections).  Answers are \
-         identical for every kernel.";
+        "Support-counting kernel: trie (the reference scan-per-level path), \
+         direct2 (the default: direct level-2 count arrays, the trie's page \
+         charges), vertical (tid-bitmap switchover) or auto (adaptive cost \
+         model with shrinking projections).  Answers are identical for every \
+         kernel.";
       print = (fun c -> Counting.kernel_name c.kernel);
       parse =
         (fun v c ->
@@ -136,12 +135,6 @@ let knobs =
                 ("one of " ^ String.concat ", " (List.map fst Counting.all_kernels))
                 v);
     };
-    bool_knob "calibrate"
-      ~doc:
-        "Feed measured pass timings into the Auto planner's cost model; off \
-         keeps its fixed priors.  Only affects kernel choice, never answers."
-      (fun c -> c.calibrate)
-      (fun c calibrate -> { c with calibrate });
     bool_knob "condense"
       ~doc:
         "Store cached side collections closed-set condensed and cached \
@@ -265,10 +258,6 @@ type t = {
   mine_par : Counting.par;
       (* intra-query counting parallelism: helpers are borrowed from [pool],
          never spawned, so the service as a whole never oversubscribes *)
-  calibration : Counting.calibration;
-      (* one measured-cost record for the whole service: the first cold
-         mines calibrate the Auto planner for every later query (updates
-         are mutex-guarded inside the record) *)
   lock : Mutex.t;
   answers : cached_answer Lru.t;
       (* the epoch and (simplified) query are kept alongside each answer so
@@ -300,7 +289,6 @@ let create ?(config = default_config) ctx =
     service_config = config;
     pool;
     mine_par = Counting.par ~pool mine_domains;
-    calibration = Counting.create_calibration ();
     lock = Mutex.create ();
     answers = Lru.create ~budget:(budget / 4);
     sides = Lru.create ~budget:(budget - (budget / 4));
@@ -608,37 +596,26 @@ let filter_valid spec freq checks =
 
 (* drive the CAP state machine one level at a time so the deadline is
    honoured between scans *)
-let mine_side ~deadline ~par ~kernel ~calibrate ~calibration (ctx : Exec.ctx)
-    spec io =
+let mine_side ~deadline ~par ~kernel (ctx : Exec.ctx) spec io =
   let bundle = Bundle.compile ~nonneg:ctx.Exec.nonneg spec.sp_info spec.sp_constraints in
   let state =
     Cap.create ctx.Exec.db spec.sp_info ?max_level:spec.sp_max_level
       ~minsup:spec.sp_minsup bundle
   in
-  (* one adaptive session per cold mine: its projection and bitmaps live
-     exactly as long as this side's levelwise run — but the calibration
-     record is the service's, so measured throughput carries across
-     queries *)
-  let session =
-    if kernel = Counting.Trie then None
-    else
-      let plan =
-        { (Counting.plan_of_kernel kernel) with Counting.calibrate }
-      in
-      Some (Counting.create_session ~plan ~calibration ())
-  in
+  (* one session per cold mine: its projection and bitmaps live exactly as
+     long as this side's levelwise run *)
+  let session = Counting.create_session ~plan:(Counting.plan_of_kernel kernel) () in
   let rec loop () =
     check_deadline deadline;
     match Cap.next_candidates state with
     | None -> ()
     | Some cands ->
         let counts =
-          Counting.count_level ~par ?session ctx.Exec.db io (Cap.counters state) cands
+          Counting.count_level ~par ~session ctx.Exec.db io (Cap.counters state) cands
         in
-        let pass_kernel =
-          match session with Some s -> Counting.last_kernel s | None -> "trie"
+        let (_ : Frequent.entry array) =
+          Cap.absorb ~kernel:(Counting.last_kernel session) state counts
         in
-        let (_ : Frequent.entry array) = Cap.absorb ~kernel:pass_kernel state counts in
         loop ()
   in
   loop ();
@@ -650,23 +627,17 @@ let resolve_side t ~deadline ~ctx ~epoch spec io counters checks =
   | Some entry -> (filter_valid spec (side_frequent t entry) checks, true)
   | None ->
       let freq, side_counters, session =
-        mine_side ~deadline ~par:t.mine_par ~kernel:t.service_config.kernel
-          ~calibrate:t.service_config.calibrate ~calibration:t.calibration ctx
+        mine_side ~deadline ~par:t.mine_par ~kernel:t.service_config.kernel ctx
           spec io
       in
       Counters.merge counters side_counters;
-      (match session with
-      | Some s ->
-          let pc = Counting.pass_counts s in
-          locked t (fun () ->
-              Metrics.record_kernel_passes t.service_metrics
-                ~trie:pc.Counting.trie_passes ~direct2:pc.Counting.direct2_passes
-                ~vertical:pc.Counting.vertical_passes
-                ~projected_scans:pc.Counting.projected_scans
-                ~bitmap_builds:pc.Counting.bitmap_builds;
-              Metrics.observe_calibration_samples t.service_metrics
-                (Counting.calibration_samples t.calibration))
-      | None -> ());
+      let pc = Counting.pass_counts session in
+      locked t (fun () ->
+          Metrics.record_kernel_passes t.service_metrics
+            ~trie:pc.Counting.trie_passes ~direct2:pc.Counting.direct2_passes
+            ~vertical:pc.Counting.vertical_passes
+            ~projected_scans:pc.Counting.projected_scans
+            ~bitmap_builds:pc.Counting.bitmap_builds);
       let cond = condense_frequent t freq in
       let entry =
         {

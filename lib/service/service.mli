@@ -78,16 +78,10 @@ type config = {
   degrade : bool;  (** serve failed queries from entailed cached answers *)
   jitter_seed : int64;  (** seed of the deterministic backoff jitter *)
   kernel : Cfq_mining.Counting.kernel;
-      (** support-counting kernel for cold side mining (default [Trie], the
-          paper-faithful scan-per-level path; see
+      (** support-counting kernel for cold side mining (default
+          [Direct2], which charges the trie's scan-per-level I/O; see
           {!Cfq_mining.Counting.kernel}).  Answers are identical for every
           kernel; the per-kernel pass counts appear in {!Metrics}. *)
-  calibrate : bool;
-      (** feed measured pass timings into the service's shared
-          {!Cfq_mining.Counting.calibration} record, so the first cold
-          mines tune the Auto planner for every later query (default
-          [true]; irrelevant for the [Trie] kernel, which runs without a
-          session) *)
   condense : bool;
       (** store cached side collections closed-set condensed
           ({!Cfq_mining.Condensed}) and cached answers index-packed,
@@ -101,7 +95,7 @@ type config = {
 
 (** 2 domains (mining inherits them), queue 1024, 64 MiB budget, no
     deadline; 2 retries from a 2 ms base, breaker at 5 failures with an
-    8-admission cooldown, degradation on, calibration on, condensation
+    8-admission cooldown, degradation on, direct2 counting, condensation
     on. *)
 val default_config : config
 
@@ -116,7 +110,7 @@ type knob = {
 }
 
 (** domains, mine-domains, cache-mb, deadline, retries, breaker-threshold,
-    kernel, calibrate and condense, in that order. *)
+    kernel and condense, in that order. *)
 val knobs : knob list
 
 type served_from =

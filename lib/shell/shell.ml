@@ -10,7 +10,7 @@ type t = {
   mutable strategy : Plan.strategy;
   mutable min_conf : float;
   mutable config : Service.config;
-      (* the service knobs; [run] reads mine-domains, kernel, calibrate *)
+      (* the service knobs; [run] reads mine-domains and kernel *)
   mutable last : Exec.result option;
   mutable last_rules : Cfq_rules.Rule.t list;
   mutable service : Service.t option;
@@ -39,10 +39,6 @@ let create ?ctx () =
   }
 
 let par_of t = Cfq_mining.Counting.par (max 1 t.config.mine_domains)
-
-(* the trie default stays the plain legacy path (no session, no note) *)
-let kernel_of t =
-  if t.config.kernel = Cfq_mining.Counting.Trie then None else Some t.config.kernel
 
 (* the serving layer is bound to one database: (re)create it lazily and
    retire it when the session attaches a different context *)
@@ -324,7 +320,7 @@ let do_live t =
 let do_run t ctx q =
   match
     Exec.run_result ~strategy:t.strategy ~collect_pairs:true ~par:(par_of t)
-      ?kernel:(kernel_of t) ~calibrate:t.config.calibrate ctx q
+      ~kernel:t.config.kernel ctx q
   with
   | Ok r ->
       t.last <- Some r;

@@ -187,8 +187,7 @@ let exec_run_parallel_equals_sequential () =
 (* Fused grid: every kernel x every domain count mines identically      *)
 (* ------------------------------------------------------------------ *)
 
-(* The tentpole contract in one property: for each kernel (with a frozen
-   calibration record, so Auto's plans are reproducible), the full mine is
+(* The tentpole contract in one property: for each kernel, the full mine is
    bit-identical — frequent sets, supports, ccc, logical scans AND page
    charges — at every domain count.  Page charges may differ between
    kernels (documented), never between domain counts of the same kernel. *)
@@ -201,17 +200,15 @@ let gen_grid =
 let print_grid (n, db, minsup) =
   Printf.sprintf "minsup=%d %s" minsup (Helpers.print_db (n, db))
 
-let frozen_session kernel =
-  Counting.create_session
-    ~plan:{ (Counting.plan_of_kernel kernel) with Counting.calibrate = false }
-    ()
+let session_of kernel =
+  Counting.create_session ~plan:(Counting.plan_of_kernel kernel) ()
 
 let mine_fingerprint ~kernel ~domains db n ~minsup =
   let info = Helpers.small_info n in
   let io = Io_stats.create () in
   let par = Counting.par ~min_rows_per_domain:1 domains in
   let out =
-    Apriori.mine db info io ~par ~session:(frozen_session kernel) ~minsup ()
+    Apriori.mine db info io ~par ~session:(session_of kernel) ~minsup ()
   in
   ( List.map
       (fun e -> (Itemset.to_string e.Frequent.set, e.Frequent.support))
@@ -229,6 +226,36 @@ let prop_fused_kernel_domain_grid (n, db, minsup) =
         (fun domains -> mine_fingerprint ~kernel ~domains db n ~minsup = base)
         domain_grid)
     Counting.all_kernels
+
+(* Shard sub-sessions are allocated on the coordinator before the shards
+   fan out.  Allocated lazily from inside the fan-out, two domains could
+   each install their own array and lose one shard's sub-session with the
+   bitmaps it built; the next pass then charged a second scan.  A Vertical
+   mine over a 3-shard composite stands its bitmaps up in the first pass
+   and answers every later pass from them, so its charges must not depend
+   on the width — checked over many runs, since the race was timing-bound. *)
+let sharded_vertical_charges_are_width_independent () =
+  let n = 6 in
+  let sets =
+    Array.init 90 (fun i ->
+        Itemset.of_list (List.init (2 + (i mod 4)) (fun j -> (i + j) mod n)))
+  in
+  let db = Cfq_shard.Sharded.mem_db ~page_model:tiny_pages ~shards:3 sets in
+  let info = Helpers.small_info n in
+  let charges domains =
+    let io = Io_stats.create () in
+    let par = Counting.par ~min_rows_per_domain:1 domains in
+    let _ =
+      Apriori.mine db info io ~par ~session:(session_of Counting.Vertical)
+        ~minsup:3 ()
+    in
+    (Io_stats.scans io, Io_stats.pages_read io)
+  in
+  let base = charges 1 in
+  Alcotest.(check int) "one charged scan builds every shard's bitmaps" 1 (fst base);
+  for _ = 1 to 40 do
+    Alcotest.(check (pair int int)) "scans and pages at 2 domains" base (charges 2)
+  done
 
 (* The default work floor only narrows the fan-out; it never changes the
    result.  On a tiny database [par 4] runs effectively sequential while
@@ -299,6 +326,8 @@ let suite =
     unit "scan chunks are page-aligned and cover the scan" chunks_cover_the_scan;
     Helpers.qtest ~count:30 "fused grid: every kernel x domain count mines identically"
       gen_grid print_grid prop_fused_kernel_domain_grid;
+    unit "sharded vertical mine charges the same at every width"
+      sharded_vertical_charges_are_width_independent;
     unit "Exec.run parallel equals sequential" exec_run_parallel_equals_sequential;
     unit "default work floor is result-identical" default_work_floor_is_result_identical;
     unit "borrowing from a shut-down pool degrades gracefully"

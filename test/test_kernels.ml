@@ -3,7 +3,7 @@
    counters and answers for every domain count and backend — the contract
    of Counting's kernel dispatch.  With faults installed the session is
    pinned to the trie, so even the fault walk (outcomes included) is
-   identical to the legacy path.  Run with CFQ_TEST_STORE=1 the same grid
+   identical to the trie path.  Run with CFQ_TEST_STORE=1 the same grid
    exercises the on-disk backend. *)
 
 open Cfq_itembase
@@ -101,7 +101,7 @@ let pairs_equal a b =
 let prop_exec_kernel_grid (q, (n, db)) =
   let info = Helpers.small_info n in
   let ctx = Exec.context db info in
-  let base = Exec.run ~collect_pairs:true ctx q in
+  let base = Exec.run ~collect_pairs:true ~kernel:Counting.Trie ctx q in
   let base_answer = answer_of base in
   List.for_all
     (fun (_, kernel) ->
@@ -136,16 +136,16 @@ let prop_faults_pin_to_trie (q, (n, db)) =
   let run kernel =
     let f = Fault.create config in
     Tx_db.set_faults db (Some f);
-    let r = Exec.run_result ~collect_pairs:true ?kernel ctx q in
+    let r = Exec.run_result ~collect_pairs:true ~kernel ctx q in
     Tx_db.set_faults db None;
     ( outcome_of r,
       (match r with Ok ok -> answer_of ok | Error _ -> []),
       (Fault.stats f).Fault.transient )
   in
-  let base_out, base_ans, base_faults = run None in
+  let base_out, base_ans, base_faults = run Counting.Trie in
   List.for_all
     (fun (_, kernel) ->
-      let out, ans, faults = run (Some kernel) in
+      let out, ans, faults = run kernel in
       out = base_out && pairs_equal ans base_ans && faults = base_faults)
     kernels
 
@@ -193,22 +193,16 @@ let dense_db () =
          else if i mod 3 = 1 then [ 0; 1; 2; 3 ]
          else [ 1; 2; 3; 4; 5 ]))
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  go 0
-
 (* Cold-build admission (the 0.73x fix): the charged bitmap build must
-   beat the trie walk it displaces on the calibrated cost model.  The
+   beat the trie walk it displaces on the modelled unit costs.  The
    reject case is shaped like the committed bench workload — a huge
    level-2 candidate set over a few thousand rows, where the probes alone
    are slower than the scan — and passes the plain [vertical_admissible]
    cutoffs, so the rejection is the cold-cost model's alone. *)
 let test_vertical_cold_cutoff () =
-  let calib = Counting.create_calibration () in
   Alcotest.(check bool)
     "few candidates over a small db admit" true
-    (Counting.vertical_cold_admissible plan calib ~n_live_items:6 ~n_rows:24
+    (Counting.vertical_cold_admissible plan ~n_live_items:6 ~n_rows:24
        ~min_card:3 ~avg_len:4.5 ~n_cands:20);
   Alcotest.(check bool)
     "bench-shaped workload passes the budget cutoffs" true
@@ -216,34 +210,12 @@ let test_vertical_cold_cutoff () =
        ~min_card:3);
   Alcotest.(check bool)
     "but the cold-cost model rejects it" false
-    (Counting.vertical_cold_admissible plan calib ~n_live_items:64
+    (Counting.vertical_cold_admissible plan ~n_live_items:64
        ~n_rows:4096 ~min_card:3 ~avg_len:8.0 ~n_cands:200_000);
   Alcotest.(check bool)
     "below the switchover card still rejected" false
-    (Counting.vertical_cold_admissible plan calib ~n_live_items:6 ~n_rows:24
+    (Counting.vertical_cold_admissible plan ~n_live_items:6 ~n_rows:24
        ~min_card:2 ~avg_len:4.5 ~n_cands:20)
-
-let test_calibration_record () =
-  let c = Counting.create_calibration () in
-  Alcotest.(check int) "fresh record holds the priors" 0
-    (Counting.calibration_samples c);
-  let described = Counting.describe_calibration c in
-  Alcotest.(check bool)
-    "describe mentions the sample count" true
-    (contains described "samples=0");
-  let s =
-    Counting.create_session
-      ~plan:{ Counting.default_plan with Counting.calibrate = false }
-      ~calibration:c ()
-  in
-  Alcotest.(check bool)
-    "session shares the given record" true
-    (Counting.session_calibration s == c);
-  (* with calibrate=false the record never moves, even across a full mine *)
-  let db = dense_db () in
-  let _ = mine_with ~session:s db 6 ~minsup:4 in
-  Alcotest.(check int) "calibrate=false leaves the record untouched" 0
-    (Counting.calibration_samples c)
 
 let test_projection_cutoffs () =
   Alcotest.(check bool)
@@ -357,15 +329,10 @@ let test_auto_projects () =
 (* Fused build: on a dense database Auto stands the bitmaps up from the
    projection rows already in memory — no charged build scan — so the whole
    mine charges strictly fewer scans than the per-level trie walk, while
-   the frequent sets stay identical (prop_mine_kernel_grid).  The fused
-   path must engage under calibrate=false too (priors only). *)
+   the frequent sets stay identical (prop_mine_kernel_grid). *)
 let test_auto_fused_build_saves_scans () =
   let db = dense_db () in
-  let s =
-    Counting.create_session
-      ~plan:{ Counting.default_plan with Counting.calibrate = false }
-      ()
-  in
+  let s = Counting.create_session () in
   let _, io_base = mine_with db 6 ~minsup:4 in
   let _, io_auto = mine_with ~session:s db 6 ~minsup:4 in
   let pc = Counting.pass_counts s in
@@ -452,8 +419,7 @@ let suite =
       gen_mine print_mine prop_projection_never_charges_more;
     unit "direct2 budget and sparsity cutoffs" test_direct2_cutoffs;
     unit "vertical switchover cutoffs" test_vertical_cutoffs;
-    unit "cold bitmap builds gated by measured costs" test_vertical_cold_cutoff;
-    unit "calibration record sharing and freezing" test_calibration_record;
+    unit "cold bitmap builds gated by modelled costs" test_vertical_cold_cutoff;
     unit "projection budget cutoff" test_projection_cutoffs;
     unit "fixed kernels disable projections" test_fixed_kernels_disable_projection;
     unit "projection shrinkage semantics" test_projection_shrinkage;

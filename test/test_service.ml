@@ -561,10 +561,10 @@ let knobs_round_trip () =
           Alcotest.(check bool) (k.name ^ " named in the error") true
             (Astring_contains.contains msg k.name))
     Service.knobs;
-  Alcotest.(check (list string)) "the nine knobs"
+  Alcotest.(check (list string)) "the eight knobs"
     [
       "domains"; "mine-domains"; "cache-mb"; "deadline"; "retries"; "breaker-threshold";
-      "kernel"; "calibrate"; "condense";
+      "kernel"; "condense";
     ]
     (List.map (fun (k : Service.knob) -> k.name) Service.knobs)
 

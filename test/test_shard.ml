@@ -177,7 +177,7 @@ let chunk_runs_memoized () =
 (* ------------------------------------------------------------------ *)
 (* count-distribution equivalence: answers, frequent sets with supports,
    and ccc identical for every shards x kernel x domains combination;
-   for the trie kernel the composite I/O charges match too *)
+   for the trie and direct2 kernels the composite I/O charges match too *)
 
 let signature r =
   let pairs =
@@ -197,12 +197,12 @@ let signature r =
 
 let grid_configs =
   [
-    (None, 1);
-    (None, 3);
-    (Some Counting.Auto, 1);
-    (Some Counting.Auto, 3);
-    (Some Counting.Direct2, 1);
-    (Some Counting.Vertical, 1);
+    (Counting.Trie, 1);
+    (Counting.Trie, 3);
+    (Counting.Auto, 1);
+    (Counting.Auto, 3);
+    (Counting.Direct2, 1);
+    (Counting.Vertical, 1);
   ]
 
 let qcheck_count_distribution =
@@ -223,10 +223,10 @@ let qcheck_count_distribution =
       let run db kernel domains =
         let ctx = Exec.context db info in
         let par = Counting.par ~min_rows_per_domain:1 domains in
-        match Exec.run_result ~collect_pairs:true ~par ?kernel ctx q with
+        match Exec.run_result ~collect_pairs:true ~par ~kernel ctx q with
         | Ok r ->
             let io =
-              if kernel = None then
+              if kernel = Counting.Trie || kernel = Counting.Direct2 then
                 (Io_stats.scans r.Exec.io, Io_stats.pages_read r.Exec.io)
               else (0, 0)
             in

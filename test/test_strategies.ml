@@ -76,7 +76,14 @@ let suite =
           (Counters.support_counted fm.Exec.s.Exec.counters
           <= Counters.support_counted opt.Exec.s.Exec.counters);
         Alcotest.(check int) "same answers" opt.Exec.pair_stats.Pairs.n_pairs
-          fm.Exec.pair_stats.Pairs.n_pairs);
+          fm.Exec.pair_stats.Pairs.n_pairs;
+        (* FM counts one explicit batch with the trie, whatever the kernel *)
+        Alcotest.(check bool) "fm emits no kernel note" false
+          (List.exists (fun n -> Astring_contains.contains n "kernel") fm.Exec.notes);
+        Alcotest.(check bool) "the optimizer does" true
+          (List.exists
+             (fun n -> Astring_contains.contains n "counting kernels (direct2)")
+             opt.Exec.notes));
     unit "FM refuses large universes" (fun () ->
         let db = Helpers.db_of_lists [ [ 0 ] ] in
         let info = Helpers.small_info 21 in
