@@ -1,7 +1,7 @@
 (* Counting speedup bench: wall-clock of the parallel counting engine at
    1/2/4 domains, on (a) one heavy level-2 counting pass (the pair-candidate
    explosion that dominates early levels) and (b) a full [Exec.run] of a
-   2-var query through the fused parallel Auto path.  Prints a table and
+   2-var query under the default direct2 kernel.  Prints a table and
    writes the same rows machine-readably to BENCH_counting.json so the perf
    trajectory is diffable across PRs.
 
@@ -9,10 +9,9 @@
    before its timing is reported — a speedup over a wrong answer is not a
    speedup.
 
-   The bench exits non-zero when auto falls below 0.9x the best fixed
-   kernel, and — only on a machine with at least as many cores as the
-   widest row — when Exec.run misses 1.8x at the widest row or any
-   multi-domain row regresses below sequential.  On narrower machines the
+   The bench exits non-zero — only on a machine with at least as many
+   cores as the widest row — when Exec.run misses 1.8x at the widest row
+   or any multi-domain row regresses below sequential.  On narrower machines the
    speedup assertions are SKIPPED visibly (stdout + [speedup_valid] and
    per-row [valid] flags in the JSON), never silently passed. *)
 
@@ -110,10 +109,9 @@ let run (scale : Workloads.scale) =
   print_rows "heavy level-2 counting pass" level2_rows;
 
   (* ---- (a') kernel comparison on the same level-2 pass ----
-     trie vs direct2 vs vertical (cold = build + answer, warm = answer
-     from already-materialised bitmaps) vs auto, all sequential so the
-     comparison isolates the kernel.  Every kernel's counts are checked
-     against the trie reference before its timing is reported. *)
+     trie vs direct2, both sequential so the comparison isolates the
+     kernel.  Every kernel's counts are checked against the trie reference
+     before its timing is reported. *)
   let count_with session =
     Counting.count_level ?session db io (Counters.create ()) cands
   in
@@ -123,35 +121,15 @@ let run (scale : Workloads.scale) =
       exit 1
     end
   in
-  let session_of kernel =
-    Counting.create_session ~plan:(Counting.plan_of_kernel kernel) ()
-  in
   let trie_s = time_best ~repeats:3 (fun () -> check_kernel "trie" (count_with None)) in
   let kernel_row name time =
     (name, time, trie_s /. time)
   in
-  let fresh_session_time kernel name =
+  let direct2_s =
     time_best ~repeats:3 (fun () ->
-        check_kernel name (count_with (Some (session_of kernel))))
+        check_kernel "direct2" (count_with (Some (Counting.create_session Counting.Direct2))))
   in
-  let direct2_s = fresh_session_time Counting.Direct2 "direct2" in
-  let vertical_cold_s = fresh_session_time Counting.Vertical "vertical-cold" in
-  let warm_session = session_of Counting.Vertical in
-  check_kernel "vertical-warm(prime)" (count_with (Some warm_session));
-  let vertical_warm_s =
-    time_best ~repeats:3 (fun () ->
-        check_kernel "vertical-warm" (count_with (Some warm_session)))
-  in
-  let auto_s = fresh_session_time Counting.Auto "auto" in
-  let kernel_rows =
-    [
-      kernel_row "trie" trie_s;
-      kernel_row "direct2" direct2_s;
-      kernel_row "vertical-cold" vertical_cold_s;
-      kernel_row "vertical-warm" vertical_warm_s;
-      kernel_row "auto" auto_s;
-    ]
-  in
+  let kernel_rows = [ kernel_row "trie" trie_s; kernel_row "direct2" direct2_s ] in
   let tbl = Table.create [ "kernel"; "wall(s)"; "vs trie" ] in
   List.iter
     (fun (name, s, sp) ->
@@ -188,14 +166,14 @@ let run (scale : Workloads.scale) =
   let trie_ref = Exec.run ~collect_pairs:true ~kernel:Counting.Trie ctx q in
   let ref_pairs = sorted_pairs trie_ref.Exec.pairs in
   let ref_counted = Exec.total_counted trie_ref in
-  (* the fused path under test: adaptive kernels AND chunked parallelism in
-     the same run.  Auto's plan is a pure function of the candidates, so
+  (* the default path under test: direct2 AND chunked parallelism in the
+     same run; the kernel choice is a pure function of the candidates, so
      every domain count times identical work *)
   let exec_run d =
     let r =
       Exec.run ~collect_pairs:true
         ~par:(Counting.par ~min_rows_per_domain:1 d)
-        ~kernel:Counting.Auto ctx q
+        ~kernel:Counting.Direct2 ctx q
     in
     if sorted_pairs r.Exec.pairs <> ref_pairs || Exec.total_counted r <> ref_counted
     then begin
@@ -205,42 +183,9 @@ let run (scale : Workloads.scale) =
   in
   let exec_rows = rows_of ~repeats:2 exec_run in
   print_rows
-    (Printf.sprintf "full Exec.run (kernel=auto): %s" query_text)
+    (Printf.sprintf "full Exec.run (kernel=direct2): %s" query_text)
     exec_rows;
   Printf.printf "\nanswers and counters identical to the trie at every domain count\n";
-
-  (* ---- (b') auto vs the best fixed kernel on the same exec workload ---- *)
-  let exec_with kernel =
-    let r = Exec.run ~collect_pairs:true ~kernel ctx q in
-    if sorted_pairs r.Exec.pairs <> ref_pairs || Exec.total_counted r <> ref_counted
-    then begin
-      Printf.printf "FAIL: Exec.run with kernel %s diverged from the trie answer\n"
-        (Counting.kernel_name kernel);
-      exit 1
-    end
-  in
-  let time_kernel k = time_best ~repeats:2 (fun () -> exec_with k) in
-  let fixed =
-    List.map
-      (fun k -> (Counting.kernel_name k, time_kernel k))
-      [ Counting.Trie; Counting.Direct2; Counting.Vertical ]
-  in
-  let auto_exec_s = time_kernel Counting.Auto in
-  let best_name, best_s =
-    List.fold_left
-      (fun (bn, bs) (n2, s2) -> if s2 < bs then (n2, s2) else (bn, bs))
-      (List.hd fixed) (List.tl fixed)
-  in
-  (* >= 0.9 means auto lands within 10% of the best fixed kernel (and > 1
-     means it beats it — projections and amortized bitmap builds are only
-     available to auto) *)
-  let auto_ratio = best_s /. auto_exec_s in
-  let tbl = Table.create [ "kernel"; "wall(s)"; "vs best fixed" ] in
-  List.iter
-    (fun (n2, s2) -> Table.add_row tbl [ n2; Table.fcell s2; Table.speedup_cell (best_s /. s2) ])
-    (fixed @ [ ("auto", auto_exec_s) ]);
-  Printf.printf "\nexec kernel comparison (best fixed: %s)\n" best_name;
-  Table.print tbl;
 
   (* ---- machine-readable record ---- *)
   let max_domains = List.fold_left max 1 domain_grid in
@@ -274,17 +219,11 @@ let run (scale : Workloads.scale) =
         "    ]";
         "  },";
         "  \"exec_run\": {";
-        "    \"kernel\": \"auto\",";
+        "    \"kernel\": \"direct2\",";
         Printf.sprintf "    \"query\": %S," query_text;
         "    \"rows\": [";
         json_rows exec_rows;
         "    ]";
-        "  },";
-        "  \"auto_vs_best\": {";
-        Printf.sprintf "    \"best_fixed\": %S," best_name;
-        Printf.sprintf "    \"best_seconds\": %.6f," best_s;
-        Printf.sprintf "    \"auto_seconds\": %.6f," auto_exec_s;
-        Printf.sprintf "    \"auto_ratio\": %.3f" auto_ratio;
         "  }";
         "}";
       ]
@@ -297,16 +236,6 @@ let run (scale : Workloads.scale) =
 
   (* ---- assertions: fail loudly, skip visibly ---- *)
   let failed = ref false in
-  if auto_ratio < 0.9 then begin
-    Printf.printf
-      "FAIL: auto reaches only %.2fx of the best fixed kernel (%s); target \
-       >= 0.9x\n"
-      auto_ratio best_name;
-    failed := true
-  end
-  else
-    Printf.printf "PASS: auto at %.2fx of the best fixed kernel (%s)\n"
-      auto_ratio best_name;
   if speedup_valid then begin
     List.iter
       (fun r ->

@@ -389,9 +389,8 @@ let run ?(strategy = Plan.Optimized) ?(collect_pairs = false) ?par
   let notes = ref (List.rev rw.Rewrite.notes) in
   let t0 = Sys.time () in
   let par, cleanup_pool = resolve_par par in
-  (* one adaptive-kernel session per run: projections and bitmaps built for
-     one pass serve the later passes of the same run and nothing else *)
-  let session = Counting.create_session ~plan:(Counting.plan_of_kernel kernel) () in
+  (* one counting session per run: the kernel and its pass counts *)
+  let session = Counting.create_session kernel in
   let (s_freq, s_counters, s_levels), (t_freq, t_counters, t_levels) =
     Fun.protect ~finally:cleanup_pool (fun () ->
         match strategy with

@@ -70,14 +70,12 @@ val total_counted : result -> int
     the sequential execution for every [domains] value.
 
     [kernel] selects the support-counting kernel (see {!Counting.kernel});
-    the default [Direct2] counts level 2 with direct arrays and charges
-    exactly the trie's scans, so the paper's scan-per-level I/O profile
-    holds; [Trie] is the reference path and [Auto] the adaptive cost model.
-    Answers, frequent collections, and ccc counters are byte-identical for
-    every kernel; only the documented logical page charges differ (the
-    chosen kernels per pass appear in [levels] and a summary note, which
-    [Full_materialize] does not emit: it counts one explicit batch with the
-    trie).  When faults are installed every pass is pinned to the trie. *)
+    the default [Direct2] counts level 2 with direct arrays, [Trie] is the
+    reference path.  Answers, frequent collections, ccc counters and I/O
+    charges — the paper's scan per level — are byte-identical for either
+    kernel, faults installed or not.  The kernel each level used appears
+    in [levels] and in a summary note, which [Full_materialize] does not
+    emit: it counts one explicit batch with the trie. *)
 val run :
   ?strategy:Plan.strategy ->
   ?collect_pairs:bool ->

@@ -66,9 +66,9 @@ val absorb : ?kernel:string -> ?counted:int -> t -> int array -> Frequent.entry 
 
 (** [run t io] drives the state machine to exhaustion with one scan per
     level, returning all counted frequent sets.  [par] parallelises every
-    counting pass (see {!Counting.par}); [session] attaches an adaptive
-    kernel session (see {!Counting.session}).  Answers and counters are
-    identical to the sequential trie run in either case. *)
+    counting pass (see {!Counting.par}); [session] attaches a kernel
+    session (see {!Counting.session}).  Answers and counters are identical
+    to the sequential trie run in either case. *)
 val run : ?par:Counting.par -> ?session:Counting.session -> t -> Io_stats.t -> Frequent.t
 
 (** Results accumulated so far. *)

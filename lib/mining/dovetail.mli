@@ -19,10 +19,9 @@ open Cfq_txdb
 
 (** [run io ~s ~t ()] drives both lattices to exhaustion and returns both
     frequent collections.  [par] parallelises every shared counting pass
-    (see {!Counting.par}); [session] attaches an adaptive kernel session
-    shared by both sides — the projection and bitmaps are built once and
-    serve the dovetailed S/T families together.  Answers and counters are
-    unchanged in either case. *)
+    (see {!Counting.par}); [session] attaches a counting-kernel session
+    shared by both sides, whose per-family labels land in each side's
+    level rows.  Answers and counters are unchanged in either case. *)
 val run :
   ?par:Counting.par ->
   ?session:Counting.session ->

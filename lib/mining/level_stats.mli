@@ -11,7 +11,7 @@ type row = {
   frequent : int;  (** sets found frequent *)
   kernel : string;
       (** counting kernel that produced the supports of this level
-          ("trie", "direct2", "vertical", "dhp-hash", ...) *)
+          ("trie", "direct2", "dhp-bucket", ...) *)
 }
 
 type t

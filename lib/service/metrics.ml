@@ -38,7 +38,6 @@ type snapshot = {
   kernel_direct2_passes : int;
   kernel_vertical_passes : int;
   kernel_projected_scans : int;
-  kernel_bitmap_builds : int;
   live_epoch : int;
   seals : int;
   sides_promoted : int;
@@ -88,9 +87,6 @@ type t = {
   mutable fault_crash : int;
   mutable kernel_trie_passes : int;
   mutable kernel_direct2_passes : int;
-  mutable kernel_vertical_passes : int;
-  mutable kernel_projected_scans : int;
-  mutable kernel_bitmap_builds : int;
   mutable live_epoch : int;
   mutable seals : int;
   mutable sides_promoted : int;
@@ -134,9 +130,6 @@ let create () =
     fault_crash = 0;
     kernel_trie_passes = 0;
     kernel_direct2_passes = 0;
-    kernel_vertical_passes = 0;
-    kernel_projected_scans = 0;
-    kernel_bitmap_builds = 0;
     live_epoch = 0;
     seals = 0;
     sides_promoted = 0;
@@ -179,9 +172,6 @@ let reset t =
   t.fault_crash <- 0;
   t.kernel_trie_passes <- 0;
   t.kernel_direct2_passes <- 0;
-  t.kernel_vertical_passes <- 0;
-  t.kernel_projected_scans <- 0;
-  t.kernel_bitmap_builds <- 0;
   t.live_epoch <- 0;
   t.seals <- 0;
   t.sides_promoted <- 0;
@@ -227,12 +217,9 @@ let record_fault t (e : Cfq_txdb.Cfq_error.t) =
   | Query_crash _ -> t.fault_crash <- t.fault_crash + 1
   | Deadline | Overload -> ()
 
-let record_kernel_passes t ~trie ~direct2 ~vertical ~projected_scans ~bitmap_builds =
+let record_kernel_passes t ~trie ~direct2 =
   t.kernel_trie_passes <- t.kernel_trie_passes + trie;
-  t.kernel_direct2_passes <- t.kernel_direct2_passes + direct2;
-  t.kernel_vertical_passes <- t.kernel_vertical_passes + vertical;
-  t.kernel_projected_scans <- t.kernel_projected_scans + projected_scans;
-  t.kernel_bitmap_builds <- t.kernel_bitmap_builds + bitmap_builds
+  t.kernel_direct2_passes <- t.kernel_direct2_passes + direct2
 
 (* one seal's maintenance pass: the epoch is a gauge, everything else
    accumulates so the warm-across-seals cost stays visible in aggregate *)
@@ -292,9 +279,8 @@ let snapshot t ?(shards = []) ?(failovers = 0) ~answer_entries ~answer_bytes
     fault_crash = t.fault_crash;
     kernel_trie_passes = t.kernel_trie_passes;
     kernel_direct2_passes = t.kernel_direct2_passes;
-    kernel_vertical_passes = t.kernel_vertical_passes;
-    kernel_projected_scans = t.kernel_projected_scans;
-    kernel_bitmap_builds = t.kernel_bitmap_builds;
+    kernel_vertical_passes = 0;
+    kernel_projected_scans = 0;
     live_epoch = t.live_epoch;
     seals = t.seals;
     sides_promoted = t.sides_promoted;
@@ -350,9 +336,6 @@ let table (s : snapshot) =
   int "faults: query crash" s.fault_crash;
   int "kernel passes: trie" s.kernel_trie_passes;
   int "kernel passes: direct2" s.kernel_direct2_passes;
-  int "kernel passes: vertical" s.kernel_vertical_passes;
-  int "kernel projected scans" s.kernel_projected_scans;
-  int "kernel bitmap builds" s.kernel_bitmap_builds;
   int "live epoch" s.live_epoch;
   int "seals maintained" s.seals;
   int "live: sides promoted" s.sides_promoted;

@@ -49,8 +49,11 @@ type snapshot = {
   kernel_trie_passes : int;  (** counting passes per kernel, over cold mines *)
   kernel_direct2_passes : int;
   kernel_vertical_passes : int;
-  kernel_projected_scans : int;  (** passes answered from a projection *)
-  kernel_bitmap_builds : int;
+      (** always 0: the vertical kernel is gone; kept for readers of the
+          snapshot *)
+  kernel_projected_scans : int;
+      (** always 0: projections are gone; kept for readers of the
+          snapshot *)
   live_epoch : int;  (** current epoch (0 = never sealed); a gauge *)
   seals : int;  (** seals whose maintenance this service ran *)
   sides_promoted : int;  (** side collections promoted across a seal *)
@@ -129,16 +132,9 @@ val record_maintenance :
   pages_read:int ->
   unit
 
-(** Accumulate one cold mine's adaptive-kernel pass counts (see
+(** Accumulate one cold mine's per-kernel pass counts (see
     {!Cfq_mining.Counting.pass_counts}). *)
-val record_kernel_passes :
-  t ->
-  trie:int ->
-  direct2:int ->
-  vertical:int ->
-  projected_scans:int ->
-  bitmap_builds:int ->
-  unit
+val record_kernel_passes : t -> trie:int -> direct2:int -> unit
 
 (** One cache insert passed through the condensation layer: [raw] is the
     weight the raw form would have charged, [stored] what was charged,

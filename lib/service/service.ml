@@ -120,11 +120,9 @@ let knobs =
     {
       name = "kernel";
       doc =
-        "Support-counting kernel: trie (the reference scan-per-level path), \
+        "Support-counting kernel: trie (the reference scan-per-level path) or \
          direct2 (the default: direct level-2 count arrays, the trie's page \
-         charges), vertical (tid-bitmap switchover) or auto (adaptive cost \
-         model with shrinking projections).  Answers are identical for every \
-         kernel.";
+         charges).  Answers are identical for every kernel.";
       print = (fun c -> Counting.kernel_name c.kernel);
       parse =
         (fun v c ->
@@ -602,9 +600,8 @@ let mine_side ~deadline ~par ~kernel (ctx : Exec.ctx) spec io =
     Cap.create ctx.Exec.db spec.sp_info ?max_level:spec.sp_max_level
       ~minsup:spec.sp_minsup bundle
   in
-  (* one session per cold mine: its projection and bitmaps live exactly as
-     long as this side's levelwise run *)
-  let session = Counting.create_session ~plan:(Counting.plan_of_kernel kernel) () in
+  (* one session per cold mine: its pass counts feed the metrics *)
+  let session = Counting.create_session kernel in
   let rec loop () =
     check_deadline deadline;
     match Cap.next_candidates state with
@@ -634,10 +631,7 @@ let resolve_side t ~deadline ~ctx ~epoch spec io counters checks =
       let pc = Counting.pass_counts session in
       locked t (fun () ->
           Metrics.record_kernel_passes t.service_metrics
-            ~trie:pc.Counting.trie_passes ~direct2:pc.Counting.direct2_passes
-            ~vertical:pc.Counting.vertical_passes
-            ~projected_scans:pc.Counting.projected_scans
-            ~bitmap_builds:pc.Counting.bitmap_builds);
+            ~trie:pc.Counting.trie_passes ~direct2:pc.Counting.direct2_passes);
       let cond = condense_frequent t freq in
       let entry =
         {

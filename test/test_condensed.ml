@@ -144,7 +144,7 @@ let mine_kernel db n ~minsup ~kernel ~domains =
   let info = Helpers.small_info n in
   let io = Io_stats.create () in
   let par = Counting.par ~min_rows_per_domain:1 domains in
-  let session = Counting.create_session ~plan:(Counting.plan_of_kernel kernel) () in
+  let session = Counting.create_session kernel in
   let out = Apriori.mine db info io ~par ~session ~minsup () in
   out.Apriori.frequent
 

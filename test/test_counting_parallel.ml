@@ -189,8 +189,7 @@ let exec_run_parallel_equals_sequential () =
 
 (* The tentpole contract in one property: for each kernel, the full mine is
    bit-identical — frequent sets, supports, ccc, logical scans AND page
-   charges — at every domain count.  Page charges may differ between
-   kernels (documented), never between domain counts of the same kernel. *)
+   charges — at every domain count. *)
 let gen_grid =
   QCheck2.Gen.(
     let* n, db = Helpers.gen_db in
@@ -200,8 +199,7 @@ let gen_grid =
 let print_grid (n, db, minsup) =
   Printf.sprintf "minsup=%d %s" minsup (Helpers.print_db (n, db))
 
-let session_of kernel =
-  Counting.create_session ~plan:(Counting.plan_of_kernel kernel) ()
+let session_of = Counting.create_session
 
 let mine_fingerprint ~kernel ~domains db n ~minsup =
   let info = Helpers.small_info n in
@@ -227,14 +225,13 @@ let prop_fused_kernel_domain_grid (n, db, minsup) =
         domain_grid)
     Counting.all_kernels
 
-(* Shard sub-sessions are allocated on the coordinator before the shards
-   fan out.  Allocated lazily from inside the fan-out, two domains could
-   each install their own array and lose one shard's sub-session with the
-   bitmaps it built; the next pass then charged a second scan.  A Vertical
-   mine over a 3-shard composite stands its bitmaps up in the first pass
-   and answers every later pass from them, so its charges must not depend
-   on the width — checked over many runs, since the race was timing-bound. *)
-let sharded_vertical_charges_are_width_independent () =
+(* Over a sharded composite the coordinator builds each pass's
+   representations once and every shard counts with them read-only, each
+   with its own accumulators and direct2 scratch.  A Direct2 mine over a
+   3-shard composite must then charge the same scans and pages at every
+   width — checked over many runs, since a race between shards would be
+   timing-bound. *)
+let sharded_direct2_charges_are_width_independent () =
   let n = 6 in
   let sets =
     Array.init 90 (fun i ->
@@ -246,13 +243,12 @@ let sharded_vertical_charges_are_width_independent () =
     let io = Io_stats.create () in
     let par = Counting.par ~min_rows_per_domain:1 domains in
     let _ =
-      Apriori.mine db info io ~par ~session:(session_of Counting.Vertical)
+      Apriori.mine db info io ~par ~session:(session_of Counting.Direct2)
         ~minsup:3 ()
     in
     (Io_stats.scans io, Io_stats.pages_read io)
   in
   let base = charges 1 in
-  Alcotest.(check int) "one charged scan builds every shard's bitmaps" 1 (fst base);
   for _ = 1 to 40 do
     Alcotest.(check (pair int int)) "scans and pages at 2 domains" base (charges 2)
   done
@@ -326,8 +322,8 @@ let suite =
     unit "scan chunks are page-aligned and cover the scan" chunks_cover_the_scan;
     Helpers.qtest ~count:30 "fused grid: every kernel x domain count mines identically"
       gen_grid print_grid prop_fused_kernel_domain_grid;
-    unit "sharded vertical mine charges the same at every width"
-      sharded_vertical_charges_are_width_independent;
+    unit "sharded direct2 mine charges the same at every width"
+      sharded_direct2_charges_are_width_independent;
     unit "Exec.run parallel equals sequential" exec_run_parallel_equals_sequential;
     unit "default work floor is result-identical" default_work_floor_is_result_identical;
     unit "borrowing from a shut-down pool degrades gracefully"

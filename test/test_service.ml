@@ -561,6 +561,16 @@ let knobs_round_trip () =
           Alcotest.(check bool) (k.name ^ " named in the error") true
             (Astring_contains.contains msg k.name))
     Service.knobs;
+  (* the kernel knob takes trie and direct2 only; a removed kernel name is
+     the same typed knob error as any malformed value *)
+  let kernel = List.find (fun (k : Service.knob) -> k.name = "kernel") Service.knobs in
+  (match kernel.parse "auto" d with
+  | Ok _ -> Alcotest.fail "kernel accepted auto"
+  | Error msg ->
+      Alcotest.(check bool) "kernel named in the auto error" true
+        (Astring_contains.contains msg "kernel");
+      Alcotest.(check bool) "error lists trie, direct2" true
+        (Astring_contains.contains msg "trie, direct2"));
   Alcotest.(check (list string)) "the eight knobs"
     [
       "domains"; "mine-domains"; "cache-mb"; "deadline"; "retries"; "breaker-threshold";

@@ -176,8 +176,8 @@ let chunk_runs_memoized () =
 
 (* ------------------------------------------------------------------ *)
 (* count-distribution equivalence: answers, frequent sets with supports,
-   and ccc identical for every shards x kernel x domains combination;
-   for the trie and direct2 kernels the composite I/O charges match too *)
+   ccc, per-level kernel labels and composite I/O charges identical for
+   every shards x kernel x domains combination *)
 
 let signature r =
   let pairs =
@@ -193,17 +193,21 @@ let signature r =
             (fun e -> (Itemset.to_list e.Frequent.set, e.Frequent.support))
             sr.Exec.valid))
   in
-  (pairs, side r.Exec.s, side r.Exec.t, Exec.total_counted r, Exec.total_checks r)
+  (* the kernel each level ran: a sharded pass labels every level exactly
+     as the single-store pass does *)
+  let kernels (sr : Exec.side_report) =
+    List.map (fun row -> (row.Level_stats.level, row.Level_stats.kernel)) sr.Exec.levels
+  in
+  ( pairs,
+    side r.Exec.s,
+    side r.Exec.t,
+    Exec.total_counted r,
+    Exec.total_checks r,
+    kernels r.Exec.s,
+    kernels r.Exec.t )
 
 let grid_configs =
-  [
-    (Counting.Trie, 1);
-    (Counting.Trie, 3);
-    (Counting.Auto, 1);
-    (Counting.Auto, 3);
-    (Counting.Direct2, 1);
-    (Counting.Vertical, 1);
-  ]
+  [ (Counting.Trie, 1); (Counting.Trie, 3); (Counting.Direct2, 1); (Counting.Direct2, 3) ]
 
 let qcheck_count_distribution =
   let gen =
@@ -224,13 +228,7 @@ let qcheck_count_distribution =
         let ctx = Exec.context db info in
         let par = Counting.par ~min_rows_per_domain:1 domains in
         match Exec.run_result ~collect_pairs:true ~par ~kernel ctx q with
-        | Ok r ->
-            let io =
-              if kernel = Counting.Trie || kernel = Counting.Direct2 then
-                (Io_stats.scans r.Exec.io, Io_stats.pages_read r.Exec.io)
-              else (0, 0)
-            in
-            Ok (signature r, io)
+        | Ok r -> Ok (signature r, (Io_stats.scans r.Exec.io, Io_stats.pages_read r.Exec.io))
         | Error e -> Error (Cfq_error.to_string e)
       in
       List.for_all
@@ -304,7 +302,7 @@ let shard_pinned_mining_twin () =
     Tx_db.set_faults subs.(2) (Some (Fault.create config));
     let par = Counting.par ~min_rows_per_domain:1 3 in
     match
-      Exec.run_result ~collect_pairs:true ~par ~kernel:Counting.Auto
+      Exec.run_result ~collect_pairs:true ~par ~kernel:Counting.Direct2
         (Exec.context db info) q
     with
     | Ok r -> Ok (signature r)
