@@ -213,6 +213,8 @@ let freq_atom st acc =
   | Some (CMP (Cmp.Ge | Cmp.Gt)) ->
       advance st;
       let f = number st in
+      if not (f >= 0. && f <= 1.) then
+        fail "support threshold %g outside [0, 1]" f;
       (match v with S -> acc.s_minsup <- f | T -> acc.t_minsup <- f)
   | _ -> ()
 

@@ -49,17 +49,16 @@ let read_lines name lines ~universe_size =
 let read_string ?(name = "<string>") data ~universe_size =
   read_lines name (String.split_on_char '\n' data) ~universe_size
 
-let read path ~universe_size =
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     let rec loop () =
-       lines := input_line ic :: !lines;
-       loop ()
-     in
-     loop ()
-   with End_of_file -> close_in ic);
-  read_lines path (List.rev !lines) ~universe_size
+let lines_of path = String.split_on_char '\n' (In_channel.with_open_text path In_channel.input_all)
+
+let read path ~universe_size = read_lines path (lines_of path) ~universe_size
+
+let max_item path =
+  match lines_of path with
+  | [] -> -1
+  | _header :: rows ->
+      let id row = Option.value (int_of_string_opt (List.hd (split_csv row))) ~default:(-1) in
+      List.fold_left (fun acc row -> max acc (id row)) (-1) rows
 
 let write path info =
   let attrs = Item_info.attrs info in

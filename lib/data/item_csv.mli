@@ -21,5 +21,9 @@ val read : string -> universe_size:int -> Item_info.t
 
 val read_string : ?name:string -> string -> universe_size:int -> Item_info.t
 
+(** [max_item path] is the largest item id a row of the table names
+    ([-1] for none), so a reader can size the universe to cover it. *)
+val max_item : string -> int
+
 (** [write path info] dumps all registered attributes. *)
 val write : string -> Item_info.t -> unit

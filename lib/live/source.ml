@@ -35,7 +35,6 @@ let of_mem ?rebuild sets =
        { mem_sets = sets; mem_db = rebuild sets; mem_pending = []; mem_rebuild = rebuild })
 
 let of_store s = make (On_store s)
-let of_sharded s = make (On_shards s)
 
 (* a manifest opens sharded as-is; a plain segment asked for shards or
    replicas is split once into a sharded twin at [PATH.sharded], reused on
@@ -105,6 +104,8 @@ let universe_size t =
   | On_store s -> Store.universe_size s
   | On_shards s -> Sharded.universe_size s
 
+(* the table covers the data's universe and every item the CSV lists: a
+   sparse store's universe ends at its largest item that occurs *)
 let item_info t =
   let universe_size = max 1 (universe_size t) in
   let candidates =
@@ -113,7 +114,10 @@ let item_info t =
   match List.find_opt Sys.file_exists candidates with
   | None -> Ok (Item_info.create ~universe_size)
   | Some p -> (
-      match Cfq_data.Item_csv.read p ~universe_size with
+      match
+        Cfq_data.Item_csv.read p
+          ~universe_size:(max universe_size (Cfq_data.Item_csv.max_item p + 1))
+      with
       | info -> Ok info
       | exception (Cfq_data.Item_csv.Bad_format msg | Sys_error msg) -> Error msg)
 

@@ -13,9 +13,9 @@
 
     The [Mem] variant rebuilds its database from the accumulated sets on
     seal (optionally through a custom [rebuild], e.g.
-    [Sharded.mem_db ~shards] for the storeless sharded test matrix), which
-    lets the maintenance-equals-cold-remine property run identically on
-    all five CI backend matrices. *)
+    [Sharded.mem_db ~shards] for a storeless sharded composite), so every
+    backend goes through the same lifecycle; [test/test_backends.ml]
+    checks all five against one in-memory twin. *)
 
 open Cfq_itembase
 open Cfq_txdb
@@ -40,7 +40,6 @@ val open_ : spec -> (t, string) result
 val of_mem : ?rebuild:(Itemset.t array -> Tx_db.t) -> Itemset.t array -> t
 
 val of_store : Cfq_store.Store.t -> t
-val of_sharded : Cfq_shard.Sharded.t -> t
 
 (** Release the backend's files (no-op in memory). *)
 val close : t -> unit

@@ -54,8 +54,7 @@ val raw : Frequent.t -> t
 (** [of_frequent ?force f] condenses [f] to its closed sets when the
     round-trip is provably the identity {e and} the condensed form is
     strictly smaller; otherwise falls back to [raw f].  [~force:true]
-    (used by the [CFQ_TEST_CONDENSE] matrix) condenses whenever lossless,
-    even when not smaller. *)
+    condenses whenever lossless, even when not smaller. *)
 val of_frequent : ?force:bool -> Frequent.t -> t
 
 (** Reconstruct the full collection.  Exactly the [f] given to

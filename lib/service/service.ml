@@ -337,22 +337,12 @@ let packed_weight pk =
 (* ------------------------------------------------------------------ *)
 (* condensation: the cache's storage format *)
 
-(* CFQ_TEST_CONDENSE=1 routes every cached collection and answer through
-   condensation even when the closed form is not smaller — the test
-   matrices use it to put the whole suite on the condensed paths *)
-let force_condense =
-  match Sys.getenv_opt "CFQ_TEST_CONDENSE" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
-let condense_on t = t.service_config.condense || force_condense
-
 (* condense a freshly mined or promoted collection for caching; every side
    insert is priced through here so the ratio metrics see the full
    stream *)
 let condense_frequent t freq =
   let cond =
-    if condense_on t then Condensed.of_frequent ~force:force_condense freq
+    if t.service_config.condense then Condensed.of_frequent freq
     else Condensed.raw freq
   in
   locked t (fun () ->
@@ -464,7 +454,7 @@ let unpack_pairs pk =
    pair list is rebuilt once and stored raw *)
 let make_cached_answer t ~epoch q (template : answer) (pk, raw_weight) =
   let ca_pairs, ca_weight =
-    if condense_on t then (Packed_pairs pk, packed_weight pk)
+    if t.service_config.condense then (Packed_pairs pk, packed_weight pk)
     else (Raw_pairs (unpack_pairs pk), raw_weight)
   in
   {

@@ -89,8 +89,7 @@ type config = {
           fingerprints fit one [cache_budget]; lookups rebuild the raw
           form on demand (counted in {!Metrics}).  Condensation only fires
           when provably lossless, so answers are byte-identical either way
-          (default [true]; [CFQ_TEST_CONDENSE=1] forces it everywhere,
-          see [doc/CONDENSED.md]) *)
+          (default [true]; see [doc/CONDENSED.md]) *)
 }
 
 (** 2 domains (mining inherits them), queue 1024, 64 MiB budget, no

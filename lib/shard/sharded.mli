@@ -183,8 +183,7 @@ val remove_files : string -> unit
     [mem_db ?page_model ?partition ~shards sets] is the storeless twin:
     the same partitioning over in-memory [Tx_db.create] shards, composed
     with {!Cfq_txdb.Tx_db.of_shards}.  Under [Tid_range] the composite is
-    I/O-identical to [Tx_db.create sets].  This is the [CFQ_TEST_SHARDS]
-    test route. *)
+    I/O-identical to [Tx_db.create sets]. *)
 val mem_db :
   ?page_model:Page_model.t ->
   ?partition:Manifest.partition ->

@@ -585,7 +585,11 @@ let eval t line =
   let cmd, rest = split_command line in
   match cmd with
   | "" -> { output = ""; quit = false }
-  | "quit" | "exit" -> { output = "bye"; quit = true }
+  | "quit" | "exit" ->
+      (* leaving joins the service's domains and closes the store *)
+      drop_service t;
+      drop_source t;
+      { output = "bye"; quit = true }
   | "help" -> { output = help_text; quit = false }
   | "load" -> (
       match split_words rest with

@@ -186,7 +186,6 @@ let create ?page_model ?cache_pages ?group_commit path =
   open_ ?cache_pages ?group_commit path
 
 let db t = t.db
-let view t = make_db t.seg t.pool
 let append_tx t items = Wal.append t.wal (Itemset.to_array items)
 let flush t = Wal.flush t.wal
 

@@ -60,14 +60,6 @@ val save_db : ?page_model:Page_model.t -> string -> Tx_db.t -> unit
     concurrent seal. *)
 val db : t -> Tx_db.t
 
-(** [view t] is a fresh [Tx_db] view over the current segment — same
-    pool, same charges as {!db}, but a new handle that [t] does {e not}
-    retain.  Use it when a [Gc.finalise] closing [t] must be attached to
-    the database value: a finaliser on {!db}'s handle whose closure
-    holds [t] never runs ([t.db] is that very value), leaking the
-    store's descriptors. *)
-val view : t -> Tx_db.t
-
 (** {2 Ingestion} *)
 
 (** [append_tx t items] appends one transaction to the WAL (group-commit

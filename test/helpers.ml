@@ -28,125 +28,7 @@ let itemset_of_mask n mask =
 let all_subsets n =
   List.init ((1 lsl n) - 1) (fun m -> itemset_of_mask n (m + 1))
 
-(* With CFQ_TEST_STORE=1 every helper-built database is routed through a
-   real on-disk store (build + reopen with a tiny buffer pool), so the
-   whole suite exercises the persistent backend.  Each store is closed and
-   its files removed by a finalizer on the returned database; an
-   occasional [full_major] keeps the open-fd count bounded. *)
-let store_backed =
-  match Sys.getenv_opt "CFQ_TEST_STORE" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
-(* With CFQ_TEST_SHARDS=N (N > 1) every helper-built database becomes an
-   N-shard composite instead — in-memory shards by default, a full
-   sharded on-disk store when CFQ_TEST_STORE=1 is also set — so the suite
-   exercises count-distribution mining end to end.  Tid-range
-   partitioning keeps answers, ccc and logical I/O identical to the
-   unsharded backends. *)
-let test_shards =
-  match Sys.getenv_opt "CFQ_TEST_SHARDS" with
-  | Some v -> (
-      match int_of_string_opt (String.trim v) with
-      | Some n when n > 1 -> n
-      | _ -> 1)
-  | None -> 1
-
-(* With CFQ_TEST_REPLICAS=R (R > 1) the sharded on-disk route (both
-   CFQ_TEST_STORE=1 and CFQ_TEST_SHARDS=N set) builds R replicas per
-   shard.  Failover packs identical page geometry, so answers, ccc and
-   logical I/O stay byte-identical to the single-replica route. *)
-let test_replicas =
-  match Sys.getenv_opt "CFQ_TEST_REPLICAS" with
-  | Some v -> (
-      match int_of_string_opt (String.trim v) with
-      | Some n when n > 1 -> n
-      | _ -> 1)
-  | None -> 1
-
-(* With CFQ_TEST_LIVE=1 every store-backed helper database (either
-   persistent route) is built in two halves: the first half at build
-   time, the second appended through the WAL and sealed — so the whole
-   suite runs against databases that went through a live seal.  The
-   segment packer appends the delta after the prefix it would have
-   packed anyway, so page geometry (hence answers, ccc and logical I/O)
-   is byte-identical to the one-shot build.  Memory routes are
-   unchanged: they have no seal. *)
-let live_reseal =
-  match Sys.getenv_opt "CFQ_TEST_LIVE" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
-let split_for_reseal sets =
-  let n = Array.length sets in
-  let cut = n / 2 in
-  (Array.sub sets 0 cut, Array.sub sets cut (n - cut))
-
-let live_stores = ref 0
-
-let db_of_sets sets =
-  if test_shards > 1 then
-    if not store_backed then Cfq_shard.Sharded.mem_db ~shards:test_shards sets
-    else begin
-      if !live_stores * test_shards * test_replicas > 128 then Gc.full_major ();
-      let path = Filename.temp_file "cfq_test_shard" ".cfqdb" in
-      let base, delta =
-        if live_reseal then split_for_reseal sets else (sets, [||])
-      in
-      Cfq_shard.Sharded.build ~shards:test_shards ~replicas:test_replicas path
-        base;
-      let sh = Cfq_shard.Sharded.open_ ~cache_pages:4 path in
-      if Array.length delta > 0 then begin
-        Array.iter (Cfq_shard.Sharded.append_tx sh) delta;
-        ignore (Cfq_shard.Sharded.seal sh : int)
-      end;
-      incr live_stores;
-      let db = Cfq_shard.Sharded.db sh in
-      (* capture the shard groups, not [sh]: Sharded.t holds the composite
-         db, and a finaliser that (indirectly) holds its value never runs,
-         which would leak every replica fd for the rest of the suite *)
-      let groups = Cfq_shard.Sharded.groups sh in
-      Gc.finalise
-        (fun _db ->
-          decr live_stores;
-          Array.iter
-            (fun g -> try Cfq_shard.Replica.close g with _ -> ())
-            groups;
-          try Cfq_shard.Sharded.remove_files path with _ -> ())
-        db;
-      db
-    end
-  else if not store_backed then Tx_db.create sets
-  else begin
-    if !live_stores > 128 then Gc.full_major ();
-    let path = Filename.temp_file "cfq_test_store" ".cfqdb" in
-    let base, delta =
-      if live_reseal then split_for_reseal sets else (sets, [||])
-    in
-    Cfq_store.Store.build path base;
-    let store = Cfq_store.Store.open_ ~cache_pages:4 path in
-    if Array.length delta > 0 then begin
-      Array.iter (Cfq_store.Store.append_tx store) delta;
-      ignore (Cfq_store.Store.seal store : int)
-    end;
-    incr live_stores;
-    (* a fresh view, not [Store.db]: the store retains [db]'s handle, so
-       a finaliser whose closure holds [store] would keep its own value
-       reachable and never run, leaking every fd for the rest of the
-       suite (fatal under CFQ_TEST_LIVE, where the superseded pre-seal
-       segment doubles each store's descriptors) *)
-    let db = Cfq_store.Store.view store in
-    Gc.finalise
-      (fun _db ->
-        decr live_stores;
-        (try Cfq_store.Store.close store with _ -> ());
-        (try Sys.remove path with _ -> ());
-        try Sys.remove (path ^ ".wal") with _ -> ())
-      db;
-    db
-  end
-
-let db_of_lists txs = db_of_sets (Array.of_list (List.map Itemset.of_list txs))
+let db_of_lists txs = Tx_db.create (Array.of_list (List.map Itemset.of_list txs))
 
 let support_of db s =
   let io = Io_stats.create () in

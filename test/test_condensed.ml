@@ -2,9 +2,10 @@
    the identity — levels, per-level order, supports and membership — for
    every collection the service caches: unconstrained Apriori output,
    CAP output under random 1-var constraints (where the raw fallback may
-   fire), every kernel and domain count, and (via Helpers.db_of_sets) all
-   five backend matrices.  On-demand support/membership and the maximal
-   wire round-trip are checked against the raw collection. *)
+   fire), every kernel and domain count.  On-demand support/membership
+   and the maximal wire round-trip are checked against the raw
+   collection; test_backends runs the condensing service on every
+   backend. *)
 
 open Cfq_itembase
 open Cfq_txdb
@@ -120,8 +121,7 @@ let wire_round_trip () =
           : Frequent.entry list))
 
 (* ------------------------------------------------------------------ *)
-(* qcheck: identity round-trip across kernels × domains (× backends via
-   CFQ_TEST_* on Helpers.db_of_sets) *)
+(* qcheck: identity round-trip across kernels × domains *)
 
 let kernels = Counting.all_kernels
 let domain_grid = [ 1; 3 ]

@@ -1,8 +1,7 @@
 (* The parallel counting engine: count_shared under domains>1 must be
    indistinguishable from the sequential pass — same counts, same ccc and
    I/O charges, same fault behaviour — whether helpers are spawned or
-   borrowed from a pool.  CFQ_TEST_DOMAINS adds an extra width to the
-   property grid (CI runs the suite with CFQ_TEST_DOMAINS=3). *)
+   borrowed from a pool. *)
 
 open Cfq_itembase
 open Cfq_txdb
@@ -10,14 +9,7 @@ open Cfq_mining
 
 let unit name f = Alcotest.test_case name `Quick f
 
-let domain_grid =
-  let base = [ 1; 2; 3; 7 ] in
-  match Sys.getenv_opt "CFQ_TEST_DOMAINS" with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some d when d >= 1 && not (List.mem d base) -> base @ [ d ]
-      | _ -> base)
-  | None -> base
+let domain_grid = [ 1; 2; 3; 7 ]
 
 (* a page model small enough that a 20-60 tx database spans many pages, so
    scan_chunks has real page boundaries to align to *)

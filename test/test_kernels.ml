@@ -3,8 +3,7 @@
    for every domain count and backend — the contract of Counting's kernel
    dispatch.  Both walk the same pages in the same order, so with faults
    installed even the fault walk (outcomes included) is identical to the
-   trie path.  Run with CFQ_TEST_STORE=1 the same grid exercises the
-   on-disk backend. *)
+   trie path.  test_backends runs both kernels on every backend. *)
 
 open Cfq_itembase
 open Cfq_txdb

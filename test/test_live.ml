@@ -1,8 +1,8 @@
 (* The live ingestion subsystem: FUP promotion math, delta extraction
-   accounting, and the headline property — a service maintained across
-   k ∈ {1,2,3} seals answers exactly like a cold remine of the grown
-   database, on every backend matrix.  Fault injection during a
-   maintenance pass must leave the caches on one consistent epoch. *)
+   accounting, promotion in place, and fault injection during a
+   maintenance pass, which must leave the caches on one consistent epoch.
+   That a service maintained across seals answers like a cold remine on
+   every backend is a step check of test_backends. *)
 
 open Cfq_itembase
 open Cfq_txdb
@@ -216,126 +216,6 @@ let source_seal_accounting () =
     (d.Cfq_live.Delta.delta_pages
     <= Tx_db.pages (Cfq_live.Source.db src));
   Alcotest.(check int) "pending reset" 0 (Cfq_live.Source.pending src)
-
-(* ------------------------------------------------------------------ *)
-(* the headline property: k seals of maintenance == cold remine *)
-
-(* a live Source over the matrix the suite runs under, plus its cleanup *)
-let make_source base =
-  if Helpers.test_shards > 1 && Helpers.store_backed then begin
-    let path = Filename.temp_file "cfq_live_shard" ".cfqdb" in
-    Cfq_shard.Sharded.build ~shards:Helpers.test_shards
-      ~replicas:Helpers.test_replicas path base;
-    let sh = Cfq_shard.Sharded.open_ ~cache_pages:4 path in
-    ( Cfq_live.Source.of_sharded sh,
-      fun () ->
-        (try Cfq_shard.Sharded.close sh with _ -> ());
-        (try Cfq_shard.Sharded.remove_files path with _ -> ()) )
-  end
-  else if Helpers.test_shards > 1 then
-    ( Cfq_live.Source.of_mem
-        ~rebuild:(Cfq_shard.Sharded.mem_db ~shards:Helpers.test_shards)
-        base,
-      fun () -> () )
-  else if Helpers.store_backed then begin
-    let path = Filename.temp_file "cfq_live_store" ".cfqdb" in
-    Cfq_store.Store.build path base;
-    let store = Cfq_store.Store.open_ ~cache_pages:4 path in
-    ( Cfq_live.Source.of_store store,
-      fun () ->
-        (try Cfq_store.Store.close store with _ -> ());
-        (try Sys.remove path with _ -> ());
-        try Sys.remove (path ^ ".wal") with _ -> () )
-  end
-  else (Cfq_live.Source.of_mem base, fun () -> ())
-
-let gen_live =
-  QCheck2.Gen.(
-    let* n = int_range 4 6 in
-    let* txs = list_size (int_range 24 48) (Helpers.gen_tx n) in
-    let* k = int_range 1 3 in
-    let* q1 = Helpers.gen_query in
-    let* q2 = Helpers.gen_query in
-    return (n, txs, k, q1, q2))
-
-let print_live (n, txs, k, q1, q2) =
-  Printf.sprintf "n=%d k=%d #txs=%d q1=%s q2=%s" n k (List.length txs)
-    (Query.to_string q1) (Query.to_string q2)
-
-let maintenance_equals_cold_remine =
-  Helpers.qtest ~count:35 "live: k seals of maintenance equal a cold remine"
-    gen_live print_live (fun (n, txs, k, q1, q2) ->
-      let sets = Array.of_list (List.map Itemset.of_list txs) in
-      let total = Array.length sets in
-      let base_len = total / 2 in
-      let base = Array.sub sets 0 base_len in
-      let rest = total - base_len in
-      let chunk i =
-        (* k roughly equal delta batches covering sets[base_len, total) *)
-        let lo = base_len + (rest * i / k) and hi = base_len + (rest * (i + 1) / k) in
-        Array.sub sets lo (hi - lo)
-      in
-      let info = Helpers.small_info n in
-      let src, cleanup = make_source base in
-      let service =
-        Service.create
-          ~config:{ Service.default_config with domains = 1 }
-          (Cfq_core.Exec.context (Cfq_live.Source.db src) info)
-      in
-      Fun.protect ~finally:(fun () ->
-          Service.shutdown service;
-          cleanup ())
-      @@ fun () ->
-      Service.attach_source service src;
-      let queries = [ q1; q2 ] in
-      (* warm the caches at epoch 0 *)
-      List.iter (fun q -> ignore (expect_ok (Service.run service q) : Service.answer)) queries;
-      let ok = ref true in
-      for i = 0 to k - 1 do
-        let delta = chunk i in
-        Array.iter (Service.ingest service) delta;
-        (match Service.seal_live service with
-        | Some live ->
-            if live.Service.lv_epoch <> Cfq_live.Source.epoch src then begin
-              QCheck2.Test.fail_reportf "seal %d minted epoch %d, source at %d" i
-                live.Service.lv_epoch (Cfq_live.Source.epoch src)
-            end
-        | None ->
-            if Array.length delta > 0 then
-              QCheck2.Test.fail_reportf "seal %d ignored %d pending" i
-                (Array.length delta));
-        (* cold reference: a fresh service-free execution over the grown
-           prefix, same backend matrix *)
-        let prefix = Array.sub sets 0 (base_len + (rest * (i + 1) / k)) in
-        let cold_ctx = Cfq_core.Exec.context (Helpers.db_of_sets prefix) info in
-        List.iter
-          (fun q ->
-            let warm = expect_ok (Service.run service q) in
-            let cold = Cfq_core.Exec.run ~collect_pairs:true cold_ctx q in
-            let got = pair_str warm.Service.pairs in
-            let want = pair_str cold.Cfq_core.Exec.pairs in
-            if got <> want then begin
-              ok := false;
-              QCheck2.Test.fail_reportf
-                "seal %d: warm answer diverged\n got %s\nwant %s" i got want
-            end;
-            (* the maintained cache answers without a full remine.  An
-               unsatisfiable query is nominally "cold" (nothing was ever
-               mined for it, so nothing was promoted) but pays no scans
-               either — the scan charge is the real criterion *)
-            if Array.length delta > 0 && warm.Service.scans > 0 then begin
-              ok := false;
-              QCheck2.Test.fail_reportf
-                "seal %d: promoted query paid %d scans (%s)" i
-                warm.Service.scans
-                (Service.served_from_name warm.Service.served_from)
-            end)
-          queries
-      done;
-      let m = Service.metrics service in
-      if k > 0 && m.Metrics.seals = 0 then
-        QCheck2.Test.fail_reportf "metrics recorded no seals";
-      !ok)
 
 (* ------------------------------------------------------------------ *)
 (* fault injection during maintenance: promote-or-evict, never stale *)
@@ -591,7 +471,6 @@ let suite =
       promoted_minsup_covers;
     update_abs_equals_union_mine;
     Alcotest.test_case "source seal accounting" `Quick source_seal_accounting;
-    maintenance_equals_cold_remine;
     Alcotest.test_case "fault during maintenance" `Quick fault_during_maintenance;
     Alcotest.test_case "clean seal promotes in place" `Quick clean_seal_promotes;
     Alcotest.test_case "condensed twin across seals" `Quick condensed_twin_across_seals;

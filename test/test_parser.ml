@@ -95,7 +95,9 @@ let suite =
         bad "freq(X) >= 0.1";
         bad "min(S.Price)";
         bad "hello world";
-        bad "{(S,T) | } trailing");
+        bad "{(S,T) | } trailing";
+        bad "{(S,T) | freq(S) >= 1.5 & freq(T) >= 0.1}";
+        bad "freq(T) > -0.2");
     Helpers.qtest ~count:300 "printing any query re-parses to the same semantics"
       (QCheck2.Gen.pair Helpers.gen_query (Helpers.gen_itemset 8))
       (fun (q, s) -> Query.to_string q ^ " on " ^ Cfq_itembase.Itemset.to_string s)

@@ -87,7 +87,9 @@ let suite =
         Alcotest.(check bool) "parse error" true
           (contains (out t "run freq(X) >= 1") "parse error");
         Alcotest.(check bool) "validation error" true
-          (contains (out t "run sum(S.Nope) <= 3") "unknown attribute"));
+          (contains (out t "run sum(S.Nope) <= 3") "unknown attribute");
+        Alcotest.(check bool) "support out of range" true
+          (contains (out t "run {(S,T) | freq(S) >= 1.5 & freq(T) >= 0.1}") "parse error"));
     unit "load reports missing files gracefully" (fun () ->
         let t = Shell.create () in
         Alcotest.(check bool) "load failed" true
@@ -197,7 +199,8 @@ let suite =
             let stats = out t "cachestats" in
             Alcotest.(check bool) "epoch gauge" true (contains stats "live epoch");
             Alcotest.(check bool) "stats still served" true
-              (contains (out t "stats") "transactions: 13")));
+              (contains (out t "stats") "transactions: 13");
+            ignore (Shell.eval t "quit")));
     unit "replicated shards: verify, failover, scrub repair" (fun () ->
         let t = session_with_db () in
         let q = "run freq(S) >= 0.3 & freq(T) >= 0.3" in

@@ -99,6 +99,18 @@ let suite =
                 ("zero shards", disk ~shards:0 path);
               ];
             Alcotest.(check int) "no leaked fds" before (open_fds ())));
+    unit "item_info covers CSV items the data never uses" (fun () ->
+        with_segment (fun path ->
+            (* the data's universe is [0,4); the table lists items up to 5 *)
+            let csv = path ^ ".info.csv" in
+            Out_channel.with_open_text csv (fun oc -> output_string oc "item,Price\n0,1\n5,7\n");
+            let src = opened (disk path) in
+            let info = Source.item_info src in
+            Source.close src;
+            Sys.remove csv;
+            match info with
+            | Ok info -> Alcotest.(check int) "universe" 6 (Item_info.universe_size info)
+            | Error msg -> Alcotest.fail msg));
     unit "set_fault: bad targets are Errors" (fun () ->
         with_segment (fun path ->
             let is_error name r =
