@@ -1,9 +1,10 @@
 (* Counting speedup bench: wall-clock of the parallel counting engine at
    1/2/4 domains, on (a) one heavy level-2 counting pass (the pair-candidate
    explosion that dominates early levels) and (b) a full [Exec.run] of a
-   2-var query under the default direct2 kernel.  Prints a table and
-   writes the same rows machine-readably to BENCH_counting.json so the perf
-   trajectory is diffable across PRs.
+   2-var query under the default direct2 kernel; plus the trie against the
+   direct kernels on the level-2 pass and on a level-1 pass of every item.
+   Prints a table and writes the same rows machine-readably to
+   BENCH_counting.json so the perf trajectory is diffable across PRs.
 
    Every parallel pass is checked against the sequential counts/answers
    before its timing is reported — a speedup over a wrong answer is not a
@@ -61,6 +62,15 @@ let print_rows title rows =
       Table.add_row tbl
         [ string_of_int r.r_domains; Table.fcell r.r_seconds;
           Table.speedup_cell r.r_speedup ])
+    rows;
+  Printf.printf "\n%s\n" title;
+  Table.print tbl
+
+(* rows of (kernel, seconds, speedup vs the trie) *)
+let print_kernel_rows title rows =
+  let tbl = Table.create [ "kernel"; "wall(s)"; "vs trie" ] in
+  List.iter
+    (fun (name, s, sp) -> Table.add_row tbl [ name; Table.fcell s; Table.speedup_cell sp ])
     rows;
   Printf.printf "\n%s\n" title;
   Table.print tbl
@@ -130,17 +140,43 @@ let run (scale : Workloads.scale) =
         check_kernel "direct2" (count_with (Some (Counting.create_session Counting.Direct2))))
   in
   let kernel_rows = [ kernel_row "trie" trie_s; kernel_row "direct2" direct2_s ] in
-  let tbl = Table.create [ "kernel"; "wall(s)"; "vs trie" ] in
-  List.iter
-    (fun (name, s, sp) ->
-      Table.add_row tbl [ name; Table.fcell s; Table.speedup_cell sp ])
-    kernel_rows;
-  Printf.printf "\nlevel-2 kernel comparison (sequential)\n";
-  Table.print tbl;
+  print_kernel_rows "level-2 kernel comparison (sequential)" kernel_rows;
   if direct2_s > trie_s /. 2. then
     Printf.eprintf
       "warning: direct2 below the 2x target on this pass (%.4fs vs trie %.4fs)\n%!"
       direct2_s trie_s;
+
+  (* ---- (a'') kernel comparison on a level-1 pass ----
+     every item as a singleton: the trie against the item histogram,
+     sequential, both checked against the exact item frequencies first *)
+  let singles = Array.init scale.Workloads.n_items Itemset.singleton in
+  let count_singles kernel =
+    Counting.count_level ~session:(Counting.create_session kernel) db io
+      (Counters.create ()) singles
+  in
+  List.iter
+    (fun (name, kernel) ->
+      if count_singles kernel <> freqs then begin
+        Printf.printf "FAIL: %s level-1 counts differ from the item frequencies\n" name;
+        exit 1
+      end)
+    Counting.all_kernels;
+  (* a level-1 pass takes milliseconds: time ten per sample *)
+  let ten_passes kernel () =
+    for _ = 1 to 10 do
+      ignore (count_singles kernel)
+    done
+  in
+  let l1_trie_s = time_best ~repeats:10 (ten_passes Counting.Trie) /. 10. in
+  let l1_hist_s = time_best ~repeats:10 (ten_passes Counting.Direct2) /. 10. in
+  let level1_rows =
+    [ ("trie", l1_trie_s, 1.); ("direct2", l1_hist_s, l1_trie_s /. l1_hist_s) ]
+  in
+  print_kernel_rows
+    (Printf.sprintf
+       "level-1 kernel comparison (sequential, %d singletons; direct2 = item histogram)"
+       (Array.length singles))
+    level1_rows;
 
   (* ---- (b) a full Exec.run of a 2-var query ---- *)
   let rng = Splitmix.create ~seed:(Int64.add scale.Workloads.seed 7L) in
@@ -190,14 +226,14 @@ let run (scale : Workloads.scale) =
   (* ---- machine-readable record ---- *)
   let max_domains = List.fold_left max 1 domain_grid in
   let speedup_valid = max_domains <= cores in
-  let kernel_json =
+  let kernel_json rows =
     String.concat ",\n"
       (List.map
          (fun (name, s, sp) ->
            Printf.sprintf
              "      {\"kernel\": %S, \"seconds\": %.6f, \"speedup_vs_trie\": %.3f}"
              name s sp)
-         kernel_rows)
+         rows)
   in
   let json =
     String.concat "\n"
@@ -215,7 +251,13 @@ let run (scale : Workloads.scale) =
         "  },";
         "  \"kernels\": {";
         "    \"rows\": [";
-        kernel_json;
+        kernel_json kernel_rows;
+        "    ]";
+        "  },";
+        "  \"level1\": {";
+        Printf.sprintf "    \"candidates\": %d," (Array.length singles);
+        "    \"rows\": [";
+        kernel_json level1_rows;
         "    ]";
         "  },";
         "  \"exec_run\": {";

@@ -26,6 +26,7 @@ let tests () =
   in
   let cands = Array.of_seq (Itemset.Set.to_seq (Itemset.Set.of_seq (Array.to_seq cands))) in
   let trie = Trie.build cands in
+  let trie_counts = Array.make (Trie.n_candidates trie) 0 in
   let tx = Array.init 40 (fun i -> i * 3) in
   let pool = Array.map (fun c -> { Frequent.set = c; support = 10 }) cands in
   let prev = Array.map (fun e -> e.Frequent.set) pool in
@@ -39,7 +40,7 @@ let tests () =
     Test.make ~name:"itemset-inter" (Staged.stage (fun () -> Itemset.inter a b));
     Test.make ~name:"itemset-subset-big" (Staged.stage (fun () -> Itemset.subset a big));
     Test.make ~name:"itemset-hash" (Staged.stage (fun () -> Itemset.hash big));
-    Test.make ~name:"trie-count-tx" (Staged.stage (fun () -> Trie.count_tx trie tx));
+    Test.make ~name:"trie-count-tx" (Staged.stage (fun () -> Trie.count_tx_into trie trie_counts tx));
     Test.make ~name:"candidate-apriori-gen"
       (Staged.stage (fun () ->
            Candidate.apriori_gen ~prev ~prev_mem:(Itemset.Hashtbl.mem tbl)));

@@ -34,10 +34,7 @@ let mine db io ~minsup ~n_partitions ~universe_size =
     bounds;
   (* pass 2: exact global counts for the candidate union *)
   let cands = Array.of_seq (Itemset.Hashtbl.to_seq_keys candidates) in
-  let trie = Trie.build cands in
-  Tx_db.iter_scan db io (fun tx ->
-      Trie.count_tx trie (Itemset.unsafe_to_array tx.Transaction.items));
-  let counts = Trie.counts trie in
+  let counts = Counting.count_sets db io cands in
   let by_level = Hashtbl.create 16 in
   Array.iteri
     (fun i s ->

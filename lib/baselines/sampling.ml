@@ -41,12 +41,6 @@ let in_sample ~seed ~sample_frac tid =
   let h = (h lxor (h lsr 16)) land 0xFFFF in
   float_of_int h /. 65536. < sample_frac
 
-let count_sets db io cands =
-  let trie = Trie.build cands in
-  Tx_db.iter_scan db io (fun tx ->
-      Trie.count_tx trie (Itemset.unsafe_to_array tx.Transaction.items));
-  Trie.counts trie
-
 let mine db io ~minsup ~universe_size ~sample_frac ?(lower = 0.8) ?(seed = 1) () =
   if sample_frac <= 0. || sample_frac > 1. then invalid_arg "Sampling.mine: sample_frac";
   (* pass 0: draw the sample *)
@@ -89,7 +83,7 @@ let mine db io ~minsup ~universe_size ~sample_frac ?(lower = 0.8) ?(seed = 1) ()
     if to_count = [] then stable := true
     else begin
       let cands = Array.of_list to_count in
-      let counts = count_sets db io cands in
+      let counts = Counting.count_sets db io cands in
       Array.iteri (fun i s -> Itemset.Hashtbl.replace supports s counts.(i)) cands;
       (* expand around any border set that is globally frequent *)
       let grew = ref false in

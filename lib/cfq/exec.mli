@@ -70,10 +70,10 @@ val total_counted : result -> int
     the sequential execution for every [domains] value.
 
     [kernel] selects the support-counting kernel (see {!Counting.kernel});
-    the default [Direct2] counts level 2 with direct arrays, [Trie] is the
-    reference path.  Answers, frequent collections, ccc counters and I/O
-    charges — the paper's scan per level — are byte-identical for either
-    kernel, faults installed or not.  The kernel each level used appears
+    the default [Direct2] counts levels 1 and 2 with direct arrays,
+    [Trie] is the reference path.  Answers, frequent collections, ccc
+    counters and I/O charges — the paper's scan per level — are
+    byte-identical for either kernel, faults installed or not.  The kernel each level used appears
     in [levels] and in a summary note, which [Full_materialize] does not
     emit: it counts one explicit batch with the trie. *)
 val run :

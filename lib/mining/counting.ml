@@ -1,3 +1,4 @@
+open Cfq_itembase
 open Cfq_txdb
 
 type par = {
@@ -68,55 +69,115 @@ let describe s = Printf.sprintf "trie=%d direct2=%d" s.n_trie s.n_direct2
 (* Family representations                                              *)
 (* ------------------------------------------------------------------ *)
 
-type rep = R_trie of Trie.t | R_d2 of Direct2.t
+(* [R_hist items]: a family of singletons, read off the pass's shared item
+   histogram; [items.(i)] is candidate [i]'s item. *)
+type rep = R_trie of Trie.t | R_d2 of Direct2.t | R_hist of int array
 
-let rep_label = function R_trie _ -> "trie" | R_d2 _ -> "direct2"
+let rep_label = function R_trie _ -> "trie" | R_d2 _ | R_hist _ -> "direct2"
+
+let all_singletons cands =
+  Array.length cands > 0 && Array.for_all (fun s -> Itemset.cardinal s = 1) cands
 
 let rep_of kernel cands =
-  let d2 =
-    match kernel with
-    | Trie -> None
-    | Direct2 -> (
-        match Direct2.shape cands with
-        | Some d
-          when direct2_admissible ~n_cands:(Array.length cands) ~n_cells:(Direct2.n_cells d) ->
-            Some d
-        | _ -> None)
+  match kernel with
+  | Trie -> R_trie (Trie.build cands)
+  | Direct2 when all_singletons cands -> R_hist (Array.map (fun s -> Itemset.get s 0) cands)
+  | Direct2 -> (
+      match Direct2.shape cands with
+      | Some d
+        when direct2_admissible ~n_cands:(Array.length cands) ~n_cells:(Direct2.n_cells d) ->
+          R_d2 d
+      | _ -> R_trie (Trie.build cands))
+
+(* A pass's plan, built once on the coordinator and never mutated, so one
+   plan serves every domain and every shard. *)
+type plan = {
+  reps : rep array;  (* one per family *)
+  hist_size : int;  (* 1 + the largest histogram candidate item; 0 if none *)
+}
+
+let plan_of kernel families =
+  let reps = Array.of_list (List.map (rep_of kernel) families) in
+  let hist_size =
+    Array.fold_left
+      (fun acc rep ->
+        match rep with
+        | R_hist items -> Array.fold_left (fun m i -> max m (i + 1)) acc items
+        | _ -> acc)
+      0 reps
   in
-  match d2 with Some d -> R_d2 d | None -> R_trie (Trie.build cands)
+  { reps; hist_size }
 
-(* Accumulators are per participant; the representations themselves are
-   never mutated, so one set serves every domain and every shard. *)
-let acc_of = function
-  | R_trie t -> Array.make (Trie.n_candidates t) 0
-  | R_d2 d -> Direct2.init_cells d
+(* One participant's accumulators: the item histogram, and one array per
+   family ([||] for a histogram family). *)
+type local = { hist : int array; accs : int array array; scr : Direct2.scratch }
 
-let count_into rep acc scr items =
-  match rep with
-  | R_trie t -> Trie.count_tx_into t acc items
-  | R_d2 d -> Direct2.count_tx_into d acc scr items
+let local_of p =
+  {
+    hist = Array.make p.hist_size 0;
+    accs =
+      Array.map
+        (function
+          | R_trie t -> Array.make (Trie.n_candidates t) 0
+          | R_d2 d -> Direct2.init_cells d
+          | R_hist _ -> [||])
+        p.reps;
+    scr = Direct2.scratch ();
+  }
 
-let extract rep acc = match rep with R_trie _ -> acc | R_d2 d -> Direct2.extract d acc
+(* The row callback: it allocates nothing.  Items are non-negative and
+   ascend, so the histogram stops at the first item past its end. *)
+let count_row p st items =
+  let hist = st.hist in
+  let hn = Array.length hist and n = Array.length items in
+  let j = ref 0 in
+  while !j < n && Array.unsafe_get items !j < hn do
+    let i = Array.unsafe_get items !j in
+    Array.unsafe_set hist i (Array.unsafe_get hist i + 1);
+    incr j
+  done;
+  for f = 0 to Array.length p.reps - 1 do
+    match Array.unsafe_get p.reps f with
+    | R_trie t -> Trie.count_tx_into t (Array.unsafe_get st.accs f) items
+    | R_d2 d -> Direct2.count_tx_into d (Array.unsafe_get st.accs f) st.scr items
+    | R_hist _ -> ()
+  done
+
+(* merge by addition: int addition is order-independent, so any merge
+   order gives the sequential totals exactly *)
+let add_into total local =
+  let add dst src = Array.iteri (fun i v -> dst.(i) <- dst.(i) + v) src in
+  add total.hist local.hist;
+  Array.iter2 add total.accs local.accs
+
+(* per-family counts in candidate order *)
+let extract p st =
+  Array.to_list
+    (Array.mapi
+       (fun f rep ->
+         match rep with
+         | R_trie _ -> st.accs.(f)
+         | R_d2 d -> Direct2.extract d st.accs.(f)
+         | R_hist items -> Array.map (fun i -> st.hist.(i)) items)
+       p.reps)
 
 (* ------------------------------------------------------------------ *)
 (* The scan loop                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* One charged pass over [db] counting every family with its
-   representation; returns the per-family counts in candidate order.  Both
-   representations walk the same pages in the same order, so the page,
-   checksum and fault walk is the same for every kernel.  ccc
-   support-counted is charged by [count_shared] before the scan, per
-   candidate and kernel-independent by construction. *)
-let scan_count ~par db io reps =
+(* One charged pass over [db] counting every family of the plan; returns
+   the participant's accumulators.  Every representation walks the same
+   pages in the same order, so the page, checksum and fault walk is the
+   same for every kernel.  ccc support-counted is charged by
+   [count_shared] before the scan, per candidate and kernel-independent by
+   construction. *)
+let scan_count ~par db io p =
   let domains = eff_domains par ~work_items:(Tx_db.size db) in
   if domains = 1 then begin
-    let accs = List.map acc_of reps in
-    let scr = Direct2.scratch () in
+    let st = local_of p in
     Tx_db.iter_scan db io (fun tx ->
-        let items = Cfq_itembase.Itemset.unsafe_to_array tx.Transaction.items in
-        List.iter2 (fun rep acc -> count_into rep acc scr items) reps accs);
-    List.map2 extract reps accs
+        count_row p st (Itemset.unsafe_to_array tx.Transaction.items));
+    st
   end
   else begin
     (* one logical scan: the coordinator validates every page here — same
@@ -124,26 +185,19 @@ let scan_count ~par db io reps =
        the chunks fan out to participants counting into private arrays *)
     Tx_db.begin_scan db io;
     let chunks = Array.of_list (Tx_db.scan_chunks db ~max_chunks:(4 * domains)) in
-    let accs =
+    let locals =
       Cfq_exec_pool.Pool.fan_out ?pool:par.pool ~domains ~n_tasks:(Array.length chunks)
-        ~init:(fun () -> (List.map acc_of reps, Direct2.scratch ()))
-        ~work:(fun (locals, scr) c ->
+        ~init:(fun () -> local_of p)
+        ~work:(fun st c ->
           let lo, hi = chunks.(c) in
           Tx_db.iter_range db ~lo ~hi (fun tx ->
-              let items = Cfq_itembase.Itemset.unsafe_to_array tx.Transaction.items in
-              List.iter2 (fun rep acc -> count_into rep acc scr items) reps locals))
+              count_row p st (Itemset.unsafe_to_array tx.Transaction.items)))
         ()
     in
-    (* merge in participant-slot order; int addition is order-independent,
-       so the totals equal the sequential pass exactly *)
-    let totals = List.map acc_of reps in
-    List.iter
-      (fun (locals, _) ->
-        List.iter2
-          (fun total local -> Array.iteri (fun i v -> total.(i) <- total.(i) + v) local)
-          totals locals)
-      accs;
-    List.map2 extract reps totals
+    (* merge in participant-slot order *)
+    let total = local_of p in
+    List.iter (add_into total) locals;
+    total
   end
 
 (* ------------------------------------------------------------------ *)
@@ -156,8 +210,8 @@ let scan_count ~par db io reps =
    count-distribution scheme.  The caller is charged one logical composite
    scan per pass (same as the sequential path on the same composite); each
    shard's local I/O lands in its [Tx_db.shard_io] sink.  Every shard reads
-   the coordinator's representations. *)
-let distributed ~par db subs io reps =
+   the coordinator's plan. *)
+let distributed ~par db subs io p =
   let ns = Array.length subs in
   (* any injector — on the composite, a shard or a replica behind a shard's
      failover view — keeps the shards in their deterministic index order,
@@ -169,7 +223,7 @@ let distributed ~par db subs io reps =
   Tx_db.begin_scan db io;
   let sh_io = Tx_db.shard_io db in
   let run_shard k =
-    try scan_count ~par:sequential subs.(k) sh_io.(k) reps
+    try scan_count ~par:sequential subs.(k) sh_io.(k) p
     with Cfq_error.Error e ->
       (* shard-local error pages -> composite coordinates *)
       let base = Tx_db.shard_page_base db k in
@@ -181,21 +235,23 @@ let distributed ~par db subs io reps =
       in
       Cfq_error.raise_error e
   in
-  let per_shard = Array.make ns [] in
+  let per_shard = Array.make ns None in
   if faulted || max 1 par.domains = 1 then
     for k = 0 to ns - 1 do
-      per_shard.(k) <- run_shard k
+      per_shard.(k) <- Some (run_shard k)
     done
   else
     ignore
       (Cfq_exec_pool.Pool.fan_out ?pool:par.pool ~domains:par.domains ~n_tasks:ns
          ~init:(fun () -> ())
-         ~work:(fun () k -> per_shard.(k) <- run_shard k)
+         ~work:(fun () k -> per_shard.(k) <- Some (run_shard k))
          ()
         : unit list);
-  (* merge: exact global supports are the per-shard partial sums *)
-  let add a b = Array.mapi (fun i v -> v + b.(i)) a in
-  Array.fold_left (List.map2 add) per_shard.(0) (Array.sub per_shard 1 (ns - 1))
+  (* merge in shard order: exact global supports are the per-shard
+     partial sums *)
+  let total = local_of p in
+  Array.iter (fun st -> add_into total (Option.get st)) per_shard;
+  total
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -213,18 +269,19 @@ let count_shared ?(par = sequential) ?session db io families =
     List.map (fun (_, cands) -> Array.make (Array.length cands) 0) families
   else begin
     let kernel = match session with Some s -> s.kernel | None -> Trie in
-    let reps = List.map (fun (_, cands) -> rep_of kernel cands) families in
+    let p = plan_of kernel (List.map snd families) in
     let counts =
-      match Tx_db.shards db with
-      | Some subs when Array.length subs > 1 -> distributed ~par db subs io reps
-      | _ -> scan_count ~par db io reps
+      extract p
+        (match Tx_db.shards db with
+        | Some subs when Array.length subs > 1 -> distributed ~par db subs io p
+        | _ -> scan_count ~par db io p)
     in
     (* logical passes: a distributed pass counts once, like the composite's
        one charged scan, so the same mine reports the same counts on every
        backend *)
     (match session with
     | Some s ->
-        let labels = List.map rep_label reps in
+        let labels = Array.to_list (Array.map rep_label p.reps) in
         s.last_fams <- labels;
         if List.mem "direct2" labels then s.n_direct2 <- s.n_direct2 + 1;
         if List.mem "trie" labels then s.n_trie <- s.n_trie + 1
@@ -234,5 +291,11 @@ let count_shared ?(par = sequential) ?session db io families =
 
 let count_level ?par ?session db io counters cands =
   match count_shared ?par ?session db io [ (counters, cands) ] with
+  | [ counts ] -> counts
+  | _ -> assert false
+
+let count_sets db io cands =
+  let p = plan_of Trie [ cands ] in
+  match extract p (scan_count ~par:sequential db io p) with
   | [ counts ] -> counts
   | _ -> assert false

@@ -7,21 +7,34 @@
 
     {2 Kernels}
 
-    Each family of a pass is counted by one of two representations, both
+    Each family of a pass is counted by one of three representations, all
     fed by the same scan loop:
 
     {ul
     {- {e trie} — {!Trie}: the general flat-array trie walk, any
        cardinality; the reference path;}
+    {- {e histogram} — one item-count array per participant, shared by
+       every family of the pass whose candidates are all singletons; each
+       row increments the counts of its items once, however many singleton
+       families the pass carries, and each family reads its counts off the
+       histogram at the end;}
     {- {e direct2} — {!Direct2}: a triangular count array over the ranks of
-       the level-2 candidates' items, no trie.  Under the [Direct2] kernel a
-       family gets it when every candidate is a 2-set and
-       {!direct2_admissible} holds; otherwise it gets a trie.}}
+       the level-2 candidates' items, no trie.}}
+
+    Under the [Trie] kernel every family gets a trie.  Under the [Direct2]
+    kernel a non-empty all-singleton family gets the histogram, an
+    all-pairs family gets the direct2 array when {!direct2_admissible}
+    holds, and every other family gets a trie.  Histogram and direct2
+    families are both labelled ["direct2"].
+
+    The row callback allocates nothing: each participant holds its
+    histogram and one accumulator per family in arrays, and the trie walk
+    is allocation-free.
 
     Contract: the counts, and therefore every frequent-set collection and
     answer downstream, are byte-identical to the trie path for every
     kernel, domain count and backend.  The ccc support-counted charge is
-    per candidate and kernel-independent.  Both representations walk the
+    per candidate and kernel-independent.  All representations walk the
     same pages in the same order, so every scan, page and fault charge is
     the paper's for every kernel, faults installed or not (see
     doc/COUNTING.md).
@@ -29,7 +42,8 @@
     Every pass can run multi-core via {!par}: the coordinator charges and
     validates one logical scan, then page-aligned chunks fan out to a fixed
     set of domains (see {!Cfq_exec_pool.Pool.fan_out}), each counting into
-    private per-family accumulators merged deterministically at the end.
+    its own histogram and per-family accumulators, merged by addition in
+    participant-slot order at the end.
     The answers, ccc counters, I/O charges, and fault behaviour are
     identical to the sequential pass for every [domains] value.
 
@@ -39,7 +53,7 @@
     each pass fans out per shard instead of per chunk: the coordinator
     builds the family representations once, every shard counts the full
     candidate set against its own slice with them, and the coordinator sums
-    the partial supports — supports are additive over a partition, so the
+    the partial supports in shard order — supports are additive over a partition, so the
     totals are exact.  The caller is charged one logical composite scan per
     pass, each shard's local I/O lands in its {!Tx_db.shard_io} sink, and
     {!pass_counts} counts the distributed pass once, as on an unsharded
@@ -84,8 +98,10 @@ val sequential : par
 type kernel =
   | Trie  (** always the trie — the reference path *)
   | Direct2
-      (** direct level-2 arrays where admissible, trie elsewhere; the
-          default of [Exec.run] and the service *)
+      (** direct arrays for levels 1 and 2 — the item histogram for
+          singleton families, the direct2 array for admissible pair
+          families — and the trie elsewhere; the default of [Exec.run] and
+          the service *)
 
 val kernel_name : kernel -> string
 val kernel_of_string : string -> kernel option
@@ -152,3 +168,10 @@ val count_shared :
   Io_stats.t ->
   (Counters.t * Itemset.t array) list ->
   int array list
+
+(** [count_sets db io cands] counts [cands] with the trie in one
+    sequential scan of [db] and returns their supports in candidate order.
+    It charges one scan even when [cands] is empty, and no ccc counter —
+    the plain counting pass of live maintenance, rule supports and the
+    baselines. *)
+val count_sets : Tx_db.t -> Io_stats.t -> Itemset.t array -> int array

@@ -17,13 +17,7 @@ type 'a outcome = {
 let ceil_frac frac n = max 1 (int_of_float (Float.ceil (frac *. float_of_int n)))
 
 let count_in db io cands =
-  if Array.length cands = 0 then [||]
-  else begin
-    let trie = Trie.build cands in
-    Tx_db.iter_scan db io (fun tx ->
-        Trie.count_tx trie (Itemset.unsafe_to_array tx.Transaction.items));
-    Trie.counts trie
-  end
+  if Array.length cands = 0 then [||] else Counting.count_sets db io cands
 
 (* A deduplicating registry of sets: each distinct set gets one slot, so a
    set shared by many sides is counted once. *)

@@ -23,7 +23,7 @@ type t = {
   hi : int array;
   edge_key : int array;  (* sparse slots: sorted keys; dense slots: unused *)
   edge_child : int array;  (* child node id, -1 = dense hole *)
-  counts : int array;
+  n_cands : int;
 }
 
 let new_bnode () = { children = Hashtbl.create 4; bcand = -1 }
@@ -110,7 +110,7 @@ let flatten root n_cands =
     hi = Vec.to_array hi;
     edge_key = Vec.to_array edge_key;
     edge_child = Vec.to_array edge_child;
-    counts = Array.make n_cands 0;
+    n_cands;
   }
 
 let build cands =
@@ -134,49 +134,50 @@ let build cands =
     cands;
   flatten root (Array.length cands)
 
-let n_candidates t = Array.length t.counts
+let n_candidates t = t.n_cands
 
-let count_tx_into t counts items =
-  let n = Array.length items in
-  let cand = t.cand
-  and base = t.base
-  and lo = t.lo
-  and hi = t.hi
-  and edge_key = t.edge_key
-  and edge_child = t.edge_child in
-  let rec walk id pos =
-    let c = Array.unsafe_get cand id in
-    if c >= 0 then counts.(c) <- counts.(c) + 1;
-    let l = Array.unsafe_get lo id and h = Array.unsafe_get hi id in
-    if h > l then begin
-      let b = Array.unsafe_get base id in
-      if b >= 0 then
-        (* dense: direct slot lookup over the key span *)
-        for j = pos to n - 1 do
-          let slot = l + Array.unsafe_get items j - b in
-          if slot >= l && slot < h then begin
-            let child = Array.unsafe_get edge_child slot in
-            if child >= 0 then walk child (j + 1)
-          end
-        done
-      else
-        (* sparse: binary search the sorted key slots *)
-        for j = pos to n - 1 do
-          let item = Array.unsafe_get items j in
-          let a = ref l and z = ref (h - 1) in
-          let found = ref (-1) in
-          while !found < 0 && !a <= !z do
-            let mid = (!a + !z) / 2 in
-            let k = Array.unsafe_get edge_key mid in
-            if k = item then found := mid
-            else if k < item then a := mid + 1
-            else z := mid - 1
-          done;
-          if !found >= 0 then walk (Array.unsafe_get edge_child !found) (j + 1)
-        done
+(* A top-level walk, so counting a transaction allocates no closure.
+   [items] ascend, so a node stops scanning at the first item past its
+   keys: a dense node at the end of its key span, a sparse node past its
+   last key. *)
+let rec walk t counts items n id pos =
+  let c = Array.unsafe_get t.cand id in
+  if c >= 0 then counts.(c) <- counts.(c) + 1;
+  let l = Array.unsafe_get t.lo id and h = Array.unsafe_get t.hi id in
+  if h > l then begin
+    let b = Array.unsafe_get t.base id in
+    if b >= 0 then begin
+      (* dense: direct slot lookup over the key span [b, b + h - l) *)
+      let stop = b + h - l in
+      let j = ref pos in
+      while !j < n && Array.unsafe_get items !j < stop do
+        let item = Array.unsafe_get items !j in
+        if item >= b then begin
+          let child = Array.unsafe_get t.edge_child (l + item - b) in
+          if child >= 0 then walk t counts items n child (!j + 1)
+        end;
+        incr j
+      done
     end
-  in
-  walk 0 0
+    else begin
+      (* sparse: binary search the sorted key slots *)
+      let last = Array.unsafe_get t.edge_key (h - 1) in
+      let j = ref pos in
+      while !j < n && Array.unsafe_get items !j <= last do
+        let item = Array.unsafe_get items !j in
+        let a = ref l and z = ref (h - 1) in
+        let found = ref (-1) in
+        while !found < 0 && !a <= !z do
+          let mid = (!a + !z) / 2 in
+          let k = Array.unsafe_get t.edge_key mid in
+          if k = item then found := mid
+          else if k < item then a := mid + 1
+          else z := mid - 1
+        done;
+        if !found >= 0 then walk t counts items n (Array.unsafe_get t.edge_child !found) (!j + 1);
+        incr j
+      done
+    end
+  end
 
-let count_tx t items = count_tx_into t t.counts items
-let counts t = t.counts
+let count_tx_into t counts items = walk t counts items (Array.length items) 0 0

@@ -9,7 +9,8 @@
     nodes in BFS order, children contiguous), so counting walks are
     cache-friendly, allocation-free, and the trie can be shared immutably
     across domains — each domain counting into its own array via
-    {!count_tx_into}. *)
+    {!count_tx_into}.  [Counting.count_sets] is the one-scan entry point
+    for callers that just want the supports of a candidate array. *)
 
 open Cfq_itembase
 
@@ -21,15 +22,11 @@ val build : Itemset.t array -> t
 
 val n_candidates : t -> int
 
-(** [count_tx t items] registers one transaction given as a strictly
-    increasing item array. *)
-val count_tx : t -> Item.t array -> unit
-
-(** Counters aligned with the candidate array passed to {!build}. *)
-val counts : t -> int array
-
-(** [count_tx_into t out items] is {!count_tx} writing into a caller-owned
-    array instead of the trie's internal counters — the trie structure
-    itself is never mutated, so one trie can serve several threads, each
-    with its own output array. *)
+(** [count_tx_into t counts items] registers one transaction, given as a
+    strictly increasing item array, by incrementing [counts.(i)] for every
+    candidate [i] it contains; [counts] is aligned with the candidate array
+    passed to {!build}.  The trie itself is never mutated, so one trie can
+    serve several threads, each with its own output array.  The walk
+    allocates nothing, and each node stops at the first item past its
+    keys. *)
 val count_tx_into : t -> int array -> Item.t array -> unit

@@ -26,11 +26,9 @@ let of_pairs db io ?(min_confidence = 0.) ?(min_lift = 0.) pairs =
       end)
     pairs;
   let unions = Array.of_list (List.rev !unions) in
-  let trie = Trie.build unions in
-  if Array.length unions > 0 then
-    Tx_db.iter_scan db io (fun tx ->
-        Trie.count_tx trie (Itemset.unsafe_to_array tx.Transaction.items));
-  let counts = Trie.counts trie in
+  let counts =
+    if Array.length unions = 0 then [||] else Counting.count_sets db io unions
+  in
   let rules =
     List.filter_map
       (fun (s, t) ->

@@ -3,30 +3,29 @@ open Cfq_txdb
 open Cfq_constr
 open Cfq_core
 
-(* Physical-identity registries.  A service holds its database and tables
-   alive anyway, so pinning registered values is harmless; the tables stay
-   short (one entry per loaded database/table). *)
+(* Databases carry their own id.  Attribute tables are identified
+   physically through a registry that pins what it has seen; it stays short
+   (one entry per loaded table), while every live seal makes a new
+   database. *)
 
 let registry_mutex = Mutex.create ()
-let db_registry : (Tx_db.t * int) list ref = ref []
 let info_registry : (Item_info.t * int) list ref = ref []
-let next_id = ref 0
+let next_info_id = ref 0
 
-let identify registry v =
+let db_id = Tx_db.id
+
+let info_id info =
   Mutex.lock registry_mutex;
   let id =
-    match List.find_opt (fun (v', _) -> v' == v) !registry with
+    match List.find_opt (fun (v', _) -> v' == info) !info_registry with
     | Some (_, id) -> id
     | None ->
-        incr next_id;
-        registry := (v, !next_id) :: !registry;
-        !next_id
+        incr next_info_id;
+        info_registry := (info, !next_info_id) :: !info_registry;
+        !next_info_id
   in
   Mutex.unlock registry_mutex;
   id
-
-let db_id db = identify db_registry db
-let info_id info = identify info_registry info
 
 let sorted_unique strings = List.sort_uniq String.compare strings
 

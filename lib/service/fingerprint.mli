@@ -11,13 +11,15 @@ open Cfq_txdb
 open Cfq_constr
 open Cfq_core
 
-(** [db_id db] is a process-wide token for the physical identity of [db].
-    The same value always maps to the same id; structurally equal but
-    distinct values get distinct ids (fingerprints never alias across
-    reloads). *)
+(** [db_id db] is a process-wide token for the physical identity of [db]:
+    its {!Tx_db.id}.  The same value always maps to the same id;
+    structurally equal but distinct values get distinct ids (fingerprints
+    never alias across reloads), and fingerprinting a database does not
+    keep it alive. *)
 val db_id : Tx_db.t -> int
 
-(** [info_id info] — same, for attribute tables. *)
+(** [info_id info] — same, for attribute tables, found in a registry that
+    keeps every table it has seen alive (one entry per loaded table). *)
 val info_id : Item_info.t -> int
 
 (** Canonical rendering of a 1-var constraint list: sorted, deduplicated. *)

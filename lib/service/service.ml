@@ -121,8 +121,8 @@ let knobs =
       name = "kernel";
       doc =
         "Support-counting kernel: trie (the reference scan-per-level path) or \
-         direct2 (the default: direct level-2 count arrays, the trie's page \
-         charges).  Answers are identical for every kernel.";
+         direct2 (the default: direct level-1 and level-2 count arrays, the trie's \
+         page charges).  Answers are identical for every kernel.";
       print = (fun c -> Counting.kernel_name c.kernel);
       parse =
         (fun v c ->

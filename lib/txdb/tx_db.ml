@@ -32,6 +32,7 @@ type data =
   | Ext of ext
 
 type t = {
+  id : int;  (* process-unique, stamped at construction *)
   data : data;
   n : int;
   page_model : Page_model.t;
@@ -68,11 +69,15 @@ let compute_checksums ~pages ~page_of txs =
     txs;
   sums
 
+let next_id = Atomic.make 1
+let fresh_id () = Atomic.fetch_and_add next_id 1
+
 let create ?(page_model = Page_model.default) itemsets =
   let txs = Array.mapi (fun tid items -> Transaction.make ~tid ~items) itemsets in
   let sizes = Array.map Itemset.cardinal itemsets in
   let page_of, pages = Page_model.assign page_model sizes in
   {
+    id = fresh_id ();
     data = Mem txs;
     n = Array.length txs;
     page_model;
@@ -90,6 +95,7 @@ let of_backend ?(page_model = Page_model.default) ~pages ~page_of ~checksums
   if Array.length checksums <> pages then
     invalid_arg "Tx_db.of_backend: one checksum per page required";
   {
+    id = fresh_id ();
     data = Ext { ext_iter = iter; ext_get = get; ext_avg_len = avg_tx_len };
     n = Array.length page_of;
     page_model;
@@ -102,6 +108,7 @@ let of_backend ?(page_model = Page_model.default) ~pages ~page_of ~checksums
     run_starts = None;
   }
 
+let id t = t.id
 let size t = t.n
 let pages t = t.pages
 let page_model t = t.page_model
@@ -437,6 +444,7 @@ let of_shards ?page_model ?checksums ?io subs =
         sums
   in
   {
+    id = fresh_id ();
     data = Ext { ext_iter = iter; ext_get = get_tx; ext_avg_len = avg };
     n;
     page_model;

@@ -50,6 +50,11 @@ val of_backend :
   unit ->
   t
 
+(** A process-unique id, stamped by every constructor ({!create},
+    {!of_backend}, {!of_shards}): distinct databases never share one, and
+    holding an id keeps nothing alive. *)
+val id : t -> int
+
 (** {2 Sharded composites}
 
     [of_shards subs] is one logical database spanning the given shards in

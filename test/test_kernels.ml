@@ -152,6 +152,113 @@ let prop_faults_same_walk (q, (n, db)) =
     kernels
 
 (* ------------------------------------------------------------------ *)
+(* Mixed families in one pass: histogram, direct2 and trie together    *)
+(* ------------------------------------------------------------------ *)
+
+(* Two singleton families (the second overlaps the first and holds the
+   largest singleton items, so it sizes the histogram), a pair family and
+   a triple family, over transactions that may be empty or carry items
+   above the histogram. *)
+let gen_mixed_pass =
+  QCheck2.Gen.(
+    let* n = int_range 5 9 in
+    let top = n + 4 in
+    let gen_set k = list_repeat k (int_range 0 top) in
+    let family k sets =
+      List.filter (fun s -> Itemset.cardinal s = k) (List.map Itemset.of_list sets)
+      |> List.sort_uniq Itemset.compare |> Array.of_list
+    in
+    let singles items = Array.of_list (List.map Itemset.singleton (List.sort_uniq compare items)) in
+    let* a = list_size (int_range 1 6) (int_range 0 (n - 1)) in
+    let* above = list_size (int_range 1 2) (int_range n (n + 2)) in
+    let* b_rest = list_size (int_range 0 3) (int_range 0 (n - 1)) in
+    let* pairs = list_size (int_range 1 15) (gen_set 2) in
+    let* triples = list_size (int_range 1 10) (gen_set 3) in
+    let* txs =
+      list_size (int_range 20 60)
+        (frequency [ (1, return []); (5, list_size (int_range 1 8) (int_range 0 top)) ])
+    in
+    let pairs = family 2 ([ 0; 1 ] :: pairs) and triples = family 3 ([ 0; 1; 2 ] :: triples) in
+    return
+      ( Array.of_list (List.map Itemset.of_list txs),
+        [ singles a; singles ((List.hd a :: above) @ b_rest); pairs; triples ] ))
+
+let print_mixed_pass (txs, fams) =
+  let sets a = String.concat "," (Array.to_list (Array.map Itemset.to_string a)) in
+  Printf.sprintf "txs=[%s] families=[%s]" (sets txs)
+    (String.concat " | " (List.map sets fams))
+
+let prop_mixed_pass_grid (txs, fams) =
+  let pass ?(domains = 1) kernel db =
+    let io = Io_stats.create () in
+    let session = session_of kernel in
+    let counts =
+      Counting.count_shared
+        ~par:(Counting.par ~min_rows_per_domain:1 domains)
+        ~session db io
+        (List.map (fun c -> (Counters.create (), c)) fams)
+    in
+    (counts, (Io_stats.scans io, Io_stats.pages_read io), Counting.last_kernels session)
+  in
+  (* small pages, so a 3-domain pass really fans out over several chunks *)
+  let page_model = Page_model.make ~page_size_bytes:64 () in
+  let plain = Tx_db.create ~page_model txs in
+  let ref_counts, ref_io, ref_labels = pass Counting.Trie plain in
+  let brute = List.map (Array.map (Helpers.support_of plain)) fams in
+  ref_counts = brute
+  && ref_labels = [ "trie"; "trie"; "trie"; "trie" ]
+  && List.for_all
+       (fun db ->
+         List.for_all
+           (fun domains ->
+             let counts, io, labels = pass ~domains Counting.Direct2 db in
+             counts = ref_counts && io = ref_io
+             && List.filteri (fun i _ -> i < 2) labels = [ "direct2"; "direct2" ]
+             && List.nth labels 3 = "trie")
+           domain_grid)
+       [ plain; Cfq_shard.Sharded.mem_db ~page_model ~shards:3 txs ]
+
+(* ------------------------------------------------------------------ *)
+(* Trie early stop: dense and sparse nodes around a transaction's items *)
+(* ------------------------------------------------------------------ *)
+
+let test_trie_early_stop () =
+  let range lo hi = List.init (hi - lo + 1) (fun i -> lo + i) in
+  let sets =
+    (* the root: a dense span 10..19 *)
+    List.map (fun i -> [ i ]) (range 10 19)
+    (* under 12: a sparse node with keys below (13), inside (25) and above
+       (60) the items that follow 12 *)
+    @ [ [ 12; 13 ]; [ 12; 25 ]; [ 12; 60 ]; [ 12; 25; 40 ] ]
+    (* under 15: a dense span 16..27 straddling the next item 25 *)
+    @ List.map (fun k -> [ 15; k ]) (range 16 27)
+    (* under 19: a dense span 50..59, all above the items *)
+    @ List.map (fun k -> [ 19; k ]) (range 50 59)
+    (* under 13: a sparse node whose keys all lie below the items *)
+    @ [ [ 13; 14 ]; [ 13; 16 ] ]
+  in
+  let cands = Array.of_list (List.map Itemset.of_list sets) in
+  let trie = Trie.build cands in
+  let rng = Random.State.make [| 20 |] in
+  let random_tx () =
+    List.sort_uniq compare (List.init (Random.State.int rng 10) (fun _ -> Random.State.int rng 70))
+  in
+  let txs =
+    [ []; [ 3; 5; 12; 15; 25; 40 ]; [ 12; 13; 25; 60 ]; [ 19; 50; 59; 100 ]; [ 13; 17; 99 ];
+      [ 100 ]; range 0 70 ]
+    @ List.init 300 (fun _ -> random_tx ())
+  in
+  let counts = Array.make (Trie.n_candidates trie) 0 in
+  List.iter (fun tx -> Trie.count_tx_into trie counts (Array.of_list tx)) txs;
+  Array.iteri
+    (fun i c ->
+      let brute =
+        List.length (List.filter (fun tx -> Itemset.subset c (Itemset.of_list tx)) txs)
+      in
+      Alcotest.(check int) ("support of " ^ Itemset.to_string c) brute counts.(i))
+    cands
+
+(* ------------------------------------------------------------------ *)
 (* Direct2 admission                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -191,6 +298,18 @@ let test_direct2_engages () =
   let _ = mine_with ~session:s db 6 ~minsup:4 in
   let pc = Counting.pass_counts s in
   Alcotest.(check bool) "direct2 pass happened" true (pc.Counting.direct2_passes >= 1)
+
+(* under direct2 level 1 reads the item histogram; the trie stays the
+   reference *)
+let test_level1_histogram () =
+  let db = dense_db () in
+  let l1_kernel kernel =
+    let out, _ = mine_with ~session:(session_of kernel) db 6 ~minsup:4 in
+    (List.find (fun r -> r.Level_stats.level = 1) (Level_stats.rows out.Apriori.stats))
+      .Level_stats.kernel
+  in
+  Alcotest.(check string) "direct2 level 1" "direct2" (l1_kernel Counting.Direct2);
+  Alcotest.(check string) "trie level 1" "trie" (l1_kernel Counting.Trie)
 
 let test_kernel_names_roundtrip () =
   List.iter
@@ -265,6 +384,10 @@ let suite =
       gen_case print_case prop_faults_same_walk;
     unit "direct2 budget and sparsity cutoffs" test_direct2_cutoffs;
     unit "direct2 kernel engages on level 2" test_direct2_engages;
+    unit "direct2 counts level 1 from the item histogram" test_level1_histogram;
+    Helpers.qtest ~count:100 "mixed families in one pass match the trie" gen_mixed_pass
+      print_mixed_pass prop_mixed_pass_grid;
+    unit "trie nodes stop early and count exactly" test_trie_early_stop;
     unit "kernel names round-trip" test_kernel_names_roundtrip;
     unit "vertical scratch reuse matches single probes" test_vertical_scratch_reuse;
     unit "dhp bucket filter visible in level rows" test_dhp_rows;

@@ -74,21 +74,23 @@ let suite =
         (* the engines always dedupe candidates before counting *)
         let cands = Array.of_list (List.sort_uniq Itemset.compare cands) in
         let trie = Trie.build cands in
+        let counts = Array.make (Trie.n_candidates trie) 0 in
         for i = 0 to Tx_db.size db - 1 do
-          Trie.count_tx trie (Itemset.unsafe_to_array (Tx_db.get db i).Transaction.items)
+          Trie.count_tx_into trie counts
+            (Itemset.unsafe_to_array (Tx_db.get db i).Transaction.items)
         done;
-        let counts = Trie.counts trie in
         Array.for_all2
           (fun c cand -> c = Helpers.support_of db cand)
           counts cands);
     unit "trie with duplicate candidates counts each slot" (fun () ->
         let s = Itemset.of_list [ 1; 2 ] in
         let trie = Trie.build [| s; s |] in
-        Trie.count_tx trie [| 0; 1; 2 |];
+        let counts = Array.make (Trie.n_candidates trie) 0 in
+        Trie.count_tx_into trie counts [| 0; 1; 2 |];
         (* duplicates share a terminal node: only the last registered slot
            is counted, which the engines never rely on (they dedupe) *)
         Alcotest.(check int) "total over slots" 1
-          (Array.fold_left ( + ) 0 (Trie.counts trie)));
+          (Array.fold_left ( + ) 0 counts));
     unit "candidate pairs_all" (fun () ->
         let pairs = Candidate.pairs_all [| 3; 1; 2 |] in
         Alcotest.(check int) "C(3,2)" 3 (Array.length pairs);

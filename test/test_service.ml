@@ -199,6 +199,21 @@ let fingerprint_physical_identity () =
   Alcotest.(check bool) "distinct loads never alias" true
     (Fingerprint.db_id db1 <> Fingerprint.db_id db2)
 
+(* a fingerprinted database stays collectable: live seals make a new
+   database each, and the superseded ones must not pile up *)
+let fingerprint_pins_nothing () =
+  let collected = ref 0 in
+  let fingerprint_fresh () =
+    let db = Helpers.db_of_lists [ [ 0; 1 ]; [ 1; 2 ] ] in
+    Gc.finalise_last (fun () -> incr collected) db;
+    ignore (Sys.opaque_identity (Fingerprint.db_id db) : int)
+  in
+  for _ = 1 to 1000 do
+    fingerprint_fresh ()
+  done;
+  Gc.full_major ();
+  Alcotest.(check int) "every dropped database was collected" 1000 !collected
+
 (* ------------------------------------------------------------------ *)
 (* Service paths *)
 
@@ -592,6 +607,8 @@ let suite =
     Alcotest.test_case "entail: conjunction subsumption" `Quick entail_conjunction;
     Alcotest.test_case "fingerprint: canonical constraint order" `Quick fingerprint_canonical;
     Alcotest.test_case "fingerprint: physical identity" `Quick fingerprint_physical_identity;
+    Alcotest.test_case "fingerprint: dropped databases are collected" `Quick
+      fingerprint_pins_nothing;
     Alcotest.test_case "service: answer-cache hit" `Quick service_answer_cache_hit;
     Alcotest.test_case "service: subsumption reuse" `Quick service_subsumption_reuse;
     Alcotest.test_case "service: deadline is a clean error" `Quick service_deadline_clean_error;
