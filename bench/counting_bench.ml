@@ -131,13 +131,30 @@ let run (scale : Workloads.scale) =
       exit 1
     end
   in
-  let trie_s = time_best ~repeats:3 (fun () -> check_kernel "trie" (count_with None)) in
+  (* a sequential pass takes milliseconds: time ten passes per sample,
+     alternate the two kernels' samples so both see the same machine
+     load, and keep each kernel's best of ten samples *)
+  let per_pass_pair f g =
+    let ten h () =
+      for _ = 1 to 10 do
+        h ()
+      done
+    in
+    let best_f = ref infinity and best_g = ref infinity in
+    for _ = 1 to 10 do
+      best_f := Float.min !best_f (time_best ~repeats:1 (ten f));
+      best_g := Float.min !best_g (time_best ~repeats:1 (ten g))
+    done;
+    (!best_f /. 10., !best_g /. 10.)
+  in
+  let trie_s, direct2_s =
+    per_pass_pair
+      (fun () -> check_kernel "trie" (count_with None))
+      (fun () ->
+        check_kernel "direct2" (count_with (Some (Counting.create_session Counting.Direct2))))
+  in
   let kernel_row name time =
     (name, time, trie_s /. time)
-  in
-  let direct2_s =
-    time_best ~repeats:3 (fun () ->
-        check_kernel "direct2" (count_with (Some (Counting.create_session Counting.Direct2))))
   in
   let kernel_rows = [ kernel_row "trie" trie_s; kernel_row "direct2" direct2_s ] in
   print_kernel_rows "level-2 kernel comparison (sequential)" kernel_rows;
@@ -161,14 +178,11 @@ let run (scale : Workloads.scale) =
         exit 1
       end)
     Counting.all_kernels;
-  (* a level-1 pass takes milliseconds: time ten per sample *)
-  let ten_passes kernel () =
-    for _ = 1 to 10 do
-      ignore (count_singles kernel)
-    done
+  let l1_trie_s, l1_hist_s =
+    per_pass_pair
+      (fun () -> ignore (count_singles Counting.Trie))
+      (fun () -> ignore (count_singles Counting.Direct2))
   in
-  let l1_trie_s = time_best ~repeats:10 (ten_passes Counting.Trie) /. 10. in
-  let l1_hist_s = time_best ~repeats:10 (ten_passes Counting.Direct2) /. 10. in
   let level1_rows =
     [ ("trie", l1_trie_s, 1.); ("direct2", l1_hist_s, l1_trie_s /. l1_hist_s) ]
   in

@@ -5,11 +5,10 @@
            FULL=1 dune exec bench/main.exe     (paper scale: 100k transactions)
            dune exec bench/main.exe -- micro   (microbenchmarks only)
            dune exec bench/main.exe -- fig8a   (one experiment)
-           dune exec bench/main.exe -- session (service cache vs cold replay)
-           dune exec bench/main.exe -- chaos   (session under injected faults)
-           dune exec bench/main.exe -- store   (persistent backend: buffer pool)
-           dune exec bench/main.exe -- shard   (sharded stores: count distribution)
-           dune exec bench/main.exe -- live    (ingest-query interleave across seals) *)
+           dune exec bench/main.exe -- counting (counting kernels and domains)
+
+   The serving workloads (session, store, live) are measured end to end by
+   cfqbench; their correctness gates live in `dune runtest`. *)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -31,13 +30,8 @@ let () =
   | [ "maintenance" ] -> Experiments.maintenance (scale ())
   | [ "parallel" ] -> Experiments.parallel (scale ())
   | [ "counting" ] -> Counting_bench.run (scale ())
-  | [ "session" ] -> Session.run (scale ())
-  | [ "chaos" ] -> Chaos.run (scale ())
-  | [ "store" ] -> Store_bench.run (scale ())
-  | [ "shard" ] -> Shard_bench.run (scale ())
-  | [ "live" ] -> Live.run (scale ())
   | _ ->
       prerr_endline
         "usage: main.exe \
-         [micro|fig8a|tab71_levels|tab71_ranges|fig8b|tab72_ranges|tab73_jmax|ablation|miners|cap_1var|maintenance|parallel|counting|session|chaos|store|shard|live]";
+         [micro|fig8a|tab71_levels|tab71_ranges|fig8b|tab72_ranges|tab73_jmax|ablation|miners|cap_1var|maintenance|parallel|counting]";
       exit 2

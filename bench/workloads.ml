@@ -37,7 +37,6 @@ type fig8a = {
   query : float -> float -> Query.t;  (* s_lo -> v -> query *)
 }
 
-let fig8a_overlap ~s_lo ~v = 100. *. (v -. s_lo) /. (1000. -. s_lo)
 let fig8a_v_for_overlap ~s_lo ~overlap_pct =
   s_lo +. (overlap_pct /. 100. *. (1000. -. s_lo))
 

@@ -1,21 +1,9 @@
 let magic = "CFQMAN01"
 let version = 2
 
-type partition = Tid_range | Hash
+type partition = Tid_range
 
-let partition_name = function Tid_range -> "tid-range" | Hash -> "hash"
-
-let partition_of_string = function
-  | "tid-range" | "tid_range" | "range" -> Some Tid_range
-  | "hash" -> Some Hash
-  | _ -> None
-
-let partition_code = function Tid_range -> 0 | Hash -> 1
-
-let partition_of_code = function
-  | 0 -> Some Tid_range
-  | 1 -> Some Hash
-  | _ -> None
+let partition_name Tid_range = "tid-range"
 
 type health = Healthy | Stale | Quarantined
 
@@ -87,7 +75,7 @@ let encode m =
   let b = Bytes.make total '\000' in
   Bytes.blit_string magic 0 b 0 8;
   set_u32 b h_version version;
-  set_u32 b h_partition (partition_code m.partition);
+  set_u32 b h_partition 0;
   set_u32 b h_shards ns;
   set_u64 b h_generation m.generation;
   set_u64 b h_n_txs m.n_txs;
@@ -179,11 +167,7 @@ let read path =
       let stored_crc = get_u32 b (len - 4) in
       if Cfq_store.Crc32.sub b 0 (len - 4) <> stored_crc then
         bad path "manifest CRC mismatch";
-      let partition =
-        match partition_of_code (get_u32 b h_partition) with
-        | Some p -> p
-        | None -> bad path "unknown partition kind"
-      in
+      if get_u32 b h_partition <> 0 then bad path "unknown partition kind";
       let ns = get_u32 b h_shards in
       let n_txs = get_u64 b h_n_txs in
       let n_pages = get_u64 b h_n_pages in
@@ -232,7 +216,7 @@ let read path =
       let checksums = Array.init n_pages (fun p -> get_u64 b (coff + (p * 8))) in
       {
         generation = get_u64 b h_generation;
-        partition;
+        partition = Tid_range;
         universe = get_u64 b h_universe;
         n_txs;
         n_pages;

@@ -25,10 +25,12 @@
     Writes follow the segment discipline: temp file + atomic rename +
     parent directory fsync. *)
 
-type partition = Tid_range | Hash
+(** The one partitioning a manifest records: contiguous tid ranges
+    (see {!Sharded}).  Its header word is always 0; any other value is
+    rejected as an unknown partition kind. *)
+type partition = Tid_range
 
 val partition_name : partition -> string
-val partition_of_string : string -> partition option
 
 (** Replica health as recorded in the manifest.  [Stale] — missed a
     quorum write (its data lags the shard); [Quarantined] — the scrubber

@@ -16,7 +16,6 @@ type t = {
   groups : Replica.t array;
   mutable db : Tx_db.t;
   mutable manifest : Manifest.t;
-  mutable appended : int;  (* round-robin cursor for Hash routing *)
   mutable last_seal : seal_info option;
 }
 
@@ -58,31 +57,11 @@ let tid_ranges ?(page_model = Page_model.default) sizes ~shards =
         let hi = if r1 = runs then n - 1 else starts.(r1) - 1 in
         (lo, hi))
 
-(* SplitMix64 finalizer: a stable scatter of the transaction index,
-   masked to a non-negative native int *)
-let mix64 z =
-  let z = Int64.of_int z in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.to_int (Int64.logand (Int64.logxor z (Int64.shift_right_logical z 31)) 0x3FFFFFFFFFFFFFFFL)
-
-let slices ?page_model ~partition sets ~shards =
-  let shards = max 1 shards in
-  match partition with
-  | Manifest.Tid_range ->
-      let sizes = Array.map Itemset.cardinal sets in
-      Array.map
-        (fun (lo, hi) ->
-          if hi < lo then [||] else Array.sub sets lo (hi - lo + 1))
-        (tid_ranges ?page_model sizes ~shards)
-  | Manifest.Hash ->
-      let bufs = Array.make shards [] in
-      Array.iteri
-        (fun i items ->
-          let k = mix64 i mod shards in
-          bufs.(k) <- items :: bufs.(k))
-        sets;
-      Array.map (fun l -> Array.of_list (List.rev l)) bufs
+let slices ?page_model sets ~shards =
+  let sizes = Array.map Itemset.cardinal sets in
+  Array.map
+    (fun (lo, hi) -> if hi < lo then [||] else Array.sub sets lo (hi - lo + 1))
+    (tid_ranges ?page_model sizes ~shards)
 
 (* ------------------------------------------------------------------ *)
 (* Manifest computation                                                *)
@@ -110,7 +89,7 @@ let composite_checksums ~n_pages stores =
     stores;
   sums
 
-let manifest_of_entries ~partition ~generation ~replicas entries stores =
+let manifest_of_entries ~generation ~replicas entries stores =
   let n_txs = Array.fold_left (fun a e -> a + e.Manifest.s_txs) 0 entries in
   let n_pages = Array.fold_left (fun a e -> a + e.Manifest.s_pages) 0 entries in
   let universe =
@@ -118,7 +97,7 @@ let manifest_of_entries ~partition ~generation ~replicas entries stores =
   in
   {
     Manifest.generation;
-    partition;
+    partition = Manifest.Tid_range;
     universe;
     n_txs;
     n_pages;
@@ -128,7 +107,7 @@ let manifest_of_entries ~partition ~generation ~replicas entries stores =
   }
 
 (* a fresh build: every replica healthy at its store's generation *)
-let manifest_of_stores ~partition ~generation ~replicas stores =
+let manifest_of_stores ~generation ~replicas stores =
   let entries =
     Array.map
       (fun st ->
@@ -145,13 +124,13 @@ let manifest_of_stores ~partition ~generation ~replicas stores =
         })
       stores
   in
-  manifest_of_entries ~partition ~generation ~replicas entries stores
+  manifest_of_entries ~generation ~replicas entries stores
 
 (* a live store: per-replica generation and health come from the groups *)
-let manifest_of_groups ~partition ~generation ~replicas groups =
+let manifest_of_groups ~generation ~replicas groups =
   let entries = Array.map Replica.entry groups in
   let stores = Array.map Replica.preferred_store groups in
-  manifest_of_entries ~partition ~generation ~replicas entries stores
+  manifest_of_entries ~generation ~replicas entries stores
 
 (* ------------------------------------------------------------------ *)
 (* Build                                                               *)
@@ -159,11 +138,10 @@ let manifest_of_groups ~partition ~generation ~replicas groups =
 
 let remove_quiet p = try Sys.remove p with Sys_error _ -> ()
 
-let build ?page_model ?(partition = Manifest.Tid_range) ?(replicas = 1)
-    ?on_shard_built ~shards path sets =
+let build ?page_model ?(replicas = 1) ?on_shard_built ~shards path sets =
   let shards = max 1 shards in
   let replicas = max 1 replicas in
-  let parts = slices ?page_model ~partition sets ~shards in
+  let parts = slices ?page_model sets ~shards in
   let created = ref [] in
   try
     Array.iteri
@@ -179,7 +157,7 @@ let build ?page_model ?(partition = Manifest.Tid_range) ?(replicas = 1)
       ~finally:(fun () -> Array.iter (fun st -> try Store.close st with _ -> ()) stores)
       (fun () ->
         Manifest.write path
-          (manifest_of_stores ~partition ~generation:0 ~replicas stores))
+          (manifest_of_stores ~generation:0 ~replicas stores))
   with e ->
     (* a failed build leaves no orphaned shard files: every replica store
        created so far (segment + WAL) goes, and so does the manifest temp *)
@@ -191,8 +169,7 @@ let build ?page_model ?(partition = Manifest.Tid_range) ?(replicas = 1)
     remove_quiet (path ^ ".tmp");
     raise e
 
-let build_from_segment ?(partition = Manifest.Tid_range) ?replicas ~shards ~src
-    path =
+let build_from_segment ?replicas ~shards ~src path =
   let seg = Cfq_store.Segment.open_ src in
   let pm = seg.Cfq_store.Segment.pm in
   let sets =
@@ -200,7 +177,7 @@ let build_from_segment ?(partition = Manifest.Tid_range) ?replicas ~shards ~src
       ~finally:(fun () -> Cfq_store.Segment.close seg)
       (fun () -> Cfq_store.Segment.read_all seg)
   in
-  build ~page_model:pm ~partition ?replicas ~shards path sets
+  build ~page_model:pm ?replicas ~shards path sets
 
 (* ------------------------------------------------------------------ *)
 (* Open / attach                                                       *)
@@ -248,8 +225,7 @@ let open_ ?cache_pages ?group_commit path =
     if manifest_matches m groups then m
     else begin
       let healed =
-        manifest_of_groups ~partition:m.Manifest.partition
-          ~generation:(m.Manifest.generation + 1)
+        manifest_of_groups ~generation:(m.Manifest.generation + 1)
           ~replicas:m.Manifest.replicas groups
       in
       Manifest.write path healed;
@@ -263,7 +239,6 @@ let open_ ?cache_pages ?group_commit path =
     groups;
     db = attach groups m;
     manifest = m;
-    appended = 0;
     last_seal = None;
   }
 
@@ -290,15 +265,8 @@ let failovers t =
 (* Ingestion                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let append_tx t items =
-  let ns = Array.length t.groups in
-  let k =
-    match t.manifest.Manifest.partition with
-    | Manifest.Tid_range -> ns - 1 (* largest global tids: order preserved *)
-    | Manifest.Hash -> t.appended mod ns
-  in
-  t.appended <- t.appended + 1;
-  Replica.append_tx t.groups.(k) items
+(* the last shard holds the largest global tids: order preserved *)
+let append_tx t items = Replica.append_tx t.groups.(Array.length t.groups - 1) items
 
 let flush t = Array.iter Replica.flush t.groups
 
@@ -307,8 +275,7 @@ let flush t = Array.iter Replica.flush t.groups
    replica health *)
 let sync_manifest t =
   let m =
-    manifest_of_groups ~partition:t.manifest.Manifest.partition
-      ~generation:(t.manifest.Manifest.generation + 1)
+    manifest_of_groups ~generation:(t.manifest.Manifest.generation + 1)
       ~replicas:t.manifest.Manifest.replicas t.groups
   in
   Manifest.write t.path m;
@@ -323,8 +290,8 @@ let seal t =
     sync_manifest t;
     (* global delta ranges of the post-seal composite: each shard's new
        records sit at its tail, offset by the post-seal sizes of the
-       shards before it.  Tid_range routing yields one trailing range;
-       Hash routing one tail range per shard that got appends. *)
+       shards before it.  Appends go to the last shard, so this is one
+       trailing range. *)
     let ranges = ref [] and off = ref 0 in
     Array.iteri
       (fun i g ->
@@ -396,7 +363,7 @@ let remove_files path =
   remove_quiet (path ^ ".tmp");
   remove_quiet path
 
-let mem_db ?page_model ?(partition = Manifest.Tid_range) ~shards sets =
-  let parts = slices ?page_model ~partition sets ~shards in
+let mem_db ?page_model ~shards sets =
+  let parts = slices ?page_model sets ~shards in
   let subs = Array.map (fun slice -> Tx_db.create ?page_model slice) parts in
   Tx_db.of_shards ?page_model subs

@@ -17,15 +17,12 @@
 
     {2 Partitioning}
 
-    [Tid_range] (the default) splits the batch into contiguous slices
-    whose boundaries sit on page boundaries of the {e global} greedy
-    packing.  The packer restarts cleanly at a page boundary, so each
-    shard's local packing reproduces exactly its slice of the global page
-    geometry — the composite's pages, [page_of], checksums and logical
-    I/O charges are byte-identical to the unsharded store over the same
-    batch.  [Hash] scatters transactions by a stable mix of their index;
-    answers (supports are additive) are identical, but tid order and page
-    geometry differ from the unsharded store. *)
+    The batch splits into contiguous tid ranges whose boundaries sit on
+    page boundaries of the {e global} greedy packing.  The packer
+    restarts cleanly at a page boundary, so each shard's local packing
+    reproduces exactly its slice of the global page geometry — the
+    composite's pages, [page_of], checksums and logical I/O charges are
+    byte-identical to the unsharded store over the same batch. *)
 
 open Cfq_itembase
 open Cfq_txdb
@@ -44,18 +41,17 @@ val shard_path : string -> int -> string
 val tid_ranges :
   ?page_model:Page_model.t -> int array -> shards:int -> (int * int) array
 
-(** [slices ?page_model ~partition sets ~shards] materialises the
-    per-shard transaction slices in shard order. *)
+(** [slices ?page_model sets ~shards] materialises the per-shard
+    transaction slices of {!tid_ranges} in shard order. *)
 val slices :
   ?page_model:Page_model.t ->
-  partition:Manifest.partition ->
   Itemset.t array ->
   shards:int ->
   Itemset.t array array
 
 (** {2 Building and opening} *)
 
-(** [build ?page_model ?partition ?on_shard_built ~shards path sets]
+(** [build ?page_model ?replicas ?on_shard_built ~shards path sets]
     writes the shard stores and then the manifest (atomic temp+rename
     each).  [on_shard_built k] runs after shard [k]'s store is durable —
     the deterministic fault-injection seam for crash tests.  On {e any}
@@ -63,7 +59,6 @@ val slices :
     along with the manifest temp, so a failed build leaves no orphans. *)
 val build :
   ?page_model:Page_model.t ->
-  ?partition:Manifest.partition ->
   ?replicas:int ->
   ?on_shard_built:(int -> unit) ->
   shards:int ->
@@ -71,11 +66,10 @@ val build :
   Itemset.t array ->
   unit
 
-(** [build_from_segment ?partition ~shards ~src path] partitions an
+(** [build_from_segment ?replicas ~shards ~src path] partitions an
     existing plain store's segment at [src] into a sharded store at
     [path] (same page model). *)
 val build_from_segment :
-  ?partition:Manifest.partition ->
   ?replicas:int ->
   shards:int ->
   src:string ->
@@ -109,9 +103,8 @@ val manifest : t -> Manifest.t
 
 (** {2 Ingestion} *)
 
-(** [append_tx t items] appends to one shard's WAL: the last shard under
-    [Tid_range] (preserving global tid order), round-robin under [Hash].
-    Visible in {!db} after {!seal}. *)
+(** [append_tx t items] appends to the last shard's WAL, preserving
+    global tid order.  Visible in {!db} after {!seal}. *)
 val append_tx : t -> Itemset.t -> unit
 
 (** Flush every shard's WAL group to disk. *)
@@ -125,8 +118,7 @@ val seal : t -> int
 (** What the most recent successful {!seal} on this handle folded in.
     [si_delta_ranges] are the newly sealed transactions as inclusive
     [(lo, hi)] tid ranges of the {e post-seal composite} {!db} — one
-    trailing range under [Tid_range] routing (appends go to the last
-    shard), up to one tail range per shard under [Hash].  Live cache
+    trailing range, since appends go to the last shard.  Live cache
     maintenance ({!Cfq_live}) reads these to scan only the delta. *)
 type seal_info = {
   si_generation : int;  (** manifest generation after the seal *)
@@ -180,13 +172,12 @@ val remove_files : string -> unit
 
 (** {2 In-memory sharded composites}
 
-    [mem_db ?page_model ?partition ~shards sets] is the storeless twin:
-    the same partitioning over in-memory [Tx_db.create] shards, composed
-    with {!Cfq_txdb.Tx_db.of_shards}.  Under [Tid_range] the composite is
-    I/O-identical to [Tx_db.create sets]. *)
+    [mem_db ?page_model ~shards sets] is the storeless twin: the same
+    partitioning over in-memory [Tx_db.create] shards, composed with
+    {!Cfq_txdb.Tx_db.of_shards}.  The composite is I/O-identical to
+    [Tx_db.create sets]. *)
 val mem_db :
   ?page_model:Page_model.t ->
-  ?partition:Manifest.partition ->
   shards:int ->
   Itemset.t array ->
   Tx_db.t

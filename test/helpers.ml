@@ -195,9 +195,10 @@ let print_db (n, db) =
   Buffer.add_string buf "]";
   Buffer.contents buf
 
-let qtest ?(count = 200) name gen print prop =
+(* [long_factor] scales [count] under qcheck's own QCHECK_LONG=1 *)
+let qtest ?(count = 200) ?long_factor name gen print prop =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name ~count ~print gen prop)
+    (QCheck2.Test.make ~name ~count ?long_factor ~print gen prop)
 
 let sorted_pairs l =
   List.sort

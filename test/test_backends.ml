@@ -165,6 +165,12 @@ let reads ~n db =
   in
   [
     ("geometry", fun () -> size :: Tx_db.pages db :: List.init size (Tx_db.page_of_tx db));
+    (* a composite's shards add up to it, as the twin's one database does *)
+    ( "shard totals",
+      fun () ->
+        let subs = Option.value (Tx_db.shards db) ~default:[| db |] in
+        let sum f = Array.fold_left (fun acc sub -> acc + f sub) 0 subs in
+        [ sum Tx_db.size; sum Tx_db.pages ] );
     ("scan", fun () -> charged (fun io -> delivered (Tx_db.iter_scan db io)));
     ("get", fun () -> List.concat (List.init size (fun i -> tx_ints (Tx_db.get db i))));
     ( "item frequencies",
@@ -256,15 +262,24 @@ let check_answer b step e q ~what got =
   let want = List.assq q e.answers in
   if got <> want then fail b step "%s answer\n got %s\nwant %s" what (pairs_string got) (pairs_string want)
 
+(* pages charged to a composite's per-shard sinks so far *)
+let shard_pages db = Array.fold_left (fun acc io -> acc + Io_stats.pages_read io) 0 (Tx_db.shard_io db)
+
+(* on a composite, the shard sinks also add up to the run's page charge *)
 let check_exec b step ~info e q =
   List.iter
     (fun (kname, kernel) ->
       let what = "Exec.run " ^ kname in
-      match Exec.run_result ~collect_pairs:true ~kernel (Exec.context (Source.db b.src) info) q with
+      let db = Source.db b.src in
+      let before = shard_pages db in
+      match Exec.run_result ~collect_pairs:true ~kernel (Exec.context db info) q with
       | Ok r ->
           check_answer b step e q ~what (sorted_answer r.Exec.pairs);
           let want = List.assoc kernel e.costs in
-          if exec_cost r <> want then fail b step "%s cost\n got %s\nwant %s" what (exec_cost r) want
+          if exec_cost r <> want then fail b step "%s cost\n got %s\nwant %s" what (exec_cost r) want;
+          let sinks = shard_pages db - before and pages = Io_stats.pages_read r.Exec.io in
+          if Option.is_some (Tx_db.shards db) && sinks <> pages then
+            fail b step "%s: shard sinks read %d pages, the run charged %d" what sinks pages
       | Error err -> faulted b step what (Cfq_error.to_string err))
     Counting.all_kernels
 
@@ -281,14 +296,24 @@ let check_service ?(promoted = false) b step e q =
   | Error (Service.Fault err) -> faulted b step "service" (Cfq_error.to_string err)
   | Error err -> fail b step "service: %s" (Service.error_to_string err)
 
-(* the sealed database is a new handle, so the injector stays behind; a
-   clean seal promotes every cached query *)
+(* the sealed database is a new handle, so the injector stays behind.  A
+   clean seal pays at most one old-database scan; every other maintenance
+   scan reads at most one page per sealed transaction plus a partial one.
+   It promotes every cached query. *)
 let seal b step e =
-  if Option.is_some (Service.seal_live b.service) then begin
-    if b.faulted then b.warm <- []
-    else List.iter (check_service ~promoted:true b step e) (List.rev b.warm);
-    b.faulted <- false
-  end
+  let old_pages = Tx_db.pages (Source.db b.src) in
+  match Service.seal_live b.service with
+  | None -> ()
+  | Some lv ->
+      if b.faulted then b.warm <- []
+      else begin
+        let old = lv.Service.lv_old_scans and pages = lv.Service.lv_pages_read in
+        let bound = (old * old_pages) + ((lv.Service.lv_scans - old) * (lv.Service.lv_sealed + 1)) in
+        if old > 1 then fail b step "seal paid %d old-database scans" old;
+        if pages > bound then fail b step "seal charged %d pages, above the delta-sized bound %d" pages bound;
+        List.iter (check_service ~promoted:true b step e) (List.rev b.warm)
+      end;
+      b.faulted <- false
 
 let reopen b path ~start =
   Source.flush b.src;
@@ -332,4 +357,7 @@ let run_history h =
   true
 
 let suite =
-  [ Helpers.qtest ~count:200 "every backend follows the twin" gen_history print_history run_history ]
+  [
+    Helpers.qtest ~count:200 ~long_factor:50 "every backend follows the twin" gen_history print_history
+      run_history;
+  ]

@@ -492,6 +492,111 @@ let backoff_jitter_is_deterministic () =
     "seed-dependent" true
     (Service.retry_delay s1 q_broad 0 <> Service.retry_delay s3 q_broad 0)
 
+(* ------------------------------------------------------------------ *)
+(* chaos replay: a refinement session under seeded faults, in two phases.
+   Calm: the first two page reads fail, so the first cold query retries
+   twice, and some scans stall.  Storm: the mined sides are dropped and
+   fresh refinements of the broadest query mine cold into transient
+   errors, scan crashes and (bounded) tampered pages; each is retried or
+   degraded from the cached superset answer while the breaker trips.  One
+   domain and fixed seeds make the whole replay repeatable. *)
+
+let chaos_query minsup s_lo t_hi =
+  Parser.parse
+    (Printf.sprintf
+       "{(S,T) | freq(S) >= %g & freq(T) >= %g & S.Price >= %g & T.Price <= %g & S.Type = T.Type}"
+       minsup minsup s_lo t_hi)
+
+(* two rounds that narrow the S price band, each closed by re-issuing
+   its first query *)
+let calm_queries =
+  List.concat_map
+    (fun round ->
+      let minsup = 0.02 +. (0.005 *. float_of_int round) and lo = 300. +. (40. *. float_of_int round) in
+      List.init 4 (fun step -> chaos_query minsup (lo +. (15. *. float_of_int step)) (700. -. (25. *. float_of_int step)))
+      @ [ chaos_query minsup lo 700. ])
+    [ 0; 1 ]
+
+(* never asked while calm, all covered by the broadest calm query *)
+let storm_queries =
+  List.init 6 (fun k -> chaos_query 0.022 (305. +. (10. *. float_of_int k)) (690. -. (20. *. float_of_int k)))
+
+let chaos_config =
+  {
+    Service.default_config with
+    Service.domains = 1;
+    mine_domains = 1;
+    retries = 3;
+    backoff_base = 0.0005;
+    breaker_threshold = 3;
+    breaker_cooldown = 2;
+    degrade = true;
+  }
+
+let calm_faults = { Fault.default_config with Fault.seed = 0xC4A05L; fail_first = 2; spike_p = 0.05; spike_seconds = 0.0005 }
+
+let storm_faults =
+  { Fault.default_config with Fault.seed = 0x57042L; transient_p = 0.01; corrupt_p = 0.3; max_corrupt = 2; crash_p = 0.1 }
+
+let chaos_ctx () =
+  let rng = Cfq_quest.Splitmix.create ~seed:20260706L in
+  let db = Cfq_quest.Quest_gen.generate rng { (Cfq_quest.Quest_gen.scaled 500) with Cfq_quest.Quest_gen.n_items = 100 } in
+  let prices = Cfq_quest.Item_gen.uniform_prices rng ~n:100 ~lo:0. ~hi:1000. in
+  let types = Array.init 100 (fun _ -> float_of_int (Cfq_quest.Splitmix.int rng 20)) in
+  (db, Exec.context db (Cfq_quest.Item_gen.item_info ~prices ~types ()))
+
+(* each query's outcome — its path and pairs, or the error — with the
+   backoff it sleeps before each retry; then the service's counters,
+   wall-clock latency aside *)
+let chaos_replay db ctx =
+  let service = Service.create ~config:chaos_config ctx in
+  Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+  let serve q =
+    let delays = List.init chaos_config.Service.retries (Service.retry_delay service q) in
+    match Service.run service q with
+    | Ok a -> (Service.served_from_name a.Service.served_from, set_pairs a, delays)
+    | Error e -> ("error: " ^ Service.error_to_string e, [], delays)
+  in
+  install db calm_faults;
+  let calm = List.map serve calm_queries in
+  Service.cache_drop_sides service;
+  install db storm_faults;
+  let storm = List.map serve storm_queries in
+  Tx_db.set_faults db None;
+  let m = Service.metrics service in
+  (calm, storm, { m with Metrics.total_latency = 0.; max_latency = 0. })
+
+let chaos_replay_is_repeatable () =
+  let db, ctx = chaos_ctx () in
+  let reference qs =
+    List.map
+      (fun q ->
+        Helpers.sorted_pairs
+          (List.map
+             (fun (s, t) -> (s.Frequent.set, t.Frequent.set))
+             (Exec.run ~strategy:Plan.Cap_one_var ~collect_pairs:true ctx q).Exec.pairs))
+      qs
+  in
+  let calm_ref = reference calm_queries and storm_ref = reference storm_queries in
+  Alcotest.(check bool) "the storm asks for pairs" true (List.for_all (( <> ) []) storm_ref);
+  let ((calm, storm, m) as first) = chaos_replay db ctx in
+  let check phase refs outcomes =
+    List.iteri
+      (fun i (want, (from, got, _)) ->
+        let label = Printf.sprintf "%s query %d (%s)" phase i from in
+        Alcotest.(check bool) (label ^ " answered") false (String.starts_with ~prefix:"error" from);
+        Alcotest.(check bool) (label ^ " equals the fault-free answer") true (got = want))
+      (List.combine refs outcomes)
+  in
+  check "calm" calm_ref calm;
+  check "storm" storm_ref storm;
+  Alcotest.(check bool) (Printf.sprintf "retries (%d)" m.Metrics.retries) true (m.Metrics.retries > 0);
+  Alcotest.(check bool) (Printf.sprintf "degraded (%d)" m.Metrics.degraded) true (m.Metrics.degraded > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "breaker trips (%d)" m.Metrics.breaker_trips)
+    true (m.Metrics.breaker_trips > 0);
+  Alcotest.(check bool) "a second run replays the first exactly" true (chaos_replay db ctx = first)
+
 let suite =
   [
     Alcotest.test_case "transient fault is retried" `Quick transient_fault_is_retried;
@@ -515,6 +620,8 @@ let suite =
     Alcotest.test_case "service outlives its pool" `Quick service_outlives_its_pool;
     Alcotest.test_case "backoff jitter is deterministic" `Quick
       backoff_jitter_is_deterministic;
+    Alcotest.test_case "chaos replay: every answer exact, run twice alike" `Quick
+      chaos_replay_is_repeatable;
     Helpers.qtest ~count:40 "crash-consistency: caches never poisoned" gen_crash
       print_crash prop_crash_consistency;
   ]

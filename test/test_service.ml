@@ -508,6 +508,82 @@ let service_empty_answers condense () =
         (Service.metrics service).Metrics.answer_bytes)
     [ ("empty side", empty_side); ("empty join", empty_join) ]
 
+(* Condensation buys hits at a fixed budget.  Planted patterns on items
+   0..39 (prices >= 300) with noise on items 40..79 (prices < 300): every
+   subset of a pattern has the pattern's support, so a handful of closed
+   sets stand in for each collection, and the price floor keeps mining on
+   the pattern items.  Under the smallest budget the condensed working set
+   fits and the raw one does not, a two-pass replay (pass 2 re-issues pass
+   1) hits more often condensed than raw, with identical answers. *)
+let condensed_hits_more_at_a_fixed_budget () =
+  let rng = Cfq_quest.Splitmix.create ~seed:20260823L in
+  let pattern lo prob =
+    Cfq_quest.Planted.pattern ~partial_prob:0. ~prob (Itemset.of_list (List.init 5 (fun i -> lo + i)))
+  in
+  let db =
+    Cfq_quest.Planted.generate rng ~n_transactions:300 ~universe:(40, 80) ~noise_len:4.
+      [ pattern 0 0.5; pattern 6 0.45; pattern 12 0.4 ]
+  in
+  let prices =
+    Array.init 80 (fun i -> if i < 40 then 300. +. (2. *. float_of_int i) else 100. +. (2. *. float_of_int (i - 40)))
+  in
+  let types = Array.init 80 (fun i -> float_of_int (i mod 4)) in
+  let ctx = Exec.context db (Cfq_quest.Item_gen.item_info ~prices ~types ()) in
+  let queries =
+    List.concat_map
+      (fun minsup ->
+        List.map
+          (fun lo ->
+            Parser.parse
+              (Printf.sprintf
+                 "{(S,T) | freq(S) >= %g & freq(T) >= %g & S.Price >= %g & T.Price >= %g & S.Type = T.Type}"
+                 minsup minsup lo lo))
+          [ 300.; 308.; 316.; 324. ])
+      [ 0.3; 0.33 ]
+  in
+  let n = List.length queries in
+  (* pairs with supports, in order *)
+  let exact a =
+    String.concat " "
+      (List.map
+         (fun (s, t) ->
+           Printf.sprintf "%s@%d,%s@%d" (Itemset.to_string s.Frequent.set) s.Frequent.support
+             (Itemset.to_string t.Frequent.set) t.Frequent.support)
+         a.Service.pairs)
+  in
+  (* [passes] replays of the script; the metrics and every answer *)
+  let replay ~budget ~passes condense =
+    let service =
+      Service.create
+        ~config:{ Service.default_config with domains = 1; cache_budget = budget; condense }
+        ctx
+    in
+    Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+    let answers = List.init passes (fun _ -> List.map (fun q -> exact (expect_ok (Service.run service q))) queries) in
+    (Service.metrics service, List.concat answers)
+  in
+  (* the smallest budget a working set fits: 3/4 of it holds sides, 1/4 answers *)
+  let fits (m : Metrics.snapshot) =
+    max ((m.Metrics.side_bytes * 4 / 3) + 1) ((m.Metrics.answer_bytes * 4) + 1)
+  in
+  let raw_need, raw_answers = replay ~budget:(1 lsl 28) ~passes:1 false in
+  let cond_need, cond_answers = replay ~budget:(1 lsl 28) ~passes:1 true in
+  Alcotest.(check (list string)) "unbounded: identical answers" raw_answers cond_answers;
+  let budget = fits cond_need in
+  Alcotest.(check bool)
+    (Printf.sprintf "condensed working set fits in less (%d < %d)" budget (fits raw_need))
+    true
+    (budget < fits raw_need);
+  let raw, raw_answers = replay ~budget ~passes:2 false in
+  let cond, cond_answers = replay ~budget ~passes:2 true in
+  Alcotest.(check (list string)) "fixed budget: identical answers" raw_answers cond_answers;
+  Alcotest.(check int) "condensed: every re-issue hits" n cond.Metrics.answer_hits;
+  Alcotest.(check bool)
+    (Printf.sprintf "condensed hits %d > raw hits %d" cond.Metrics.answer_hits raw.Metrics.answer_hits)
+    true
+    (cond.Metrics.answer_hits > raw.Metrics.answer_hits);
+  Alcotest.(check bool) "condensed hits reconstructed" true (cond.Metrics.reconstructions > 0)
+
 (* ------------------------------------------------------------------ *)
 (* qcheck: a (possibly cache-served) refinement returns exactly the
    brute-force answer *)
@@ -623,6 +699,8 @@ let suite =
       (service_empty_answers true);
     Alcotest.test_case "service: empty side and empty join (raw)" `Quick
       (service_empty_answers false);
+    Alcotest.test_case "service: condensed cache hits more at a fixed budget" `Quick
+      condensed_hits_more_at_a_fixed_budget;
     Helpers.qtest ~count:200 "lru: weight stays within budget" gen_lru_ops print_lru_ops
       prop_lru_budget_invariant;
     Helpers.qtest ~count:60 "service: refinement equals brute force" gen_refinement

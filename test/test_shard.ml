@@ -48,7 +48,7 @@ let manifest_roundtrip () =
   let m =
     {
       Manifest.generation = 3;
-      partition = Manifest.Hash;
+      partition = Manifest.Tid_range;
       universe = 10;
       n_txs = 7;
       n_pages = 2;
@@ -134,24 +134,6 @@ let tid_range_is_io_identical () =
       in
       Alcotest.(check (pair int int)) (tag "scan charge") (scan mono) (scan db))
     [ 1; 2; 3; 7; 40 ]
-
-let hash_partition_same_answers () =
-  let sets = sets_of_lists fixed_lists in
-  let mono = Tx_db.create sets in
-  let db = Sharded.mem_db ~partition:Manifest.Hash ~shards:3 sets in
-  Alcotest.(check int) "size" (Tx_db.size mono) (Tx_db.size db);
-  (* tid order differs but supports are additive over any partition *)
-  let io = Io_stats.create () in
-  List.iter
-    (fun s ->
-      let s = Itemset.of_list s in
-      Alcotest.(check int)
-        (Printf.sprintf "support %s" (Itemset.to_string s))
-        (Tx_db.support mono io s) (Tx_db.support db io s))
-    [ [ 0 ]; [ 1; 4 ]; [ 2; 5; 8 ]; [ 3 ]; [ 0; 6 ] ];
-  match verify_checksums db with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "verify: %s" (Cfq_error.to_string e)
 
 let chunk_runs_memoized () =
   let sets = sets_of_lists fixed_lists in
@@ -827,7 +809,6 @@ let suite =
     unit "manifest round-trip and CRC rejection" manifest_roundtrip;
     unit "manifest probe rejects plain segments" plain_segment_is_not_a_manifest;
     unit "tid-range composite is I/O-identical to unsharded" tid_range_is_io_identical;
-    unit "hash partition preserves supports" hash_partition_same_answers;
     unit "scan chunks are memoized and exposed" chunk_runs_memoized;
     qcheck_count_distribution;
     unit "fault twin: shard-pinned injector is deterministic" shard_pinned_fault_twin;
