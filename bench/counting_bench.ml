@@ -131,32 +131,42 @@ let run (scale : Workloads.scale) =
       exit 1
     end
   in
-  (* a sequential pass takes milliseconds: time ten passes per sample,
-     alternate the two kernels' samples so both see the same machine
-     load, and keep each kernel's best of ten samples *)
+  (* A sequential pass takes milliseconds, and load on a shared machine
+     drifts over seconds.  So a sample repeats one kernel's pass for about
+     0.3 s (a pass count fixed per kernel from one timed pass, so the fast
+     kernel's samples are as long as the slow one's), the two kernels'
+     samples run back to back, and the speedup is the median over eleven
+     such pairs of the pair's own ratio: a drift slower than one pair
+     cancels out of every ratio.  Seconds are each kernel's median
+     sample. *)
   let per_pass_pair f g =
-    let ten h () =
-      for _ = 1 to 10 do
-        h ()
-      done
+    let passes h = max 1 (int_of_float (ceil (0.3 /. time_best ~repeats:1 h))) in
+    let timed h n =
+      time_best ~repeats:1 (fun () ->
+          for _ = 1 to n do
+            h ()
+          done)
+      /. float_of_int n
     in
-    let best_f = ref infinity and best_g = ref infinity in
-    for _ = 1 to 10 do
-      best_f := Float.min !best_f (time_best ~repeats:1 (ten f));
-      best_g := Float.min !best_g (time_best ~repeats:1 (ten g))
-    done;
-    (!best_f /. 10., !best_g /. 10.)
+    let nf = passes f and ng = passes g in
+    let samples =
+      List.init 11 (fun _ ->
+          let tf = timed f nf in
+          let tg = timed g ng in
+          (tf, tg))
+    in
+    let median l = List.nth (List.sort Float.compare l) (List.length l / 2) in
+    ( median (List.map fst samples),
+      median (List.map snd samples),
+      median (List.map (fun (tf, tg) -> tf /. tg) samples) )
   in
-  let trie_s, direct2_s =
+  let trie_s, direct2_s, direct2_speedup =
     per_pass_pair
       (fun () -> check_kernel "trie" (count_with None))
       (fun () ->
         check_kernel "direct2" (count_with (Some (Counting.create_session Counting.Direct2))))
   in
-  let kernel_row name time =
-    (name, time, trie_s /. time)
-  in
-  let kernel_rows = [ kernel_row "trie" trie_s; kernel_row "direct2" direct2_s ] in
+  let kernel_rows = [ ("trie", trie_s, 1.); ("direct2", direct2_s, direct2_speedup) ] in
   print_kernel_rows "level-2 kernel comparison (sequential)" kernel_rows;
   if direct2_s > trie_s /. 2. then
     Printf.eprintf
@@ -178,14 +188,12 @@ let run (scale : Workloads.scale) =
         exit 1
       end)
     Counting.all_kernels;
-  let l1_trie_s, l1_hist_s =
+  let l1_trie_s, l1_hist_s, l1_speedup =
     per_pass_pair
       (fun () -> ignore (count_singles Counting.Trie))
       (fun () -> ignore (count_singles Counting.Direct2))
   in
-  let level1_rows =
-    [ ("trie", l1_trie_s, 1.); ("direct2", l1_hist_s, l1_trie_s /. l1_hist_s) ]
-  in
+  let level1_rows = [ ("trie", l1_trie_s, 1.); ("direct2", l1_hist_s, l1_speedup) ] in
   print_kernel_rows
     (Printf.sprintf
        "level-1 kernel comparison (sequential, %d singletons; direct2 = item histogram)"

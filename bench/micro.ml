@@ -40,7 +40,8 @@ let tests () =
     Test.make ~name:"itemset-inter" (Staged.stage (fun () -> Itemset.inter a b));
     Test.make ~name:"itemset-subset-big" (Staged.stage (fun () -> Itemset.subset a big));
     Test.make ~name:"itemset-hash" (Staged.stage (fun () -> Itemset.hash big));
-    Test.make ~name:"trie-count-tx" (Staged.stage (fun () -> Trie.count_tx_into trie trie_counts tx));
+    Test.make ~name:"trie-count-tx"
+      (Staged.stage (fun () -> Trie.count_row trie trie_counts tx 0 (Array.length tx)));
     Test.make ~name:"candidate-apriori-gen"
       (Staged.stage (fun () ->
            Candidate.apriori_gen ~prev ~prev_mem:(Itemset.Hashtbl.mem tbl)));

@@ -521,10 +521,12 @@ let verify_backends db info file =
   | Error msg -> Error (`Msg msg)
   | Ok lines -> (
       let disk_ctx = Exec.context db info in
-      let sets =
-        Array.init (Cfq_txdb.Tx_db.size db) (fun i ->
-            (Cfq_txdb.Tx_db.get db i).Cfq_txdb.Transaction.items)
-      in
+      (* the in-memory copy: one pass over the store's pages, not a point
+         read per transaction *)
+      let n = Cfq_txdb.Tx_db.size db in
+      let sets = Array.make n Cfq_itembase.Itemset.empty in
+      Cfq_txdb.Tx_db.iter_range db ~lo:0 ~hi:(n - 1) (fun tx ->
+          sets.(tx.Cfq_txdb.Transaction.tid) <- tx.Cfq_txdb.Transaction.items);
       let mem_ctx = Exec.context (Cfq_txdb.Tx_db.create sets) info in
       let norm r =
         List.sort compare

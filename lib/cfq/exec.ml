@@ -387,7 +387,7 @@ let run ?(strategy = Plan.Optimized) ?(collect_pairs = false) ?par
       (Query.to_string q));
   let io = Io_stats.create () in
   let notes = ref (List.rev rw.Rewrite.notes) in
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let par, cleanup_pool = resolve_par par in
   (* one counting session per run: the kernel and its pass counts *)
   let session = Counting.create_session kernel in
@@ -408,7 +408,7 @@ let run ?(strategy = Plan.Optimized) ?(collect_pairs = false) ?par
       Printf.sprintf "counting kernels (%s): %s" (Counting.kernel_name kernel)
         (Counting.describe session)
       :: !notes;
-  let t1 = Sys.time () in
+  let t1 = Unix.gettimeofday () in
   let valid_s = validate_side ctx.s_info s_counters q.Query.s_constraints s_freq in
   let valid_t = validate_side ctx.t_info t_counters q.Query.t_constraints t_freq in
   let collected = ref [] in
@@ -421,7 +421,7 @@ let run ?(strategy = Plan.Optimized) ?(collect_pairs = false) ?par
     Pairs.form ~s_info:ctx.s_info ~t_info:ctx.t_info ~valid_s ~valid_t
       ~two_var:q.Query.two_var ~on_pair ()
   in
-  let t2 = Sys.time () in
+  let t2 = Unix.gettimeofday () in
   Log.debug (fun m ->
       m "mining %.3fs (%d + %d sets counted), pairs %.3fs (%d pairs)" (t1 -. t0)
         (Counters.support_counted s_counters)

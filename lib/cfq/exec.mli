@@ -44,8 +44,8 @@ type result = {
   pair_stats : Pairs.stats;
   pairs : (Frequent.entry * Frequent.entry) list;
       (** materialised only when [collect_pairs] *)
-  mining_seconds : float;  (** CPU time of the lattice phase *)
-  pair_seconds : float;  (** CPU time of validity filtering + pair formation *)
+  mining_seconds : float;  (** wall-clock time of the lattice phase *)
+  pair_seconds : float;  (** wall-clock time of validity filtering + pair formation *)
   notes : string list;
       (** execution trace worth surfacing, e.g. the [V^k] bound after each
           observed level of the opposite lattice *)

@@ -125,12 +125,15 @@ let local_of p =
     scr = Direct2.scratch ();
   }
 
-(* The row callback: it allocates nothing.  Items are non-negative and
+(* The row callback: it allocates nothing.  The row is
+   [items.(off) .. items.(off + len - 1)]; items are non-negative and
    ascend, so the histogram stops at the first item past its end. *)
-let count_row p st items =
+let count_row p st items off len =
+  if off < 0 || len < 0 || off + len > Array.length items then
+    invalid_arg "Counting.count_row";
   let hist = st.hist in
-  let hn = Array.length hist and n = Array.length items in
-  let j = ref 0 in
+  let hn = Array.length hist and n = off + len in
+  let j = ref off in
   while !j < n && Array.unsafe_get items !j < hn do
     let i = Array.unsafe_get items !j in
     Array.unsafe_set hist i (Array.unsafe_get hist i + 1);
@@ -138,8 +141,8 @@ let count_row p st items =
   done;
   for f = 0 to Array.length p.reps - 1 do
     match Array.unsafe_get p.reps f with
-    | R_trie t -> Trie.count_tx_into t (Array.unsafe_get st.accs f) items
-    | R_d2 d -> Direct2.count_tx_into d (Array.unsafe_get st.accs f) st.scr items
+    | R_trie t -> Trie.count_row t (Array.unsafe_get st.accs f) items off len
+    | R_d2 d -> Direct2.count_row d (Array.unsafe_get st.accs f) st.scr items off len
     | R_hist _ -> ()
   done
 
@@ -175,13 +178,12 @@ let scan_count ~par db io p =
   let domains = eff_domains par ~work_items:(Tx_db.size db) in
   if domains = 1 then begin
     let st = local_of p in
-    Tx_db.iter_scan db io (fun tx ->
-        count_row p st (Itemset.unsafe_to_array tx.Transaction.items));
+    Tx_db.scan_rows db io (fun items off len -> count_row p st items off len);
     st
   end
   else begin
     (* one logical scan: the coordinator validates every page here — same
-       fault/checksum walk, same injector draw order as [iter_scan] — then
+       fault/checksum walk, same injector draw order as [scan_rows] — then
        the chunks fan out to participants counting into private arrays *)
     Tx_db.begin_scan db io;
     let chunks = Array.of_list (Tx_db.scan_chunks db ~max_chunks:(4 * domains)) in
@@ -190,8 +192,7 @@ let scan_count ~par db io p =
         ~init:(fun () -> local_of p)
         ~work:(fun st c ->
           let lo, hi = chunks.(c) in
-          Tx_db.iter_range db ~lo ~hi (fun tx ->
-              count_row p st (Itemset.unsafe_to_array tx.Transaction.items)))
+          Tx_db.rows db ~lo ~hi (fun items off len -> count_row p st items off len))
         ()
     in
     (* merge in participant-slot order *)

@@ -55,16 +55,17 @@ type scratch = { mutable buf : int array }
 
 let scratch () = { buf = Array.make 64 0 }
 
-let count_tx_into t cells scratch items =
-  let n = Array.length items in
-  if Array.length scratch.buf < n then
-    scratch.buf <- Array.make (max n (2 * Array.length scratch.buf)) 0;
+let count_row t cells scratch items off len =
+  if off < 0 || len < 0 || off + len > Array.length items then
+    invalid_arg "Direct2.count_row";
+  if Array.length scratch.buf < len then
+    scratch.buf <- Array.make (max len (2 * Array.length scratch.buf)) 0;
   let buf = scratch.buf in
   let rank = t.rank in
   let n_rank = Array.length rank in
   (* map the transaction to its ranked items; ranks ascend with items *)
   let m = ref 0 in
-  for j = 0 to n - 1 do
+  for j = off to off + len - 1 do
     let item = Array.unsafe_get items j in
     if item < n_rank then begin
       let r = Array.unsafe_get rank item in

@@ -36,9 +36,10 @@ type scratch
 
 val scratch : unit -> scratch
 
-(** [count_tx_into t cells scratch items] increments the cells of every
-    ranked pair of [items] (a strictly increasing raw transaction array). *)
-val count_tx_into : t -> int array -> scratch -> int array -> unit
+(** [count_row t cells scratch items off len] increments the cells of
+    every ranked pair of the row [items.(off) .. items.(off + len - 1)]
+    (one transaction, strictly increasing). *)
+val count_row : t -> int array -> scratch -> int array -> int -> int -> unit
 
 (** [extract t cells] reads the candidate supports off the cells, in
     candidate order. *)

@@ -180,4 +180,7 @@ let rec walk t counts items n id pos =
     end
   end
 
-let count_tx_into t counts items = walk t counts items (Array.length items) 0 0
+let count_row t counts items off len =
+  if off < 0 || len < 0 || off + len > Array.length items then
+    invalid_arg "Trie.count_row";
+  walk t counts items (off + len) 0 off

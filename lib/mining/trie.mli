@@ -9,7 +9,7 @@
     nodes in BFS order, children contiguous), so counting walks are
     cache-friendly, allocation-free, and the trie can be shared immutably
     across domains — each domain counting into its own array via
-    {!count_tx_into}.  [Counting.count_sets] is the one-scan entry point
+    {!count_row}.  [Counting.count_sets] is the one-scan entry point
     for callers that just want the supports of a candidate array. *)
 
 open Cfq_itembase
@@ -22,11 +22,11 @@ val build : Itemset.t array -> t
 
 val n_candidates : t -> int
 
-(** [count_tx_into t counts items] registers one transaction, given as a
-    strictly increasing item array, by incrementing [counts.(i)] for every
-    candidate [i] it contains; [counts] is aligned with the candidate array
-    passed to {!build}.  The trie itself is never mutated, so one trie can
-    serve several threads, each with its own output array.  The walk
-    allocates nothing, and each node stops at the first item past its
-    keys. *)
-val count_tx_into : t -> int array -> Item.t array -> unit
+(** [count_row t counts items off len] registers one transaction, given as
+    the strictly increasing row [items.(off) .. items.(off + len - 1)], by
+    incrementing [counts.(i)] for every candidate [i] it contains; [counts]
+    is aligned with the candidate array passed to {!build}.  The trie
+    itself is never mutated, so one trie can serve several threads, each
+    with its own output array.  The walk allocates nothing, and each node
+    stops at the first item past its keys. *)
+val count_row : t -> int array -> Item.t array -> int -> int -> unit

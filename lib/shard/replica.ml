@@ -80,7 +80,7 @@ let retryable = function
    runs the checked walk (its own injector + checksums + the pool's raw
    CRCs), so every fault surfaces typed before bad tuples escape.  On a
    typed fault the next sibling resumes exactly after the last delivered
-   transaction — injected faults stop on a page boundary (validation
+   row — injected faults stop on a page boundary (validation
    precedes delivery), physical mid-page faults resume mid-page, where
    the sibling skips the partial page's checksum compare.  A completed
    range makes its replica the new preferred one (sticky routing). *)
@@ -91,9 +91,9 @@ let rec serve t order ~lo ~hi f =
       let st = Option.get t.stores.(j) in
       let delivered = ref (lo - 1) in
       match
-        Tx_db.iter_range_checked (Store.db st) ~lo ~hi (fun tx ->
-            f tx;
-            delivered := tx.Transaction.tid)
+        Tx_db.rows_checked (Store.db st) ~lo ~hi (fun items off len ->
+            f items off len;
+            incr delivered)
       with
       | () -> if j <> t.preferred then t.preferred <- j
       | exception Cfq_error.Error e when retryable e ->
@@ -105,7 +105,7 @@ let rec serve t order ~lo ~hi f =
             serve t rest ~lo:(!delivered + 1) ~hi f
           end)
 
-let iter t ~lo ~hi f = if hi >= lo then serve t (healthy_order t) ~lo ~hi f
+let rows t ~lo ~hi f = if hi >= lo then serve t (healthy_order t) ~lo ~hi f
 
 let rec serve_get t order tid =
   match order with
@@ -133,7 +133,7 @@ let make_db t =
     Tx_db.of_backend ~page_model:(Tx_db.page_model rdb) ~pages:(Tx_db.pages rdb)
       ~page_of:(Tx_db.page_table rdb) ~checksums:(Tx_db.checksum_table rdb)
       ~avg_tx_len:(Tx_db.avg_tx_len rdb)
-      ~iter:(fun ~lo ~hi f -> iter t ~lo ~hi f)
+      ~rows:(fun ~lo ~hi f -> rows t ~lo ~hi f)
       ~get:(fun tid -> get t tid) ()
   in
   (* a replica-level injector is invisible in the view's own [faults]; the

@@ -76,14 +76,11 @@ let composite_checksums ~n_pages stores =
     (fun st ->
       let sub = Store.db st in
       let n = Tx_db.size sub in
-      if n > 0 then
-        Tx_db.iter_range sub ~lo:0 ~hi:(n - 1) (fun tx ->
-            let p = !pbase + Tx_db.page_of_tx sub tx.Transaction.tid in
-            let g =
-              Transaction.make ~tid:(!tbase + tx.Transaction.tid)
-                ~items:tx.Transaction.items
-            in
-            sums.(p) <- Tx_db.Checksum.add_tx sums.(p) g);
+      let i = ref 0 in
+      Tx_db.rows sub ~lo:0 ~hi:(n - 1) (fun items off len ->
+          let p = !pbase + Tx_db.page_of_tx sub !i in
+          sums.(p) <- Tx_db.Checksum.add_row sums.(p) (!tbase + !i) items off len;
+          incr i);
       tbase := !tbase + n;
       pbase := !pbase + Tx_db.pages sub)
     stores;

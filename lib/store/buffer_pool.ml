@@ -18,6 +18,7 @@ type t = {
   frames : frame array;
   slot_of : (int, int) Hashtbl.t;  (* page -> frame index *)
   mutable hand : int;
+  mutable scan_slot : int;  (* frame a scan miss loaded most recently; -1 = none *)
   stats : Io_stats.t;
   mutex : Mutex.t;
   loaded : Condition.t;  (* signalled when a loading frame settles *)
@@ -50,6 +51,7 @@ let create ~path ~page_size ~n_pages ~data_off ~crcs ~capacity ~stats () =
           });
     slot_of = Hashtbl.create (2 * capacity);
     hand = 0;
+    scan_slot = -1;
     stats;
     mutex = Mutex.create ();
     loaded = Condition.create ();
@@ -160,12 +162,36 @@ let find_victim t =
   in
   go 0
 
+(* Scan resistance: once every frame holds a page, a scan miss replaces
+   the frame the previous scan miss loaded, so a cyclic scan over more
+   pages than frames cycles through one frame and leaves the other pages
+   of the pool hot for its next pass.  The clock (a busy or absent scan
+   frame, and every point read) picks the victim otherwise. *)
+let choose_victim t ~scan =
+  let s = t.scan_slot in
+  if
+    scan && s >= 0
+    && Hashtbl.length t.slot_of >= Array.length t.frames
+    && t.frames.(s).pins = 0
+  then Some s
+  else find_victim t
+
 let unpin t fr =
   Mutex.lock t.mutex;
   fr.pins <- fr.pins - 1;
   Mutex.unlock t.mutex
 
-let rec with_page t page f =
+(* run [f] on a pinned frame and unpin it on every exit path *)
+let pinned t fr f =
+  match f fr.buf with
+  | v ->
+      unpin t fr;
+      v
+  | exception e ->
+      unpin t fr;
+      raise e
+
+let rec fetch t ~scan page f =
   if page < 0 || page >= t.n_pages then invalid_arg "Buffer_pool.with_page";
   Mutex.lock t.mutex;
   match Hashtbl.find_opt t.slot_of page with
@@ -176,20 +202,21 @@ let rec with_page t page f =
            (loaded or rolled back), then look the page up again *)
         Condition.wait t.loaded t.mutex;
         Mutex.unlock t.mutex;
-        with_page t page f
+        fetch t ~scan page f
       end
       else begin
         Io_stats.record_pool_hit t.stats;
         fr.referenced <- true;
         fr.pins <- fr.pins + 1;
         Mutex.unlock t.mutex;
-        Fun.protect ~finally:(fun () -> unpin t fr) (fun () -> f fr.buf)
+        pinned t fr f
       end
   | None -> (
       Io_stats.record_pool_miss t.stats;
-      match find_victim t with
+      match choose_victim t ~scan with
       | Some slot -> (
           let fr = t.frames.(slot) in
+          if scan then t.scan_slot <- slot;
           if fr.page >= 0 then begin
             Hashtbl.remove t.slot_of fr.page;
             Io_stats.record_pool_eviction t.stats
@@ -208,7 +235,7 @@ let rec with_page t page f =
               fr.loading <- false;
               Condition.broadcast t.loaded;
               Mutex.unlock t.mutex;
-              Fun.protect ~finally:(fun () -> unpin t fr) (fun () -> f fr.buf)
+              pinned t fr f
           | exception e ->
               (* read_page_unlocked released the mutex whatever happened *)
               Mutex.lock t.mutex;
@@ -226,6 +253,9 @@ let rec with_page t page f =
           let buf = Bytes.create t.page_size in
           read_page_unlocked t page buf;
           f buf)
+
+let with_page t page f = fetch t ~scan:false page f
+let with_scan_page t page f = fetch t ~scan:true page f
 
 let close t =
   Mutex.lock t.mutex;

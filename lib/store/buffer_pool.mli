@@ -3,7 +3,12 @@
     Holds up to [capacity] page frames.  Replacement is the clock (second
     chance) algorithm: a hit sets the frame's reference bit; the hand
     clears reference bits until it finds an unreferenced, unpinned frame
-    to evict.  Frames are pinned for the duration of {!with_page}, so
+    to evict.  Scans are the exception once every frame holds a page: a
+    miss through {!with_scan_page} replaces the frame that the previous
+    scan miss loaded (when it is unpinned), so a cyclic scan over [N]
+    pages through [C < N] frames keeps [C - 1] of them hot from one pass
+    to the next instead of evicting each page just before it is reused.
+    Frames are pinned for the duration of {!with_page}, so
     concurrent [scan_chunks] readers in other domains can never have a
     page they are decoding evicted under them; if every frame is pinned,
     the read bypasses the pool through a transient buffer rather than
@@ -52,6 +57,11 @@ val create :
 (** [with_page t page f] runs [f] on the page's frame bytes, pinned.  [f]
     must not retain or mutate the buffer. *)
 val with_page : t -> int -> (bytes -> 'a) -> 'a
+
+(** [with_scan_page] is {!with_page} for a sequential scan: a miss on a
+    full pool replaces the previous scan miss's frame, not the clock's
+    victim. *)
+val with_scan_page : t -> int -> (bytes -> 'a) -> 'a
 
 (** Close the pool's file descriptors.  Idempotent.  Callers must have
     quiesced readers first; a later {!with_page} miss fails with

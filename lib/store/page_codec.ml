@@ -59,22 +59,55 @@ let encode_tx l buf ~tid items =
       incr k)
     items
 
-let decode_tx l ~tid buf ~at =
-  let corrupt () =
-    Cfq_error.raise_error (Cfq_error.Corrupt_page { page = l.page_of.(tid) })
-  in
-  let stored_tid = Int32.to_int (Bytes.get_int32_le buf at) in
-  let n = Int32.to_int (Bytes.get_int32_le buf (at + 4)) in
-  if stored_tid <> tid || n <> l.sizes.(tid) then corrupt ();
-  let ib = l.pm.Page_model.item_bytes in
-  let base = at + l.pm.Page_model.tid_bytes in
-  (* strict increase is checked while the array fills: one pass *)
-  let items = Array.make n 0 in
-  let prev = ref min_int in
-  for k = 0 to n - 1 do
-    let it = Int32.to_int (Bytes.get_int32_le buf (base + (k * ib))) in
-    if it <= !prev then corrupt ();
-    items.(k) <- it;
-    prev := it
-  done;
-  Transaction.make ~tid ~items:(Itemset.unsafe_of_sorted_array items)
+type rows = {
+  mutable items : int array;
+  mutable offs : int array;
+  mutable n : int;
+}
+
+let rows () = { items = Array.make 256 0; offs = Array.make 64 0; n = 0 }
+
+let corrupt l tid =
+  Cfq_error.raise_error (Cfq_error.Corrupt_page { page = l.page_of.(tid) })
+
+(* little-endian u32 loads, unchecked: [decode_rows] checks each record's
+   extent against the buffer once *)
+external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+let u32 buf i =
+  let v = get32u buf i in
+  Int32.to_int (if Sys.big_endian then bswap32 v else v)
+
+let decode_rows l buf ~base ~lo ~hi r =
+  r.n <- 0;
+  if Array.length r.offs < hi - lo + 2 then
+    r.offs <- Array.make (max (hi - lo + 2) (2 * Array.length r.offs)) 0;
+  let ib = l.pm.Page_model.item_bytes and hb = l.pm.Page_model.tid_bytes in
+  let pos = ref 0 in
+  for tid = lo to hi do
+    let at = l.offsets.(tid) - base in
+    let n = l.sizes.(tid) in
+    if at < 0 || at + hb + (n * ib) > Bytes.length buf then
+      invalid_arg "Page_codec.decode_rows";
+    let stored_tid = u32 buf at in
+    let stored_n = u32 buf (at + 4) in
+    if stored_tid <> tid || stored_n <> n then corrupt l tid;
+    if Array.length r.items < !pos + n then begin
+      let a = Array.make (max (!pos + n) (2 * Array.length r.items)) 0 in
+      Array.blit r.items 0 a 0 !pos;
+      r.items <- a
+    end;
+    let items = r.items and first = at + hb in
+    (* strict increase is checked while the row fills: one pass *)
+    let prev = ref min_int in
+    for k = 0 to n - 1 do
+      let it = u32 buf (first + (k * ib)) in
+      if it <= !prev then corrupt l tid;
+      Array.unsafe_set items (!pos + k) it;
+      prev := it
+    done;
+    pos := !pos + n;
+    r.offs.(tid - lo + 1) <- !pos;
+    r.n <- tid - lo + 1
+  done

@@ -43,7 +43,23 @@ val data_bytes : layout -> int
     at its layout offset into [buf] (the whole data region). *)
 val encode_tx : layout -> bytes -> tid:int -> Itemset.t -> unit
 
-(** [decode_tx l ~tid buf ~at] reads the record back from [buf] starting
-    at [at].  Raises [Cfq_error.Error (Corrupt_page _)] if the stored tid,
-    length or item order contradict the layout. *)
-val decode_tx : layout -> tid:int -> bytes -> at:int -> Transaction.t
+(** Decoded rows, reused from page to page: row [i] of the last
+    {!decode_rows} is [items.(offs.(i)) .. items.(offs.(i + 1) - 1)] for
+    [i < n], and [offs.(0) = 0].  The arrays grow as pages need and are
+    never shrunk, so a scan that keeps one [rows] allocates nothing once
+    it has seen its largest page. *)
+type rows = {
+  mutable items : int array;
+  mutable offs : int array;
+  mutable n : int;
+}
+
+val rows : unit -> rows
+
+(** [decode_rows l buf ~base ~lo ~hi r] decodes records [lo..hi] into [r].
+    [buf] holds the data region from byte [base] on (a page, or the
+    gathered bytes of an oversized record).  Raises
+    [Cfq_error.Error (Corrupt_page _)] at the first record whose stored
+    tid, length or item order contradicts the layout; [r.n] then counts
+    the records decoded before it, which stay readable. *)
+val decode_rows : layout -> bytes -> base:int -> lo:int -> hi:int -> rows -> unit

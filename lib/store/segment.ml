@@ -85,7 +85,8 @@ let write ?(page_model = Page_model.default) ?(generation = 0) path itemsets =
   Array.iteri
     (fun tid items ->
       let p = l.Page_codec.page_of.(tid) in
-      sums.(p) <- Tx_db.Checksum.add_tx sums.(p) (Transaction.make ~tid ~items);
+      let a = Itemset.unsafe_to_array items in
+      sums.(p) <- Tx_db.Checksum.add_row sums.(p) tid a 0 (Array.length a);
       match Itemset.max_item items with
       | Some m -> if m + 1 > !universe then universe := m + 1
       | None -> ())
@@ -188,6 +189,7 @@ let read_all t =
   let data = Bytes.create (Page_codec.data_bytes l) in
   ignore (Unix.lseek t.fd (data_off t) Unix.SEEK_SET);
   read_exact t.fd data 0 (Bytes.length data) t.path;
+  let r = Page_codec.rows () in
   Array.init n (fun tid ->
-      (Page_codec.decode_tx l ~tid data ~at:l.Page_codec.offsets.(tid))
-        .Transaction.items)
+      Page_codec.decode_rows l data ~base:0 ~lo:tid ~hi:tid r;
+      Itemset.unsafe_of_sorted_array (Array.sub r.Page_codec.items 0 r.Page_codec.offs.(1)))

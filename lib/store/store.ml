@@ -31,64 +31,105 @@ type t = {
 let wal_path path = path ^ ".wal"
 
 (* ------------------------------------------------------------------ *)
-(* the Tx_db view: decode transactions on demand through the pool *)
+(* the Tx_db view: decode rows on demand through the pool *)
+
+(* Decode scratch, one free list per domain.  A read takes a [rows] off
+   its domain's list and puts it back when done, so parallel chunk
+   readers never share one, a row callback that itself reads a store
+   takes a second, and a warm scan allocates nothing. *)
+let scratch : Page_codec.rows list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let with_scratch f =
+  let free = Domain.DLS.get scratch in
+  let r =
+    match !free with
+    | r :: rest ->
+        free := rest;
+        r
+    | [] -> Page_codec.rows ()
+  in
+  match f r with
+  | v ->
+      free := r :: !free;
+      v
+  | exception e ->
+      free := r :: !free;
+      raise e
+
+let deliver_rows (r : Page_codec.rows) f =
+  let offs = r.Page_codec.offs in
+  for i = 0 to r.Page_codec.n - 1 do
+    let o = Array.unsafe_get offs i in
+    f r.Page_codec.items o (Array.unsafe_get offs (i + 1) - o)
+  done
 
 let make_db seg pool =
   let l = seg.Segment.layout in
   let pm = seg.Segment.pm in
   let ps = pm.Page_model.page_size_bytes in
   let n = Array.length l.Page_codec.sizes in
-  let read_tx tid =
-    let off = l.Page_codec.offsets.(tid) in
-    let len = Page_codec.tx_bytes l tid in
-    let first = off / ps and last = (off + len - 1) / ps in
-    if first = last then
-      Buffer_pool.with_page pool first (fun buf ->
-          Page_codec.decode_tx l ~tid buf ~at:(off mod ps))
-    else begin
-      (* oversized transaction spanning dedicated pages: gather *)
-      let tmp = Bytes.create len in
-      for p = first to last do
-        let page_lo = p * ps in
-        let lo = max off page_lo and hi = min (off + len) (page_lo + ps) in
-        Buffer_pool.with_page pool p (fun buf ->
-            Bytes.blit buf (lo - page_lo) tmp (lo - off) (hi - lo))
-      done;
-      Page_codec.decode_tx l ~tid tmp ~at:0
-    end
-  in
-  (* a scan pins each page once and decodes all of its in-range
-     transactions under that pin, delivering them after the unpin; a
-     decode fault still delivers the page's earlier transactions first, so
-     a failover resumes right after the last one delivered *)
   let one_page tid =
     let off = l.Page_codec.offsets.(tid) in
     off / ps = (off + Page_codec.tx_bytes l tid - 1) / ps
   in
-  let iter ~lo ~hi f =
-    let k = ref lo in
-    while !k <= hi do
-      if not (one_page !k) then begin
-        f (read_tx !k);
-        incr k
-      end
-      else begin
-        let page = l.Page_codec.offsets.(!k) / ps in
-        let decoded = ref [] and fault = ref None in
-        Buffer_pool.with_page pool page (fun buf ->
-            try
-              while
-                !k <= hi && one_page !k && l.Page_codec.offsets.(!k) / ps = page
-              do
-                let at = l.Page_codec.offsets.(!k) mod ps in
-                decoded := Page_codec.decode_tx l ~tid:!k buf ~at :: !decoded;
-                incr k
-              done
-            with Cfq_error.Error _ as e -> fault := Some e);
-        List.iter f (List.rev !decoded);
-        Option.iter raise !fault
-      end
-    done
+  (* an oversized transaction spans dedicated pages: gather its bytes *)
+  let decode_oversized fetch tid r =
+    let off = l.Page_codec.offsets.(tid) in
+    let len = Page_codec.tx_bytes l tid in
+    let tmp = Bytes.create len in
+    for p = off / ps to (off + len - 1) / ps do
+      let page_lo = p * ps in
+      let lo = max off page_lo and hi = min (off + len) (page_lo + ps) in
+      fetch pool p (fun buf ->
+          Bytes.blit buf (lo - page_lo) tmp (lo - off) (hi - lo))
+    done;
+    Page_codec.decode_rows l tmp ~base:off ~lo:tid ~hi:tid r
+  in
+  let get tid =
+    with_scratch (fun r ->
+        let off = l.Page_codec.offsets.(tid) in
+        if one_page tid then
+          Buffer_pool.with_page pool (off / ps) (fun buf ->
+              Page_codec.decode_rows l buf ~base:(off - (off mod ps)) ~lo:tid ~hi:tid r)
+        else decode_oversized Buffer_pool.with_page tid r;
+        let items = Array.sub r.Page_codec.items 0 r.Page_codec.offs.(1) in
+        Transaction.make ~tid ~items:(Itemset.unsafe_of_sorted_array items))
+  in
+  (* a scan pins each page once and decodes its in-range rows into the
+     scratch under that pin, delivering them after the unpin; a decode
+     fault still delivers the page's earlier rows first, so a failover
+     resumes right after the last one delivered *)
+  let rows ~lo ~hi f =
+    with_scratch (fun r ->
+        let k = ref lo in
+        while !k <= hi do
+          let k0 = !k in
+          if not (one_page k0) then begin
+            decode_oversized Buffer_pool.with_scan_page k0 r;
+            deliver_rows r f;
+            k := k0 + 1
+          end
+          else begin
+            let page = l.Page_codec.offsets.(k0) / ps in
+            let k1 = ref k0 in
+            while
+              !k1 < hi && one_page (!k1 + 1) && l.Page_codec.offsets.(!k1 + 1) / ps = page
+            do
+              incr k1
+            done;
+            let hi = !k1 in
+            let fault =
+              Buffer_pool.with_scan_page pool page (fun buf ->
+                  match Page_codec.decode_rows l buf ~base:(page * ps) ~lo:k0 ~hi r with
+                  | () -> None
+                  | exception (Cfq_error.Error _ as e) -> Some e)
+            in
+            deliver_rows r f;
+            Option.iter raise fault;
+            k := hi + 1
+          end
+        done)
   in
   let avg_tx_len =
     if n = 0 then 0.
@@ -96,8 +137,7 @@ let make_db seg pool =
       float_of_int (Array.fold_left ( + ) 0 l.Page_codec.sizes) /. float_of_int n
   in
   Tx_db.of_backend ~page_model:pm ~pages:l.Page_codec.pages
-    ~page_of:l.Page_codec.page_of ~checksums:seg.Segment.sums ~avg_tx_len ~iter
-    ~get:read_tx ()
+    ~page_of:l.Page_codec.page_of ~checksums:seg.Segment.sums ~avg_tx_len ~rows ~get ()
 
 let attach ~cache_pages ~io seg =
   let pool =
@@ -242,11 +282,11 @@ let page_faults_to_string faults =
        (fun f -> Printf.sprintf "%d/%s" f.pf_page (page_fault_kind_name f.pf_kind))
        faults)
 
-let pread_exact t ~off buf len =
+let pread_exact t ~off buf ~pos len =
   ignore (Unix.lseek t.seg.Segment.fd off Unix.SEEK_SET);
   let o = ref 0 in
   while !o < len do
-    let r = Unix.read t.seg.Segment.fd buf !o (len - !o) in
+    let r = Unix.read t.seg.Segment.fd buf (pos + !o) (len - !o) in
     if r = 0 then
       Cfq_error.raise_error
         (Cfq_error.Corrupt_page
@@ -260,49 +300,71 @@ let read_page t p =
   if p < 0 || p >= t.seg.Segment.layout.Page_codec.pages then
     invalid_arg "Store.read_page";
   let buf = Bytes.create ps in
-  pread_exact t ~off:(Segment.data_off t.seg + (p * ps)) buf ps;
+  pread_exact t ~off:(Segment.data_off t.seg + (p * ps)) buf ~pos:0 ps;
   buf
 
+(* One pass, one read per page.  Each page's raw CRC is checked as it
+   arrives; the run of transactions whose records start on a page (one
+   page, or the dedicated pages of an oversized record) is then decoded
+   with the scan's page decoder and its rolling hash compared with the
+   logical checksum the scan layer checks.  A page already condemned by
+   its CRC is not re-reported as a checksum fault. *)
 let verify_pages ?(throttle = fun ~page:_ -> ()) t =
   let seg = t.seg in
   let l = seg.Segment.layout in
   let ps = seg.Segment.pm.Page_model.page_size_bytes in
   let n = Array.length l.Page_codec.sizes in
-  let n_pages = l.Page_codec.pages in
   let faults = ref [] in
-  let crc_bad = Array.make (max 1 n_pages) false in
-  let buf = Bytes.create ps in
-  (* pass 1: raw CRC of every data page *)
-  for p = 0 to n_pages - 1 do
-    throttle ~page:p;
-    (match pread_exact t ~off:(Segment.data_off seg + (p * ps)) buf ps with
-    | () ->
-        if Crc32.bytes buf <> seg.Segment.crcs.(p) then crc_bad.(p) <- true
-    | exception Cfq_error.Error _ -> crc_bad.(p) <- true);
-    if crc_bad.(p) then faults := { pf_page = p; pf_kind = Bad_crc } :: !faults
-  done;
-  (* pass 2: logical checksums — decode each page run's transactions from
-     their byte extents and replay the rolling hash the scan layer checks.
-     A page already condemned by its CRC is not re-reported here. *)
-  let i = ref 0 in
-  while !i < n do
-    let page = l.Page_codec.page_of.(!i) in
-    let h = ref Tx_db.Checksum.seed in
-    let ok = ref true in
+  let buf = ref (Bytes.create ps) in
+  let r = Page_codec.rows () in
+  let i = ref 0 and page = ref 0 in
+  while !page < l.Page_codec.pages do
+    let p = !page in
     let j = ref !i in
-    while !j < n && l.Page_codec.page_of.(!j) = page do
-      let off = l.Page_codec.offsets.(!j) in
-      let len = Page_codec.tx_bytes l !j in
-      let tmp = Bytes.create len in
-      (try
-         pread_exact t ~off:(Segment.data_off seg + off) tmp len;
-         h := Tx_db.Checksum.add_tx !h (Page_codec.decode_tx l ~tid:!j tmp ~at:0)
-       with Cfq_error.Error _ -> ok := false);
+    while !j < n && l.Page_codec.page_of.(!j) = p do
       incr j
     done;
-    if (not crc_bad.(page)) && ((not !ok) || !h <> seg.Segment.sums.(page)) then
-      faults := { pf_page = page; pf_kind = Bad_checksum } :: !faults;
-    i := !j
+    let last =
+      if !j = !i then p
+      else (l.Page_codec.offsets.(!j - 1) + Page_codec.tx_bytes l (!j - 1) - 1) / ps
+    in
+    if Bytes.length !buf < (last - p + 1) * ps then buf := Bytes.create ((last - p + 1) * ps);
+    let read_ok = ref true and first_bad = ref false in
+    for q = p to last do
+      throttle ~page:q;
+      let pos = (q - p) * ps in
+      let bad =
+        match pread_exact t ~off:(Segment.data_off seg + (q * ps)) !buf ~pos ps with
+        | () -> Crc32.sub !buf pos ps <> seg.Segment.crcs.(q)
+        | exception Cfq_error.Error _ ->
+            read_ok := false;
+            true
+      in
+      if bad then begin
+        faults := { pf_page = q; pf_kind = Bad_crc } :: !faults;
+        if q = p then first_bad := true
+      end
+    done;
+    if !j > !i && not !first_bad then begin
+      let sum =
+        if not !read_ok then None
+        else
+        match Page_codec.decode_rows l !buf ~base:(p * ps) ~lo:!i ~hi:(!j - 1) r with
+        | () ->
+            let h = ref Tx_db.Checksum.seed and offs = r.Page_codec.offs in
+            for k = 0 to r.Page_codec.n - 1 do
+              h :=
+                Tx_db.Checksum.add_row !h (!i + k) r.Page_codec.items offs.(k)
+                  (offs.(k + 1) - offs.(k))
+            done;
+            Some !h
+        | exception Cfq_error.Error _ -> None
+      in
+      if sum <> Some seg.Segment.sums.(p) then
+        faults := { pf_page = p; pf_kind = Bad_checksum } :: !faults
+    end;
+    i := !j;
+    page := last + 1
   done;
   List.sort compare (List.rev !faults)
 

@@ -14,8 +14,9 @@
     applied — a crash at any point during recovery or {!seal} never
     duplicates a committed transaction.
 
-    {!db} is the seam: a [Tx_db.t] whose tuples are decoded on demand
-    from 4 KB pages fetched through the bounded {!Buffer_pool}.  [Exec],
+    {!db} is the seam: a [Tx_db.t] whose rows are decoded on demand from
+    4 KB pages fetched through the bounded {!Buffer_pool}, each page once
+    per read into a reused per-domain scratch.  [Exec],
     [Counting.count_shared]'s chunked parallel scans, fault injection and
     [Tx_db.verify] all run unchanged against it, with identical answers,
     ccc counters and logical page charges as the in-memory backend; the
@@ -149,12 +150,12 @@ val page_fault_kind_name : page_fault_kind -> string
     faults. *)
 val page_faults_to_string : page_fault list -> string
 
-(** [verify_pages ?throttle t] re-reads every data page fresh from disk and
-    checks (1) the raw CRC-32 against the segment footer and (2) the
-    logical {!Cfq_txdb.Tx_db.Checksum} of each page's decoded transactions.
-    Returns the faults found in page order ([[]] = clean).  [throttle
-    ~page] runs before each page read in pass 1 — the scrubber's I/O
-    throttle hook. *)
+(** [verify_pages ?throttle t] re-reads every data page fresh from disk,
+    once each, and checks (1) the raw CRC-32 against the segment footer
+    and (2) the logical {!Cfq_txdb.Tx_db.Checksum} of each page's
+    transactions, decoded as a scan decodes them.  Returns the faults
+    found in page order ([[]] = clean).  [throttle ~page] runs before
+    each page read — the scrubber's I/O throttle hook. *)
 val verify_pages : ?throttle:(page:int -> unit) -> t -> page_fault list
 
 (** [read_page t p] is the raw bytes of data page [p], fresh from disk

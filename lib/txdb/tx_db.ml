@@ -10,19 +10,25 @@ open Cfq_itembase
 module Checksum = struct
   let seed = 0x2545F491
 
-  let add_tx h (tx : Transaction.t) =
-    let h = ref ((h * 31) + tx.Transaction.tid + 1) in
-    Itemset.iter (fun i -> h := (!h * 131) + i + 1) tx.Transaction.items;
+  let add_row h tid items off len =
+    let h = ref ((h * 31) + tid + 1) in
+    for j = off to off + len - 1 do
+      h := (!h * 131) + items.(j) + 1
+    done;
     !h land max_int
 end
 
+type row = int array -> int -> int -> unit
+
 (* The tuple source: either the resident array, or an external paged
    backend (closures provided by Cfq_store reading through its buffer
-   pool).  Everything page-shaped — page_of, page count, checksums, the
-   fault walk, chunking — lives in [t] itself, so both backends share one
-   and the same scan/fault/verify machinery. *)
+   pool).  Both are read as rows (see [rows_extent]); the transaction
+   view of a scan is derived from its rows.  Everything page-shaped —
+   page_of, page count, checksums, the fault walk, chunking — lives in [t]
+   itself, so both backends share one and the same scan/fault/verify
+   machinery. *)
 type ext = {
-  ext_iter : lo:int -> hi:int -> (Transaction.t -> unit) -> unit;
+  ext_rows : lo:int -> hi:int -> row -> unit;
   ext_get : int -> Transaction.t;
   ext_avg_len : float;
 }
@@ -65,7 +71,8 @@ let compute_checksums ~pages ~page_of txs =
   Array.iteri
     (fun i tx ->
       let p = page_of.(i) in
-      sums.(p) <- Checksum.add_tx sums.(p) tx)
+      let a = Itemset.unsafe_to_array tx.Transaction.items in
+      sums.(p) <- Checksum.add_row sums.(p) i a 0 (Array.length a))
     txs;
   sums
 
@@ -91,12 +98,12 @@ let create ?(page_model = Page_model.default) itemsets =
   }
 
 let of_backend ?(page_model = Page_model.default) ~pages ~page_of ~checksums
-    ~avg_tx_len ~iter ~get () =
+    ~avg_tx_len ~rows ~get () =
   if Array.length checksums <> pages then
     invalid_arg "Tx_db.of_backend: one checksum per page required";
   {
     id = fresh_id ();
-    data = Ext { ext_iter = iter; ext_get = get; ext_avg_len = avg_tx_len };
+    data = Ext { ext_rows = rows; ext_get = get; ext_avg_len = avg_tx_len };
     n = Array.length page_of;
     page_model;
     pages;
@@ -129,14 +136,33 @@ let get t tid =
   | Some fl -> Fault.on_get fl ~page:t.page_of.(tid));
   match t.data with Mem txs -> txs.(tid) | Ext e -> e.ext_get tid
 
-(* deliver transactions [lo..hi] from whichever backend holds them *)
-let iter_extent t ~lo ~hi f =
+(* deliver rows [lo..hi] from whichever backend holds them *)
+let rows_extent t ~lo ~hi f =
   match t.data with
   | Mem txs ->
       for k = lo to hi do
-        f txs.(k)
+        let a = Itemset.unsafe_to_array txs.(k).Transaction.items in
+        f a 0 (Array.length a)
       done
-  | Ext e -> if hi >= lo then e.ext_iter ~lo ~hi f
+  | Ext e -> if hi >= lo then e.ext_rows ~lo ~hi f
+
+(* The transaction view of a row stream that starts at [lo]: row k is tid
+   [lo + k].  A backend reuses its row arrays, so the view copies each row
+   into a fresh itemset; a resident row is the stored transaction's own
+   array, so the memory view hands out the stored transaction. *)
+let tx_view t ~lo f =
+  let tid = ref lo in
+  match t.data with
+  | Mem txs ->
+      fun _ _ _ ->
+        f txs.(!tid);
+        incr tid
+  | Ext _ ->
+      fun items off len ->
+        f
+          (Transaction.make ~tid:!tid
+             ~items:(Itemset.unsafe_of_sorted_array (Array.sub items off len)));
+        incr tid
 
 (* stored checksum of [page] as the read layer sees it: a tampered page
    reads back a flipped checksum, so verification fails *)
@@ -144,8 +170,10 @@ let stored_checksum t fl page =
   if Fault.tampered fl ~page then t.checksums.(page) lxor 1 else t.checksums.(page)
 
 let verify_extent t fl ~page ~lo ~hi =
-  let h = ref Checksum.seed in
-  iter_extent t ~lo ~hi (fun tx -> h := Checksum.add_tx !h tx);
+  let h = ref Checksum.seed and tid = ref lo in
+  rows_extent t ~lo ~hi (fun items off len ->
+      h := Checksum.add_row !h !tid items off len;
+      incr tid);
   if stored_checksum t fl page <> !h then begin
     Fault.note_checksum_failure fl;
     Cfq_error.raise_error (Cfq_error.Corrupt_page { page })
@@ -172,17 +200,16 @@ let fault_page_walk t fl deliver =
     i := !j
   done
 
-let iter_scan t stats f =
+let scan_rows t stats f =
   Io_stats.record_scan stats ~pages:t.pages ~tuples:t.n;
   match t.faults with
-  | None -> (
-      match t.data with
-      | Mem txs -> Array.iter f txs
-      | Ext e -> if t.n > 0 then e.ext_iter ~lo:0 ~hi:(t.n - 1) f)
+  | None -> rows_extent t ~lo:0 ~hi:(t.n - 1) f
   | Some fl ->
       (* deliver page by page: consult the injector and verify the page's
-         checksum before any of its tuples reach [f] *)
-      fault_page_walk t fl (fun ~lo ~hi -> iter_extent t ~lo ~hi f)
+         checksum before any of its rows reach [f] *)
+      fault_page_walk t fl (fun ~lo ~hi -> rows_extent t ~lo ~hi f)
+
+let iter_scan t stats f = scan_rows t stats (tx_view t ~lo:0 f)
 
 let begin_scan t stats =
   Io_stats.record_scan stats ~pages:t.pages ~tuples:t.n;
@@ -190,9 +217,10 @@ let begin_scan t stats =
   | None -> ()
   | Some fl -> fault_page_walk t fl (fun ~lo:_ ~hi:_ -> ())
 
-let iter_range t ~lo ~hi f = iter_extent t ~lo ~hi f
+let rows t ~lo ~hi f = rows_extent t ~lo ~hi f
+let iter_range t ~lo ~hi f = rows_extent t ~lo ~hi (tx_view t ~lo f)
 
-(* [iter_range_checked] is [iter_range] that honours an installed injector:
+(* [rows_checked] is [rows] that honours an installed injector:
    the slice is delivered page by page, each page consulted against the
    injector and checksum-verified before its tuples escape — the walk a
    replica runs so a failover layer above it sees typed faults instead of
@@ -201,10 +229,10 @@ let iter_range t ~lo ~hi f = iter_extent t ~lo ~hi f
    read failed partway through a page) delivers the partial extents
    unverified rather than comparing a partial hash against a whole-page
    checksum. *)
-let iter_range_checked t ~lo ~hi f =
+let rows_checked t ~lo ~hi f =
   if hi >= lo then
     match t.faults with
-    | None -> iter_extent t ~lo ~hi f
+    | None -> rows_extent t ~lo ~hi f
     | Some fl ->
         Fault.on_scan fl;
         let i = ref lo in
@@ -219,9 +247,11 @@ let iter_range_checked t ~lo ~hi f =
           let page_final = !j >= t.n || t.page_of.(!j) <> page in
           if page_initial && page_final then
             verify_extent t fl ~page ~lo:!i ~hi:(!j - 1);
-          iter_extent t ~lo:!i ~hi:(!j - 1) f;
+          rows_extent t ~lo:!i ~hi:(!j - 1) f;
           i := !j
         done
+
+let iter_range_checked t ~lo ~hi f = rows_checked t ~lo ~hi (tx_view t ~lo f)
 
 (* Page run starts in tx order; chunk boundaries only ever sit on them, so
    no page is split across chunks.  The geometry is fixed for the life of a
@@ -296,8 +326,10 @@ let support t stats s =
 
 let item_frequencies t stats ~universe_size =
   let freq = Array.make universe_size 0 in
-  iter_scan t stats (fun tx ->
-      Itemset.iter (fun i -> freq.(i) <- freq.(i) + 1) tx.Transaction.items);
+  scan_rows t stats (fun items off len ->
+      for j = off to off + len - 1 do
+        freq.(items.(j)) <- freq.(items.(j)) + 1
+      done);
   freq
 
 let avg_tx_len t =
@@ -372,26 +404,20 @@ let of_shards ?page_model ?checksums ?io subs =
       page_of.(tx_base.(k) + i) <- pg_base.(k) + sub.page_of.(i)
     done
   done;
-  (* shards store their transactions under local tids; the composite view
-     re-tids on the way out so global tids are [0, n) in shard order *)
-  let retid base tx =
-    if base = 0 then tx
-    else Transaction.make ~tid:(base + tx.Transaction.tid) ~items:tx.Transaction.items
-  in
-  let iter ~lo ~hi f =
+  (* rows carry no tid: a shard's row [i] is composite row [base + i] *)
+  let rows ~lo ~hi f =
     let k0 = locate tx_base lo and k1 = locate tx_base hi in
     for k = k0 to k1 do
       let sub = subs.(k) in
       let base = tx_base.(k) in
       let llo = max 0 (lo - base) and lhi = min (sub.n - 1) (hi - base) in
       if lhi >= llo then begin
-        let deliver tx = f (retid base tx) in
         match sub.faults with
         | None -> (
             (* an external backend (a store's buffer pool, a replica group
                that exhausted its siblings) may raise typed errors of its
                own: translate their pages to composite coordinates too *)
-            try iter_extent sub ~lo:llo ~hi:lhi deliver
+            try rows_extent sub ~lo:llo ~hi:lhi f
             with Cfq_error.Error e ->
               Cfq_error.raise_error (globalize_error pg_base k e))
         | Some fl -> (
@@ -400,7 +426,7 @@ let of_shards ?page_model ?checksums ?io subs =
                coordinates so callers can attribute the failure *)
             try
               ranged_fault_walk sub fl ~lo:llo ~hi:lhi (fun ~lo ~hi ->
-                  iter_extent sub ~lo ~hi deliver)
+                  rows_extent sub ~lo ~hi f)
             with Cfq_error.Error e ->
               Cfq_error.raise_error (globalize_error pg_base k e))
       end
@@ -410,7 +436,7 @@ let of_shards ?page_model ?checksums ?io subs =
     let k = locate tx_base tid in
     let base = tx_base.(k) in
     match get subs.(k) (tid - base) with
-    | tx -> retid base tx
+    | tx -> if base = 0 then tx else Transaction.make ~tid ~items:tx.Transaction.items
     | exception Cfq_error.Error e ->
         Cfq_error.raise_error (globalize_error pg_base k e)
   in
@@ -434,18 +460,17 @@ let of_shards ?page_model ?checksums ?io subs =
         let sums = Array.make pages Checksum.seed in
         Array.iteri
           (fun k sub ->
-            let base = tx_base.(k) in
-            if sub.n > 0 then
-              iter_extent sub ~lo:0 ~hi:(sub.n - 1) (fun tx ->
-                  let g = base + tx.Transaction.tid in
-                  let p = page_of.(g) in
-                  sums.(p) <- Checksum.add_tx sums.(p) (retid base tx)))
+            let g = ref tx_base.(k) in
+            rows_extent sub ~lo:0 ~hi:(sub.n - 1) (fun items off len ->
+                let p = page_of.(!g) in
+                sums.(p) <- Checksum.add_row sums.(p) !g items off len;
+                incr g))
           subs;
         sums
   in
   {
     id = fresh_id ();
-    data = Ext { ext_iter = iter; ext_get = get_tx; ext_avg_len = avg };
+    data = Ext { ext_rows = rows; ext_get = get_tx; ext_avg_len = avg };
     n;
     page_model;
     pages;

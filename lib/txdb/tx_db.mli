@@ -1,8 +1,11 @@
 (** The transaction database [trans(TID, Itemset)].
 
     An immutable store of transactions with a {!Page_model} attached for
-    I/O cost accounting.  Scans go through {!iter_scan} so that every pass
-    over the data is charged to the given {!Io_stats}.
+    I/O cost accounting.  Scans go through {!scan_rows} (or its
+    transaction view {!iter_scan}) so that every pass over the data is
+    charged to the given {!Io_stats}.  Every backend is read as rows: one
+    transaction is a slice [items.(off) .. items.(off + len - 1)] of an
+    array the backend owns (see {!row}).
 
     Two backends share this one API: the resident in-memory array built by
     {!create}, and an external paged backend plugged in through
@@ -24,28 +27,37 @@ val create : ?page_model:Page_model.t -> Itemset.t array -> t
     the transactions resident on the page, starting from [seed].  An
     external backend persists exactly these values so that the fault
     machinery (tamper detection, {!verify}) behaves identically on either
-    backend. *)
+    backend.  [add_row h tid items off len] adds the transaction [tid]
+    whose items are [items.(off) .. items.(off + len - 1)]. *)
 module Checksum : sig
   val seed : int
-  val add_tx : int -> Transaction.t -> int
+  val add_row : int -> int -> int array -> int -> int -> int
 end
 
-(** [of_backend ~pages ~page_of ~checksums ~avg_tx_len ~iter ~get ()] is a
+(** A row callback: [f items off len] receives one transaction's items as
+    [items.(off) .. items.(off + len - 1)], strictly increasing.  Rows
+    arrive in tid order and carry no tid: the [k]-th row of a read that
+    starts at [lo] is transaction [lo + k].  [items] belongs to the
+    backend, which may overwrite it once [f] returns, so [f] must neither
+    keep nor mutate it. *)
+type row = int array -> int -> int -> unit
+
+(** [of_backend ~pages ~page_of ~checksums ~avg_tx_len ~rows ~get ()] is a
     database whose tuples live in an external paged store.  [page_of] maps
     each transaction index to its (first) page under the same packing as
     {!Page_model.assign}; [checksums] holds one {!Checksum} value per page;
-    [iter ~lo ~hi f] must deliver transactions [lo..hi] (inclusive, with
-    correct TIDs) and be safe to call concurrently from several domains on
-    disjoint ranges; [get] is a point read.  The backend is responsible for
-    its own physical integrity (e.g. CRCs on raw pages) and may raise
-    [Cfq_error.Error (Corrupt_page _)] from [iter]/[get]. *)
+    [rows ~lo ~hi f] must deliver the rows of transactions [lo..hi]
+    (inclusive, in order) and be safe to call concurrently from several
+    domains on disjoint ranges; [get] is a point read.  The backend is
+    responsible for its own physical integrity (e.g. CRCs on raw pages)
+    and may raise [Cfq_error.Error (Corrupt_page _)] from [rows]/[get]. *)
 val of_backend :
   ?page_model:Page_model.t ->
   pages:int ->
   page_of:int array ->
   checksums:int array ->
   avg_tx_len:float ->
-  iter:(lo:int -> hi:int -> (Transaction.t -> unit) -> unit) ->
+  rows:(lo:int -> hi:int -> row -> unit) ->
   get:(int -> Transaction.t) ->
   unit ->
   t
@@ -60,8 +72,9 @@ val id : t -> int
     [of_shards subs] is one logical database spanning the given shards in
     tid order: global tids are the concatenation of the shards' local tids
     and global pages the concatenation of their pages.  Scans and point
-    reads route to the owning shard and re-tid transactions on the way
-    out.  A shard with its own fault injector validates its slice of every
+    reads route to the owning shard; rows carry no tid, so a scan hands a
+    shard's rows through as they are, and a point read re-tids its one
+    transaction.  A shard with its own fault injector validates its slice of every
     composite scan (same page/checksum walk as a local scan) and raised
     error pages are translated to composite coordinates, so callers can
     attribute a failure to a shard with {!shard_of_page}.
@@ -109,12 +122,17 @@ val page_model : t -> Page_model.t
     [Cfq_error.Error]. *)
 val get : t -> int -> Transaction.t
 
-(** [iter_scan t stats f] runs [f] over every transaction and charges one
-    full scan to [stats].  With faults installed, delivery is page by page:
-    each page is checked against the injector and its stored checksum
-    before any of its transactions reach [f], and [Cfq_error.Error] is
-    raised on an injected transient error, a checksum mismatch (corrupt
-    page), or an injected crash. *)
+(** [scan_rows t stats f] runs [f] over the row of every transaction and
+    charges one full scan to [stats].  With faults installed, delivery is
+    page by page: each page is checked against the injector and its
+    stored checksum before any of its rows reach [f], and
+    [Cfq_error.Error] is raised on an injected transient error, a checksum
+    mismatch (corrupt page), or an injected crash. *)
+val scan_rows : t -> Io_stats.t -> row -> unit
+
+(** [iter_scan] is {!scan_rows} seen as transactions: same charge, same
+    fault walk, and each row handed out as a {!Transaction.t} the caller
+    may keep (a copy of the row on an external backend). *)
 val iter_scan : t -> Io_stats.t -> (Transaction.t -> unit) -> unit
 
 (** {2 Chunked scans}
@@ -146,21 +164,27 @@ val chunk_runs : t -> int
     like {!iter_scan} would) without delivering any tuples. *)
 val begin_scan : t -> Io_stats.t -> unit
 
-(** [iter_range t ~lo ~hi f] delivers transactions [lo..hi] (inclusive) to
-    [f], raw: no I/O charge, no fault consultation — validation already
-    happened in {!begin_scan}.  Safe to call concurrently from several
-    domains on disjoint ranges. *)
+(** [rows t ~lo ~hi f] delivers the rows of transactions [lo..hi]
+    (inclusive) to [f], raw: no I/O charge, no fault consultation —
+    validation already happened in {!begin_scan}.  Safe to call
+    concurrently from several domains on disjoint ranges. *)
+val rows : t -> lo:int -> hi:int -> row -> unit
+
+(** {!rows} seen as transactions, as {!iter_scan} is of {!scan_rows}. *)
 val iter_range : t -> lo:int -> hi:int -> (Transaction.t -> unit) -> unit
 
-(** [iter_range_checked t ~lo ~hi f] delivers transactions [lo..hi] with no
-    I/O charge but {e with} fault validation when an injector is installed:
-    the slice is walked page by page, each page consulted against the
-    injector and checksum-verified before its tuples reach [f] — exactly
-    the walk a shard's slice of a composite scan runs.  This is the read a
-    replica serves so the failover layer above it sees typed faults.
-    Checksum comparison is skipped for a partial page at either end of the
-    range (a mid-page resume after a physical fault); complete pages are
-    always verified. *)
+(** [rows_checked t ~lo ~hi f] delivers the rows of transactions [lo..hi]
+    with no I/O charge but {e with} fault validation when an injector is
+    installed: the slice is walked page by page, each page consulted
+    against the injector and checksum-verified before its rows reach [f]
+    — exactly the walk a shard's slice of a composite scan runs.  This is
+    the read a replica serves so the failover layer above it sees typed
+    faults.  Checksum comparison is skipped for a partial page at either
+    end of the range (a mid-page resume after a physical fault); complete
+    pages are always verified. *)
+val rows_checked : t -> lo:int -> hi:int -> row -> unit
+
+(** {!rows_checked} seen as transactions. *)
 val iter_range_checked : t -> lo:int -> hi:int -> (Transaction.t -> unit) -> unit
 
 (** {2 Fault injection}

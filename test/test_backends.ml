@@ -1,14 +1,17 @@
 (* One property, every backend.  Seeded histories (append, seal, query,
-   reopen, install or clear a transient-fault injector) run on five
-   backends built through Cfq_live.Source: memory, a 3-shard in-memory
-   composite, a store, a 3-shard store and a 3x2 replicated store.  After
-   every step, against an in-memory twin of the sealed transactions and
-   the brute-force oracle: the read surface and its charges equal the
-   twin's; Exec.run under both kernels answers like the oracle (pairs and
-   supports) at the twin's ccc, scans and pages; a live Service answers
-   like the oracle and, after a clean seal, serves every query it cached
-   without a scan.  While an injector is installed a result may instead
-   be a typed Cfq_error. *)
+   reopen, install or clear a transient-fault injector, make one replica
+   of a shard flaky) run on five backends built through
+   Cfq_live.Source: memory, a 3-shard in-memory composite, a store, a
+   3-shard store and a 3x2 replicated store.  After every step, against an
+   in-memory twin of the sealed transactions and the brute-force oracle:
+   the read surface — transactions and rows — and its charges equal the
+   twin's, a flaky replica's reads included (its sibling takes over each
+   read where it failed); under an injector, a scan's rows and its
+   transactions draw the same decisions and fail alike; Exec.run under
+   both kernels answers like the oracle (pairs and supports) at the twin's
+   ccc, scans and pages; a live Service answers like the oracle and, after
+   a clean seal, serves every query it cached without a scan.  While an
+   injector is installed a result may instead be a typed Cfq_error. *)
 
 open Cfq_itembase
 open Cfq_txdb
@@ -28,7 +31,10 @@ type op =
   | Query of Query.t
   | Reopen  (** disk: flush, close, reopen (recovery folds the WAL); memory: seal *)
   | Fault of int * float  (** seed and per-page transient probability *)
-  | Clear
+  | Flaky_replica of int * int
+      (** shard and seed: half the page reads of the shard's first replica
+          fail; a no-op without a sibling replica *)
+  | Clear  (** injectors and flaky replicas *)
 
 type history = { n : int; base : Itemset.t list; condense : bool; ops : op list }
 
@@ -46,6 +52,7 @@ let gen_history =
           (3, map (fun q -> Query q) Helpers.gen_query);
           (1, return Reopen);
           (1, map2 (fun seed p -> Fault (seed, p)) (int_range 0 9999) (oneofl [ 0.01; 0.05; 0.2 ]));
+          (1, map2 (fun k seed -> Flaky_replica (k, seed)) (int_range 0 2) (int_range 0 9999));
           (1, return Clear);
         ]
     in
@@ -60,6 +67,7 @@ let op_to_string = function
   | Query q -> "query " ^ Query.to_string q
   | Reopen -> "reopen"
   | Fault (seed, p) -> Printf.sprintf "fault seed=%d p=%g" seed p
+  | Flaky_replica (k, seed) -> Printf.sprintf "flaky replica 0 of shard %d seed=%d" k seed
   | Clear -> "clear"
 
 let print_history h =
@@ -69,24 +77,28 @@ let print_history h =
 
 type backing =
   | Mem of (Itemset.t array -> Tx_db.t)  (** how a seal rebuilds the database *)
-  | Disk of (string -> Itemset.t array -> unit)  (** how the file is built *)
+  | Disk of (string -> Itemset.t array -> unit) * int
+      (** how the file is built; replicas per shard *)
 
 let kinds =
   [
     ("mem", Mem (Tx_db.create ~page_model));
     ("mem 3 shards", Mem (Sharded.mem_db ~page_model ~shards:3));
-    ("store", Disk (Cfq_store.Store.build ~page_model));
-    ("store 3 shards", Disk (Sharded.build ~page_model ~shards:3));
-    ("store 3x2 replicas", Disk (Sharded.build ~page_model ~shards:3 ~replicas:2));
+    ("store", Disk (Cfq_store.Store.build ~page_model, 1));
+    ("store 3 shards", Disk (Sharded.build ~page_model ~shards:3, 1));
+    ("store 3x2 replicas", Disk (Sharded.build ~page_model ~shards:3 ~replicas:2, 2));
   ]
 
 type backend = {
   name : string;
   path : string option;  (** the file a disk backend reopens *)
+  replicated : bool;  (** each shard has a sibling replica to fail over to *)
   mutable src : Source.t;
   mutable service : Service.t;
   mutable warm : Query.t list;  (** queries the service answered and cached *)
   mutable faulted : bool;
+  mutable fault : Fault.config option;  (** the installed injector's *)
+  mutable flaky : int list;  (** shards whose first replica is flaky *)
 }
 
 let open_disk path =
@@ -117,7 +129,7 @@ let create ~condense info (name, backing) sets =
   let path, src =
     match backing with
     | Mem rebuild -> (None, Source.of_mem ~rebuild sets)
-    | Disk build -> (
+    | Disk (build, _) -> (
         let path = Filename.temp_file ~temp_dir "cfq_backends" ".cfqdb" in
         try
           build path sets;
@@ -126,7 +138,18 @@ let create ~condense info (name, backing) sets =
           remove_files path;
           raise e)
   in
-  { name; path; src; service = start ~condense info src; warm = []; faulted = false }
+  let replicated = match backing with Disk (_, r) -> r > 1 | Mem _ -> false in
+  {
+    name;
+    path;
+    replicated;
+    src;
+    service = start ~condense info src;
+    warm = [];
+    faulted = false;
+    fault = None;
+    flaky = [];
+  }
 
 (* also runs after a failed reopen, whose source is already closed *)
 let dispose b =
@@ -142,6 +165,19 @@ let tx_ints (tx : Transaction.t) =
 let delivered iter =
   let acc = ref [] in
   iter (fun tx -> acc := List.rev_append (tx_ints tx) !acc);
+  List.rev !acc
+
+(* a row as the same ints: rows carry no tid, the [k]-th row of a read
+   from [lo] is transaction [lo + k] *)
+let rows_to emit ~lo =
+  let tid = ref lo in
+  fun items off len ->
+    emit (!tid :: len :: Array.to_list (Array.sub items off len));
+    incr tid
+
+let delivered_rows ~lo read =
+  let acc = ref [] in
+  read (rows_to (fun ints -> acc := List.rev_append ints !acc) ~lo);
   List.rev !acc
 
 let charged f =
@@ -160,8 +196,12 @@ let reads ~n db =
         let ranges iter =
           List.concat_map (fun (lo, hi) -> lo :: hi :: delivered (iter db ~lo ~hi)) chunks
         in
+        let row_ranges rows =
+          List.concat_map (fun (lo, hi) -> lo :: hi :: delivered_rows ~lo (rows db ~lo ~hi)) chunks
+        in
         charged (fun io -> Tx_db.begin_scan db io; [])
-        @ ranges Tx_db.iter_range @ ranges Tx_db.iter_range_checked )
+        @ ranges Tx_db.iter_range @ ranges Tx_db.iter_range_checked @ row_ranges Tx_db.rows
+        @ row_ranges Tx_db.rows_checked )
   in
   [
     ("geometry", fun () -> size :: Tx_db.pages db :: List.init size (Tx_db.page_of_tx db));
@@ -172,6 +212,7 @@ let reads ~n db =
         let sum f = Array.fold_left (fun acc sub -> acc + f sub) 0 subs in
         [ sum Tx_db.size; sum Tx_db.pages ] );
     ("scan", fun () -> charged (fun io -> delivered (Tx_db.iter_scan db io)));
+    ("scan rows", fun () -> charged (fun io -> delivered_rows ~lo:0 (Tx_db.scan_rows db io)));
     ("get", fun () -> List.concat (List.init size (fun i -> tx_ints (Tx_db.get db i))));
     ( "item frequencies",
       fun () -> charged (fun io -> Array.to_list (Tx_db.item_frequencies db io ~universe_size:n)) );
@@ -234,7 +275,7 @@ let expectations h ~info =
         asked := q :: !asked;
         let cost (_, kernel) = (kernel, exec_cost (Exec.run ~kernel (Exec.context !db info) q)) in
         { !plain with answers = [ oracle !db q ]; costs = List.map cost Counting.all_kernels }
-    | Fault _ | Clear -> !plain
+    | Fault _ | Flaky_replica _ | Clear -> !plain
   in
   let first = !plain in
   (first, List.rev (List.fold_left (fun acc op -> step op :: acc) [] h.ops))
@@ -246,7 +287,43 @@ let fail b step fmt =
 let faulted b step what err =
   if not b.faulted then fail b step "%s: %s with no fault installed" what err
 
+(* Under one fresh injector of the installed config each, a scan's
+   transactions and its rows (a full scan, and a checked range over every
+   transaction) deliver the same prefix, fail with the same error and
+   leave the injector with the same counts: the transaction view draws
+   nothing of its own.  The installed injector is then replaced by a fresh
+   one of the same config. *)
+let check_same_draws b step =
+  match b.fault with
+  | None -> ()
+  | Some config ->
+      let db = Source.db b.src in
+      let hi = Tx_db.size db - 1 in
+      let under read =
+        let f = Fault.create config in
+        ignore (Source.set_fault b.src (Some f) : (unit, string) result);
+        let acc = ref [] in
+        let emit ints = acc := List.rev_append ints !acc in
+        let outcome =
+          match read emit with () -> "ok" | exception Cfq_error.Error e -> Cfq_error.to_string e
+        in
+        (List.rev !acc, outcome, Fault.stats f)
+      in
+      List.iter
+        (fun (what, txs, rows) ->
+          if under txs <> under rows then fail b step "%s: rows and transactions drew apart" what)
+        [
+          ( "scan",
+            (fun emit -> Tx_db.iter_scan db (Io_stats.create ()) (fun tx -> emit (tx_ints tx))),
+            fun emit -> Tx_db.scan_rows db (Io_stats.create ()) (rows_to emit ~lo:0) );
+          ( "checked range",
+            (fun emit -> Tx_db.iter_range_checked db ~lo:0 ~hi (fun tx -> emit (tx_ints tx))),
+            fun emit -> Tx_db.rows_checked db ~lo:0 ~hi (rows_to emit ~lo:0) );
+        ];
+      ignore (Source.set_fault b.src (Some (Fault.create config)) : (unit, string) result)
+
 let check_surface b step ~n e =
+  check_same_draws b step;
   List.iter2
     (fun (what, read) want ->
       match read () with
@@ -313,7 +390,8 @@ let seal b step e =
         if pages > bound then fail b step "seal charged %d pages, above the delta-sized bound %d" pages bound;
         List.iter (check_service ~promoted:true b step e) (List.rev b.warm)
       end;
-      b.faulted <- false
+      b.faulted <- false;
+      b.fault <- None
 
 let reopen b path ~start =
   Source.flush b.src;
@@ -322,12 +400,35 @@ let reopen b path ~start =
   b.src <- open_disk path;
   b.service <- start b.src;
   b.warm <- [];
-  b.faulted <- false
+  b.faulted <- false;
+  b.fault <- None;
+  b.flaky <- []
 
-let set_fault b step fault =
-  match Source.set_fault b.src fault with
-  | Ok () -> b.faulted <- fault <> None
+let set_fault b step config =
+  match Source.set_fault b.src (Option.map Fault.create config) with
+  | Ok () ->
+      b.faulted <- config <> None;
+      b.fault <- config
   | Error msg -> fail b step "set_fault: %s" msg
+
+(* a flaky replica is no fault: its sibling serves every read exactly *)
+let set_replica_fault b step k fault =
+  match Source.set_fault b.src ~shard:k ~replica:0 fault with
+  | Ok () -> ()
+  | Error msg -> fail b step "set_fault shard %d replica 0: %s" k msg
+
+let flaky_replica b step k seed =
+  if b.replicated then begin
+    set_replica_fault b step k
+      (Some
+         (Fault.create { Fault.default_config with seed = Int64.of_int seed; transient_p = 0.5 }));
+    if not (List.mem k b.flaky) then b.flaky <- k :: b.flaky
+  end
+
+let clear b step =
+  set_fault b step None;
+  List.iter (fun k -> set_replica_fault b step k None) b.flaky;
+  b.flaky <- []
 
 (* one backend through the whole history *)
 let run_backend h ~info (first, expects) kind =
@@ -346,8 +447,9 @@ let run_backend h ~info (first, expects) kind =
           check_service b step e q
       | Fault (seed, p), _ ->
           set_fault b step
-            (Some (Fault.create { Fault.default_config with seed = Int64.of_int seed; transient_p = p }))
-      | Clear, _ -> set_fault b step None);
+            (Some { Fault.default_config with seed = Int64.of_int seed; transient_p = p })
+      | Flaky_replica (k, seed), _ -> flaky_replica b step k seed
+      | Clear, _ -> clear b step);
       check_surface b step ~n e)
     (List.combine h.ops expects)
 

@@ -219,6 +219,51 @@ let prop_mixed_pass_grid (txs, fams) =
        [ plain; Cfq_shard.Sharded.mem_db ~page_model ~shards:3 txs ]
 
 (* ------------------------------------------------------------------ *)
+(* Rows at an offset: a disk scan hands the kernels each transaction    *)
+(* inside one shared array                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Every transaction of the pass is laid out in one array between runs of
+   the items 0, 1, 2, which every pair and triple family of the generator
+   contains, so a kernel that read past either end of its row would count
+   them.  Counting each row where it sits equals counting its own copy,
+   for the trie on every family and for direct2 on every family it
+   shapes. *)
+let prop_rows_at_offset (txs, fams) =
+  let own = Array.map Itemset.to_array txs in
+  let junk = [| 0; 1; 2 |] in
+  let shared = Array.concat (junk :: List.concat_map (fun r -> [ r; junk ]) (Array.to_list own)) in
+  let offs = Array.make (Array.length own) 0 in
+  let at = ref (Array.length junk) in
+  Array.iteri
+    (fun i r ->
+      offs.(i) <- !at;
+      at := !at + Array.length r + Array.length junk)
+    own;
+  let same_counts init count_row =
+    let copied = init () and in_place = init () in
+    Array.iteri
+      (fun i r ->
+        count_row copied (Array.copy r) 0 (Array.length r);
+        count_row in_place shared offs.(i) (Array.length r))
+      own;
+    copied = in_place
+  in
+  List.for_all
+    (fun cands ->
+      let trie = Trie.build cands in
+      same_counts (fun () -> Array.make (Trie.n_candidates trie) 0) (Trie.count_row trie)
+      &&
+      match Direct2.shape cands with
+      | None -> true
+      | Some d ->
+          let scratch = Direct2.scratch () in
+          same_counts
+            (fun () -> Direct2.init_cells d)
+            (fun cells -> Direct2.count_row d cells scratch))
+    fams
+
+(* ------------------------------------------------------------------ *)
 (* Trie early stop: dense and sparse nodes around a transaction's items *)
 (* ------------------------------------------------------------------ *)
 
@@ -249,7 +294,11 @@ let test_trie_early_stop () =
     @ List.init 300 (fun _ -> random_tx ())
   in
   let counts = Array.make (Trie.n_candidates trie) 0 in
-  List.iter (fun tx -> Trie.count_tx_into trie counts (Array.of_list tx)) txs;
+  List.iter
+    (fun tx ->
+      let a = Array.of_list tx in
+      Trie.count_row trie counts a 0 (Array.length a))
+    txs;
   Array.iteri
     (fun i c ->
       let brute =
@@ -388,6 +437,8 @@ let suite =
     Helpers.qtest ~count:100 "mixed families in one pass match the trie" gen_mixed_pass
       print_mixed_pass prop_mixed_pass_grid;
     unit "trie nodes stop early and count exactly" test_trie_early_stop;
+    Helpers.qtest ~count:100 "trie and direct2 count a row at an offset like its copy"
+      gen_mixed_pass print_mixed_pass prop_rows_at_offset;
     unit "kernel names round-trip" test_kernel_names_roundtrip;
     unit "vertical scratch reuse matches single probes" test_vertical_scratch_reuse;
     unit "dhp bucket filter visible in level rows" test_dhp_rows;

@@ -76,8 +76,8 @@ let suite =
         let trie = Trie.build cands in
         let counts = Array.make (Trie.n_candidates trie) 0 in
         for i = 0 to Tx_db.size db - 1 do
-          Trie.count_tx_into trie counts
-            (Itemset.unsafe_to_array (Tx_db.get db i).Transaction.items)
+          let a = Itemset.unsafe_to_array (Tx_db.get db i).Transaction.items in
+          Trie.count_row trie counts a 0 (Array.length a)
         done;
         Array.for_all2
           (fun c cand -> c = Helpers.support_of db cand)
@@ -86,7 +86,7 @@ let suite =
         let s = Itemset.of_list [ 1; 2 ] in
         let trie = Trie.build [| s; s |] in
         let counts = Array.make (Trie.n_candidates trie) 0 in
-        Trie.count_tx_into trie counts [| 0; 1; 2 |];
+        Trie.count_row trie counts [| 0; 1; 2 |] 0 3;
         (* duplicates share a terminal node: only the last registered slot
            is counted, which the engines never rely on (they dedupe) *)
         Alcotest.(check int) "total over slots" 1

@@ -264,6 +264,40 @@ let mid_page_fault_delivers_prefix () =
   Alcotest.(check (list int)) "prefix delivered" [ 0 ] (List.rev !delivered);
   Store.close store
 
+(* Scan resistance: a pool of C frames under repeated full scans of N > C
+   pages keeps C - 1 of them from one scan to the next, whatever C is.
+   Every scan still delivers every transaction intact. *)
+let cyclic_scans_keep_pool_pages () =
+  let n_pages = 9 in
+  let path = tmp () in
+  (* one full page per transaction *)
+  let sets = Array.init n_pages (fun t -> Itemset.of_list (List.init 14 (fun i -> (14 * t) + i))) in
+  Store.build ~page_model:small_pm path sets;
+  List.iter
+    (fun c ->
+      let store = Store.open_ ~cache_pages:c path in
+      let db = Store.db store and pool = Store.io store in
+      Alcotest.(check int) "pages" n_pages (Tx_db.pages db);
+      let scan () =
+        let hits = Io_stats.pool_hits pool and misses = Io_stats.pool_misses pool in
+        let got = ref [] in
+        Tx_db.iter_scan db (Io_stats.create ()) (fun tx -> got := tx.Transaction.items :: !got);
+        Alcotest.(check bool) "every transaction delivered" true
+          (Array.to_list sets = List.rev !got);
+        (Io_stats.pool_hits pool - hits, Io_stats.pool_misses pool - misses)
+      in
+      let cold_hits, cold_misses = scan () in
+      Alcotest.(check (pair int int)) (Printf.sprintf "C=%d cold scan" c) (0, n_pages)
+        (cold_hits, cold_misses);
+      for k = 1 to 3 do
+        let hits, misses = scan () in
+        let what = Printf.sprintf "C=%d warm scan %d" c k in
+        Alcotest.(check bool) (what ^ ": >= C-1 hits") true (hits >= c - 1);
+        Alcotest.(check int) (what ^ ": one lookup per page") n_pages (hits + misses)
+      done;
+      Store.close store)
+    [ 1; 2; 3; 5; 8 ]
+
 (* ------------------------------------------------------------------ *)
 (* fuzz: arbitrary truncations and bit-flips over the WAL must yield a
    successful recovery of a record prefix — never an exception and never
@@ -658,4 +692,5 @@ let suite =
     unit "a mid-page record fault delivers the page's prefix"
       mid_page_fault_delivers_prefix;
     unit "an out-of-order record is a typed corrupt page" unsorted_record_is_corrupt;
+    unit "cyclic scans keep C-1 pool pages hot" cyclic_scans_keep_pool_pages;
   ]
