@@ -331,16 +331,21 @@ let run_live_passes service ~repeat ~ingest file =
         pending := rest;
         match Cfq_data.Fimi.read path with
         | exception Cfq_data.Fimi.Bad_format msg -> Error (`Msg msg)
-        | src ->
-            for i = 0 to Cfq_txdb.Tx_db.size src - 1 do
-              Cfq_service.Service.ingest service
-                (Cfq_txdb.Tx_db.get src i).Cfq_txdb.Transaction.items
-            done;
-            Printf.printf "=== ingest %s: %d transactions ===\n" path
-              (Cfq_txdb.Tx_db.size src);
-            (match Cfq_service.Service.seal_live service with
+        | src -> (
+            match
+              for i = 0 to Cfq_txdb.Tx_db.size src - 1 do
+                Cfq_service.Service.ingest service
+                  (Cfq_txdb.Tx_db.get src i).Cfq_txdb.Transaction.items
+              done;
+              Printf.printf "=== ingest %s: %d transactions ===\n" path
+                (Cfq_txdb.Tx_db.size src);
+              Cfq_service.Service.seal_live service
+            with
+            | exception Cfq_txdb.Cfq_error.Error e ->
+                Error (`Msg ("ingest failed: " ^ Cfq_txdb.Cfq_error.to_string e))
             | None ->
-                print_endline "nothing to seal: the file holds no transactions\n"
+                print_endline "nothing to seal: the file holds no transactions\n";
+                Ok ()
             | Some lv ->
                 let {
                   Cfq_service.Service.lv_epoch;
@@ -357,13 +362,14 @@ let run_live_passes service ~repeat ~ingest file =
                   lv
                 in
                 Printf.printf
-                  "epoch %d: sealed %d transactions; %d sides + %d answers \
-                   promoted, %d + %d evicted; %d candidates recounted (%d \
-                   old-db scans, %d maintenance scans, %d pages)\n\n"
-                  lv_epoch lv_sealed lv_sides_promoted lv_answers_promoted
-                  lv_sides_evicted lv_answers_evicted lv_recounted lv_old_scans
-                  lv_scans lv_pages_read);
-            Ok ())
+                  "epoch %d: sealed %d transactions; %d sides promoted, %d \
+                   evicted; %d answers carried to their next lookup, %d \
+                   dropped; %d candidates recounted (%d old-db scans, %d \
+                   maintenance scans, %d pages)\n\n"
+                  lv_epoch lv_sealed lv_sides_promoted lv_sides_evicted
+                  lv_answers_promoted lv_answers_evicted lv_recounted lv_old_scans
+                  lv_scans lv_pages_read;
+                Ok ()))
   in
   let rec passes n =
     if n > total then Ok ()

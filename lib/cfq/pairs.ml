@@ -122,11 +122,17 @@ let sort_join em ~s_info ~t_info ~residual valid_s valid_t agg1 a op agg2 b =
   finish em Sort_join
 
 let hash_join em ~s_info ~t_info ~residual valid_s valid_t a b =
+  (* the projected values' bit patterns, every NaN as one: equal exactly
+     when the values' hexadecimal renderings are *)
   let canon info attr set =
-    String.concat ";"
-      (List.map
-         (fun v -> Printf.sprintf "%h" v)
-         (Cfq_itembase.Value_set.to_list (Cfq_itembase.Item_info.project info attr set)))
+    let vs = Cfq_itembase.Value_set.to_list (Cfq_itembase.Item_info.project info attr set) in
+    let key = Bytes.create (8 * List.length vs) in
+    List.iteri
+      (fun k v ->
+        Bytes.set_int64_le key (8 * k)
+          (Int64.bits_of_float (if Float.is_nan v then Float.nan else v)))
+      vs;
+    Bytes.unsafe_to_string key
   in
   let buckets = Hashtbl.create (2 * Array.length valid_t) in
   Array.iteri

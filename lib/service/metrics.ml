@@ -215,7 +215,7 @@ let record_fault t (e : Cfq_txdb.Cfq_error.t) =
   | Transient_io _ -> t.fault_transient <- t.fault_transient + 1
   | Corrupt_page _ -> t.fault_corrupt <- t.fault_corrupt + 1
   | Query_crash _ -> t.fault_crash <- t.fault_crash + 1
-  | Deadline | Overload -> ()
+  | Deadline | Overload | No_live_source -> ()
 
 let record_kernel_passes t ~trie ~direct2 =
   t.kernel_trie_passes <- t.kernel_trie_passes + trie;
@@ -227,16 +227,19 @@ let record_seal t ~epoch =
   t.seals <- t.seals + 1;
   t.live_epoch <- epoch
 
-let record_maintenance t ~sides_promoted ~sides_evicted ~answers_promoted
-    ~answers_evicted ~recounted ~old_scans ~scans ~pages_read =
+let record_maintenance t ~sides_promoted ~sides_evicted ~recounted ~old_scans ~scans
+    ~pages_read =
   t.sides_promoted <- t.sides_promoted + sides_promoted;
   t.sides_evicted <- t.sides_evicted + sides_evicted;
-  t.answers_promoted <- t.answers_promoted + answers_promoted;
-  t.answers_evicted <- t.answers_evicted + answers_evicted;
   t.maint_recounted <- t.maint_recounted + recounted;
   t.maint_old_scans <- t.maint_old_scans + old_scans;
   t.maint_scans <- t.maint_scans + scans;
   t.maint_pages_read <- t.maint_pages_read + pages_read
+
+(* a lookup found an answer cached at an older epoch and brought it up to
+   date ([promoted]) or dropped it *)
+let record_answer_promoted t = t.answers_promoted <- t.answers_promoted + 1
+let record_answer_evicted t = t.answers_evicted <- t.answers_evicted + 1
 
 (* every cache insert passes through here: raw-equivalent vs stored bytes
    accumulate whether or not condensation fired, so the ratio reflects the

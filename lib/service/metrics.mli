@@ -58,8 +58,12 @@ type snapshot = {
   seals : int;  (** seals whose maintenance this service ran *)
   sides_promoted : int;  (** side collections promoted across a seal *)
   sides_evicted : int;  (** side entries dropped by maintenance *)
-  answers_promoted : int;  (** cached answers re-derived at the new epoch *)
-  answers_evicted : int;  (** cached answers dropped by maintenance *)
+  answers_promoted : int;
+      (** lookups that found an answer cached at an older epoch and brought
+          it up to date by a delta join *)
+  answers_evicted : int;
+      (** lookups that found an answer cached at an older epoch and dropped
+          it: a side had no covering collection at the current epoch *)
   maint_recounted : int;
       (** distinct seeded candidates counted against the old database
           ([Incremental.outcome.counted_against_old], summed over seals) *)
@@ -118,19 +122,23 @@ val record_fault : t -> Cfq_txdb.Cfq_error.t -> unit
 (** One seal happened: bump the seal count and set the epoch gauge. *)
 val record_seal : t -> epoch:int -> unit
 
-(** Accumulate one maintenance pass's outcome (promoted / evicted entry
+(** Accumulate one maintenance pass's outcome (promoted / evicted side
     counts, FUP old-database cost, and the pass's I/O charges). *)
 val record_maintenance :
   t ->
   sides_promoted:int ->
   sides_evicted:int ->
-  answers_promoted:int ->
-  answers_evicted:int ->
   recounted:int ->
   old_scans:int ->
   scans:int ->
   pages_read:int ->
   unit
+
+(** A lookup promoted a stale cached answer to the current epoch. *)
+val record_answer_promoted : t -> unit
+
+(** A lookup dropped a stale cached answer it could not promote. *)
+val record_answer_evicted : t -> unit
 
 (** Accumulate one cold mine's per-kernel pass counts (see
     {!Cfq_mining.Counting.pass_counts}). *)

@@ -198,8 +198,9 @@ type side_entry = {
 }
 
 (* a cached answer.  With condensation on, the pair list — a near
-   cross-product of the two sides — is stored as deduplicated per-side
-   entry arrays plus two indices per pair, rebuilt on lookup. *)
+   cross-product of the two sides — is stored as the two joined sides
+   (every valid set, paired or not) plus two indices per pair, rebuilt on
+   lookup. *)
 type packed_pairs = {
   pk_s : Frequent.entry array;
   pk_t : Frequent.entry array;
@@ -330,9 +331,35 @@ let locked t f =
 
 let entry_weight = Condensed.entry_weight
 
-let packed_weight pk =
-  let sum = Array.fold_left (fun acc e -> acc + entry_weight e) in
-  256 + sum 0 pk.pk_s + sum 0 pk.pk_t + (8 * Array.length pk.pk_idx)
+(* packed pairs, with the cache charge of their raw pair list and of
+   their packed form *)
+type packed = {
+  pk : packed_pairs;
+  raw_weight : int;
+  packed_weight : int;
+}
+
+(* one pass over the pairs prices both forms.  A packed answer is charged
+   the distinct entries of its pairs; the unpaired valid sets it also
+   keeps are the side collection's records. *)
+let weigh pk =
+  let ws = Array.map entry_weight pk.pk_s and wt = Array.map entry_weight pk.pk_t in
+  let seen_s = Array.make (Array.length ws) false in
+  let seen_t = Array.make (Array.length wt) false in
+  let raw = ref 256 and packed = ref (256 + (8 * Array.length pk.pk_idx)) in
+  for k = 0 to (Array.length pk.pk_idx / 2) - 1 do
+    let i = pk.pk_idx.(2 * k) and j = pk.pk_idx.((2 * k) + 1) in
+    raw := !raw + 16 + ws.(i) + wt.(j);
+    if not seen_s.(i) then begin
+      seen_s.(i) <- true;
+      packed := !packed + ws.(i)
+    end;
+    if not seen_t.(j) then begin
+      seen_t.(j) <- true;
+      packed := !packed + wt.(j)
+    end
+  done;
+  { pk; raw_weight = !raw; packed_weight = !packed }
 
 (* ------------------------------------------------------------------ *)
 (* condensation: the cache's storage format *)
@@ -366,48 +393,16 @@ let side_frequent t entry =
    [pk_idx]; an even size keeps a pair's two indices in one chunk *)
 let chunk_words = 256
 
-(* one side's remap: packed ids go out in first-appearance order, so the
-   packed entry array lists the side's paired entries in the order the
-   join first reached them *)
-type side_ids = {
-  valid : Frequent.entry array;
-  ids : int array;  (* index into [valid] -> packed id, or -1 *)
-  order : int array;  (* packed id -> index into [valid] *)
-  mutable n : int;
-}
-
 type packer = {
-  ps : side_ids;
-  pt : side_ids;
+  valid_s : Frequent.entry array;
+  valid_t : Frequent.entry array;
   mutable full : int array list;  (* filled chunks, newest first *)
   mutable chunk : int array;
   mutable fill : int;
-  mutable raw_weight : int;  (* what the pair list would be charged *)
 }
 
-let side_ids valid =
-  let n = Array.length valid in
-  { valid; ids = Array.make n (-1); order = Array.make n 0; n = 0 }
-
 let packer valid_s valid_t =
-  {
-    ps = side_ids valid_s;
-    pt = side_ids valid_t;
-    full = [];
-    chunk = Array.make chunk_words 0;
-    fill = 0;
-    raw_weight = 256;
-  }
-
-let packed_id side i =
-  match side.ids.(i) with
-  | -1 ->
-      let k = side.n in
-      side.ids.(i) <- k;
-      side.order.(k) <- i;
-      side.n <- k + 1;
-      k
-  | k -> k
+  { valid_s; valid_t; full = []; chunk = Array.make chunk_words 0; fill = 0 }
 
 let pack_pair p i j =
   if p.fill = chunk_words then begin
@@ -415,13 +410,13 @@ let pack_pair p i j =
     p.chunk <- Array.make chunk_words 0;
     p.fill <- 0
   end;
-  p.chunk.(p.fill) <- packed_id p.ps i;
-  p.chunk.(p.fill + 1) <- packed_id p.pt j;
-  p.fill <- p.fill + 2;
-  p.raw_weight <-
-    p.raw_weight + 16 + entry_weight p.ps.valid.(i) + entry_weight p.pt.valid.(j)
+  p.chunk.(p.fill) <- i;
+  p.chunk.(p.fill + 1) <- j;
+  p.fill <- p.fill + 2
 
-(* the packed pairs and the raw-equivalent weight *)
+(* the packed pairs, weighed.  The packed sides are the joined sides
+   whole, paired or not: a later delta join reads from them which sets
+   were valid. *)
 let finish_packer p =
   let n_full = List.length p.full in
   let idx = Array.make ((n_full * chunk_words) + p.fill) 0 in
@@ -429,8 +424,7 @@ let finish_packer p =
     (fun k c -> Array.blit c 0 idx ((n_full - 1 - k) * chunk_words) chunk_words)
     p.full;
   Array.blit p.chunk 0 idx (n_full * chunk_words) p.fill;
-  let entries side = Array.init side.n (fun k -> side.valid.(side.order.(k))) in
-  ({ pk_s = entries p.ps; pk_t = entries p.pt; pk_idx = idx }, p.raw_weight)
+  weigh { pk_s = p.valid_s; pk_t = p.valid_t; pk_idx = idx }
 
 (* join two filtered sides and pack the pairs as the join emits them *)
 let join_packed (ctx : Exec.ctx) (q : Query.t) ~valid_s ~valid_t =
@@ -452,10 +446,10 @@ let unpack_pairs pk =
 
 (* [template] carries everything but the pairs; with condensation off the
    pair list is rebuilt once and stored raw *)
-let make_cached_answer t ~epoch q (template : answer) (pk, raw_weight) =
+let make_cached_answer t ~epoch q (template : answer) packed =
   let ca_pairs, ca_weight =
-    if t.service_config.condense then (Packed_pairs pk, packed_weight pk)
-    else (Raw_pairs (unpack_pairs pk), raw_weight)
+    if t.service_config.condense then (Packed_pairs packed.pk, packed.packed_weight)
+    else (Raw_pairs (unpack_pairs packed.pk), packed.raw_weight)
   in
   {
     ca_epoch = epoch;
@@ -551,14 +545,19 @@ let covering_entry_locked t ~epoch spec =
         | _ -> Some (key, value))
     None t.sides
 
+(* with [t.lock] held: the covering side entry at [epoch], bumped *)
+let covering_side_locked t ~epoch spec =
+  Option.map
+    (fun (key, entry) ->
+      ignore (Lru.find t.sides key : side_entry option);
+      entry)
+    (covering_entry_locked t ~epoch spec)
+
 let find_subsuming t ~epoch spec =
   locked t (fun () ->
-      match covering_entry_locked t ~epoch spec with
-      | None -> None
-      | Some (key, entry) ->
-          ignore (Lru.find t.sides key : side_entry option) (* bump recency *);
-          Metrics.record_subsumption_hit t.service_metrics;
-          Some entry)
+      let hit = covering_side_locked t ~epoch spec in
+      if Option.is_some hit then Metrics.record_subsumption_hit t.service_metrics;
+      hit)
 
 (* the mined collection may exceed the request (lower threshold, weaker
    constraints, deferred atoms): filter down to exactly the valid sets,
@@ -650,6 +649,150 @@ let resolve_side t ~deadline ~ctx ~epoch spec io counters checks =
       (filter_valid spec freq checks, false)
 
 (* ------------------------------------------------------------------ *)
+(* promoting a cached answer across seals: the delta join *)
+
+(* the old answer as packed pairs, whatever its stored form.  A raw pair
+   list names only the paired sets, so its unpaired valid sets count as
+   newcomers in the delta join: more join work, the same pairs. *)
+let packed_of_stored = function
+  | Packed_pairs pk -> pk
+  | Raw_pairs pairs ->
+      let ids () = (Itemset.Hashtbl.create 64, ref []) in
+      let id (tbl, order) (e : Frequent.entry) =
+        match Itemset.Hashtbl.find_opt tbl e.Frequent.set with
+        | Some k -> k
+        | None ->
+            let k = Itemset.Hashtbl.length tbl in
+            Itemset.Hashtbl.add tbl e.Frequent.set k;
+            order := e :: !order;
+            k
+      in
+      let s = ids () and t = ids () in
+      let idx = Array.make (2 * List.length pairs) 0 in
+      List.iteri
+        (fun i (es, et) ->
+          idx.(2 * i) <- id s es;
+          idx.((2 * i) + 1) <- id t et)
+        pairs;
+      let entries (_, order) = Array.of_list (List.rev !order) in
+      { pk_s = entries s; pk_t = entries t; pk_idx = idx }
+
+(* for every old set, its index in [valid], or -1.  Filtered collections
+   list their sets in [Itemset.compare] order, so one merge pass suffices;
+   sides in any other order are matched by hashing. *)
+let positions valid (old : Frequent.entry array) =
+  let ascending (a : Frequent.entry array) =
+    let ok = ref true in
+    for i = 1 to Array.length a - 1 do
+      if Itemset.compare a.(i - 1).Frequent.set a.(i).Frequent.set >= 0 then ok := false
+    done;
+    !ok
+  in
+  if ascending valid && ascending old then begin
+    let n = Array.length valid and i = ref 0 in
+    Array.map
+      (fun (e : Frequent.entry) ->
+        while !i < n && Itemset.compare valid.(!i).Frequent.set e.Frequent.set < 0 do
+          incr i
+        done;
+        if !i < n && Itemset.equal valid.(!i).Frequent.set e.Frequent.set then !i else -1)
+      old
+  end
+  else begin
+    let at = Itemset.Hashtbl.create (Array.length valid) in
+    Array.iteri (fun i (e : Frequent.entry) -> Itemset.Hashtbl.replace at e.Frequent.set i) valid;
+    Array.map
+      (fun (e : Frequent.entry) ->
+        Option.value ~default:(-1) (Itemset.Hashtbl.find_opt at e.Frequent.set))
+      old
+  end
+
+(* the indices of [valid] whose set the old answer held ([kept]) and the
+   rest ([newcomers]) *)
+let split_sides valid pos =
+  let old = Array.make (Array.length valid) false in
+  Array.iter (fun i -> if i >= 0 then old.(i) <- true) pos;
+  let pick keep =
+    Array.of_list
+      (List.filter (fun i -> old.(i) = keep) (List.init (Array.length valid) Fun.id))
+  in
+  (pick true, pick false)
+
+(* FUP's argument (Cheung et al., reference [6] of the paper) applied to an
+   answer instead of support counts.  Figure 1's 2-var constraints read item
+   attributes and never supports, so a pair stays a pair exactly while both
+   of its sides stay valid.  The answer at the new epoch is the old pairs
+   whose two sets are still in [valid_s] and [valid_t], re-supported, plus a
+   join of the newcomers only: (S_new x valid_t) u (S_kept x T_new), where
+   S_kept are the sets of [valid_s] among the old answer's S-sets and S_new
+   the rest, and T likewise.  The two joins are disjoint, and neither meets
+   an old pair. *)
+let delta_join (ctx : Exec.ctx) (q : Query.t) (old : packed_pairs) ~valid_s ~valid_t =
+  let pos_s = positions valid_s old.pk_s and pos_t = positions valid_t old.pk_t in
+  let p = packer valid_s valid_t in
+  for k = 0 to (Array.length old.pk_idx / 2) - 1 do
+    let i = pos_s.(old.pk_idx.(2 * k)) and j = pos_t.(old.pk_idx.((2 * k) + 1)) in
+    if i >= 0 && j >= 0 then pack_pair p i j
+  done;
+  let s_kept, s_new = split_sides valid_s pos_s in
+  let _, t_new = split_sides valid_t pos_t in
+  let join s_idx t_idx =
+    if Array.length s_idx > 0 && Array.length t_idx > 0 then
+      ignore
+        (Pairs.form ~s_info:ctx.Exec.s_info ~t_info:ctx.Exec.t_info
+           ~valid_s:(Array.map (Array.get valid_s) s_idx)
+           ~valid_t:(Array.map (Array.get valid_t) t_idx)
+           ~two_var:q.Query.two_var
+           ~on_pair:(fun a b -> pack_pair p s_idx.(a) t_idx.(b))
+           ()
+          : Pairs.stats)
+  in
+  join s_new (Array.init (Array.length valid_t) Fun.id);
+  join s_kept t_new;
+  finish_packer p
+
+(* bring [ca], cached at an older epoch under [key], up to [epoch] by a
+   delta join over the covering side collections at [epoch].  [None]
+   drops the answer: a side has no covering collection, so the caller
+   serves [q] through the subsumption or cold path instead. *)
+let promote_answer t ~ctx ~epoch ~key (q : Query.t) ca =
+  let spec_s = side_spec_of ctx q `S and spec_t = side_spec_of ctx q `T in
+  let covering =
+    locked t (fun () ->
+        match
+          (covering_side_locked t ~epoch spec_s, covering_side_locked t ~epoch spec_t)
+        with
+        | Some cs, Some ct -> Some (cs, ct)
+        | _ ->
+            (match Lru.find t.answers key with
+            | Some cur when cur == ca -> Lru.remove t.answers key
+            | Some _ | None -> ());
+            Metrics.record_answer_miss t.service_metrics;
+            Metrics.record_answer_evicted t.service_metrics;
+            None)
+  in
+  Option.map
+    (fun (cs, ct) ->
+      let checks = ref 0 in
+      let valid_s = filter_valid spec_s (side_frequent t cs) checks in
+      let valid_t = filter_valid spec_t (side_frequent t ct) checks in
+      let packed = delta_join ctx q (packed_of_stored ca.ca_pairs) ~valid_s ~valid_t in
+      let ca' =
+        make_cached_answer t ~epoch q
+          { ca.ca_answer with n_pairs = Array.length packed.pk.pk_idx / 2 }
+          packed
+      in
+      locked t (fun () ->
+          if t.epoch = epoch then begin
+            record_answer_condensed_locked t ~raw_weight:packed.raw_weight ca';
+            ignore (Lru.insert t.answers key ~weight:ca'.ca_weight ca' : bool)
+          end;
+          Metrics.record_answer_hit t.service_metrics;
+          Metrics.record_answer_promoted t.service_metrics);
+      ca')
+    covering
+
+(* ------------------------------------------------------------------ *)
 (* one query, in a worker domain *)
 
 let execute t ~deadline (q : Query.t) =
@@ -660,15 +803,23 @@ let execute t ~deadline (q : Query.t) =
   let q = rw.Rewrite.query in
   let key = Fingerprint.query_key ctx q in
   let cached =
-    locked t (fun () ->
-        match Lru.find t.answers key with
-        | Some ca when ca.ca_epoch = epoch ->
-            Metrics.record_answer_hit t.service_metrics;
-            record_unpack_locked t ca;
-            Some ca
-        | Some _ | None ->
-            Metrics.record_answer_miss t.service_metrics;
-            None)
+    match
+      locked t (fun () ->
+          match Lru.find t.answers key with
+          | Some ca when ca.ca_epoch = epoch ->
+              Metrics.record_answer_hit t.service_metrics;
+              record_unpack_locked t ca;
+              `Hit ca
+          | Some ca when ca.ca_epoch < epoch && not (rw.Rewrite.s_unsat || rw.Rewrite.t_unsat)
+            ->
+              `Stale ca
+          | Some _ | None ->
+              Metrics.record_answer_miss t.service_metrics;
+              `Miss)
+    with
+    | `Hit ca -> Some ca
+    | `Stale ca -> promote_answer t ~ctx ~epoch ~key q ca
+    | `Miss -> None
   in
   match cached with
   | Some ca ->
@@ -738,7 +889,7 @@ let execute t ~deadline (q : Query.t) =
       let answer = { answer with latency_seconds = latency } in
       locked t (fun () ->
           if t.epoch = epoch then begin
-            record_answer_condensed_locked t ~raw_weight:(snd packed) ca;
+            record_answer_condensed_locked t ~raw_weight:packed.raw_weight ca;
             ignore (Lru.insert t.answers key ~weight:ca.ca_weight ca : bool)
           end;
           Metrics.record_query t.service_metrics ~latency
@@ -885,7 +1036,9 @@ let shard_of_error t (e : Cfq_error.t) =
         match Tx_db.shard_of_page db page with
         | k -> Some k
         | exception Invalid_argument _ -> None)
-    | Cfq_error.Deadline | Cfq_error.Overload | Cfq_error.Query_crash _ -> None
+    | Cfq_error.Deadline | Cfq_error.Overload | Cfq_error.Query_crash _
+    | Cfq_error.No_live_source ->
+        None
 
 (* call with [t.lock] held *)
 let shard_note_failure_locked t e =
@@ -1237,22 +1390,23 @@ let attach_source t src =
 
 let live_source t = t.live_source
 
+let no_source () = Cfq_error.raise_error Cfq_error.No_live_source
+
 let ingest t items =
   match t.live_source with
   | Some src -> Cfq_live.Source.append_tx src items
-  | None -> invalid_arg "Service.ingest: no live source attached"
+  | None -> no_source ()
 
 (* the maintenance pass for one seal.  One shared FUP pass promotes every
    stale side: it scans the resident delta twin once, plus at most one
    old-database scan for the seeded candidates of all sides.  Cached
-   answers are then re-derived from the promoted collections — the same
-   filter + pair formation the subsumption path runs, no scans at all.
-   Inserts are guarded by the epoch: if another seal raced us, our results
-   are stale and the final purge removes them. *)
-let maintain t ~old_ctx ~new_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_io
-    ~stale_sides ~stale_answers () =
+   answers are not touched here: the seal re-keyed them, and each is
+   brought up to date by a delta join on its next lookup
+   ([promote_answer]).  Inserts are guarded by the epoch: if another seal
+   raced us, our results are stale and the final purge removes them. *)
+let maintain t ~old_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_io ~stale_sides
+    ~answers_carried ~answers_dropped () =
   let sides_promoted = ref 0 and sides_evicted = ref 0 in
-  let answers_promoted = ref 0 and answers_evicted = ref 0 in
   (* one Level_stats per seal: the shared FUP pass's rows land here, so its
      per-level cost is observable alongside the Metrics counters *)
   let lstats = Level_stats.create () in
@@ -1282,10 +1436,6 @@ let maintain t ~old_ctx ~new_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_i
         (results, recounted, old_scans)
     | exception e -> (List.map (fun _ -> Error e) stale, 0, 0)
   in
-  (* this seal's promoted raw collections, by new key: re-deriving an
-     answer over a side the pass just promoted reuses them instead of
-     reconstructing the re-closed entry *)
-  let promoted = Hashtbl.create 16 in
   List.iter2
     (fun (key, e) result ->
       match result with
@@ -1316,65 +1466,14 @@ let maintain t ~old_ctx ~new_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_i
                 (match Lru.find t.sides key with
                 | Some cur when cur.se_epoch < new_epoch -> Lru.remove t.sides key
                 | Some _ | None -> ());
-                if Lru.insert t.sides key' ~weight:e'.se_weight e' then begin
-                  Hashtbl.replace promoted key' (e', freq');
+                if Lru.insert t.sides key' ~weight:e'.se_weight e' then
                   incr sides_promoted
-                end
                 else incr sides_evicted
               end))
     stale results;
-  (* a covering entry is the one this pass promoted under its key unless a
-     racing insert replaced it since *)
-  let covering_frequent (key, e) =
-    match Hashtbl.find_opt promoted key with
-    | Some (e', freq') when e' == e -> freq'
-    | Some _ | None -> side_frequent t e
-  in
-  List.iter
-    (fun (old_key, ca) ->
-      if ca.ca_epoch < new_epoch then begin
-        let q = ca.ca_query in
-        let checks = ref 0 in
-        let covering =
-          locked t (fun () ->
-              if t.epoch <> new_epoch then None
-              else
-                let spec_s = side_spec_of new_ctx q `S in
-                let spec_t = side_spec_of new_ctx q `T in
-                match
-                  ( covering_entry_locked t ~epoch:new_epoch spec_s,
-                    covering_entry_locked t ~epoch:new_epoch spec_t )
-                with
-                | Some cs, Some ct -> Some (spec_s, spec_t, cs, ct)
-                | _ -> None)
-        in
-        match covering with
-        | None ->
-            locked t (fun () -> Lru.remove t.answers old_key);
-            incr answers_evicted
-        | Some (spec_s, spec_t, cs, ct) ->
-            let valid_s = filter_valid spec_s (covering_frequent cs) checks in
-            let valid_t = filter_valid spec_t (covering_frequent ct) checks in
-            let pair_stats, packed = join_packed new_ctx q ~valid_s ~valid_t in
-            let ca' =
-              make_cached_answer t ~epoch:new_epoch q
-                { ca.ca_answer with n_pairs = pair_stats.Pairs.n_pairs }
-                packed
-            in
-            let key' = Fingerprint.query_key new_ctx q in
-            locked t (fun () ->
-                Lru.remove t.answers old_key;
-                if t.epoch = new_epoch then
-                  record_answer_condensed_locked t ~raw_weight:(snd packed) ca';
-                if
-                  t.epoch = new_epoch
-                  && Lru.insert t.answers key' ~weight:ca'.ca_weight ca'
-                then incr answers_promoted
-                else incr answers_evicted)
-      end)
-    stale_answers;
-  (* whatever is still stale — faulted promotions, budget-refused inserts,
-     raced seals — goes now: every surviving entry is at the live epoch *)
+  (* whatever side is still stale — faulted promotions, budget-refused
+     inserts, raced seals — goes now: every surviving side is at the live
+     epoch.  Stale answers stay: a lookup promotes them or drops them. *)
   locked t (fun () ->
       let side_keys =
         Lru.fold
@@ -1383,22 +1482,13 @@ let maintain t ~old_ctx ~new_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_i
           [] t.sides
       in
       List.iter (Lru.remove t.sides) side_keys;
-      let answer_keys =
-        Lru.fold
-          (fun acc ~key ~value ->
-            if value.ca_epoch < t.epoch then key :: acc else acc)
-          [] t.answers
-      in
-      List.iter (Lru.remove t.answers) answer_keys;
       Metrics.record_maintenance t.service_metrics ~sides_promoted:!sides_promoted
-        ~sides_evicted:!sides_evicted ~answers_promoted:!answers_promoted
-        ~answers_evicted:!answers_evicted ~recounted ~old_scans
+        ~sides_evicted:!sides_evicted ~recounted ~old_scans
         ~scans:(Io_stats.scans maint_io)
         ~pages_read:(Io_stats.pages_read maint_io));
   Log.debug (fun m ->
-      m "epoch %d: %d+%d sides, %d+%d answers promoted+evicted (%d pages)@ %a"
-        new_epoch !sides_promoted !sides_evicted !answers_promoted
-        !answers_evicted
+      m "epoch %d: %d+%d sides promoted+evicted, %d+%d answers carried+dropped (%d pages)@ %a"
+        new_epoch !sides_promoted !sides_evicted answers_carried answers_dropped
         (Io_stats.pages_read maint_io)
         Level_stats.pp lstats);
   {
@@ -1406,17 +1496,37 @@ let maintain t ~old_ctx ~new_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_i
     lv_sealed = delta.Cfq_live.Delta.delta_txs;
     lv_sides_promoted = !sides_promoted;
     lv_sides_evicted = !sides_evicted;
-    lv_answers_promoted = !answers_promoted;
-    lv_answers_evicted = !answers_evicted;
+    lv_answers_promoted = answers_carried;
+    lv_answers_evicted = answers_dropped;
     lv_recounted = recounted;
     lv_old_scans = old_scans;
     lv_scans = Io_stats.scans maint_io;
     lv_pages_read = Io_stats.pages_read maint_io;
   }
 
+(* with [t.lock] held: move every cached answer to its key under [ctx].
+   Query keys carry the database id and absolute supports, so a re-ask
+   after a seal would miss the old key.  An answer keeps its epoch and its
+   recency and is neither filtered nor joined here.  Two answers landing
+   on one key stand for the same thresholds; the more recent is kept.
+   Returns the answers carried and dropped. *)
+let rekey_answers_locked t ctx =
+  (* fold is MRU-first; consing flips to LRU-first, so re-insertions
+     preserve the recency order *)
+  let all = Lru.fold (fun acc ~key ~value -> (key, value) :: acc) [] t.answers in
+  List.iter (fun (key, _) -> Lru.remove t.answers key) all;
+  List.fold_left
+    (fun (carried, dropped) (_, ca) ->
+      let key = Fingerprint.query_key ctx ca.ca_query in
+      let taken = Lru.mem t.answers key in
+      if Lru.insert t.answers key ~weight:ca.ca_weight ca && not taken then
+        (carried + 1, dropped)
+      else (carried, dropped + 1))
+    (0, 0) all
+
 let seal_live t =
   match t.live_source with
-  | None -> invalid_arg "Service.seal_live: no live source attached"
+  | None -> no_source ()
   | Some src -> (
       let maint_io = Io_stats.create () in
       let old_ctx = locked t (fun () -> t.service_ctx) in
@@ -1425,7 +1535,7 @@ let seal_live t =
       | Some delta ->
           let new_epoch = Cfq_live.Source.epoch src in
           let new_ctx = { old_ctx with Exec.db = Cfq_live.Source.db src } in
-          let stale_sides, stale_answers =
+          let stale_sides, (answers_carried, answers_dropped) =
             locked t (fun () ->
                 (* swap first: queries admitted from here on run against the
                    new database (cold until promotion catches up — correct,
@@ -1434,15 +1544,12 @@ let seal_live t =
                 t.service_ctx <- new_ctx;
                 t.epoch <- new_epoch;
                 Metrics.record_seal t.service_metrics ~epoch:new_epoch;
-                (* fold is MRU-first; consing flips to LRU-first, so
-                   re-insertions preserve the recency order *)
                 ( Lru.fold (fun acc ~key ~value -> (key, value) :: acc) [] t.sides,
-                  Lru.fold (fun acc ~key ~value -> (key, value) :: acc) [] t.answers
-                ))
+                  rekey_answers_locked t new_ctx ))
           in
           (* the pass runs on a worker domain (bounded admission: the pool's
              queue), inline in the caller when the queue is full *)
           Some
             (Pool.run t.pool
-               (maintain t ~old_ctx ~new_ctx ~new_epoch ~delta ~maint_io
-                  ~stale_sides ~stale_answers)))
+               (maintain t ~old_ctx ~new_epoch ~delta ~maint_io ~stale_sides
+                  ~answers_carried ~answers_dropped)))

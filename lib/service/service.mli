@@ -8,7 +8,8 @@
 
     {ol
     {- {e answer cache} — a query whose canonical {!Fingerprint} was served
-       before returns its pairs verbatim, zero mining;}
+       before returns its pairs verbatim, zero mining (after a live seal,
+       brought up to date first by a delta join; see {!seal_live});}
     {- {e subsumption reuse} — a side whose frequent collection was mined
        at support ≤ the requested threshold under 1-var constraints entailed
        by the requested ones ({!Entail.subsumes}) is answered by filtering
@@ -194,11 +195,20 @@ val metrics_table : t -> Cfq_report.Table.t
     collection (one delta count against a resident twin of just the
     appended transactions; the candidates the delta seeds for all sides
     are counted against the old, still-readable pre-seal snapshot in at
-    most one scan per seal), and cached answers are re-derived from the promoted collections with
-    pure filtering and pair formation.  Promoted entries answer exactly
-    what a cold remine would; entries a fault or budget refusal leaves
-    behind are purged, so the caches always land on one consistent
-    epoch. *)
+    most one scan per seal).  Side entries a fault or budget refusal
+    leaves behind are purged, so the side cache always lands on one
+    consistent epoch.
+
+    Cached answers are not re-derived at the seal: it only re-keys them
+    for the new database, keeping their old epoch.  The next lookup of a
+    stale answer promotes it by a {e delta join} over the covering side
+    collections at the current epoch: the old pairs whose two sets are
+    still valid, re-supported, plus pair formation over the newcomers
+    only.  2-var constraints read item attributes, never supports, so
+    this answers exactly what a cold remine would; it is served
+    {!Answer_cache} with no scan and no support counted.  A stale answer
+    whose sides have no covering collection is dropped, and the query
+    takes the subsumption or cold path. *)
 
 (** Attach the ingestion source this service serves (its database view
     must be the ctx's database).  Resets the service epoch to the
@@ -212,7 +222,8 @@ val live_source : t -> Cfq_live.Source.t option
 val epoch : t -> int
 
 (** Append one transaction through the attached source (visible after the
-    next {!seal_live}).  Raises [Invalid_argument] with no source. *)
+    next {!seal_live}).  Raises [Cfq_error.Error No_live_source] with no
+    source. *)
 val ingest : t -> Cfq_itembase.Itemset.t -> unit
 
 (** One seal's maintenance outcome. *)
@@ -222,7 +233,11 @@ type live = {
   lv_sides_promoted : int;
   lv_sides_evicted : int;
   lv_answers_promoted : int;
+      (** answers carried across the seal, re-keyed for their next lookup
+          (which promotes them, counted in [Metrics] [answers_promoted]) *)
   lv_answers_evicted : int;
+      (** answers dropped at the seal: two re-keyed answers landed on one
+          key *)
   lv_recounted : int;
       (** distinct seeded candidates counted against the old db *)
   lv_old_scans : int;
@@ -233,8 +248,8 @@ type live = {
 
 (** [seal_live t] seals pending appends and maintains the caches across
     the new epoch (see above).  [None] when nothing was pending — the
-    epoch does not move.  Raises [Invalid_argument] with no source
-    attached. *)
+    epoch does not move.  Raises [Cfq_error.Error No_live_source] with no
+    source attached. *)
 val seal_live : t -> live option
 
 (** [retry_delay t q attempt] is the backoff slept before retry [attempt]

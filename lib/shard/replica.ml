@@ -70,7 +70,7 @@ let retryable = function
   | Cfq_error.Transient_io _ | Cfq_error.Corrupt_page _ | Cfq_error.Query_crash _
     ->
       true
-  | Cfq_error.Deadline | Cfq_error.Overload -> false
+  | Cfq_error.Deadline | Cfq_error.Overload | Cfq_error.No_live_source -> false
 
 (* ------------------------------------------------------------------ *)
 (* failover reads                                                      *)

@@ -247,8 +247,11 @@ let do_ingest t store_path fimi_path =
              queries finish on the still-readable pre-seal snapshot) *)
           if Option.is_none (Service.live_source service) then
             Service.attach_source service source;
-          append_all src_db (Service.ingest service);
-          match Service.seal_live service with
+          match
+            append_all src_db (Service.ingest service);
+            Service.seal_live service
+          with
+          | exception Cfq_error.Error e -> say "ingest failed: %s" (Cfq_error.to_string e)
           | None -> say "nothing to ingest: %s holds no transactions" fimi_path
           | Some lv ->
               t.last_live <- Some lv;
@@ -256,11 +259,12 @@ let do_ingest t store_path fimi_path =
               t.last <- None;
               say
                 "ingested %d transactions into %s (now %d total)@\n\
-                 epoch %d: %d sides + %d answers promoted, %d + %d evicted; %d \
-                 candidates recounted (%d old-db scans), %d maintenance pages"
+                 epoch %d: %d sides promoted, %d evicted; %d answers carried to \
+                 their next lookup, %d dropped; %d candidates recounted (%d old-db \
+                 scans), %d maintenance pages"
                 n store_path (Source.size source) lv.Service.lv_epoch
-                lv.Service.lv_sides_promoted lv.Service.lv_answers_promoted
-                lv.Service.lv_sides_evicted lv.Service.lv_answers_evicted
+                lv.Service.lv_sides_promoted lv.Service.lv_sides_evicted
+                lv.Service.lv_answers_promoted lv.Service.lv_answers_evicted
                 lv.Service.lv_recounted lv.Service.lv_old_scans lv.Service.lv_pages_read)
       | Some source, None when Source.located_at source store_path ->
           (* no service over this source: retire any stale one, seal, and
@@ -302,13 +306,14 @@ let do_live t =
         | None -> "no seal maintained yet"
         | Some lv ->
             Printf.sprintf
-              "last seal (epoch %d): %d txs folded; %d sides + %d answers \
-               promoted, %d + %d evicted; %d candidates recounted (%d old-db \
-               scans), %d scans / %d pages of maintenance I/O"
+              "last seal (epoch %d): %d txs folded; %d sides promoted, %d \
+               evicted; %d answers carried, %d dropped; %d candidates \
+               recounted (%d old-db scans), %d scans / %d pages of maintenance \
+               I/O"
               lv.Service.lv_epoch lv.Service.lv_sealed
               lv.Service.lv_sides_promoted
-              lv.Service.lv_answers_promoted
               lv.Service.lv_sides_evicted
+              lv.Service.lv_answers_promoted
               lv.Service.lv_answers_evicted
               lv.Service.lv_recounted
               lv.Service.lv_old_scans

@@ -4,6 +4,7 @@ type t =
   | Deadline
   | Overload
   | Query_crash of string
+  | No_live_source
 
 exception Error of t
 
@@ -11,7 +12,7 @@ let raise_error e = raise (Error e)
 
 let is_transient = function
   | Transient_io _ -> true
-  | Corrupt_page _ | Deadline | Overload | Query_crash _ -> false
+  | Corrupt_page _ | Deadline | Overload | Query_crash _ | No_live_source -> false
 
 let to_string = function
   | Transient_io { page } -> Printf.sprintf "transient I/O error reading page %d" page
@@ -19,6 +20,7 @@ let to_string = function
   | Deadline -> "deadline exceeded"
   | Overload -> "overloaded: admission refused"
   | Query_crash msg -> "query crashed: " ^ msg
+  | No_live_source -> "no live source attached: nothing to ingest into or seal"
 
 let pp ppf e = Format.pp_print_string ppf (to_string e)
 

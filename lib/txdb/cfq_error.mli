@@ -24,6 +24,9 @@ type t =
   | Query_crash of string
       (** The query raised an unexpected exception; the payload is the
           printed exception. *)
+  | No_live_source
+      (** An ingest or a seal reached a service with no live ingestion
+          source attached.  A usage error: retrying cannot help. *)
 
 exception Error of t
 

@@ -169,34 +169,87 @@ let tx_view t ~lo f =
 let stored_checksum t fl page =
   if Fault.tampered fl ~page then t.checksums.(page) lxor 1 else t.checksums.(page)
 
+let verify_hash t fl ~page h =
+  if stored_checksum t fl page <> h then begin
+    Fault.note_checksum_failure fl;
+    Cfq_error.raise_error (Cfq_error.Corrupt_page { page })
+  end
+
 let verify_extent t fl ~page ~lo ~hi =
   let h = ref Checksum.seed and tid = ref lo in
   rows_extent t ~lo ~hi (fun items off len ->
       h := Checksum.add_row !h !tid items off len;
       incr tid);
-  if stored_checksum t fl page <> !h then begin
-    Fault.note_checksum_failure fl;
-    Cfq_error.raise_error (Cfq_error.Corrupt_page { page })
+  verify_hash t fl ~page !h
+
+(* one page's rows, copied out of the backend's reused row arrays as they
+   are read: row r is [items.(starts.(r)) .. items.(starts.(r+1) - 1)] *)
+type page_buf = {
+  mutable items : int array;
+  mutable starts : int array;
+  mutable n_rows : int;
+}
+
+let page_buf () = { items = Array.make 64 0; starts = Array.make 16 0; n_rows = 0 }
+
+let grow a need =
+  if need <= Array.length a then a
+  else begin
+    let b = Array.make (max need (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
   end
 
-(* the scan-time page walk under faults: consult the injector and verify
-   each page's checksum in ascending page order, handing every validated
-   extent to [deliver].  Both {!iter_scan} and {!begin_scan} go through
-   here, so the injector sees one and the same draw sequence no matter
-   whether the tuples are consumed inline or by parallel workers later. *)
-let fault_page_walk t fl deliver =
+let buffer_row b items off len =
+  let fill = b.starts.(b.n_rows) in
+  b.items <- grow b.items (fill + len);
+  Array.blit items off b.items fill len;
+  b.starts <- grow b.starts (b.n_rows + 2);
+  b.n_rows <- b.n_rows + 1;
+  b.starts.(b.n_rows) <- fill + len
+
+(* read the whole page [lo..hi] once, hashing and buffering each row, and
+   hand the rows to [f] only once the page's checksum holds *)
+let deliver_extent t fl buf ~page ~lo ~hi f =
+  buf.n_rows <- 0;
+  let h = ref Checksum.seed and tid = ref lo in
+  rows_extent t ~lo ~hi (fun items off len ->
+      h := Checksum.add_row !h !tid items off len;
+      incr tid;
+      buffer_row buf items off len);
+  verify_hash t fl ~page !h;
+  for r = 0 to buf.n_rows - 1 do
+    f buf.items buf.starts.(r) (buf.starts.(r + 1) - buf.starts.(r))
+  done
+
+(* The checked walk of [lo..hi] under the injector [fl]: consult the
+   injector and verify each page's checksum in ascending page order,
+   reading each page once and delivering its rows to [f] only after the
+   checksum holds ([None] verifies without delivering).  {!scan_rows},
+   {!begin_scan}, {!rows_checked} and a composite's faulted shards all go
+   through here, so the injector sees one and the same draw sequence
+   whether the tuples are consumed inline or by parallel workers later.
+   Checksums compare exactly only over complete pages; an extent that
+   starts or ends mid-page (a sibling replica resuming after a physical
+   read failed partway through a page) is delivered unverified rather than
+   comparing a partial hash against a whole-page checksum. *)
+let checked_walk t fl ~lo ~hi f =
   Fault.on_scan fl;
-  let n = t.n in
-  let i = ref 0 in
-  while !i < n do
+  let buf = page_buf () in
+  let i = ref lo in
+  while !i <= hi do
     let page = t.page_of.(!i) in
     Fault.on_page fl ~page;
     let j = ref !i in
-    while !j < n && t.page_of.(!j) = page do
+    while !j <= hi && t.page_of.(!j) = page do
       incr j
     done;
-    verify_extent t fl ~page ~lo:!i ~hi:(!j - 1);
-    deliver ~lo:!i ~hi:(!j - 1);
+    let lo = !i and hi = !j - 1 in
+    let whole = (lo = 0 || t.page_of.(lo - 1) <> page) && (!j >= t.n || t.page_of.(!j) <> page) in
+    (match f with
+    | None -> if whole then verify_extent t fl ~page ~lo ~hi
+    | Some f ->
+        if whole then deliver_extent t fl buf ~page ~lo ~hi f else rows_extent t ~lo ~hi f);
     i := !j
   done
 
@@ -204,10 +257,7 @@ let scan_rows t stats f =
   Io_stats.record_scan stats ~pages:t.pages ~tuples:t.n;
   match t.faults with
   | None -> rows_extent t ~lo:0 ~hi:(t.n - 1) f
-  | Some fl ->
-      (* deliver page by page: consult the injector and verify the page's
-         checksum before any of its rows reach [f] *)
-      fault_page_walk t fl (fun ~lo ~hi -> rows_extent t ~lo ~hi f)
+  | Some fl -> checked_walk t fl ~lo:0 ~hi:(t.n - 1) (Some f)
 
 let iter_scan t stats f = scan_rows t stats (tx_view t ~lo:0 f)
 
@@ -215,41 +265,19 @@ let begin_scan t stats =
   Io_stats.record_scan stats ~pages:t.pages ~tuples:t.n;
   match t.faults with
   | None -> ()
-  | Some fl -> fault_page_walk t fl (fun ~lo:_ ~hi:_ -> ())
+  | Some fl -> checked_walk t fl ~lo:0 ~hi:(t.n - 1) None
 
 let rows t ~lo ~hi f = rows_extent t ~lo ~hi f
 let iter_range t ~lo ~hi f = rows_extent t ~lo ~hi (tx_view t ~lo f)
 
-(* [rows_checked] is [rows] that honours an installed injector:
-   the slice is delivered page by page, each page consulted against the
-   injector and checksum-verified before its tuples escape — the walk a
-   replica runs so a failover layer above it sees typed faults instead of
-   silently wrong tuples.  Checksums compare exactly only over complete
-   pages; a resume point mid-page (a sibling taking over after a physical
-   read failed partway through a page) delivers the partial extents
-   unverified rather than comparing a partial hash against a whole-page
-   checksum. *)
+(* [rows] that honours an installed injector: the walk a replica runs, so
+   a failover layer above it sees typed faults instead of silently wrong
+   tuples *)
 let rows_checked t ~lo ~hi f =
   if hi >= lo then
     match t.faults with
     | None -> rows_extent t ~lo ~hi f
-    | Some fl ->
-        Fault.on_scan fl;
-        let i = ref lo in
-        while !i <= hi do
-          let page = t.page_of.(!i) in
-          Fault.on_page fl ~page;
-          let j = ref !i in
-          while !j <= hi && t.page_of.(!j) = page do
-            incr j
-          done;
-          let page_initial = !i = 0 || t.page_of.(!i - 1) <> page in
-          let page_final = !j >= t.n || t.page_of.(!j) <> page in
-          if page_initial && page_final then
-            verify_extent t fl ~page ~lo:!i ~hi:(!j - 1);
-          rows_extent t ~lo:!i ~hi:(!j - 1) f;
-          i := !j
-        done
+    | Some fl -> checked_walk t fl ~lo ~hi (Some f)
 
 let iter_range_checked t ~lo ~hi f = rows_checked t ~lo ~hi (tx_view t ~lo f)
 
@@ -347,26 +375,6 @@ let avg_tx_len t =
 (* Sharded composites                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The ranged variant of [fault_page_walk]: validate and deliver the pages
-   of [lo..hi] against a shard's own injector.  Callers pass page-aligned
-   ranges (every composite route point — full scans, chunk boundaries,
-   shard boundaries — sits on a page boundary), so each extent covers its
-   whole page and the checksum comparison is exact. *)
-let ranged_fault_walk t fl ~lo ~hi deliver =
-  Fault.on_scan fl;
-  let i = ref lo in
-  while !i <= hi do
-    let page = t.page_of.(!i) in
-    Fault.on_page fl ~page;
-    let j = ref !i in
-    while !j <= hi && t.page_of.(!j) = page do
-      incr j
-    done;
-    verify_extent t fl ~page ~lo:!i ~hi:(!j - 1);
-    deliver ~lo:!i ~hi:(!j - 1);
-    i := !j
-  done
-
 (* largest k with base.(k) <= x; empty shards (base.(k) = base.(k+1)) are
    skipped because the search prefers the rightmost qualifying index *)
 let locate base x =
@@ -424,9 +432,7 @@ let of_shards ?page_model ?checksums ?io subs =
             (* a shard with its own injector validates its slice of the
                composite scan; raised pages are translated to composite
                coordinates so callers can attribute the failure *)
-            try
-              ranged_fault_walk sub fl ~lo:llo ~hi:lhi (fun ~lo ~hi ->
-                  rows_extent sub ~lo ~hi f)
+            try checked_walk sub fl ~lo:llo ~hi:lhi (Some f)
             with Cfq_error.Error e ->
               Cfq_error.raise_error (globalize_error pg_base k e))
       end

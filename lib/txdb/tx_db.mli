@@ -125,7 +125,8 @@ val get : t -> int -> Transaction.t
 (** [scan_rows t stats f] runs [f] over the row of every transaction and
     charges one full scan to [stats].  With faults installed, delivery is
     page by page: each page is checked against the injector and its
-    stored checksum before any of its rows reach [f], and
+    stored checksum before any of its rows reach [f] (the page is read
+    once, its rows buffered while they are checksummed), and
     [Cfq_error.Error] is raised on an injected transient error, a checksum
     mismatch (corrupt page), or an injected crash. *)
 val scan_rows : t -> Io_stats.t -> row -> unit

@@ -265,16 +265,18 @@ let fault_during_maintenance () =
   Alcotest.(check int) "delta-decided side promoted" 1
     live.Service.lv_sides_promoted;
   Alcotest.(check bool) "at most one old scan" true (live.Service.lv_old_scans <= 1);
-  Alcotest.(check int) "uncovered answer evicted" 1 live.Service.lv_answers_evicted;
-  Alcotest.(check int) "covered answer promoted" 1 live.Service.lv_answers_promoted;
+  (* the seal only re-keys answers: both are carried, stale, to their
+     re-ask, which promotes or drops each *)
+  Alcotest.(check int) "both answers carried" 2 live.Service.lv_answers_promoted;
+  Alcotest.(check int) "no answer dropped at the seal" 0 live.Service.lv_answers_evicted;
   let m = Service.metrics service in
   Alcotest.(check int) "only the promoted side survives" 1 m.Metrics.side_entries;
-  Alcotest.(check int) "only the promoted answer survives" 1
-    m.Metrics.answer_entries;
+  Alcotest.(check int) "both answers wait for their re-ask" 2 m.Metrics.answer_entries;
   Alcotest.(check int) "epoch gauge" 1 m.Metrics.live_epoch;
-  (* the service is unharmed: the promoted answer serves verbatim, the
-     purged one re-mines against the grown database (the new snapshot
-     carries no injector), and both match a cold reference exactly *)
+  (* the service is unharmed: the covered answer is promoted on its
+     re-ask, the uncovered one is dropped and re-mines against the grown
+     database (the new snapshot carries no injector), and both match a
+     cold reference exactly *)
   let cold_ctx =
     Cfq_core.Exec.context (Tx_db.create (Array.append base delta)) info
   in
@@ -287,7 +289,10 @@ let fault_during_maintenance () =
       Alcotest.(check string) "answer matches cold remine"
         (pair_str cold.Cfq_core.Exec.pairs)
         (pair_str r.Service.pairs))
-    [ (q_high, "answer-cache"); (q_low, "cold") ]
+    [ (q_high, "answer-cache"); (q_low, "cold") ];
+  let m = Service.metrics service in
+  Alcotest.(check int) "uncovered answer evicted" 1 m.Metrics.answers_evicted;
+  Alcotest.(check int) "covered answer promoted" 1 m.Metrics.answers_promoted
 
 (* a clean (fault-free) seal promotes in place: warm hits, delta-only cost *)
 let clean_seal_promotes () =
@@ -313,13 +318,15 @@ let clean_seal_promotes () =
   in
   Alcotest.(check int) "sealed the batch" 4 live.Service.lv_sealed;
   Alcotest.(check bool) "sides promoted" true (live.Service.lv_sides_promoted >= 1);
-  Alcotest.(check bool) "answer promoted" true
-    (live.Service.lv_answers_promoted >= 1);
-  Alcotest.(check int) "no evictions" 0
-    (live.Service.lv_sides_evicted + live.Service.lv_answers_evicted);
+  Alcotest.(check int) "answer carried" 1 live.Service.lv_answers_promoted;
   let r2 = expect_ok (Service.run service q) in
   Alcotest.(check string) "promoted answer serves verbatim" "answer-cache"
     (Service.served_from_name r2.Service.served_from);
+  let m = Service.metrics service in
+  Alcotest.(check int) "answer promoted" 1 m.Metrics.answers_promoted;
+  Alcotest.(check int) "no evictions" 0
+    (live.Service.lv_sides_evicted + live.Service.lv_answers_evicted + m.Metrics.answers_evicted);
+  Alcotest.(check int) "promotion paid no scan" 0 r2.Service.scans;
   let cold_ctx =
     Cfq_core.Exec.context
       (Tx_db.create
@@ -402,10 +409,10 @@ let condensed_twin_across_seals () =
   Alcotest.(check bool) "condensed twin reconstructed across seals" true
     (m.Metrics.reconstructions > 0)
 
-(* re-deriving cached answers on a seal reuses the collections the shared
-   pass just promoted: on a correlated database whose sides really condense,
-   a seal reconstructs only the stale sides it feeds the pass, never once
-   per answer *)
+(* a seal leaves cached answers to their re-ask: on a correlated database
+   whose sides really condense, a seal reconstructs only the stale sides it
+   feeds the pass, never once per answer, and every answer is promoted
+   when it is asked again *)
 let seal_reuses_promoted_sides () =
   let correlated i =
     if i mod 3 = 2 then Itemset.of_list [ i mod 5 ] else Itemset.of_list [ 0; 1; 2; 3 ]
@@ -444,7 +451,7 @@ let seal_reuses_promoted_sides () =
     | None -> Alcotest.fail "seal with pending returned None"
   in
   let rebuilt = (Service.metrics service).Metrics.reconstructions - before in
-  Alcotest.(check int) "every answer promoted" (List.length queries)
+  Alcotest.(check int) "every answer carried" (List.length queries)
     live.Service.lv_answers_promoted;
   Alcotest.(check bool) "the stale sides were condensed" true (rebuilt >= 1);
   Alcotest.(check bool)
@@ -462,7 +469,176 @@ let seal_reuses_promoted_sides () =
       Alcotest.(check string) "answer matches cold remine"
         (pair_str cold.Cfq_core.Exec.pairs)
         (pair_str r.Service.pairs))
-    queries
+    queries;
+  Alcotest.(check int) "every answer promoted" (List.length queries)
+    (Service.metrics service).Metrics.answers_promoted
+
+(* ------------------------------------------------------------------ *)
+(* the delta join: every promoted answer equals a cold remine and a full
+   re-join of the same sides, on random seal histories *)
+
+(* one 2-var constraint per join method of [Pairs.form] *)
+let delta_two_vars =
+  Cfq_constr.
+    [
+      ("hash", Two_var.Set2 (Helpers.typ, Two_var.Set_eq, Helpers.typ));
+      ("sort", Two_var.Agg2 (Agg.Max, Helpers.price, Cmp.Le, Agg.Min, Helpers.price));
+      ("nested", Two_var.Set2 (Helpers.typ, Two_var.Intersect, Helpers.typ));
+    ]
+
+(* a query (supports in percent, a join shape) and the epochs between its
+   re-asks *)
+type delta_query = { s_pct : int; t_pct : int; join : int; lag : int }
+
+type delta_history = {
+  dn : int;
+  dbase : int list list;
+  deltas : int list list list;  (* one batch per seal: 1..3 seals *)
+  dqueries : delta_query list;
+  dcondense : bool;
+}
+
+(* deltas draw from a random window of the universe, so sets climb over
+   the threshold (newcomers) and others fall under it between seals *)
+let gen_delta_history =
+  QCheck2.Gen.(
+    let n = 5 in
+    let* dbase = list_size (int_range 12 24) (Helpers.gen_tx n) in
+    let* k = int_range 1 3 in
+    let gen_batch =
+      let* lo = int_range 0 2 in
+      list_size (int_range 3 10)
+        (map (List.map (fun i -> lo + (i mod (n - lo)))) (Helpers.gen_tx n))
+    in
+    let* deltas = list_repeat k gen_batch in
+    (* one query per join shape: their keys never collide, so every
+       re-ask finds its own stale answer *)
+    let* dqueries =
+      flatten_l
+        (List.mapi
+           (fun join _ ->
+             let* s_pct = int_range 15 45 in
+             let* t_pct = int_range 15 45 in
+             let* lag = int_range 1 k in
+             return { s_pct; t_pct; join; lag })
+           delta_two_vars)
+    in
+    let* dcondense = bool in
+    return { dn = n; dbase; deltas; dqueries; dcondense })
+
+let print_delta_history h =
+  let txs l = String.concat "|" (List.map (fun t -> String.concat "," (List.map string_of_int t)) l) in
+  Printf.sprintf "condense=%b base=%s deltas=[%s] queries=[%s]" h.dcondense (txs h.dbase)
+    (String.concat "; " (List.map txs h.deltas))
+    (String.concat "; "
+       (List.map
+          (fun q ->
+            Printf.sprintf "S>=%d%% T>=%d%% %s lag %d" q.s_pct q.t_pct
+              (fst (List.nth delta_two_vars q.join))
+              q.lag)
+          h.dqueries))
+
+let delta_query q =
+  Query.make ~s_minsup:(float_of_int q.s_pct /. 100.) ~t_minsup:(float_of_int q.t_pct /. 100.)
+    ~two_var:[ snd (List.nth delta_two_vars q.join) ]
+    ()
+
+(* a full join of the exactly valid sides at [db]'s supports *)
+let full_rejoin db ~n info (q : Query.t) =
+  let side frac =
+    let minsup = Tx_db.absolute_support db frac in
+    Array.of_list
+      (List.filter_map
+         (fun set ->
+           let support = Helpers.support_of db set in
+           if support >= minsup then Some { Frequent.set; support } else None)
+         (Helpers.all_subsets n))
+  in
+  let valid_s = side q.Query.s_minsup and valid_t = side q.Query.t_minsup in
+  let pairs = ref [] in
+  ignore
+    (Pairs.form ~s_info:info ~t_info:info ~valid_s ~valid_t ~two_var:q.Query.two_var
+       ~on_pair:(fun i j -> pairs := (valid_s.(i), valid_t.(j)) :: !pairs)
+       ()
+      : Pairs.stats);
+  !pairs
+
+(* re-ask [dq] at [epoch] over the sealed [db]: promoted from the answer
+   cache, equal to a cold remine and to a full re-join *)
+let check_reask service ~n info db ~epoch dq =
+  let q = delta_query dq in
+  let promoted () = (Service.metrics service).Metrics.answers_promoted in
+  let before = promoted () in
+  let a = expect_ok (Service.run service q) in
+  let what = Printf.sprintf "epoch %d, %s" epoch (Query.to_string q) in
+  if a.Service.served_from <> Service.Answer_cache || promoted () <> before + 1 then
+    QCheck2.Test.fail_reportf "%s: served %s, not promoted" what
+      (Service.served_from_name a.Service.served_from);
+  let got = pair_str a.Service.pairs in
+  let want what' want =
+    if got <> want then
+      QCheck2.Test.fail_reportf "%s: promoted answer differs from %s\n got %s\nwant %s" what
+        what' got want
+  in
+  want "a remine"
+    (pair_str
+       (Cfq_core.Exec.run ~collect_pairs:true (Cfq_core.Exec.context db info) q)
+         .Cfq_core.Exec.pairs);
+  want "a full re-join" (pair_str (full_rejoin db ~n info q));
+  if a.Service.n_pairs <> List.length a.Service.pairs then
+    QCheck2.Test.fail_reportf "%s: n_pairs %d for %d pairs" what a.Service.n_pairs
+      (List.length a.Service.pairs)
+
+let delta_join_equals_remine =
+  Helpers.qtest ~count:60 "live: a delta-promoted answer equals a remine and a full re-join"
+    gen_delta_history print_delta_history (fun h ->
+      let info = Helpers.small_info h.dn in
+      let src = Cfq_live.Source.of_mem (Array.of_list (List.map Itemset.of_list h.dbase)) in
+      let service =
+        Service.create
+          ~config:{ Service.default_config with domains = 1; condense = h.dcondense }
+          (Cfq_core.Exec.context (Cfq_live.Source.db src) info)
+      in
+      Service.attach_source service src;
+      Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+      List.iter
+        (fun dq -> ignore (expect_ok (Service.run service (delta_query dq)) : Service.answer))
+        h.dqueries;
+      let sealed = ref h.dbase in
+      List.iteri
+        (fun e batch ->
+          let epoch = e + 1 in
+          List.iter (fun tx -> Service.ingest service (Itemset.of_list tx)) batch;
+          sealed := !sealed @ batch;
+          if Service.seal_live service = None then
+            QCheck2.Test.fail_reportf "seal %d ignored its batch" epoch;
+          let db = Helpers.db_of_lists !sealed in
+          List.iter
+            (fun dq ->
+              if epoch mod dq.lag = 0 then check_reask service ~n:h.dn info db ~epoch dq)
+            h.dqueries)
+        h.deltas;
+      true)
+
+(* ingest and seal on a service with nothing to ingest into are typed
+   errors, not [Invalid_argument] *)
+let no_source_is_typed () =
+  let info = Helpers.small_info 3 in
+  let service =
+    Service.create
+      ~config:{ Service.default_config with domains = 1 }
+      (Cfq_core.Exec.context (Helpers.db_of_lists [ [ 0; 1 ] ]) info)
+  in
+  Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+  let typed what f =
+    match f () with
+    | () -> Alcotest.failf "%s: no error without a live source" what
+    | exception Cfq_error.Error Cfq_error.No_live_source -> ()
+    | exception Invalid_argument msg -> Alcotest.failf "%s: Invalid_argument %s" what msg
+  in
+  typed "ingest" (fun () -> Service.ingest service (Itemset.of_list [ 0 ]));
+  typed "seal_live" (fun () -> ignore (Service.seal_live service : Service.live option));
+  Alcotest.(check bool) "not retryable" false (Cfq_error.is_transient Cfq_error.No_live_source)
 
 let suite =
   [
@@ -475,4 +651,6 @@ let suite =
     Alcotest.test_case "clean seal promotes in place" `Quick clean_seal_promotes;
     Alcotest.test_case "condensed twin across seals" `Quick condensed_twin_across_seals;
     Alcotest.test_case "seal reuses the promoted sides" `Quick seal_reuses_promoted_sides;
+    delta_join_equals_remine;
+    Alcotest.test_case "no live source is a typed error" `Quick no_source_is_typed;
   ]

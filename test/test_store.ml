@@ -231,6 +231,29 @@ let cached_scan_one_lookup_per_page () =
   Alcotest.(check int) "warm scan: one lookup per page" (2 * Tx_db.pages db) (lookups ());
   Store.close store
 
+(* under an injector, with no failure mode active, a scan still verifies
+   every page's checksum before delivering it, from one read of the page:
+   one pool lookup per page, as without an injector *)
+let checked_scan_one_lookup_per_page () =
+  let path = tmp () in
+  Store.build ~page_model:small_pm path (sets_of_lists scan_sets);
+  let store = Store.open_ ~cache_pages:64 path in
+  let db = Store.db store in
+  let lookups () =
+    Io_stats.pool_hits (Store.io store) + Io_stats.pool_misses (Store.io store)
+  in
+  Tx_db.set_faults db (Some (Fault.create Fault.default_config));
+  let got = ref [] in
+  Tx_db.iter_scan db (Io_stats.create ()) (fun tx ->
+      got := Itemset.to_list tx.Transaction.items :: !got);
+  Alcotest.(check (list (list int))) "every transaction delivered" scan_sets (List.rev !got);
+  Alcotest.(check int) "scan: one lookup per page" (Tx_db.pages db) (lookups ());
+  let n = ref 0 in
+  Tx_db.rows_checked db ~lo:0 ~hi:(Tx_db.size db - 1) (fun _ _ _ -> incr n);
+  Alcotest.(check int) "checked rows: every row" (Tx_db.size db) !n;
+  Alcotest.(check int) "checked rows: one lookup per page" (2 * Tx_db.pages db) (lookups ());
+  Store.close store
+
 (* items must be strictly increasing: a CRC-consistent swap of order is
    a typed corrupt page, not a silently wrong transaction *)
 let unsorted_record_is_corrupt () =
@@ -689,6 +712,7 @@ let suite =
     unit "crc32 known answer" crc32_known_answer;
     qcheck_crc32_slices;
     unit "a fully cached scan looks each page up once" cached_scan_one_lookup_per_page;
+    unit "a checked scan looks each page up once" checked_scan_one_lookup_per_page;
     unit "a mid-page record fault delivers the page's prefix"
       mid_page_fault_delivers_prefix;
     unit "an out-of-order record is a typed corrupt page" unsorted_record_is_corrupt;
