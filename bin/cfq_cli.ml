@@ -392,8 +392,8 @@ let run_live_passes service ~repeat ~ingest file =
   in
   passes 1
 
-(* the shutdown line the condense knob promises: how many raw-equivalent
-   bytes the cache stream condensed down to, and what lookups paid back *)
+(* the shutdown line: how many raw-equivalent bytes the cache stream
+   condensed down to, and what lookups paid back *)
 let print_condensation service =
   let m = Cfq_service.Service.metrics service in
   let raw = m.Cfq_service.Metrics.cond_raw_bytes in

@@ -1,8 +1,8 @@
 open Cfq_itembase
 
 (* Byte model shared with the service cache: approximate heap bytes of the
-   boxed representation.  Must match what the cache charged historically so
-   condense:false accounting is unchanged. *)
+   boxed representation, so a raw collection and its closed form are
+   priced on one scale. *)
 let itemset_weight s = 24 + (8 * Itemset.cardinal s)
 let entry_weight (e : Frequent.entry) = 32 + itemset_weight e.Frequent.set
 let frequent_weight freq = Frequent.fold (fun acc e -> acc + entry_weight e) 128 freq
@@ -25,7 +25,6 @@ type t = {
 let is_condensed t = match t.repr with Closed _ -> true | Raw _ -> false
 let n_sets t = t.n_sets
 let n_closed t = t.n_closed
-let max_level t = t.max_level
 let raw_bytes t = t.raw_bytes
 let bytes t = t.stored_bytes
 
@@ -146,123 +145,3 @@ let to_frequent t =
                   a;
                 a)
               levels))
-
-let support t s =
-  match t.repr with
-  | Raw f -> Frequent.support f s
-  | Closed buckets ->
-      let k = Itemset.cardinal s in
-      if k = 0 then None
-      else begin
-        let best = ref None in
-        for l = k to t.max_level do
-          Array.iter
-            (fun (e : Frequent.entry) ->
-              if Itemset.subset s e.set then
-                match !best with
-                | Some b when b >= e.support -> ()
-                | _ -> best := Some e.support)
-            buckets.(l - 1)
-        done;
-        !best
-      end
-
-let mem t s =
-  match t.repr with Raw f -> Frequent.mem f s | Closed _ -> support t s <> None
-
-let closed_entries t =
-  match t.repr with
-  | Raw f -> Frequent.closed f
-  | Closed buckets ->
-      List.concat_map Array.to_list (Array.to_list buckets)
-
-let maximal t =
-  match t.repr with
-  | Raw f -> Frequent.maximal f
-  | Closed _ ->
-      (* maximal in the collection = closed with no closed strict superset *)
-      let all = closed_entries t in
-      List.filter
-        (fun (e : Frequent.entry) ->
-          not
-            (List.exists
-               (fun (e' : Frequent.entry) ->
-                 Itemset.cardinal e'.set > Itemset.cardinal e.set
-                 && Itemset.subset e.set e'.set)
-               all))
-        all
-
-(* Wire format: "CM1" magic, then varint count, then per maximal entry its
-   varint support, cardinality and delta-encoded item gaps (items strictly
-   ascending, so each gap-minus-one fits a varint). *)
-
-let add_varint buf n =
-  let n = ref n in
-  let stop = ref false in
-  while not !stop do
-    let b = !n land 0x7f in
-    n := !n lsr 7;
-    if !n = 0 then begin
-      Buffer.add_char buf (Char.chr b);
-      stop := true
-    end
-    else Buffer.add_char buf (Char.chr (b lor 0x80))
-  done
-
-let read_varint s pos =
-  let len = String.length s in
-  let rec go acc shift pos =
-    if pos >= len then invalid_arg "Condensed.decode_maximal: truncated";
-    let c = Char.code s.[pos] in
-    let acc = acc lor ((c land 0x7f) lsl shift) in
-    if c land 0x80 = 0 then (acc, pos + 1) else go acc (shift + 7) (pos + 1)
-  in
-  go 0 0 pos
-
-let magic = "CM1"
-
-let encode_maximal t =
-  let entries = maximal t in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf magic;
-  add_varint buf (List.length entries);
-  List.iter
-    (fun (e : Frequent.entry) ->
-      add_varint buf e.support;
-      add_varint buf (Itemset.cardinal e.set);
-      let prev = ref (-1) in
-      Itemset.iter
-        (fun i ->
-          add_varint buf (i - !prev - 1);
-          prev := i)
-        e.set)
-    entries;
-  Buffer.contents buf
-
-let decode_maximal s =
-  let mlen = String.length magic in
-  if String.length s < mlen || String.sub s 0 mlen <> magic then
-    invalid_arg "Condensed.decode_maximal: bad magic";
-  let n, pos = read_varint s mlen in
-  let pos = ref pos in
-  let out = ref [] in
-  for _ = 1 to n do
-    let support, p = read_varint s !pos in
-    let card, p = read_varint s p in
-    if card = 0 then invalid_arg "Condensed.decode_maximal: empty set";
-    let items = Array.make card 0 in
-    let prev = ref (-1) in
-    let p = ref p in
-    for j = 0 to card - 1 do
-      let gap, p' = read_varint s !p in
-      let item = !prev + 1 + gap in
-      items.(j) <- item;
-      prev := item;
-      p := p'
-    done;
-    pos := !p;
-    out := { Frequent.set = Itemset.of_array items; support } :: !out
-  done;
-  if !pos <> String.length s then
-    invalid_arg "Condensed.decode_maximal: trailing bytes";
-  List.rev !out

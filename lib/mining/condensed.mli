@@ -24,10 +24,7 @@
     The dense correlated workloads where the cache budget hurts are
     exactly the ones that condense well: equal-support subset families
     collapse to one closed representative (cf. the closed-itemset global
-    constraint, arXiv 1604.04894).  The {!maximal} projection (no frequent
-    proper superset at all) drops supports of non-maximal sets and is the
-    minimal wire format for shipping large answers (cf. maximal-itemset
-    compression, arXiv 2203.11208). *)
+    constraint, arXiv 1604.04894). *)
 
 open Cfq_itembase
 
@@ -72,40 +69,9 @@ val n_sets : t -> int
 (** Stored closed sets ([= n_sets] when raw). *)
 val n_closed : t -> int
 
-val max_level : t -> int
-
 (** Weight of the raw representation (what the cache would have charged
     before condensation). *)
 val raw_bytes : t -> int
 
 (** Weight as stored — the cache charge. *)
 val bytes : t -> int
-
-(** {1 On-demand reconstruction} *)
-
-(** [support t s] is the support [s] would have in {!to_frequent}, without
-    reconstructing: the max support over stored closed supersets. *)
-val support : t -> Itemset.t -> int option
-
-val mem : t -> Itemset.t -> bool
-
-(** The closed entries, level by level. *)
-val closed_entries : t -> Frequent.entry list
-
-(** The maximal entries (no proper superset in the collection) — the
-    minimal generating family: the collection is exactly the non-empty
-    subsets of these. *)
-val maximal : t -> Frequent.entry list
-
-(** {1 Wire format}
-
-    A maximal-only projection serialized as varint-packed bytes: per entry
-    its support, cardinality and delta-encoded item gaps.  Minimal for
-    shipping large answers; supports of non-maximal subsets are {e not}
-    recoverable from the wire form (membership is). *)
-
-val encode_maximal : t -> string
-
-(** Decodes what {!encode_maximal} wrote.  Raises [Invalid_argument] on a
-    malformed buffer. *)
-val decode_maximal : string -> Frequent.entry list

@@ -22,7 +22,6 @@ type config = {
   degrade : bool;
   jitter_seed : int64;
   kernel : Counting.kernel;
-  condense : bool;
 }
 
 let default_config =
@@ -39,7 +38,6 @@ let default_config =
     degrade = true;
     jitter_seed = 0x0DDB1A5EL;
     kernel = Counting.Direct2;
-    condense = true;
   }
 
 type knob = {
@@ -61,19 +59,6 @@ let int_knob name ~min ~doc get set =
         match int_of_string_opt v with
         | Some n when n >= min -> Ok (set c n)
         | Some _ | None -> knob_error name (Printf.sprintf "an integer >= %d" min) v);
-  }
-
-let bool_knob name ~doc get set =
-  {
-    name;
-    doc;
-    print = (fun c -> if get c then "on" else "off");
-    parse =
-      (fun v c ->
-        match v with
-        | "on" | "true" | "1" -> Ok (set c true)
-        | "off" | "false" | "0" -> Ok (set c false)
-        | _ -> knob_error name "on or off" v);
   }
 
 (* shortest decimal that reads back as the same float *)
@@ -133,13 +118,6 @@ let knobs =
                 ("one of " ^ String.concat ", " (List.map fst Counting.all_kernels))
                 v);
     };
-    bool_knob "condense"
-      ~doc:
-        "Store cached side collections closed-set condensed and cached \
-         answers index-packed, so more distinct queries fit the cache \
-         budget.  Answers are byte-identical either way."
-      (fun c -> c.condense)
-      (fun c condense -> { c with condense });
   ]
 
 type served_from =
@@ -181,9 +159,8 @@ let error_to_string = function
   | Failed msg -> "failed: " ^ msg
 
 (* one side's cached frequent collection, as mined.  The collection is
-   stored condensed (closed sets only, [Condensed.t]) when the condense
-   knob is on and the round-trip is provably lossless; lookups rebuild the
-   raw collection on demand.  The cache charges the memoized [se_weight],
+   stored condensed (closed sets only, [Condensed.t]) when the round-trip
+   is provably lossless; lookups rebuild the raw collection on demand.  The cache charges the memoized [se_weight],
    so a condensed entry makes room for more distinct fingerprints under
    the same budget. *)
 type side_entry = {
@@ -197,26 +174,21 @@ type side_entry = {
   se_weight : int;  (* memoized cache charge: [Condensed.bytes se_cond] *)
 }
 
-(* a cached answer.  With condensation on, the pair list — a near
-   cross-product of the two sides — is stored as the two joined sides
-   (every valid set, paired or not) plus two indices per pair, rebuilt on
-   lookup. *)
+(* a cached answer.  The pair list — a near cross-product of the two
+   sides — is stored as the two joined sides (every valid set, paired or
+   not) plus two indices per pair, rebuilt on lookup. *)
 type packed_pairs = {
   pk_s : Frequent.entry array;
   pk_t : Frequent.entry array;
   pk_idx : int array;  (* pair i is (pk_s.(idx.(2i)), pk_t.(idx.(2i+1))) *)
 }
 
-type stored_pairs =
-  | Raw_pairs of (Frequent.entry * Frequent.entry) list
-  | Packed_pairs of packed_pairs
-
 type cached_answer = {
   ca_epoch : int;
       (* the epoch the supports are exact for; checked on every lookup *)
   ca_query : Query.t;  (* simplified query, for degraded covering tests *)
   ca_answer : answer;  (* template with [pairs = []]; pairs live in ca_pairs *)
-  ca_pairs : stored_pairs;
+  ca_pairs : packed_pairs;
   ca_weight : int;  (* memoized cache charge *)
 }
 
@@ -368,10 +340,7 @@ let weigh pk =
    insert is priced through here so the ratio metrics see the full
    stream *)
 let condense_frequent t freq =
-  let cond =
-    if t.service_config.condense then Condensed.of_frequent freq
-    else Condensed.raw freq
-  in
+  let cond = Condensed.of_frequent freq in
   locked t (fun () ->
       Metrics.record_condensed t.service_metrics
         ~raw:(Condensed.raw_bytes cond) ~stored:(Condensed.bytes cond)
@@ -444,42 +413,41 @@ let unpack_pairs pk =
   done;
   !pairs
 
-(* [template] carries everything but the pairs; with condensation off the
-   pair list is rebuilt once and stored raw *)
-let make_cached_answer t ~epoch q (template : answer) packed =
-  let ca_pairs, ca_weight =
-    if t.service_config.condense then (Packed_pairs packed.pk, packed.packed_weight)
-    else (Raw_pairs (unpack_pairs packed.pk), packed.raw_weight)
-  in
+(* [template] carries everything but the pairs *)
+let make_cached_answer ~epoch q (template : answer) packed =
   {
     ca_epoch = epoch;
     ca_query = q;
     ca_answer = { template with pairs = [] };
-    ca_pairs;
-    ca_weight;
+    ca_pairs = packed.pk;
+    ca_weight = packed.packed_weight;
   }
 
-(* with [t.lock] held: price an answer insert for the ratio metrics *)
-let record_answer_condensed_locked t ~raw_weight ca =
-  Metrics.record_condensed t.service_metrics ~raw:raw_weight ~stored:ca.ca_weight
-    ~condensed:
-      (match ca.ca_pairs with Packed_pairs _ -> true | Raw_pairs _ -> false)
+(* with [t.lock] held: insert [ca] under [key] unless a seal has moved
+   past [epoch], pricing the insert for the ratio metrics *)
+let insert_answer_locked t ~epoch ~key packed ca =
+  if t.epoch = epoch then begin
+    Metrics.record_condensed t.service_metrics ~raw:packed.raw_weight
+      ~stored:ca.ca_weight ~condensed:true;
+    ignore (Lru.insert t.answers key ~weight:ca.ca_weight ca : bool)
+  end
 
-(* the pair list of a cached answer; touches nothing shared, so a hit can
-   rebuild it outside the lock *)
-let answer_pairs ca =
-  match ca.ca_pairs with Raw_pairs pairs -> pairs | Packed_pairs pk -> unpack_pairs pk
-
-(* with [t.lock] held: count the rebuild a hit on [ca] is about to pay *)
-let record_unpack_locked t ca =
-  match ca.ca_pairs with
-  | Packed_pairs _ -> Metrics.record_reconstruction t.service_metrics
-  | Raw_pairs _ -> ()
-
-(* with [t.lock] held: rebuild the pair list of a cached answer *)
-let unpack_answer_locked t ca =
-  record_unpack_locked t ca;
-  { ca.ca_answer with pairs = answer_pairs ca }
+(* with [t.lock] held: serve [ca] from the cache, its [pairs] rebuilt
+   [latency] seconds after admission, at no database cost *)
+let serve_hit_locked t ca pairs ~latency =
+  Metrics.record_reconstruction t.service_metrics;
+  Metrics.record_query t.service_metrics ~latency ~support_counted:0
+    ~constraint_checks:0 ~scans:0 ~pages_read:0;
+  {
+    ca.ca_answer with
+    pairs;
+    served_from = Answer_cache;
+    support_counted = 0;
+    constraint_checks = 0;
+    scans = 0;
+    pages_read = 0;
+    latency_seconds = latency;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* deadline handling *)
@@ -651,35 +619,11 @@ let resolve_side t ~deadline ~ctx ~epoch spec io counters checks =
 (* ------------------------------------------------------------------ *)
 (* promoting a cached answer across seals: the delta join *)
 
-(* the old answer as packed pairs, whatever its stored form.  A raw pair
-   list names only the paired sets, so its unpaired valid sets count as
-   newcomers in the delta join: more join work, the same pairs. *)
-let packed_of_stored = function
-  | Packed_pairs pk -> pk
-  | Raw_pairs pairs ->
-      let ids () = (Itemset.Hashtbl.create 64, ref []) in
-      let id (tbl, order) (e : Frequent.entry) =
-        match Itemset.Hashtbl.find_opt tbl e.Frequent.set with
-        | Some k -> k
-        | None ->
-            let k = Itemset.Hashtbl.length tbl in
-            Itemset.Hashtbl.add tbl e.Frequent.set k;
-            order := e :: !order;
-            k
-      in
-      let s = ids () and t = ids () in
-      let idx = Array.make (2 * List.length pairs) 0 in
-      List.iteri
-        (fun i (es, et) ->
-          idx.(2 * i) <- id s es;
-          idx.((2 * i) + 1) <- id t et)
-        pairs;
-      let entries (_, order) = Array.of_list (List.rev !order) in
-      { pk_s = entries s; pk_t = entries t; pk_idx = idx }
-
 (* for every old set, its index in [valid], or -1.  Filtered collections
-   list their sets in [Itemset.compare] order, so one merge pass suffices;
-   sides in any other order are matched by hashing. *)
+   list their sets in [Itemset.compare] order, so one merge pass suffices.
+   A side that [Condensed] kept raw lists each level in the order it was
+   mined, which need not be [Itemset.compare] order; such sides are matched
+   by hashing. *)
 let positions valid (old : Frequent.entry array) =
   let ascending (a : Frequent.entry array) =
     let ok = ref true in
@@ -776,17 +720,14 @@ let promote_answer t ~ctx ~epoch ~key (q : Query.t) ca =
       let checks = ref 0 in
       let valid_s = filter_valid spec_s (side_frequent t cs) checks in
       let valid_t = filter_valid spec_t (side_frequent t ct) checks in
-      let packed = delta_join ctx q (packed_of_stored ca.ca_pairs) ~valid_s ~valid_t in
+      let packed = delta_join ctx q ca.ca_pairs ~valid_s ~valid_t in
       let ca' =
-        make_cached_answer t ~epoch q
+        make_cached_answer ~epoch q
           { ca.ca_answer with n_pairs = Array.length packed.pk.pk_idx / 2 }
           packed
       in
       locked t (fun () ->
-          if t.epoch = epoch then begin
-            record_answer_condensed_locked t ~raw_weight:packed.raw_weight ca';
-            ignore (Lru.insert t.answers key ~weight:ca'.ca_weight ca' : bool)
-          end;
+          insert_answer_locked t ~epoch ~key packed ca';
           Metrics.record_answer_hit t.service_metrics;
           Metrics.record_answer_promoted t.service_metrics);
       ca')
@@ -808,7 +749,6 @@ let execute t ~deadline (q : Query.t) =
           match Lru.find t.answers key with
           | Some ca when ca.ca_epoch = epoch ->
               Metrics.record_answer_hit t.service_metrics;
-              record_unpack_locked t ca;
               `Hit ca
           | Some ca when ca.ca_epoch < epoch && not (rw.Rewrite.s_unsat || rw.Rewrite.t_unsat)
             ->
@@ -825,20 +765,9 @@ let execute t ~deadline (q : Query.t) =
   | Some ca ->
       (* rebuilt outside the lock: a large answer must not stall the other
          domains' lookups and inserts *)
-      let a = { ca.ca_answer with pairs = answer_pairs ca } in
+      let pairs = unpack_pairs ca.ca_pairs in
       let latency = Unix.gettimeofday () -. t0 in
-      locked t (fun () ->
-          Metrics.record_query t.service_metrics ~latency ~support_counted:0
-            ~constraint_checks:0 ~scans:0 ~pages_read:0);
-      {
-        a with
-        served_from = Answer_cache;
-        support_counted = 0;
-        constraint_checks = 0;
-        scans = 0;
-        pages_read = 0;
-        latency_seconds = latency;
-      }
+      locked t (fun () -> serve_hit_locked t ca pairs ~latency)
   | None ->
       let io = Io_stats.create () in
       let counters = Counters.create () in
@@ -883,15 +812,12 @@ let execute t ~deadline (q : Query.t) =
             packed )
         end
       in
-      let ca = make_cached_answer t ~epoch q answer packed in
-      let answer = { answer with pairs = answer_pairs ca } in
+      let ca = make_cached_answer ~epoch q answer packed in
+      let answer = { answer with pairs = unpack_pairs packed.pk } in
       let latency = Unix.gettimeofday () -. t0 in
       let answer = { answer with latency_seconds = latency } in
       locked t (fun () ->
-          if t.epoch = epoch then begin
-            record_answer_condensed_locked t ~raw_weight:packed.raw_weight ca;
-            ignore (Lru.insert t.answers key ~weight:ca.ca_weight ca : bool)
-          end;
+          insert_answer_locked t ~epoch ~key packed ca;
           Metrics.record_query t.service_metrics ~latency
             ~support_counted:answer.support_counted
             ~constraint_checks:answer.constraint_checks ~scans:answer.scans
@@ -1005,7 +931,10 @@ let degraded_lookup_locked t (q : Query.t) =
           ignore (Lru.find t.answers key : cached_answer option)
           (* bump recency *);
           Metrics.record_degraded t.service_metrics;
-          Some (filter_answer t.service_ctx q (unpack_answer_locked t ca))
+          Metrics.record_reconstruction t.service_metrics;
+          Some
+            (filter_answer t.service_ctx q
+               { ca.ca_answer with pairs = unpack_pairs ca.ca_pairs })
     end
   end
 
@@ -1173,19 +1102,7 @@ let open_serve_locked t (q : Query.t) =
   match Lru.find t.answers key with
   | Some ca when ca.ca_epoch = t.epoch ->
       Metrics.record_answer_hit t.service_metrics;
-      Metrics.record_query t.service_metrics ~latency:0. ~support_counted:0
-        ~constraint_checks:0 ~scans:0 ~pages_read:0;
-      let a = unpack_answer_locked t ca in
-      `Serve
-        {
-          a with
-          served_from = Answer_cache;
-          support_counted = 0;
-          constraint_checks = 0;
-          scans = 0;
-          pages_read = 0;
-          latency_seconds = 0.;
-        }
+      `Serve (serve_hit_locked t ca (unpack_pairs ca.ca_pairs) ~latency:0.)
   | Some _ | None -> (
       match degraded_lookup_locked t q' with
       | Some a -> `Serve a

@@ -24,6 +24,10 @@
     to one query and useless for reuse.  2-var constraints are enforced at
     pair formation, so answers equal {!Exec.run}'s under every strategy.
 
+    Both caches store a compact form: side collections closed-set
+    condensed ({!Cfq_mining.Condensed}, where provably lossless) and
+    answers index-packed; lookups rebuild the raw form on demand.
+
     Queries run on a fixed pool of worker domains with a bounded admission
     queue and a per-query wall-clock deadline, checked between mining
     levels (cooperative cancellation).  All shared state (caches, metrics)
@@ -83,20 +87,11 @@ type config = {
           [Direct2], which charges the trie's scan-per-level I/O; see
           {!Cfq_mining.Counting.kernel}).  Answers are identical for every
           kernel; the per-kernel pass counts appear in {!Metrics}. *)
-  condense : bool;
-      (** store cached side collections closed-set condensed
-          ({!Cfq_mining.Condensed}) and cached answers index-packed,
-          charging the cache their condensed weight — more distinct
-          fingerprints fit one [cache_budget]; lookups rebuild the raw
-          form on demand (counted in {!Metrics}).  Condensation only fires
-          when provably lossless, so answers are byte-identical either way
-          (default [true]; see [doc/CONDENSED.md]) *)
 }
 
 (** 2 domains (mining inherits them), queue 1024, 64 MiB budget, no
     deadline; 2 retries from a 2 ms base, breaker at 5 failures with an
-    8-admission cooldown, degradation on, direct2 counting, condensation
-    on. *)
+    8-admission cooldown, degradation on, direct2 counting. *)
 val default_config : config
 
 (** One service knob the front ends expose: the shell's [set NAME VALUE]
@@ -109,8 +104,8 @@ type knob = {
       (** validate a value and set it; the [Error] names the knob *)
 }
 
-(** domains, mine-domains, cache-mb, deadline, retries, breaker-threshold,
-    kernel and condense, in that order. *)
+(** domains, mine-domains, cache-mb, deadline, retries, breaker-threshold
+    and kernel, in that order. *)
 val knobs : knob list
 
 type served_from =

@@ -36,7 +36,7 @@ type op =
           fail; a no-op without a sibling replica *)
   | Clear  (** injectors and flaky replicas *)
 
-type history = { n : int; base : Itemset.t list; condense : bool; ops : op list }
+type history = { n : int; base : Itemset.t list; ops : op list }
 
 let gen_history =
   QCheck2.Gen.(
@@ -57,9 +57,8 @@ let gen_history =
         ]
     in
     let* base = sets (int_range 8 24) in
-    let* condense = bool in
     let* ops = list_size (int_range 3 6) op in
-    return { n; base; condense; ops })
+    return { n; base; ops })
 
 let op_to_string = function
   | Append txs -> "append " ^ String.concat "" (List.map Itemset.to_string txs)
@@ -71,7 +70,7 @@ let op_to_string = function
   | Clear -> "clear"
 
 let print_history h =
-  Printf.sprintf "n=%d condense=%b base=%s\n%s" h.n h.condense
+  Printf.sprintf "n=%d base=%s\n%s" h.n
     (String.concat "" (List.map Itemset.to_string h.base))
     (String.concat "\n" (List.mapi (fun i op -> Printf.sprintf "  %d: %s" i (op_to_string op)) h.ops))
 
@@ -113,9 +112,9 @@ let temp_dir =
 
 (* no breaker and no backoff sleep: once a fault is cleared the next
    query must be served, and retries stay instant *)
-let start ~condense info src =
+let start info src =
   let config =
-    { Service.default_config with domains = 1; breaker_threshold = 0; backoff_base = 0.; condense }
+    { Service.default_config with domains = 1; breaker_threshold = 0; backoff_base = 0. }
   in
   let service = Service.create ~config (Exec.context (Source.db src) info) in
   Service.attach_source service src;
@@ -125,7 +124,7 @@ let remove_files path =
   Sharded.remove_files path;
   try Sys.remove (path ^ ".wal") with Sys_error _ -> ()
 
-let create ~condense info (name, backing) sets =
+let create info (name, backing) sets =
   let path, src =
     match backing with
     | Mem rebuild -> (None, Source.of_mem ~rebuild sets)
@@ -144,7 +143,7 @@ let create ~condense info (name, backing) sets =
     path;
     replicated;
     src;
-    service = start ~condense info src;
+    service = start info src;
     warm = [];
     faulted = false;
     fault = None;
@@ -432,7 +431,7 @@ let clear b step =
 
 (* one backend through the whole history *)
 let run_backend h ~info (first, expects) kind =
-  let n = h.n and b = create ~condense:h.condense info kind (Array.of_list h.base) in
+  let n = h.n and b = create info kind (Array.of_list h.base) in
   Fun.protect ~finally:(fun () -> dispose b) @@ fun () ->
   check_surface b "base" ~n first;
   List.iteri
@@ -440,7 +439,7 @@ let run_backend h ~info (first, expects) kind =
       let step = Printf.sprintf "%d (%s)" i (op_to_string op) in
       (match (op, b.path) with
       | Append txs, _ -> List.iter (Service.ingest b.service) txs
-      | Reopen, Some path -> reopen b path ~start:(start ~condense:h.condense info)
+      | Reopen, Some path -> reopen b path ~start:(start info)
       | (Seal | Reopen), _ -> seal b step e
       | Query q, _ ->
           check_exec b step ~info e q;

@@ -229,6 +229,23 @@ let expect_ok = function
   | Ok a -> a
   | Error e -> Alcotest.failf "service error: %s" (Service.error_to_string e)
 
+(* a pair with its supports *)
+let pair_exact ((s : Frequent.entry), (t : Frequent.entry)) =
+  Printf.sprintf "%s@%d,%s@%d" (Itemset.to_string s.Frequent.set) s.Frequent.support
+    (Itemset.to_string t.Frequent.set) t.Frequent.support
+
+(* pairs with supports, in the order they were returned *)
+let exact_pairs pairs = String.concat " " (List.map pair_exact pairs)
+
+(* the service's answer to [q] is Exec.run's, supports included *)
+let check_exact ctx service msg q =
+  let a = expect_ok (Service.run service q) in
+  let sorted pairs = List.sort compare (List.map pair_exact pairs) in
+  Alcotest.(check (list string)) msg
+    (sorted (Exec.run ~collect_pairs:true ctx q).Exec.pairs)
+    (sorted a.Service.pairs);
+  a
+
 let check_against_exec ctx service msg q =
   let cold = Exec.run ~collect_pairs:true ctx q in
   let a = expect_ok (Service.run service q) in
@@ -324,66 +341,6 @@ let service_eviction_at_budget () =
   Alcotest.(check bool) "answer cache within budget" true
     (m.Metrics.answer_bytes <= config.Service.cache_budget / 4)
 
-let service_condensed_matches_raw () =
-  (* twin services over one context, condensation on vs off: every answer
-     — cold, answer-cache hit, subsumed, under eviction pressure — must be
-     identical pair-for-pair, in order *)
-  let ctx = fixture () in
-  let mk condense =
-    Service.create
-      ~config:{ Service.default_config with domains = 1; cache_budget = 4096; condense }
-      ctx
-  in
-  let raw = mk false and cond = mk true in
-  Fun.protect ~finally:(fun () ->
-      Service.shutdown raw;
-      Service.shutdown cond)
-  @@ fun () ->
-  let tightened =
-    Query.make ~s_minsup:0.15 ~t_minsup:0.2
-      ~s_constraints:
-        [ One_var.Agg_cmp (Agg.Min, price, Cmp.Ge, 30.); One_var.Card_cmp (Cmp.Le, 3) ]
-      ~t_constraints:[ One_var.Agg_cmp (Agg.Max, price, Cmp.Le, 50.) ]
-      ~two_var:[ Two_var.Set2 (typ, Two_var.Intersect, typ) ]
-      ()
-  in
-  let sweep =
-    List.map
-      (fun minsup -> Query.make ~s_minsup:minsup ~t_minsup:minsup ~max_level:1 ())
-      [ 0.9; 0.5; 0.2; 0.1 ]
-  in
-  let queries =
-    [ broad_query; broad_query; tightened ] @ sweep @ [ broad_query; tightened ]
-  in
-  let exact_pairs a =
-    (* order-sensitive: condensation must not even permute the pairs *)
-    pairs_str
-      (List.map (fun (s, t) -> (s.Frequent.set, t.Frequent.set)) a.Service.pairs)
-  in
-  let supports a =
-    String.concat ";"
-      (List.map
-         (fun (s, t) -> Printf.sprintf "%d,%d" s.Frequent.support t.Frequent.support)
-         a.Service.pairs)
-  in
-  List.iteri
-    (fun i q ->
-      let ar = expect_ok (Service.run raw q) in
-      let ac = expect_ok (Service.run cond q) in
-      Alcotest.(check string)
-        (Printf.sprintf "query %d: identical pairs" i)
-        (exact_pairs ar) (exact_pairs ac);
-      Alcotest.(check string)
-        (Printf.sprintf "query %d: identical supports" i)
-        (supports ar) (supports ac))
-    queries;
-  let m = Service.metrics cond in
-  Alcotest.(check bool) "condensed twin priced its inserts" true
-    (m.Metrics.cond_raw_bytes > 0);
-  Alcotest.(check bool) "stored bytes never exceed raw" true
-    (m.Metrics.cond_bytes <= m.Metrics.cond_raw_bytes);
-  Alcotest.(check bool) "lookups reconstructed" true (m.Metrics.reconstructions > 0)
-
 (* doc/CONDENSED.md's byte model, written out independently of the service:
    an entry weighs 32 + (24 + 8 per item); a raw answer 256 + 16 per pair
    plus both entries; a packed one 256 + each side's distinct entries + two
@@ -402,28 +359,25 @@ let packed_answer_bytes pairs =
 
 (* every insert of a session is priced by the byte model over the pairs it
    returned: after a cold anchor query mines one side collection, distinct
-   refinements are all subsumed, so each adds exactly one answer insert to
-   the ratio metrics, and the answer cache ends holding every answer.  A
-   re-issue is a hit that inserts nothing. *)
-let service_bytes_follow_model condense () =
+   refinements are all subsumed, so each adds exactly one packed answer
+   insert to the ratio metrics, and the answer cache ends holding every
+   answer.  A re-issue is a hit that inserts nothing and returns the pairs
+   in the order first served.  Every answer — cold, subsumed, a hit, and
+   re-served after evictions — is Exec.run's, supports included. *)
+let service_bytes_follow_model () =
   let ctx = fixture () in
-  let service =
-    Service.create ~config:{ Service.default_config with domains = 1; condense } ctx
-  in
+  let service = Service.create ~config:{ Service.default_config with domains = 1 } ctx in
   Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
-  let in_order pairs =
-    pairs_str (List.map (fun (s, t) -> (s.Frequent.set, t.Frequent.set)) pairs)
-  in
   (* unconstrained, both paths filter the same level-sorted collection, so
      the anchor's pairs, packed over several index chunks, must come back
      in exactly the order Exec's join emits them *)
   let anchor_q = Query.make ~s_minsup:0.1 ~t_minsup:0.1 () in
   let anchor = expect_ok (Service.run service anchor_q) in
+  Alcotest.(check string) "anchor pairs in the join's order"
+    (exact_pairs (Exec.run ~collect_pairs:true ctx anchor_q).Exec.pairs)
+    (exact_pairs anchor.Service.pairs);
   Alcotest.(check bool) "the anchor answer spans several index chunks" true
     (anchor.Service.n_pairs > 256);
-  Alcotest.(check string) "anchor pairs in the join's order"
-    (in_order (Exec.run ~collect_pairs:true ctx anchor_q).Exec.pairs)
-    (in_order anchor.Service.pairs);
   let refinements =
     [
       broad_query;
@@ -442,16 +396,13 @@ let service_bytes_follow_model condense () =
     List.map
       (fun q ->
         let before = Service.metrics service in
-        let a = check_against_exec ctx service "refinement matches Exec" q in
+        let a = check_exact ctx service "refinement matches Exec" q in
         let after = Service.metrics service in
         Alcotest.(check string) "both sides subsumed" "subsumed"
           (Service.served_from_name a.Service.served_from);
-        let packed = after.Metrics.cond_inserts - before.Metrics.cond_inserts = 1 in
-        if condense then Alcotest.(check bool) "condense on packs" true packed;
-        let stored =
-          if packed then packed_answer_bytes a.Service.pairs
-          else raw_answer_bytes a.Service.pairs
-        in
+        Alcotest.(check int) "one packed insert" 1
+          (after.Metrics.cond_inserts - before.Metrics.cond_inserts);
+        let stored = packed_answer_bytes a.Service.pairs in
         Alcotest.(check int) "raw-equivalent bytes"
           (raw_answer_bytes a.Service.pairs)
           (after.Metrics.cond_raw_bytes - before.Metrics.cond_raw_bytes);
@@ -463,29 +414,41 @@ let service_bytes_follow_model condense () =
         Alcotest.(check string) "re-issue is an answer-cache hit" "answer-cache"
           (Service.served_from_name hit.Service.served_from);
         Alcotest.(check string) "the hit returns the same pairs in order"
-          (in_order a.Service.pairs) (in_order hit.Service.pairs);
-        (stored, packed, a.Service.n_pairs))
+          (exact_pairs a.Service.pairs) (exact_pairs hit.Service.pairs);
+        (stored, a.Service.n_pairs))
       refinements
   in
   Alcotest.(check bool) "the refinements returned pairs" true
-    (List.exists (fun (_, _, n) -> n > 0) inserted);
-  let _, packed, _ = List.hd inserted in
-  let anchor_bytes =
-    if packed then packed_answer_bytes anchor.Service.pairs
-    else raw_answer_bytes anchor.Service.pairs
-  in
+    (List.exists (fun (_, n) -> n > 0) inserted);
   let m = Service.metrics service in
   Alcotest.(check int) "answer-cache bytes"
-    (List.fold_left (fun acc (b, _, _) -> acc + b) anchor_bytes inserted)
-    m.Metrics.answer_bytes
+    (List.fold_left (fun acc (b, _) -> acc + b) (packed_answer_bytes anchor.Service.pairs) inserted)
+    m.Metrics.answer_bytes;
+  Alcotest.(check bool) "hits reconstructed" true (m.Metrics.reconstructions >= List.length refinements);
+  (* a budget of a few answers: a descending sweep evicts, and the
+     refinements come back cold or subsumed, still exactly Exec's *)
+  let small =
+    Service.create ~config:{ Service.default_config with domains = 1; cache_budget = 4096 } ctx
+  in
+  Fun.protect ~finally:(fun () -> Service.shutdown small) @@ fun () ->
+  let sweep =
+    List.map
+      (fun minsup -> Query.make ~s_minsup:minsup ~t_minsup:minsup ~max_level:1 ())
+      [ 0.9; 0.5; 0.2; 0.1 ]
+  in
+  List.iter
+    (fun q -> ignore (check_exact ctx small "under eviction" q : Service.answer))
+    (refinements @ sweep @ refinements);
+  let m = Service.metrics small in
+  Alcotest.(check bool) "the small budget evicted" true (m.Metrics.evictions > 0);
+  Alcotest.(check bool) "stored bytes never exceed raw" true
+    (m.Metrics.cond_bytes <= m.Metrics.cond_raw_bytes)
 
 (* a side with no valid set and a join with no pair both pack to an empty
    answer that weighs the 256-byte base and serves back empty *)
-let service_empty_answers condense () =
+let service_empty_answers () =
   let ctx = fixture () in
-  let service =
-    Service.create ~config:{ Service.default_config with domains = 1; condense } ctx
-  in
+  let service = Service.create ~config:{ Service.default_config with domains = 1 } ctx in
   Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
   let empty_side = Query.make ~s_minsup:0.99 ~t_minsup:0.1 () in
   let empty_join =
@@ -512,9 +475,10 @@ let service_empty_answers condense () =
    0..39 (prices >= 300) with noise on items 40..79 (prices < 300): every
    subset of a pattern has the pattern's support, so a handful of closed
    sets stand in for each collection, and the price floor keeps mining on
-   the pattern items.  Under the smallest budget the condensed working set
-   fits and the raw one does not, a two-pass replay (pass 2 re-issues pass
-   1) hits more often condensed than raw, with identical answers. *)
+   the pattern items.  The smallest budget the condensed working set fits
+   is below the raw-equivalent size of the same working set, and under it a
+   two-pass replay (pass 2 re-issues pass 1) hits on every re-issue, every
+   answer Exec.run's. *)
 let condensed_hits_more_at_a_fixed_budget () =
   let rng = Cfq_quest.Splitmix.create ~seed:20260823L in
   let pattern lo prob =
@@ -542,47 +506,41 @@ let condensed_hits_more_at_a_fixed_budget () =
       [ 0.3; 0.33 ]
   in
   let n = List.length queries in
-  (* pairs with supports, in order *)
-  let exact a =
-    String.concat " "
-      (List.map
-         (fun (s, t) ->
-           Printf.sprintf "%s@%d,%s@%d" (Itemset.to_string s.Frequent.set) s.Frequent.support
-             (Itemset.to_string t.Frequent.set) t.Frequent.support)
-         a.Service.pairs)
-  in
-  (* [passes] replays of the script; the metrics and every answer *)
-  let replay ~budget ~passes condense =
+  (* [passes] replays of the script, every answer checked against
+     Exec.run; the metrics and the first pass's answers *)
+  let replay ~budget ~passes =
     let service =
-      Service.create
-        ~config:{ Service.default_config with domains = 1; cache_budget = budget; condense }
-        ctx
+      Service.create ~config:{ Service.default_config with domains = 1; cache_budget = budget } ctx
     in
     Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
-    let answers = List.init passes (fun _ -> List.map (fun q -> exact (expect_ok (Service.run service q))) queries) in
-    (Service.metrics service, List.concat answers)
+    let answers =
+      List.init passes (fun pass ->
+          List.map
+            (fun q -> check_exact ctx service (Printf.sprintf "pass %d matches Exec" (pass + 1)) q)
+            queries)
+    in
+    (Service.metrics service, List.hd answers)
   in
   (* the smallest budget a working set fits: 3/4 of it holds sides, 1/4 answers *)
-  let fits (m : Metrics.snapshot) =
-    max ((m.Metrics.side_bytes * 4 / 3) + 1) ((m.Metrics.answer_bytes * 4) + 1)
+  let fits ~side_bytes ~answer_bytes = max ((side_bytes * 4 / 3) + 1) ((answer_bytes * 4) + 1) in
+  let need, answers = replay ~budget:(1 lsl 28) ~passes:1 in
+  let budget =
+    fits ~side_bytes:need.Metrics.side_bytes ~answer_bytes:need.Metrics.answer_bytes
   in
-  let raw_need, raw_answers = replay ~budget:(1 lsl 28) ~passes:1 false in
-  let cond_need, cond_answers = replay ~budget:(1 lsl 28) ~passes:1 true in
-  Alcotest.(check (list string)) "unbounded: identical answers" raw_answers cond_answers;
-  let budget = fits cond_need in
+  (* the raw-equivalent working set: every insert of one pass is cached,
+     so the ratio metrics' raw bytes are the raw sides plus the raw answers *)
+  let raw_answers = List.fold_left (fun acc a -> acc + raw_answer_bytes a.Service.pairs) 0 answers in
+  let raw_sides = need.Metrics.cond_raw_bytes - raw_answers in
+  Alcotest.(check bool) "the sides are stored closed" true (need.Metrics.side_bytes < raw_sides);
+  Alcotest.(check bool) "the answers are stored packed" true
+    (need.Metrics.answer_bytes < raw_answers);
+  let raw_fit = fits ~side_bytes:raw_sides ~answer_bytes:raw_answers in
   Alcotest.(check bool)
-    (Printf.sprintf "condensed working set fits in less (%d < %d)" budget (fits raw_need))
-    true
-    (budget < fits raw_need);
-  let raw, raw_answers = replay ~budget ~passes:2 false in
-  let cond, cond_answers = replay ~budget ~passes:2 true in
-  Alcotest.(check (list string)) "fixed budget: identical answers" raw_answers cond_answers;
-  Alcotest.(check int) "condensed: every re-issue hits" n cond.Metrics.answer_hits;
-  Alcotest.(check bool)
-    (Printf.sprintf "condensed hits %d > raw hits %d" cond.Metrics.answer_hits raw.Metrics.answer_hits)
-    true
-    (cond.Metrics.answer_hits > raw.Metrics.answer_hits);
-  Alcotest.(check bool) "condensed hits reconstructed" true (cond.Metrics.reconstructions > 0)
+    (Printf.sprintf "condensed working set fits in less (%d < %d)" budget raw_fit)
+    true (budget < raw_fit);
+  let m, _ = replay ~budget ~passes:2 in
+  Alcotest.(check int) "every re-issue hits" n m.Metrics.answer_hits;
+  Alcotest.(check bool) "every hit reconstructed" true (m.Metrics.reconstructions >= n)
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: a (possibly cache-served) refinement returns exactly the
@@ -662,11 +620,8 @@ let knobs_round_trip () =
         (Astring_contains.contains msg "kernel");
       Alcotest.(check bool) "error lists trie, direct2" true
         (Astring_contains.contains msg "trie, direct2"));
-  Alcotest.(check (list string)) "the eight knobs"
-    [
-      "domains"; "mine-domains"; "cache-mb"; "deadline"; "retries"; "breaker-threshold";
-      "kernel"; "condense";
-    ]
+  Alcotest.(check (list string)) "the seven knobs"
+    [ "domains"; "mine-domains"; "cache-mb"; "deadline"; "retries"; "breaker-threshold"; "kernel" ]
     (List.map (fun (k : Service.knob) -> k.name) Service.knobs)
 
 let suite =
@@ -689,16 +644,9 @@ let suite =
     Alcotest.test_case "service: subsumption reuse" `Quick service_subsumption_reuse;
     Alcotest.test_case "service: deadline is a clean error" `Quick service_deadline_clean_error;
     Alcotest.test_case "service: eviction at the memory budget" `Quick service_eviction_at_budget;
-    Alcotest.test_case "service: condensed cache answers match raw" `Quick
-      service_condensed_matches_raw;
-    Alcotest.test_case "service: cache bytes follow the byte model (condensed)" `Quick
-      (service_bytes_follow_model true);
-    Alcotest.test_case "service: cache bytes follow the byte model (raw)" `Quick
-      (service_bytes_follow_model false);
-    Alcotest.test_case "service: empty side and empty join (condensed)" `Quick
-      (service_empty_answers true);
-    Alcotest.test_case "service: empty side and empty join (raw)" `Quick
-      (service_empty_answers false);
+    Alcotest.test_case "service: cache bytes follow the byte model" `Quick
+      service_bytes_follow_model;
+    Alcotest.test_case "service: empty side and empty join" `Quick service_empty_answers;
     Alcotest.test_case "service: condensed cache hits more at a fixed budget" `Quick
       condensed_hits_more_at_a_fixed_budget;
     Helpers.qtest ~count:200 "lru: weight stays within budget" gen_lru_ops print_lru_ops
