@@ -2,7 +2,9 @@
    1/2/4 domains, on (a) one heavy level-2 counting pass (the pair-candidate
    explosion that dominates early levels) and (b) a full [Exec.run] of a
    2-var query under the default direct2 kernel; plus the trie against the
-   direct kernels on the level-2 pass and on a level-1 pass of every item.
+   direct kernels on the level-2 pass and on a level-1 pass of every item,
+   and two overlapping pair families counted from one shared triangle
+   against one triangle each.
    Prints a table and writes the same rows machine-readably to
    BENCH_counting.json so the perf trajectory is diffable across PRs.
 
@@ -173,6 +175,70 @@ let run (scale : Workloads.scale) =
       "warning: direct2 below the 2x target on this pass (%.4fs vs trie %.4fs)\n%!"
       direct2_s trie_s;
 
+  (* ---- (a''') a shared level-2 pass ----
+     two overlapping pair families in one pass, the shape of a dovetailed
+     S/T level: all pairs over the first two thirds of the frequent items
+     and all pairs over the last two thirds.  Both sides run the same
+     sequential loop over [Direct2]: "two" ranks each row and counts it
+     into each family's own triangle, as a pass does when the union is not
+     admissible; "one" counts each row once into one triangle over both
+     families' items ([Direct2.union]) and reads each family's supports
+     through its view.  Both are checked against the trie first, and
+     [count_shared] under direct2 must share one triangle and agree. *)
+  let sorted_items = Array.of_list (List.rev !frequent_items) in
+  let n_freq = Array.length sorted_items in
+  let fam_a = Candidate.pairs_all (Array.sub sorted_items 0 (2 * n_freq / 3))
+  and fam_b = Candidate.pairs_all (Array.sub sorted_items (n_freq / 3) (n_freq - (n_freq / 3))) in
+  let shared_families = [ (Counters.create (), fam_a); (Counters.create (), fam_b) ] in
+  let shared_ref = Counting.count_shared db io shared_families in
+  let scan_into layouts =
+    let layouts = Array.of_list layouts in
+    let cells = Array.map Direct2.init_cells layouts in
+    let scratch = Direct2.scratch () in
+    Cfq_txdb.Tx_db.scan_rows db io (fun items off len ->
+        for k = 0 to Array.length layouts - 1 do
+          Direct2.count_row layouts.(k) cells.(k) scratch items off len
+        done);
+    Array.to_list cells
+  in
+  let two_triangles () =
+    let layouts = List.map (fun c -> Option.get (Direct2.shape c)) [ fam_a; fam_b ] in
+    List.map2 Direct2.extract layouts (scan_into layouts)
+  in
+  let one_triangle () =
+    let u = Direct2.union (List.map (fun c -> Option.get (Direct2.of_pairs c)) [ fam_a; fam_b ]) in
+    match scan_into [ u ] with
+    | [ cells ] -> List.map (fun c -> Direct2.extract (Direct2.view u c) cells) [ fam_a; fam_b ]
+    | _ -> assert false
+  in
+  let session = Counting.create_session Counting.Direct2 in
+  List.iter
+    (fun (name, f) ->
+      if f () <> shared_ref then begin
+        Printf.printf "FAIL: shared level-2 pass (%s) differs from the trie\n" name;
+        exit 1
+      end)
+    [
+      ("two triangles", two_triangles);
+      ("one triangle", one_triangle);
+      ("count_shared", fun () -> Counting.count_shared ~session db io shared_families);
+    ];
+  if (Counting.last_shape session).Counting.shared_families <> 2 then begin
+    print_endline "FAIL: count_shared did not count the two families from one triangle";
+    exit 1
+  end;
+  let two_s, one_s, shared_speedup =
+    per_pass_pair (fun () -> ignore (two_triangles ())) (fun () -> ignore (one_triangle ()))
+  in
+  let shared_rows = [ ("two", two_s, 1.); ("one", one_s, shared_speedup) ] in
+  let tbl = Table.create [ "triangles"; "wall(s)"; "vs two" ] in
+  List.iter
+    (fun (name, s, sp) -> Table.add_row tbl [ name; Table.fcell s; Table.speedup_cell sp ])
+    shared_rows;
+  Printf.printf "\nshared level-2 pass (sequential, %d + %d pair candidates)\n"
+    (Array.length fam_a) (Array.length fam_b);
+  Table.print tbl;
+
   (* ---- (a'') kernel comparison on a level-1 pass ----
      every item as a singleton: the trie against the item histogram,
      sequential, both checked against the exact item frequencies first *)
@@ -274,6 +340,18 @@ let run (scale : Workloads.scale) =
         "  \"kernels\": {";
         "    \"rows\": [";
         kernel_json kernel_rows;
+        "    ]";
+        "  },";
+        "  \"shared_level2\": {";
+        Printf.sprintf "    \"candidates\": [%d, %d]," (Array.length fam_a) (Array.length fam_b);
+        "    \"rows\": [";
+        String.concat ",\n"
+          (List.map
+             (fun (name, s, sp) ->
+               Printf.sprintf
+                 "      {\"triangles\": %S, \"seconds\": %.6f, \"speedup_vs_two\": %.3f}"
+                 name s sp)
+             shared_rows);
         "    ]";
         "  },";
         "  \"level1\": {";

@@ -16,7 +16,6 @@ type repr =
 type t = {
   repr : repr;
   n_sets : int;
-  n_closed : int;
   max_level : int;
   raw_bytes : int;
   stored_bytes : int;
@@ -24,7 +23,6 @@ type t = {
 
 let is_condensed t = match t.repr with Closed _ -> true | Raw _ -> false
 let n_sets t = t.n_sets
-let n_closed t = t.n_closed
 let raw_bytes t = t.raw_bytes
 let bytes t = t.stored_bytes
 
@@ -34,7 +32,6 @@ let raw freq =
   {
     repr = Raw freq;
     n_sets = n;
-    n_closed = n;
     max_level = Frequent.max_level freq;
     raw_bytes = b;
     stored_bytes = b;
@@ -96,9 +93,6 @@ let of_frequent ?(force = false) freq =
   if r.n_sets = 0 || not (condensable freq) then r
   else begin
     let buckets = closed_buckets freq in
-    let n_closed =
-      Array.fold_left (fun acc l -> acc + Array.length l) 0 buckets
-    in
     let stored =
       Array.fold_left
         (Array.fold_left (fun acc e -> acc + entry_weight e))
@@ -108,7 +102,6 @@ let of_frequent ?(force = false) freq =
       {
         repr = Closed buckets;
         n_sets = r.n_sets;
-        n_closed;
         max_level = r.max_level;
         raw_bytes = r.raw_bytes;
         stored_bytes = stored;

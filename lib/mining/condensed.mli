@@ -44,14 +44,12 @@ val frequent_weight : Frequent.t -> int
 
 type t
 
-(** [raw f] stores [f] uncondensed ([bytes = raw_bytes =
-    frequent_weight f]); {!to_frequent} returns [f] itself. *)
-val raw : Frequent.t -> t
-
 (** [of_frequent ?force f] condenses [f] to its closed sets when the
     round-trip is provably the identity {e and} the condensed form is
-    strictly smaller; otherwise falls back to [raw f].  [~force:true]
-    condenses whenever lossless, even when not smaller. *)
+    strictly smaller; otherwise it stores [f] uncondensed ([bytes =
+    raw_bytes = frequent_weight f], and {!to_frequent} returns [f]
+    itself).  [~force:true] condenses whenever lossless, even when not
+    smaller. *)
 val of_frequent : ?force:bool -> Frequent.t -> t
 
 (** Reconstruct the full collection.  Exactly the [f] given to
@@ -65,9 +63,6 @@ val is_condensed : t -> bool
 
 (** Sets in the {e represented} collection (not the stored closed ones). *)
 val n_sets : t -> int
-
-(** Stored closed sets ([= n_sets] when raw). *)
-val n_closed : t -> int
 
 (** Weight of the raw representation (what the cache would have charged
     before condensation). *)

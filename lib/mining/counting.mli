@@ -21,15 +21,29 @@
     {- {e direct2} — {!Direct2}: a triangular count array over the ranks of
        the level-2 candidates' items, no trie.}}
 
-    Under the [Trie] kernel every family gets a trie.  Under the [Direct2]
-    kernel a non-empty all-singleton family gets the histogram, an
-    all-pairs family gets the direct2 array when {!direct2_admissible}
-    holds, and every other family gets a trie.  Histogram and direct2
-    families are both labelled ["direct2"].
+    Under the [Trie] kernel every family gets a trie, and every row is
+    walked whole: the reference path.  Under the [Direct2] kernel a
+    non-empty all-singleton family gets the histogram, an all-pairs family
+    gets the direct2 array when {!direct2_admissible} holds, and every
+    other family gets a trie.  Histogram and direct2 families are both
+    labelled ["direct2"].  Two more rules make a [Direct2] pass walk each
+    row once:
+
+    {ul
+    {- {e shared triangle} — when two or more families get a direct2
+       array, they share one triangle over the items of all their
+       candidates, if it is admissible for their distinct candidates
+       (duplicates counted once); each family reads its candidates' cells
+       off it.  Otherwise each keeps its own;}
+    {- {e row trimming} — when every family is a trie of sets of at least
+       [k >= 2] items, each row is first cut down to the items that occur
+       in some candidate, and a row left with fewer than the smallest [k]
+       is skipped.}}
 
     The row callback allocates nothing: each participant holds its
-    histogram and one accumulator per family in arrays, and the trie walk
-    is allocation-free.
+    histogram, the shared cells and one accumulator per family in arrays,
+    trims rows into a scratch it reuses, and the trie walk is
+    allocation-free.
 
     Contract: the counts, and therefore every frequent-set collection and
     answer downstream, are byte-identical to the trie path for every
@@ -140,6 +154,16 @@ type pass_counts = { trie_passes : int; direct2_passes : int }
     composite counts once, so the same mine reports the same counts on
     every backend. *)
 val pass_counts : session -> pass_counts
+
+(** How the most recent pass shared its work under [Direct2]:
+    [shared_families] pair families read their supports off one shared
+    level-2 triangle (0 when each counted its own), and trimming skipped
+    [rows_skipped] rows, those with fewer candidate items than the
+    smallest candidate (0 when the pass walked rows whole).  Both are the
+    same for every domain count and backend. *)
+type pass_shape = { shared_families : int; rows_skipped : int }
+
+val last_shape : session -> pass_shape
 
 (** One-line summary of {!pass_counts} for notes and reports. *)
 val describe : session -> string

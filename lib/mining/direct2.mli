@@ -21,6 +21,27 @@ type t
     ([None] otherwise, or when [cands] is empty).  O(candidates). *)
 val shape : Itemset.t array -> t option
 
+(** [of_pairs cands] is [shape cands] without its candidates: the layout
+    over their items, to read through {!view}.  It does not look up a
+    candidate's cell. *)
+val of_pairs : Itemset.t array -> t option
+
+(** [union ts] is the layout over the ranked items of every layout of
+    [ts], with no candidates of its own: read it through {!view}.  One
+    cell array counted with it holds every pair of every [t]. *)
+val union : t list -> t
+
+(** [view t cands] is [t]'s layout reading the cells of [cands] instead
+    of [t]'s own candidates: the same ranks and cells, so one cell array
+    counted with [t] serves both.  Raises [Invalid_argument] unless every
+    candidate is a 2-set of items ranked in [t]. *)
+val view : t -> Itemset.t array -> t
+
+(** [n_distinct ts] is the number of distinct cells the candidates of
+    [ts], views of one layout, read: their distinct candidates,
+    duplicates counted once. *)
+val n_distinct : t list -> int
+
 (** Number of triangular cells — the memory cost (in words) of one
     accumulator. *)
 val n_cells : t -> int

@@ -47,12 +47,18 @@ let mine db ~minsup =
   let out = Apriori.mine db info io ~minsup () in
   out.Apriori.frequent
 
+let entry set support = { Frequent.set = Itemset.of_list set; support }
+
 let condensed_shrinks_correlated () =
   let freq = mine (correlated_db ()) ~minsup:5 in
   Alcotest.(check int) "8 frequent sets" 8 (Frequent.n_sets freq);
   let c = Condensed.of_frequent freq in
   Alcotest.(check bool) "condensed" true (Condensed.is_condensed c);
-  Alcotest.(check int) "two closed sets" 2 (Condensed.n_closed c);
+  (* the closed form stores two sets, {0,1,2}:12 and {3}:8, on a 160-byte
+     base *)
+  Alcotest.(check int) "two closed sets"
+    (160 + Condensed.entry_weight (entry [ 0; 1; 2 ] 12) + Condensed.entry_weight (entry [ 3 ] 8))
+    (Condensed.bytes c);
   Alcotest.(check int) "n_sets preserved" 8 (Condensed.n_sets c);
   Alcotest.(check bool) "strictly smaller" true
     (Condensed.bytes c < Condensed.raw_bytes c);
@@ -61,8 +67,6 @@ let condensed_shrinks_correlated () =
     (frequent_str back);
   Alcotest.(check bool) "structurally identical" true
     (frequent_identical freq back)
-
-let entry set support = { Frequent.set = Itemset.of_list set; support }
 
 let raw_fallback_on_closure_gap () =
   (* {0,1} present without {1}: not downward closed, must stay raw *)
@@ -85,11 +89,23 @@ let raw_fallback_on_support_violation () =
   Alcotest.(check bool) "not condensed" false (Condensed.is_condensed c)
 
 let raw_weight_matches_model () =
-  let freq = mine (correlated_db ()) ~minsup:5 in
-  let r = Condensed.raw freq in
+  (* a mined collection, {0} cut out: not downward closed, so stored raw *)
+  let mined = mine (correlated_db ()) ~minsup:5 in
+  let freq =
+    Frequent.of_levels
+      (List.map
+         (fun k ->
+           Array.of_list
+             (List.filter
+                (fun (e : Frequent.entry) -> not (Itemset.equal e.set (Itemset.of_list [ 0 ])))
+                (Array.to_list (Frequent.level mined k))))
+         [ 1; 2; 3 ])
+  in
+  let r = Condensed.of_frequent freq in
   Alcotest.(check bool) "raw stores nothing extra" false (Condensed.is_condensed r);
   Alcotest.(check int) "raw bytes = frequent_weight"
-    (Condensed.frequent_weight freq) (Condensed.bytes r)
+    (Condensed.frequent_weight freq) (Condensed.bytes r);
+  Alcotest.(check int) "stored bytes = raw bytes" (Condensed.raw_bytes r) (Condensed.bytes r)
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: identity round-trip across kernels × domains *)

@@ -155,41 +155,115 @@ let prop_faults_same_walk (q, (n, db)) =
 (* Mixed families in one pass: histogram, direct2 and trie together    *)
 (* ------------------------------------------------------------------ *)
 
-(* Two singleton families (the second overlaps the first and holds the
-   largest singleton items, so it sizes the histogram), a pair family and
-   a triple family, over transactions that may be empty or carry items
-   above the histogram. *)
+(* Six families over transactions that may be empty or carry items above
+   every candidate:
+   - two singleton families (the second overlaps the first and holds the
+     largest singleton items, so it sizes the histogram);
+   - two pair families that are identical, overlapping or disjoint, or two
+     perfect matchings [(0,1), (2,3), ...] at the edge of
+     [direct2_admissible]: a matching of [a] pairs is admissible alone iff
+     [a <= 8], and the union of two iff it holds at most 8 distinct pairs.
+     The second matching may repeat a prefix of the first, so a union
+     that counted a repeat twice would pass where the distinct one fails;
+   - a triple family and a second family of triples or 4-sets, so the
+     smallest cardinality bounds the rows trimming skips. *)
 let gen_mixed_pass =
   QCheck2.Gen.(
     let* n = int_range 5 9 in
-    let top = n + 4 in
+    let* mode = frequencyl [ (1, 0); (1, 1); (1, 2); (2, 3) ] in
+    (* matchings of 6 to 15 pairs: a first one of 9 is inadmissible alone,
+       and a union of 9 or 10 distinct pairs with a repeat of 1 to 3 is
+       where counting repeats would flip the admission *)
+    let* a = int_range 4 9 in
+    let* b = int_range 2 6 in
+    let* prefix = int_range 0 3 in
+    let top = if mode = 3 then max (n + 4) ((2 * (a + b)) + 1) else n + 4 in
     let gen_set k = list_repeat k (int_range 0 top) in
     let family k sets =
       List.filter (fun s -> Itemset.cardinal s = k) (List.map Itemset.of_list sets)
       |> List.sort_uniq Itemset.compare |> Array.of_list
     in
     let singles items = Array.of_list (List.map Itemset.singleton (List.sort_uniq compare items)) in
-    let* a = list_size (int_range 1 6) (int_range 0 (n - 1)) in
+    let matching lo k = List.init k (fun i -> [ lo + (2 * i); lo + (2 * i) + 1 ]) in
+    let* s1 = list_size (int_range 1 6) (int_range 0 (n - 1)) in
     let* above = list_size (int_range 1 2) (int_range n (n + 2)) in
-    let* b_rest = list_size (int_range 0 3) (int_range 0 (n - 1)) in
+    let* s2_rest = list_size (int_range 0 3) (int_range 0 (n - 1)) in
     let* pairs = list_size (int_range 1 15) (gen_set 2) in
+    let* more_pairs = list_size (int_range 1 15) (gen_set 2) in
+    let* low = list_size (int_range 1 8) (list_repeat 2 (int_range 0 (top / 2))) in
+    let* high = list_size (int_range 1 8) (list_repeat 2 (int_range ((top / 2) + 1) top)) in
     let* triples = list_size (int_range 1 10) (gen_set 3) in
+    let* k2 = int_range 3 4 in
+    let* wider = list_size (int_range 1 10) (gen_set k2) in
     let* txs =
       list_size (int_range 20 60)
-        (frequency [ (1, return []); (5, list_size (int_range 1 8) (int_range 0 top)) ])
+        (frequency [ (1, return []); (5, list_size (int_range 1 10) (int_range 0 top)) ])
     in
-    let pairs = family 2 ([ 0; 1 ] :: pairs) and triples = family 3 ([ 0; 1; 2 ] :: triples) in
+    let pairs1, pairs2 =
+      match mode with
+      | 0 -> ([ 0; 1 ] :: pairs, [ 0; 1 ] :: pairs)
+      | 1 -> ([ 0; 1 ] :: pairs, ([ 0; 1 ] :: List.filteri (fun i _ -> i mod 2 = 0) pairs) @ more_pairs)
+      | 2 -> ([ 0; 1 ] :: low, [ top - 1; top ] :: high)
+      | _ -> (matching 0 a, List.filteri (fun i _ -> i < prefix) (matching 0 a) @ matching (2 * a) b)
+    in
     return
       ( Array.of_list (List.map Itemset.of_list txs),
-        [ singles a; singles ((List.hd a :: above) @ b_rest); pairs; triples ] ))
+        [
+          singles s1;
+          singles ((List.hd s1 :: above) @ s2_rest);
+          family 2 pairs1;
+          family 2 pairs2;
+          family 3 ([ 0; 1; 2 ] :: triples);
+          family k2 wider;
+        ] ))
 
 let print_mixed_pass (txs, fams) =
   let sets a = String.concat "," (Array.to_list (Array.map Itemset.to_string a)) in
   Printf.sprintf "txs=[%s] families=[%s]" (sets txs)
     (String.concat " | " (List.map sets fams))
 
+(* The Direct2 plan of one pass, restated from its rules: each family's
+   label, and the pass's shape (pair families read off one shared
+   triangle, rows trimming skips). *)
+let expected_plan txs fams =
+  let singletons c = Array.length c > 0 && Array.for_all (fun s -> Itemset.cardinal s = 1) c in
+  let admissible ~n_cands cands =
+    match Direct2.shape cands with
+    | Some d -> Counting.direct2_admissible ~n_cands ~n_cells:(Direct2.n_cells d)
+    | None -> false
+  in
+  let own = List.filter (fun c -> admissible ~n_cands:(Array.length c) c) fams in
+  let labels =
+    List.map (fun c -> if singletons c || List.memq c own then "direct2" else "trie") fams
+  in
+  let union = Array.of_list (List.sort_uniq Itemset.compare (List.concat_map Array.to_list own)) in
+  let shared_families =
+    if List.length own >= 2 && admissible ~n_cands:(Array.length union) union then List.length own
+    else 0
+  in
+  let cards = List.concat_map (fun c -> List.map Itemset.cardinal (Array.to_list c)) fams in
+  let min_k = List.fold_left min max_int cards in
+  let rows_skipped =
+    if List.mem "direct2" labels || min_k < 2 || cards = [] then 0
+    else begin
+      let cand_items = List.concat_map (fun c -> List.concat_map Itemset.to_list (Array.to_list c)) fams in
+      Array.fold_left
+        (fun n tx ->
+          let k = List.length (List.filter (fun i -> List.mem i cand_items) (Itemset.to_list tx)) in
+          if k < min_k then n + 1 else n)
+        0 txs
+    end
+  in
+  (labels, { Counting.shared_families; rows_skipped })
+
+(* Three passes from the six families: all of them (the histogram, the
+   pair families and the tries side by side), the two pair families alone,
+   and the two trie families alone (the only pass whose rows are
+   trimmed).  Each is counted at 1 and 3 domains on a plain and a
+   3-shard database under direct2, and must equal the trie and brute
+   force in counts, scans and pages, with the plan's labels and shape. *)
 let prop_mixed_pass_grid (txs, fams) =
-  let pass ?(domains = 1) kernel db =
+  let pass ?(domains = 1) kernel db fams =
     let io = Io_stats.create () in
     let session = session_of kernel in
     let counts =
@@ -198,25 +272,32 @@ let prop_mixed_pass_grid (txs, fams) =
         ~session db io
         (List.map (fun c -> (Counters.create (), c)) fams)
     in
-    (counts, (Io_stats.scans io, Io_stats.pages_read io), Counting.last_kernels session)
+    ( counts,
+      (Io_stats.scans io, Io_stats.pages_read io),
+      Counting.last_kernels session,
+      Counting.last_shape session )
   in
   (* small pages, so a 3-domain pass really fans out over several chunks *)
   let page_model = Page_model.make ~page_size_bytes:64 () in
   let plain = Tx_db.create ~page_model txs in
-  let ref_counts, ref_io, ref_labels = pass Counting.Trie plain in
-  let brute = List.map (Array.map (Helpers.support_of plain)) fams in
-  ref_counts = brute
-  && ref_labels = [ "trie"; "trie"; "trie"; "trie" ]
-  && List.for_all
-       (fun db ->
-         List.for_all
-           (fun domains ->
-             let counts, io, labels = pass ~domains Counting.Direct2 db in
-             counts = ref_counts && io = ref_io
-             && List.filteri (fun i _ -> i < 2) labels = [ "direct2"; "direct2" ]
-             && List.nth labels 3 = "trie")
-           domain_grid)
-       [ plain; Cfq_shard.Sharded.mem_db ~page_model ~shards:3 txs ]
+  let sharded = Cfq_shard.Sharded.mem_db ~page_model ~shards:3 txs in
+  let pick idx = List.filteri (fun i _ -> List.mem i idx) fams in
+  List.for_all
+    (fun fams ->
+      let ref_counts, ref_io, ref_labels, ref_shape = pass Counting.Trie plain fams in
+      let labels, shape = expected_plan txs fams in
+      ref_counts = List.map (Array.map (Helpers.support_of plain)) fams
+      && ref_labels = List.map (fun _ -> "trie") fams
+      && ref_shape = { Counting.shared_families = 0; rows_skipped = 0 }
+      && List.for_all
+           (fun db ->
+             List.for_all
+               (fun domains ->
+                 let counts, io, l, sh = pass ~domains Counting.Direct2 db fams in
+                 counts = ref_counts && io = ref_io && l = labels && sh = shape)
+               domain_grid)
+           [ plain; sharded ])
+    [ fams; pick [ 2; 3 ]; pick [ 4; 5 ] ]
 
 (* ------------------------------------------------------------------ *)
 (* Rows at an offset: a disk scan hands the kernels each transaction    *)
@@ -224,14 +305,17 @@ let prop_mixed_pass_grid (txs, fams) =
 (* ------------------------------------------------------------------ *)
 
 (* Every transaction of the pass is laid out in one array between runs of
-   the items 0, 1, 2, which every pair and triple family of the generator
-   contains, so a kernel that read past either end of its row would count
+   every item up to the largest candidate item, which contain every
+   candidate, so a kernel that read past either end of its row would count
    them.  Counting each row where it sits equals counting its own copy,
    for the trie on every family and for direct2 on every family it
    shapes. *)
 let prop_rows_at_offset (txs, fams) =
   let own = Array.map Itemset.to_array txs in
-  let junk = [| 0; 1; 2 |] in
+  let top =
+    List.fold_left (Array.fold_left (fun m s -> Itemset.fold max m s)) 0 fams
+  in
+  let junk = Array.init (top + 1) Fun.id in
   let shared = Array.concat (junk :: List.concat_map (fun r -> [ r; junk ]) (Array.to_list own)) in
   let offs = Array.make (Array.length own) 0 in
   let at = ref (Array.length junk) in
@@ -434,7 +518,7 @@ let suite =
     unit "direct2 budget and sparsity cutoffs" test_direct2_cutoffs;
     unit "direct2 kernel engages on level 2" test_direct2_engages;
     unit "direct2 counts level 1 from the item histogram" test_level1_histogram;
-    Helpers.qtest ~count:100 "mixed families in one pass match the trie" gen_mixed_pass
+    Helpers.qtest ~count:200 "mixed families in one pass match the trie" gen_mixed_pass
       print_mixed_pass prop_mixed_pass_grid;
     unit "trie nodes stop early and count exactly" test_trie_early_stop;
     Helpers.qtest ~count:100 "trie and direct2 count a row at an offset like its copy"
