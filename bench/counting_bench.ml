@@ -3,8 +3,9 @@
    explosion that dominates early levels) and (b) a full [Exec.run] of a
    2-var query under the default direct2 kernel; plus the trie against the
    direct kernels on the level-2 pass and on a level-1 pass of every item,
-   and two overlapping pair families counted from one shared triangle
-   against one triangle each.
+   two overlapping pair families counted from one shared triangle
+   against one triangle each, and level 2 from generation to absorb on
+   the explicit and the implicit candidate path.
    Prints a table and writes the same rows machine-readably to
    BENCH_counting.json so the perf trajectory is diffable across PRs.
 
@@ -182,8 +183,8 @@ let run (scale : Workloads.scale) =
      sequential loop over [Direct2]: "two" ranks each row and counts it
      into each family's own triangle, as a pass does when the union is not
      admissible; "one" counts each row once into one triangle over both
-     families' items ([Direct2.union]) and reads each family's supports
-     through its view.  Both are checked against the trie first, and
+     families' items ([Direct2.of_items]) and reads each family's supports
+     off its candidates' cells.  Both are checked against the trie first, and
      [count_shared] under direct2 must share one triangle and agree. *)
   let sorted_items = Array.of_list (List.rev !frequent_items) in
   let n_freq = Array.length sorted_items in
@@ -201,14 +202,19 @@ let run (scale : Workloads.scale) =
         done);
     Array.to_list cells
   in
+  let items_of c = Option.get (Direct2.pair_items c) in
+  let read d cells c =
+    Array.map (fun s -> cells.(Direct2.cell d (Itemset.get s 0) (Itemset.get s 1))) c
+  in
   let two_triangles () =
-    let layouts = List.map (fun c -> Option.get (Direct2.shape c)) [ fam_a; fam_b ] in
-    List.map2 Direct2.extract layouts (scan_into layouts)
+    let layouts = List.map (fun c -> Direct2.of_items [ items_of c ]) [ fam_a; fam_b ] in
+    List.map2 (fun (d, cells) c -> read d cells c)
+      (List.combine layouts (scan_into layouts)) [ fam_a; fam_b ]
   in
   let one_triangle () =
-    let u = Direct2.union (List.map (fun c -> Option.get (Direct2.of_pairs c)) [ fam_a; fam_b ]) in
+    let u = Direct2.of_items (List.map items_of [ fam_a; fam_b ]) in
     match scan_into [ u ] with
-    | [ cells ] -> List.map (fun c -> Direct2.extract (Direct2.view u c) cells) [ fam_a; fam_b ]
+    | [ cells ] -> List.map (read u cells) [ fam_a; fam_b ]
     | _ -> assert false
   in
   let session = Counting.create_session Counting.Direct2 in
@@ -237,6 +243,40 @@ let run (scale : Workloads.scale) =
     shared_rows;
   Printf.printf "\nshared level-2 pass (sequential, %d + %d pair candidates)\n"
     (Array.length fam_a) (Array.length fam_b);
+  Table.print tbl;
+
+  (* ---- (a+) level 2 as the engine runs it ----
+     from the frequent items of the heavy pass to its frequent pairs, one
+     sequential direct2 pass each: "explicit" builds every pair as an
+     itemset ([Candidate.pairs_all]) and counts them as a listed family,
+     as [Cap] does when admission can reject a candidate; "implicit"
+     counts the [Candidate.Pairs] form of the same items, as [Cap] does
+     when it cannot.  Both box the frequent pairs in [Itemset.compare]
+     order ([Counting.frequent], as [Cap.absorb] does) and must give the
+     same frequent pairs. *)
+  let level2_build form () =
+    let session = Counting.create_session Counting.Direct2 in
+    match Counting.count_pass ~session db io [ (Counters.create (), form ()) ] with
+    | [ s ] -> Counting.frequent s ~minsup
+    | _ -> assert false
+  in
+  let explicit_build = level2_build (fun () -> Candidate.Sets (Candidate.pairs_all sorted_items))
+  and implicit_build = level2_build (fun () -> Candidate.Pairs sorted_items) in
+  let frequent_pairs = implicit_build () in
+  if explicit_build () <> frequent_pairs then begin
+    print_endline "FAIL: the implicit level-2 path found other frequent pairs than the explicit one";
+    exit 1
+  end;
+  let explicit_s, implicit_s, build_speedup =
+    per_pass_pair (fun () -> ignore (explicit_build ())) (fun () -> ignore (implicit_build ()))
+  in
+  let build_rows = [ ("explicit", explicit_s, 1.); ("implicit", implicit_s, build_speedup) ] in
+  let tbl = Table.create [ "path"; "wall(s)"; "vs explicit" ] in
+  List.iter
+    (fun (name, s, sp) -> Table.add_row tbl [ name; Table.fcell s; Table.speedup_cell sp ])
+    build_rows;
+  Printf.printf "\nlevel 2 from generation to absorb (sequential, %d candidates, %d frequent)\n"
+    (Array.length cands) (Array.length frequent_pairs);
   Table.print tbl;
 
   (* ---- (a'') kernel comparison on a level-1 pass ----
@@ -352,6 +392,19 @@ let run (scale : Workloads.scale) =
                  "      {\"triangles\": %S, \"seconds\": %.6f, \"speedup_vs_two\": %.3f}"
                  name s sp)
              shared_rows);
+        "    ]";
+        "  },";
+        "  \"level2_build\": {";
+        Printf.sprintf "    \"candidates\": %d," (Array.length cands);
+        Printf.sprintf "    \"frequent\": %d," (Array.length frequent_pairs);
+        "    \"rows\": [";
+        String.concat ",\n"
+          (List.map
+             (fun (name, s, sp) ->
+               Printf.sprintf
+                 "      {\"path\": %S, \"seconds\": %.6f, \"speedup_vs_explicit\": %.3f}"
+                 name s sp)
+             build_rows);
         "    ]";
         "  },";
         "  \"level1\": {";

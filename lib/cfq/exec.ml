@@ -256,18 +256,7 @@ let run_sequential ?par ~session ctx (q : Query.t) (plan : Plan.t) io =
   let t_state =
     Cap.create ctx.db ctx.t_info ?max_level:q.Query.max_level ~minsup:minsup_t t_bundle
   in
-  let level1 state =
-    match Cap.next_candidates state with
-    | None -> ()
-    | Some cands ->
-        let counts =
-          Counting.count_level ?par ~session ctx.db io (Cap.counters state) cands
-        in
-        let (_ : Frequent.entry array) =
-          Cap.absorb ~kernel:(Counting.last_kernel session) state counts
-        in
-        ()
-  in
+  let level1 state = ignore (Cap.step ?par ~session state io : bool) in
   (* both level-1 sets first, so the full reduction is available to the T
      lattice before it runs to completion *)
   level1 s_state;

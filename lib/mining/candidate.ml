@@ -1,30 +1,68 @@
 open Cfq_itembase
 
-let pairs_all items =
-  let n = Array.length items in
-  let sorted = Array.copy items in
-  Array.sort Item.compare sorted;
-  let out = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      out := Itemset.of_sorted_array [| sorted.(i); sorted.(j) |] :: !out
-    done
-  done;
-  Array.of_list !out
+type t =
+  | Sets of Itemset.t array
+  | Items of Item.t array
+  | Pairs of Item.t array
+  | Witness_pairs of { items : Item.t array; witnesses : Item.t array }
 
+let choose2 n = n * (n - 1) / 2
+
+let count = function
+  | Sets cands -> Array.length cands
+  | Items items -> Array.length items
+  | Pairs items -> choose2 (Array.length items)
+  | Witness_pairs { items; witnesses } ->
+      let w = Array.length witnesses in
+      (w * (Array.length items - w)) + choose2 w
+
+(* canonical: each witness is paired with every non-witness item and with
+   every larger witness, so no pair is made twice *)
 let pairs_with_witness ~witnesses ~items =
-  let seen = Itemset.Hashtbl.create 256 in
-  Array.iter
-    (fun w ->
-      Array.iter
-        (fun x ->
-          if x <> w then begin
-            let pair = Itemset.of_array [| w; x |] in
-            if not (Itemset.Hashtbl.mem seen pair) then Itemset.Hashtbl.replace seen pair ()
-          end)
-        items)
-    witnesses;
-  Array.of_seq (Itemset.Hashtbl.to_seq_keys seen)
+  let ws = List.sort_uniq Item.compare (Array.to_list witnesses) in
+  let is_w = Hashtbl.create 64 in
+  List.iter (fun w -> Hashtbl.replace is_w w ()) ws;
+  let others = List.filter (fun x -> not (Hashtbl.mem is_w x)) (Array.to_list items) in
+  let rec go acc = function
+    | [] -> acc
+    | w :: larger ->
+        let acc = List.fold_left (fun acc x -> Itemset.of_array [| w; x |] :: acc) acc others in
+        go (List.fold_left (fun acc v -> Itemset.of_sorted_array [| w; v |] :: acc) acc larger) larger
+  in
+  Array.of_list (go [] ws)
+
+let pairs_all items = pairs_with_witness ~witnesses:items ~items
+
+let to_sets = function
+  | Sets cands -> cands
+  | Items items -> Array.map Itemset.singleton items
+  | Pairs items -> pairs_all items
+  | Witness_pairs { items; witnesses } -> pairs_with_witness ~witnesses ~items
+
+let items = function
+  | Items items | Pairs items | Witness_pairs { items; _ } -> items
+  | Sets _ -> invalid_arg "Candidate.items: explicit candidates"
+
+let iter_pairs c f =
+  let rows n marked =
+    for i = 0 to n - 2 do
+      if marked i then
+        for j = i + 1 to n - 1 do
+          f i j
+        done
+      else
+        for j = i + 1 to n - 1 do
+          if marked j then f i j
+        done
+    done
+  in
+  match c with
+  | Pairs items -> rows (Array.length items) (fun _ -> true)
+  | Witness_pairs { items; witnesses } ->
+      let is_w = Hashtbl.create 64 in
+      Array.iter (fun w -> Hashtbl.replace is_w w ()) witnesses;
+      rows (Array.length items) (Array.unsafe_get (Array.map (Hashtbl.mem is_w) items))
+  | Sets _ | Items _ -> invalid_arg "Candidate.iter_pairs: not a pair form"
 
 let all_level_subsets_ok candidate ~check =
   let ok = ref true in

@@ -9,11 +9,44 @@
 
 open Cfq_itembase
 
+(** One level's candidates as generated.  Levels 1 and 2 have implicit
+    forms that name the candidates without building an {!Itemset.t} for
+    each: the direct kernels count them straight off the item histogram or
+    a triangle over their items (see {!Counting}), and only the frequent
+    ones are boxed.  The items of an implicit form are distinct and
+    ascending. *)
+type t =
+  | Sets of Itemset.t array  (** explicit candidates, in any order *)
+  | Items of Item.t array  (** the singleton of each item *)
+  | Pairs of Item.t array  (** every 2-set of the items *)
+  | Witness_pairs of { items : Item.t array; witnesses : Item.t array }
+      (** every 2-set of [items] holding one of [witnesses] ([witnesses ⊆
+          items], ascending) *)
+
+(** Number of candidates, by arithmetic for the implicit forms: n(n−1)/2
+    pairs of n items, w(n−w) + w(w−1)/2 with w witnesses. *)
+val count : t -> int
+
+(** [to_sets c] is [c] as explicit candidates: {!pairs_all} and
+    {!pairs_with_witness} for the pair forms. *)
+val to_sets : t -> Itemset.t array
+
+(** The items of an implicit form; raises [Invalid_argument] on [Sets]. *)
+val items : t -> Item.t array
+
+(** [iter_pairs c f] calls [f i j] for each candidate [{items.(i),
+    items.(j)}] ([i < j]) of a [Pairs] or [Witness_pairs] form over
+    [items], row by row: the order of {!Itemset.compare}.  Raises
+    [Invalid_argument] on the other forms. *)
+val iter_pairs : t -> (int -> int -> unit) -> unit
+
 (** [pairs_all items] is every 2-set over [items]. *)
 val pairs_all : Item.t array -> Itemset.t array
 
-(** [pairs_with_witness ~witnesses ~items] is every 2-set containing at
-    least one witness ([witnesses ⊆ items]); duplicates removed. *)
+(** [pairs_with_witness ~witnesses ~items] is every 2-set of the distinct
+    [items] containing at least one witness ([witnesses ⊆ items]), each
+    once: every witness paired with every non-witness item, and every
+    two witnesses paired once. *)
 val pairs_with_witness : witnesses:Item.t array -> items:Item.t array -> Itemset.t array
 
 (** [apriori_gen ~prev ~prev_mem] joins the size-[k] sets of [prev] (sorted

@@ -19,8 +19,8 @@ type t = {
   mutable pool_tbl : unit Itemset.Hashtbl.t;
   mutable freq_items : Item.t array;
   mutable primary : Sel.t option;  (* witness group driving generation *)
-  mutable pending : Itemset.t array;
-  mutable extra_filter : Itemset.t -> bool;
+  mutable pending : Candidate.t;
+  mutable extra_filter : (Itemset.t -> bool) option;
   mutable levels_rev : Frequent.entry array list;
   mutable exhausted : bool;
 }
@@ -39,8 +39,8 @@ let create db info ?(max_level = max_int) ~minsup bundle =
     pool_tbl = Itemset.Hashtbl.create 16;
     freq_items = [||];
     primary = None;
-    pending = [||];
-    extra_filter = (fun _ -> true);
+    pending = Candidate.Sets [||];
+    extra_filter = None;
     levels_rev = [];
     exhausted = false;
   }
@@ -51,7 +51,7 @@ let bundle t = t.bundle
 let db t = t.db
 let level t = t.level
 let frequent_items t = Array.copy t.freq_items
-let set_extra_filter t f = t.extra_filter <- f
+let set_extra_filter t f = t.extra_filter <- Some f
 
 let rebuild_pool t entries =
   t.pool <- entries;
@@ -75,23 +75,28 @@ let add_constraints ~nonneg t cs =
     rebuild_pool t (Array.of_seq (Seq.filter keep (Array.to_seq t.pool)))
   end
 
-(* admission filter applied to every generated candidate *)
-let admit t cand =
+(* The admission test of one level, applied to every generated candidate
+   and charging its anti-monotone checks; [None] when it can reject
+   nothing (no check, no extra filter), so the level needs no filter and
+   its candidates may stay implicit. *)
+let admission t =
   let n_am = List.length t.bundle.Bundle.am_checks in
-  if n_am > 0 then Counters.add_constraint_checks t.counters n_am;
-  Bundle.am_ok t.bundle cand && t.extra_filter cand
+  if n_am = 0 && Option.is_none t.extra_filter then None
+  else
+    let extra = Option.value t.extra_filter ~default:(fun _ -> true) in
+    Some
+      (fun cand ->
+        if n_am > 0 then Counters.add_constraint_checks t.counters n_am;
+        Bundle.am_ok t.bundle cand && extra cand)
 
-let singletons t =
+let singletons t admit =
   let n = Item_info.universe_size t.info in
   Counters.add_constraint_checks t.counters n;
-  let out = ref [] in
-  for i = n - 1 downto 0 do
-    if Bundle.permits_item t.bundle i then begin
-      let s = Itemset.singleton i in
-      if admit t s then out := s :: !out
-    end
-  done;
-  Array.of_list !out
+  let items = List.filter (Bundle.permits_item t.bundle) (List.init n Fun.id) in
+  match admit with
+  | None -> Candidate.Items (Array.of_list items)
+  | Some admit ->
+      Candidate.Sets (Array.of_list (List.filter admit (List.map Itemset.singleton items)))
 
 let choose_primary t =
   (* the most selective witness group (fewest frequent witnesses) drives
@@ -119,12 +124,12 @@ let choose_primary t =
 let level2_candidates t =
   t.primary <- choose_primary t;
   match t.primary with
-  | None -> Candidate.pairs_all t.freq_items
+  | None -> Candidate.Pairs t.freq_items
   | Some sel ->
       let witnesses =
         Array.of_seq (Seq.filter (Sel.eval t.info sel) (Array.to_seq t.freq_items))
       in
-      Candidate.pairs_with_witness ~witnesses ~items:t.freq_items
+      Candidate.Witness_pairs { items = t.freq_items; witnesses }
 
 let deeper_candidates t =
   let prev = Array.map (fun e -> e.Frequent.set) t.pool in
@@ -138,18 +143,21 @@ let deeper_candidates t =
 let next_candidates t =
   if t.exhausted || t.level >= t.max_level then None
   else begin
+    let admit = admission t in
     let raw =
       match t.level with
-      | 0 -> singletons t
+      | 0 -> singletons t admit
       | 1 -> level2_candidates t
-      | _ -> deeper_candidates t
+      | _ -> Candidate.Sets (deeper_candidates t)
     in
-    Counters.add_candidates_generated t.counters (Array.length raw);
+    Counters.add_candidates_generated t.counters (Candidate.count raw);
     let cands =
-      if t.level = 0 then raw
-      else Array.of_seq (Seq.filter (admit t) (Array.to_seq raw))
+      match admit with
+      | Some admit when t.level > 0 ->
+          Candidate.Sets (Array.of_seq (Seq.filter admit (Array.to_seq (Candidate.to_sets raw))))
+      | _ -> raw
     in
-    if Array.length cands = 0 then begin
+    if Candidate.count cands = 0 then begin
       t.exhausted <- true;
       None
     end
@@ -159,27 +167,14 @@ let next_candidates t =
     end
   end
 
-let absorb ?(kernel = "trie") ?counted t counts =
-  let cands = t.pending in
-  if Array.length counts <> Array.length cands then
-    invalid_arg "Cap.absorb: counts misaligned with candidates";
-  let entries = ref [] in
-  Array.iteri
-    (fun i set ->
-      if counts.(i) >= t.minsup then
-        entries := { Frequent.set; support = counts.(i) } :: !entries)
-    cands;
-  let entries = Array.of_list !entries in
-  Array.sort (fun a b -> Itemset.compare a.Frequent.set b.Frequent.set) entries;
+let absorb ?(kernel = "trie") t supports =
+  let n = Candidate.count t.pending in
+  if Counting.n_supports supports <> n then
+    invalid_arg "Cap.absorb: supports misaligned with candidates";
+  let entries = Counting.frequent supports ~minsup:t.minsup in
   t.level <- t.level + 1;
   Level_stats.record t.stats
-    {
-      Level_stats.level = t.level;
-      candidates = Array.length cands;
-      counted = (match counted with Some c -> c | None -> Array.length cands);
-      frequent = Array.length entries;
-      kernel;
-    };
+    { Level_stats.level = t.level; candidates = n; counted = n; frequent = Array.length entries; kernel };
   if t.level = 1 then
     t.freq_items <-
       Array.map
@@ -190,26 +185,29 @@ let absorb ?(kernel = "trie") ?counted t counts =
         entries;
   rebuild_pool t entries;
   t.levels_rev <- entries :: t.levels_rev;
-  t.pending <- [||];
+  t.pending <- Candidate.Sets [||];
   Log.debug (fun m ->
-      m "level %d: %d candidates, %d frequent" t.level (Array.length cands)
-        (Array.length entries));
+      m "level %d: %d candidates, %d frequent" t.level n (Array.length entries));
   if Array.length entries = 0 then t.exhausted <- true;
   entries
+
+let step ?par ?session t io =
+  match next_candidates t with
+  | None -> false
+  | Some cands ->
+      let supports =
+        match Counting.count_pass ?par ?session t.db io [ (t.counters, cands) ] with
+        | [ s ] -> s
+        | _ -> assert false
+      in
+      let kernel = match session with Some s -> Counting.last_kernel s | None -> "trie" in
+      let (_ : Frequent.entry array) = absorb ~kernel t supports in
+      true
 
 let result t = Frequent.of_levels (List.rev t.levels_rev)
 
 let run ?par ?session t io =
-  let rec loop () =
-    match next_candidates t with
-    | None -> ()
-    | Some cands ->
-        let counts = Counting.count_level ?par ?session t.db io t.counters cands in
-        let kernel =
-          match session with Some s -> Counting.last_kernel s | None -> "trie"
-        in
-        let (_ : Frequent.entry array) = absorb ~kernel t counts in
-        loop ()
-  in
-  loop ();
+  while step ?par ?session t io do
+    ()
+  done;
   result t

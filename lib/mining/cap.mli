@@ -45,7 +45,8 @@ val frequent_items : t -> Item.t array
 
 (** [set_extra_filter t f] installs an additional admission predicate on
     candidates (e.g. [sum(CS.A) ≤ V^k]); it must be sound in the
-    anti-monotone sense for completeness of deeper levels. *)
+    anti-monotone sense for completeness of deeper levels.  Once a filter
+    is installed every level is generated explicitly and filtered. *)
 val set_extra_filter : t -> (Itemset.t -> bool) -> unit
 
 (** [add_constraints ~nonneg t cs] injects further 1-var constraints —
@@ -54,15 +55,32 @@ val set_extra_filter : t -> (Itemset.t -> bool) -> unit
 val add_constraints : nonneg:bool -> t -> One_var.t list -> unit
 
 (** [next_candidates t] generates the next level's candidates, or [None]
-    when the lattice is exhausted.  Must be followed by [absorb]. *)
-val next_candidates : t -> Itemset.t array option
+    when the lattice is exhausted.  Must be followed by [absorb].
 
-(** [absorb t counts] consumes supports aligned with the candidates from
-    the preceding [next_candidates] and returns the new frequent level.
-    [kernel] (default ["trie"]) and [counted] (default the candidate count)
-    annotate the {!Level_stats} row with the counting kernel that produced
-    the supports and how many candidates actually reached it. *)
-val absorb : ?kernel:string -> ?counted:int -> t -> int array -> Frequent.entry array
+    When admission is trivial — the bundle has no anti-monotone check and
+    no extra filter is installed — levels 1 and 2 stay implicit: level 1
+    is {!Candidate.Items} of the permitted items, level 2
+    {!Candidate.Pairs} of the frequent items, or
+    {!Candidate.Witness_pairs} when an MGF witness group drives
+    generation, and deeper levels skip the filter.  Otherwise every level
+    is explicit {!Candidate.Sets}, filtered by the admission test, which
+    charges one constraint check per anti-monotone check per candidate.
+    [candidates_generated] is charged {!Candidate.count} of the generated
+    level either way. *)
+val next_candidates : t -> Candidate.t option
+
+(** [absorb t supports] consumes the supports of the candidates from the
+    preceding [next_candidates] (counted by {!Counting.count_pass}) and
+    returns the new frequent level, in {!Itemset.compare} order: only the
+    frequent candidates become itemsets ({!Counting.frequent}).  [kernel]
+    (default ["trie"]) annotates the {!Level_stats} row with the counting
+    kernel that produced the supports. *)
+val absorb : ?kernel:string -> t -> Counting.supports -> Frequent.entry array
+
+(** [step t io] runs one level — [next_candidates], one counting pass,
+    [absorb] labelled with the session's kernel — and is [false] once the
+    lattice is exhausted.  [par] and [session] are as for {!run}. *)
+val step : ?par:Counting.par -> ?session:Counting.session -> t -> Io_stats.t -> bool
 
 (** [run t io] drives the state machine to exhaustion with one scan per
     level, returning all counted frequent sets.  [par] parallelises every

@@ -74,78 +74,107 @@ let describe s = Printf.sprintf "trie=%d direct2=%d" s.n_trie s.n_direct2
 (* Family representations                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* [R_hist items]: a family of singletons, read off the pass's shared item
-   histogram; [items.(i)] is candidate [i]'s item.  [R_view d]: a pair
-   family read off the pass's shared level-2 triangle, [d] being the
-   shared layout's view of the family's candidates. *)
-type rep = R_trie of Trie.t | R_d2 of Direct2.t | R_view of Direct2.t | R_hist of int array
+(* [R_trie (t, sets)]: the trie of [sets], the family's candidates or an
+   implicit family's expansion.  [R_hist items]: a singleton family, read
+   off the pass's shared item histogram; [items.(i)] is candidate [i]'s
+   item.  [R_tri d]: a pair family counted into a triangle of its own.
+   [R_shared]: a pair family read off the pass's shared triangle. *)
+type rep = R_trie of Trie.t * Itemset.t array | R_hist of int array | R_tri of Direct2.t | R_shared
 
-let rep_label = function R_trie _ -> "trie" | R_d2 _ | R_view _ | R_hist _ -> "direct2"
+let rep_label = function R_trie _ -> "trie" | R_hist _ | R_tri _ | R_shared -> "direct2"
+let trie_of sets = R_trie (Trie.build sets, sets)
 
 let all_singletons cands =
   Array.length cands > 0 && Array.for_all (fun s -> Itemset.cardinal s = 1) cands
 
-(* The triangle a family of pairs would count into on its own, when
-   admissible; no candidate's cell is looked up yet. *)
-let own_triangle cands =
-  match Direct2.of_pairs cands with
-  | Some t when direct2_admissible ~n_cands:(Array.length cands) ~n_cells:(Direct2.n_cells t) ->
-      Some t
-  | _ -> None
+(* A family under [Direct2], before sharing is decided: the histogram, a
+   triangle over [items] when admissible, or the trie.  An implicit pair
+   family ranks all its items, as its expansion would. *)
+type choice = Hist of int array | Tri of Item.t array | Tried of Itemset.t array
+
+let choose fam =
+  let tri items =
+    let r = Array.length items in
+    direct2_admissible ~n_cands:(Candidate.count fam) ~n_cells:(r * (r - 1) / 2)
+  in
+  match fam with
+  | _ when Candidate.count fam = 0 -> Tried [||]
+  | Candidate.Items items -> Hist items
+  | Candidate.Sets cands when all_singletons cands ->
+      Hist (Array.map (fun s -> Itemset.get s 0) cands)
+  | Candidate.Sets cands -> (
+      match Direct2.pair_items cands with
+      | Some items when tri items -> Tri items
+      | _ -> Tried cands)
+  | Candidate.Pairs items | Candidate.Witness_pairs { items; _ } ->
+      if tri items then Tri items else Tried (Candidate.to_sets fam)
 
 (* Two or more pair families with a triangle of their own share one over
-   the items of all their candidates when it is admissible for their
-   distinct candidates, so each row is ranked and its pairs incremented
-   once for all of them.  Only those families join, so no label changes.
-   The shared layout and each family's view of it, by family index. *)
-let share_pairs families own =
-  let pairs, triangles =
-    List.split
-      (List.filter_map
-         (fun f -> Option.map (fun t -> (f, t)) own.(f))
-         (List.init (Array.length own) Fun.id))
+   the items of all of them when it is admissible for their distinct
+   candidates (duplicates once), so each row is ranked and its pairs
+   incremented once for all of them.  Only those families join, so no
+   label changes. *)
+let share fams choices =
+  let tris =
+    List.filter_map
+      (fun f -> match choices.(f) with Tri items -> Some (fams.(f), items) | _ -> None)
+      (List.init (Array.length fams) Fun.id)
   in
-  if List.compare_length_with pairs 2 < 0 then None
+  if List.compare_length_with tris 2 < 0 then None
   else begin
-    let u = Direct2.union triangles in
-    let n_cells = Direct2.n_cells u in
-    let total = List.fold_left (fun n f -> n + Array.length families.(f)) 0 pairs in
-    (* the total bounds the distinct count, and bounds the cells
-       [n_distinct] marks *)
-    if not (direct2_admissible ~n_cands:total ~n_cells) then None
-    else begin
-      let views = List.map (fun f -> (f, Direct2.view u families.(f))) pairs in
-      if direct2_admissible ~n_cands:(Direct2.n_distinct (List.map snd views)) ~n_cells then
-        Some (u, views)
-      else None
-    end
+    let u = Direct2.of_items (List.map snd tris) in
+    let admissible n_cands = direct2_admissible ~n_cands ~n_cells:(Direct2.n_cells u) in
+    let n_distinct () =
+      let seen = Bytes.make (Direct2.n_cells u) '\000' and n = ref 0 in
+      let mark c =
+        if Bytes.get seen c = '\000' then begin
+          Bytes.set seen c '\001';
+          incr n
+        end
+      in
+      List.iter
+        (fun (fam, items) ->
+          match fam with
+          | Candidate.Sets cands ->
+              Array.iter (fun s -> mark (Direct2.cell u (Itemset.get s 0) (Itemset.get s 1))) cands
+          | form ->
+              let rk = Direct2.ranks u items in
+              Candidate.iter_pairs form (fun i j -> mark (Direct2.rank_cell u rk.(i) rk.(j))))
+        tris;
+      !n
+    in
+    (* the distinct count lies between the largest implicit family (whose
+       candidates are distinct) and the total *)
+    let lo, total =
+      List.fold_left
+        (fun (lo, total) (fam, _) ->
+          let n = Candidate.count fam in
+          ((match fam with Candidate.Sets _ -> lo | _ -> max lo n), total + n))
+        (0, 0) tris
+    in
+    if admissible total && (admissible lo || admissible (n_distinct ())) then Some u else None
   end
 
-(* Under [Direct2]: the histogram for a singleton family, a view of the
-   shared triangle or a triangle of its own for a pair family, and a trie
-   for the rest. *)
-let direct2_reps families =
-  let own = Array.map own_triangle families in
-  let shared = share_pairs families own in
+let direct2_reps fams =
+  let choices = Array.map choose fams in
+  let shared = share fams choices in
   let reps =
-    Array.mapi
-      (fun f cands ->
-        if all_singletons cands then R_hist (Array.map (fun s -> Itemset.get s 0) cands)
-        else
-          match (own.(f), shared) with
-          | Some _, Some (_, views) -> R_view (List.assoc f views)
-          | Some t, None -> R_d2 (Direct2.view t cands)
-          | None, _ -> R_trie (Trie.build cands))
-      families
+    Array.map
+      (function
+        | Hist items -> R_hist items
+        | Tri items -> if shared = None then R_tri (Direct2.of_items [ items ]) else R_shared
+        | Tried sets -> trie_of sets)
+      choices
   in
-  (reps, Option.map fst shared)
+  (reps, shared)
 
 (* A pass's plan, built once on the coordinator and never mutated, so one
    plan serves every domain and every shard. *)
 type plan = {
+  fams : Candidate.t array;
   reps : rep array;  (* one per family *)
   hist_size : int;  (* 1 + the largest histogram candidate item; 0 if none *)
-  shared : Direct2.t option;  (* the triangle every [R_view] family reads *)
+  shared : Direct2.t option;  (* the triangle every [R_shared] family reads *)
   keep : Bytes.t;
       (* row trimming: 1 at every item of some candidate, 0 elsewhere; empty
          when rows are walked whole *)
@@ -155,32 +184,31 @@ type plan = {
 (* DHP-style trimming: when every family is a trie of sets of at least two
    items, an item that occurs in no candidate cannot complete one, and a
    row with fewer than [min_k] candidate items contains none. *)
-let trim_of families reps =
-  let min_k =
-    Array.fold_left (Array.fold_left (fun k s -> min k (Itemset.cardinal s))) max_int families
-  in
+let trim_of reps =
+  let sets = List.filter_map (function R_trie (_, s) -> Some s | _ -> None) (Array.to_list reps) in
+  let min_k = List.fold_left (Array.fold_left (fun k s -> min k (Itemset.cardinal s))) max_int sets in
   if min_k < 2 || not (Array.for_all (function R_trie _ -> true | _ -> false) reps) then
     (Bytes.empty, 0)
   else begin
     let size =
-      Array.fold_left
+      List.fold_left
         (Array.fold_left (fun m s ->
              match Itemset.max_item s with Some i -> max m (i + 1) | None -> m))
-        0 families
+        0 sets
     in
     let keep = Bytes.make size '\000' in
-    Array.iter (Array.iter (Itemset.iter (fun i -> Bytes.set keep i '\001'))) families;
+    List.iter (Array.iter (Itemset.iter (fun i -> Bytes.set keep i '\001'))) sets;
     (keep, min_k)
   end
 
-let plan_of kernel families =
-  let families = Array.of_list families in
+let plan_of kernel fams =
+  let fams = Array.of_list fams in
   let reps, shared, (keep, min_k) =
     match kernel with
-    | Trie -> (Array.map (fun c -> R_trie (Trie.build c)) families, None, (Bytes.empty, 0))
+    | Trie -> (Array.map (fun c -> trie_of (Candidate.to_sets c)) fams, None, (Bytes.empty, 0))
     | Direct2 ->
-        let reps, shared = direct2_reps families in
-        (reps, shared, trim_of families reps)
+        let reps, shared = direct2_reps fams in
+        (reps, shared, trim_of reps)
   in
   let hist_size =
     Array.fold_left
@@ -190,7 +218,7 @@ let plan_of kernel families =
         | _ -> acc)
       0 reps
   in
-  { reps; hist_size; shared; keep; min_k }
+  { fams; reps; hist_size; shared; keep; min_k }
 
 (* One participant's accumulators: the item histogram, the shared
    triangle's cells ([||] without one), one array per family ([||] for a
@@ -212,9 +240,9 @@ let local_of p =
     accs =
       Array.map
         (function
-          | R_trie t -> Array.make (Trie.n_candidates t) 0
-          | R_d2 d -> Direct2.init_cells d
-          | R_view _ | R_hist _ -> [||])
+          | R_trie (t, _) -> Array.make (Trie.n_candidates t) 0
+          | R_tri d -> Direct2.init_cells d
+          | R_shared | R_hist _ -> [||])
         p.reps;
     scr = Direct2.scratch ();
     row = (if Bytes.length p.keep > 0 then Array.make 64 0 else [||]);
@@ -244,8 +272,8 @@ let count_trimmed p st items off len =
   else
     for f = 0 to Array.length p.reps - 1 do
       match Array.unsafe_get p.reps f with
-      | R_trie t -> Trie.count_row t (Array.unsafe_get st.accs f) row 0 m
-      | R_d2 _ | R_view _ | R_hist _ -> ()
+      | R_trie (t, _) -> Trie.count_row t (Array.unsafe_get st.accs f) row 0 m
+      | R_tri _ | R_shared | R_hist _ -> ()
     done
 
 (* A whole row.  The row is [items.(off) .. items.(off + len - 1)]; items
@@ -267,9 +295,9 @@ let count_row p st items off len =
   | None -> ());
   for f = 0 to Array.length p.reps - 1 do
     match Array.unsafe_get p.reps f with
-    | R_trie t -> Trie.count_row t (Array.unsafe_get st.accs f) items off len
-    | R_d2 d -> Direct2.count_row d (Array.unsafe_get st.accs f) st.scr items off len
-    | R_view _ | R_hist _ -> ()
+    | R_trie (t, _) -> Trie.count_row t (Array.unsafe_get st.accs f) items off len
+    | R_tri d -> Direct2.count_row d (Array.unsafe_get st.accs f) st.scr items off len
+    | R_shared | R_hist _ -> ()
   done
 
 (* The participant's row callback, chosen once per pass: it allocates
@@ -287,16 +315,60 @@ let add_into total local =
   Array.iter2 add total.accs local.accs;
   total.skipped <- total.skipped + local.skipped
 
-(* per-family counts in candidate order *)
+(* ------------------------------------------------------------------ *)
+(* Supports                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A family's counted supports: the supports of candidates [0 .. n-1]
+   with the set of candidate [i] (listed sets, an implicit family's
+   expansion, or singletons boxed on demand), or an implicit pair family
+   with the triangle it was counted into. *)
+type supports = Counted of (int -> Itemset.t) * int array | Cells of Candidate.t * Direct2.t * int array
+
+let n_supports = function
+  | Counted (_, c) -> Array.length c
+  | Cells (form, _, _) -> Candidate.count form
+
+let counts_of = function
+  | Counted (_, c) -> c
+  | Cells _ -> invalid_arg "Counting.counts_of: an implicit family"
+
+let frequent s ~minsup =
+  let out = ref [] in
+  let keep set support = out := { Frequent.set; support } :: !out in
+  match s with
+  | Counted (set, counts) ->
+      Array.iteri (fun i c -> if c >= minsup then keep (set i) c) counts;
+      let entries = Array.of_list !out in
+      Array.sort (fun a b -> Itemset.compare a.Frequent.set b.Frequent.set) entries;
+      entries
+  | Cells (form, d, cells) ->
+      (* the walk is in [Itemset.compare] order already *)
+      let items = Candidate.items form in
+      let rk = Direct2.ranks d items in
+      Candidate.iter_pairs form (fun i j ->
+          let c = cells.(Direct2.rank_cell d rk.(i) rk.(j)) in
+          if c >= minsup then keep (Itemset.unsafe_of_sorted_array [| items.(i); items.(j) |]) c);
+      Array.of_list (List.rev !out)
+
+(* per-family supports *)
 let extract p st =
+  let read d cells = function
+    | Candidate.Sets cands ->
+        Counted
+          ( Array.get cands,
+            Array.map (fun s -> cells.(Direct2.cell d (Itemset.get s 0) (Itemset.get s 1))) cands )
+    | form -> Cells (form, d, cells)
+  in
   Array.to_list
     (Array.mapi
        (fun f rep ->
          match rep with
-         | R_trie _ -> st.accs.(f)
-         | R_d2 d -> Direct2.extract d st.accs.(f)
-         | R_view v -> Direct2.extract v st.shared_cells
-         | R_hist items -> Array.map (fun i -> st.hist.(i)) items)
+         | R_trie (_, sets) -> Counted (Array.get sets, st.accs.(f))
+         | R_hist items ->
+             Counted ((fun k -> Itemset.singleton items.(k)), Array.map (fun i -> st.hist.(i)) items)
+         | R_tri d -> read d st.accs.(f) p.fams.(f)
+         | R_shared -> read (Option.get p.shared) st.shared_cells p.fams.(f))
        p.reps)
 
 (* ------------------------------------------------------------------ *)
@@ -393,16 +465,15 @@ let distributed ~par db subs io p =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let count_shared ?(par = sequential) ?session db io families =
+let count_pass ?(par = sequential) ?session db io families =
   (* the ccc charge: one support-counted tick per candidate, before the
-     scan, so it is identical for every kernel *)
+     scan, so it is identical for every kernel and form *)
   List.iter
-    (fun (counters, cands) -> Counters.add_support_counted counters (Array.length cands))
+    (fun (counters, c) -> Counters.add_support_counted counters (Candidate.count c))
     families;
-  let n_cands = List.fold_left (fun acc (_, cands) -> acc + Array.length cands) 0 families in
-  if n_cands = 0 then
+  if List.for_all (fun (_, c) -> Candidate.count c = 0) families then
     (* nothing to count anywhere: skip the scan and charge no I/O *)
-    List.map (fun (_, cands) -> Array.make (Array.length cands) 0) families
+    List.map (fun _ -> Counted (Array.get [||], [||])) families
   else begin
     let kernel = match session with Some s -> s.kernel | None -> Trie in
     let p = plan_of kernel (List.map snd families) in
@@ -421,7 +492,7 @@ let count_shared ?(par = sequential) ?session db io families =
         s.last_shape <-
           {
             shared_families =
-              Array.fold_left (fun n r -> match r with R_view _ -> n + 1 | _ -> n) 0 p.reps;
+              Array.fold_left (fun n r -> if r = R_shared then n + 1 else n) 0 p.reps;
             rows_skipped = total.skipped;
           };
         if List.mem "direct2" labels then s.n_direct2 <- s.n_direct2 + 1;
@@ -430,13 +501,18 @@ let count_shared ?(par = sequential) ?session db io families =
     extract p total
   end
 
+let count_shared ?par ?session db io families =
+  List.map counts_of
+    (count_pass ?par ?session db io
+       (List.map (fun (counters, cands) -> (counters, Candidate.Sets cands)) families))
+
 let count_level ?par ?session db io counters cands =
   match count_shared ?par ?session db io [ (counters, cands) ] with
   | [ counts ] -> counts
   | _ -> assert false
 
 let count_sets db io cands =
-  let p = plan_of Trie [ cands ] in
+  let p = plan_of Trie [ Candidate.Sets cands ] in
   match extract p (scan_count ~par:sequential db io p) with
-  | [ counts ] -> counts
+  | [ s ] -> counts_of s
   | _ -> assert false

@@ -1,9 +1,12 @@
 (** Support counting passes over the transaction database.
 
-    [count_shared] is the dovetailing primitive (Section 5.2): several
+    [count_pass] is the dovetailing primitive (Section 5.2): several
     candidate families — typically one for the [S] lattice and one for the
     [T] lattice — are counted in a {e single} scan, so the I/O cost of the
-    pass is shared between them.
+    pass is shared between them.  A family is a {!Candidate.t}: listed
+    sets, or for levels 1 and 2 an implicit form (every permitted item,
+    every pair of some items, or every pair holding a witness) that the
+    direct kernels count with no itemset per candidate.
 
     {2 Kernels}
 
@@ -21,20 +24,25 @@
     {- {e direct2} — {!Direct2}: a triangular count array over the ranks of
        the level-2 candidates' items, no trie.}}
 
-    Under the [Trie] kernel every family gets a trie, and every row is
-    walked whole: the reference path.  Under the [Direct2] kernel a
-    non-empty all-singleton family gets the histogram, an all-pairs family
-    gets the direct2 array when {!direct2_admissible} holds, and every
-    other family gets a trie.  Histogram and direct2 families are both
-    labelled ["direct2"].  Two more rules make a [Direct2] pass walk each
-    row once:
+    Under the [Trie] kernel every family gets a trie, an implicit one
+    over its expansion ({!Candidate.to_sets}), and every row is walked
+    whole: the reference path.  Under the [Direct2] kernel a non-empty
+    all-singleton family (or [Items] form) gets the histogram, an
+    all-pairs family (or pair form) gets the direct2 array when
+    {!direct2_admissible} holds for its candidate count and the triangle
+    over its items, and every other family gets a trie, an implicit one
+    over its expansion.  So an implicit family gets the representation,
+    label and counts its expansion would.  Histogram and direct2 families
+    are both labelled ["direct2"].  Two more rules make a [Direct2] pass
+    walk each row once:
 
     {ul
     {- {e shared triangle} — when two or more families get a direct2
        array, they share one triangle over the items of all their
        candidates, if it is admissible for their distinct candidates
        (duplicates counted once); each family reads its candidates' cells
-       off it.  Otherwise each keeps its own;}
+       off it, an implicit family only at {!frequent}.  Otherwise each
+       keeps its own;}
     {- {e row trimming} — when every family is a trie of sets of at least
        [k >= 2] items, each row is first cut down to the items that occur
        in some candidate, and a row left with fewer than the smallest [k]
@@ -48,7 +56,8 @@
     Contract: the counts, and therefore every frequent-set collection and
     answer downstream, are byte-identical to the trie path for every
     kernel, domain count and backend.  The ccc support-counted charge is
-    per candidate and kernel-independent.  All representations walk the
+    per candidate ({!Candidate.count}, by arithmetic for an implicit
+    family) and kernel-independent.  All representations walk the
     same pages in the same order, so every scan, page and fault charge is
     the paper's for every kernel, faults installed or not (see
     doc/COUNTING.md).
@@ -170,6 +179,41 @@ val describe : session -> string
 
 (** {2 Counting passes} *)
 
+(** A family's supports after a pass. *)
+type supports
+
+(** Number of candidates the supports cover. *)
+val n_supports : supports -> int
+
+(** [frequent s ~minsup] is the candidates with support at least [minsup],
+    in {!Itemset.compare} order.  Only these are built as itemsets: an
+    implicit pair family counted into a triangle is read cell by cell in
+    that order and needs no sort. *)
+val frequent : supports -> minsup:int -> Frequent.entry array
+
+(** [count_pass db io families] counts each family, explicit or implicit
+    ({!Candidate.t}), in the same pass; each family carries its own ccc
+    counters and is charged {!Candidate.count} supports counted.  When
+    every family is empty the pass is skipped entirely and no I/O is
+    charged.  Without a [session] every family is counted with the trie. *)
+val count_pass :
+  ?par:par ->
+  ?session:session ->
+  Tx_db.t ->
+  Io_stats.t ->
+  (Counters.t * Candidate.t) list ->
+  supports list
+
+(** [count_shared db io families] is {!count_pass} over explicit families,
+    each family's supports in candidate order. *)
+val count_shared :
+  ?par:par ->
+  ?session:session ->
+  Tx_db.t ->
+  Io_stats.t ->
+  (Counters.t * Itemset.t array) list ->
+  int array list
+
 (** [count_level db io counters cands] counts all candidates in one pass and
     charges [Array.length cands] to the support-counted ccc counter. *)
 val count_level :
@@ -180,18 +224,6 @@ val count_level :
   Counters.t ->
   Itemset.t array ->
   int array
-
-(** [count_shared db io families] counts each family in the same pass;
-    each family carries its own ccc counters.  When every family is empty
-    the pass is skipped entirely and no I/O is charged.  Without a
-    [session] every family is counted with the trie. *)
-val count_shared :
-  ?par:par ->
-  ?session:session ->
-  Tx_db.t ->
-  Io_stats.t ->
-  (Counters.t * Itemset.t array) list ->
-  int array list
 
 (** [count_sets db io cands] counts [cands] with the trie in one
     sequential scan of [db] and returns their supports in candidate order.

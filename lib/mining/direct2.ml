@@ -1,16 +1,16 @@
 open Cfq_itembase
 
 type t = {
-  rank : int array;  (* item -> rank among candidate items, -1 if unranked *)
+  rank : int array;  (* item -> rank among the layout's items, -1 if unranked *)
   row_base : int array;  (* rank i -> base s.t. cell (i < j) = base + j *)
-  n_ranks : int;
   n_cells : int;
-  cand_cell : int array;  (* candidate index -> its cell *)
 }
 
-(* The layout over the items marked [0] in [rank] (the rest hold -1):
-   ranks ascend with items, so transaction scans stay ordered. *)
-let layout rank =
+let of_items items =
+  let size = List.fold_left (Array.fold_left (fun m i -> max m (i + 1))) 0 items in
+  let rank = Array.make size (-1) in
+  List.iter (Array.iter (fun i -> rank.(i) <- 0)) items;
+  (* ranks ascend with items, so transaction scans stay ordered *)
   let nr = ref 0 in
   Array.iteri
     (fun i r ->
@@ -22,68 +22,30 @@ let layout rank =
   let nr = !nr in
   (* triangular layout: cell (i < j) = i*(2nr - i - 1)/2 + (j - i - 1) *)
   let row_base = Array.init (max nr 1) (fun i -> (i * ((2 * nr) - i - 1) / 2) - i - 1) in
-  { rank; row_base; n_ranks = nr; n_cells = nr * (nr - 1) / 2; cand_cell = [||] }
+  { rank; row_base; n_cells = nr * (nr - 1) / 2 }
 
-let view t cands =
-  let rank_of i =
-    if i < Array.length t.rank && t.rank.(i) >= 0 then t.rank.(i)
-    else invalid_arg "Direct2.view: unranked item"
-  in
-  let cand_cell =
-    Array.map
-      (fun s ->
-        if Itemset.cardinal s <> 2 then invalid_arg "Direct2.view: not a 2-set";
-        t.row_base.(rank_of (Itemset.get s 0)) + rank_of (Itemset.get s 1))
-      cands
-  in
-  { t with cand_cell }
-
-let of_pairs cands =
-  let n = Array.length cands in
-  (* the largest item, or -1 unless every candidate is a 2-set, whose
-     items are [get s 0 < get s 1] *)
-  let rec max_item i m =
-    if i = n then m
-    else
-      let s = Array.unsafe_get cands i in
-      if Itemset.cardinal s <> 2 then -1 else max_item (i + 1) (max m (Itemset.get s 1))
-  in
-  let top = if n = 0 then -1 else max_item 0 0 in
-  if top < 0 then None
+let pair_items cands =
+  if Array.length cands = 0 || Array.exists (fun s -> Itemset.cardinal s <> 2) cands then None
   else begin
-    let rank = Array.make (top + 1) (-1) in
-    Array.iter
-      (fun s ->
-        rank.(Itemset.get s 0) <- 0;
-        rank.(Itemset.get s 1) <- 0)
-      cands;
-    Some (layout rank)
+    (* a 2-set's items are [get s 0 < get s 1] *)
+    let top = Array.fold_left (fun m s -> max m (Itemset.get s 1)) 0 cands in
+    let seen = Array.make (top + 1) false in
+    Array.iter (fun s -> seen.(Itemset.get s 0) <- true; seen.(Itemset.get s 1) <- true) cands;
+    Some (Array.of_list (List.filter (Array.get seen) (List.init (top + 1) Fun.id)))
   end
 
-let shape cands = Option.map (fun t -> view t cands) (of_pairs cands)
+let rank_of t i =
+  if i >= 0 && i < Array.length t.rank && t.rank.(i) >= 0 then t.rank.(i)
+  else invalid_arg "Direct2: unranked item"
 
-let union ts =
-  let size = List.fold_left (fun m t -> max m (Array.length t.rank)) 0 ts in
-  let rank = Array.make size (-1) in
-  List.iter (fun t -> Array.iteri (fun i r -> if r >= 0 then rank.(i) <- 0) t.rank) ts;
-  layout rank
+let ranks t items = Array.map (rank_of t) items
+let rank_cell t ra rb = Array.unsafe_get t.row_base ra + rb
 
-let n_distinct ts =
-  let seen = Bytes.make (List.fold_left (fun m t -> max m t.n_cells) 0 ts) '\000' in
-  List.fold_left
-    (fun n t ->
-      Array.fold_left
-        (fun n cell ->
-          if Bytes.get seen cell = '\000' then begin
-            Bytes.set seen cell '\001';
-            n + 1
-          end
-          else n)
-        n t.cand_cell)
-    0 ts
+let cell t a b =
+  if a >= b then invalid_arg "Direct2.cell: not an ascending pair";
+  rank_cell t (rank_of t a) (rank_of t b)
 
 let n_cells t = t.n_cells
-let n_ranks t = t.n_ranks
 let init_cells t = Array.make t.n_cells 0
 
 type scratch = { mutable buf : int array }
@@ -119,5 +81,3 @@ let count_row t cells scratch items off len =
       Array.unsafe_set cells cell (Array.unsafe_get cells cell + 1)
     done
   done
-
-let extract t cells = Array.map (fun cell -> cells.(cell)) t.cand_cell

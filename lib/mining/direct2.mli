@@ -2,12 +2,15 @@
     Apriori implementations.
 
     A family whose candidates are all 2-sets does not need a trie: rank the
-    items that occur in any candidate, and count {e every} pair of ranked
-    items of each transaction blindly into a triangular array of cells.
-    Increments into a flat [int array] are far cheaper than trie walks, and
-    the candidate supports are read off the candidates' own cells at the
-    end — cells that correspond to non-candidate pairs are simply ignored,
-    so the result is byte-identical to the trie path.
+    items of a layout, and count {e every} pair of ranked items of each
+    transaction blindly into a triangular array of cells.  Increments into
+    a flat [int array] are far cheaper than trie walks, and a candidate's
+    support is read off its own cell ({!cell}) at the end — cells that
+    correspond to non-candidates are simply ignored, so the result is
+    byte-identical to the trie path.  A layout has no candidates of its
+    own: one cell array serves every family whose items it ranks, whether
+    the family lists its pairs or names them implicitly
+    ({!Candidate.Pairs}, {!Candidate.Witness_pairs}).
 
     The cell array is the per-participant accumulator of a parallel pass:
     participants count into private cell arrays, which merge by element-wise
@@ -17,37 +20,30 @@ open Cfq_itembase
 
 type t
 
-(** [shape cands] is the kernel layout when every candidate is a 2-set
-    ([None] otherwise, or when [cands] is empty).  O(candidates). *)
-val shape : Itemset.t array -> t option
+(** [of_items items] is the layout over every item of [items] (any order,
+    repeats allowed); ranks ascend with items. *)
+val of_items : Item.t array list -> t
 
-(** [of_pairs cands] is [shape cands] without its candidates: the layout
-    over their items, to read through {!view}.  It does not look up a
-    candidate's cell. *)
-val of_pairs : Itemset.t array -> t option
+(** [pair_items cands] is the ascending distinct items of [cands] when
+    every candidate is a 2-set ([None] otherwise, or when [cands] is
+    empty).  O(candidates). *)
+val pair_items : Itemset.t array -> Item.t array option
 
-(** [union ts] is the layout over the ranked items of every layout of
-    [ts], with no candidates of its own: read it through {!view}.  One
-    cell array counted with it holds every pair of every [t]. *)
-val union : t list -> t
+(** [cell t a b] is the cell of the pair [{a, b}], [a < b].  Raises
+    [Invalid_argument] unless both items are ranked in [t]. *)
+val cell : t -> Item.t -> Item.t -> int
 
-(** [view t cands] is [t]'s layout reading the cells of [cands] instead
-    of [t]'s own candidates: the same ranks and cells, so one cell array
-    counted with [t] serves both.  Raises [Invalid_argument] unless every
-    candidate is a 2-set of items ranked in [t]. *)
-val view : t -> Itemset.t array -> t
+(** [ranks t items] is the rank of each item; ranks ascend with items.
+    Raises [Invalid_argument] unless every item is ranked in [t]. *)
+val ranks : t -> Item.t array -> int array
 
-(** [n_distinct ts] is the number of distinct cells the candidates of
-    [ts], views of one layout, read: their distinct candidates,
-    duplicates counted once. *)
-val n_distinct : t list -> int
+(** [rank_cell t ra rb] is the cell of the pair of ranks [ra < rb], which
+    must be ranks of [t]: unchecked, for walks over many cells. *)
+val rank_cell : t -> int -> int -> int
 
 (** Number of triangular cells — the memory cost (in words) of one
     accumulator. *)
 val n_cells : t -> int
-
-(** Number of distinct ranked items. *)
-val n_ranks : t -> int
 
 (** A fresh all-zero accumulator. *)
 val init_cells : t -> int array
@@ -61,7 +57,3 @@ val scratch : unit -> scratch
     every ranked pair of the row [items.(off) .. items.(off + len - 1)]
     (one transaction, strictly increasing). *)
 val count_row : t -> int array -> scratch -> int array -> int -> int -> unit
-
-(** [extract t cells] reads the candidate supports off the cells, in
-    candidate order. *)
-val extract : t -> int array -> int array

@@ -49,7 +49,7 @@ let run ?par ?session io ~s ~t ?(after_l1 = fun ~l1_s:_ ~l1_t:_ -> ())
             ]
         in
         let counts =
-          Counting.count_shared ?par ?session db io
+          Counting.count_pass ?par ?session db io
             (List.map (fun (_, counters, c) -> (counters, c)) families)
         in
         (* per-family kernel labels: a shared pass may count one side with

@@ -561,16 +561,7 @@ let mine_side ~deadline ~par ~kernel (ctx : Exec.ctx) spec io =
   let session = Counting.create_session kernel in
   let rec loop () =
     check_deadline deadline;
-    match Cap.next_candidates state with
-    | None -> ()
-    | Some cands ->
-        let counts =
-          Counting.count_level ~par ~session ctx.Exec.db io (Cap.counters state) cands
-        in
-        let (_ : Frequent.entry array) =
-          Cap.absorb ~kernel:(Counting.last_kernel session) state counts
-        in
-        loop ()
+    if Cap.step ~par ~session state io then loop ()
   in
   loop ();
   (Cap.result state, Cap.counters state, session)

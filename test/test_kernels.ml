@@ -10,6 +10,7 @@ open Cfq_txdb
 open Cfq_mining
 open Cfq_baselines
 open Cfq_core
+open Cfq_constr
 
 let unit name f = Alcotest.test_case name `Quick f
 let kernels = Counting.all_kernels
@@ -76,6 +77,51 @@ let prop_level_rows_kernel_independent (n, db, minsup) =
       let out, _ = mine_with ~session:(session_of kernel) db n ~minsup in
       strip out.Apriori.stats = strip base.Apriori.stats)
     kernels
+
+(* The same contract for constrained CAP runs, whose levels 1 and 2 are
+   implicit when admission is trivial: an MGF witness group (the witness
+   form of level 2) and the unconstrained bundle take the implicit path;
+   an anti-monotone sum check and an extra filter take the explicit one.
+   An extra filter that admits everything forces the explicit path on the
+   same lattice, so the implicit path must also equal it. *)
+let prop_cap_counters_kernel_independent (n, db, minsup) =
+  let info = Helpers.small_info n in
+  let bundles =
+    [
+      [];
+      (* min(S.Price) <= 20: succinct, a witness group *)
+      [ One_var.Agg_cmp (Agg.Min, Helpers.price, Cmp.Le, 20.) ];
+      (* sum(S.Price) <= 90: anti-monotone, checked per candidate *)
+      [ One_var.Agg_cmp (Agg.Sum, Helpers.price, Cmp.Le, 90.) ];
+    ]
+  in
+  let admit_all _ = true and sum_le_60 s = Item_info.sum_of info Helpers.price s <= 60. in
+  let run kernel ~domains cs filter =
+    let state = Cap.create db info ~minsup (Bundle.compile ~nonneg:true info cs) in
+    Option.iter (Cap.set_extra_filter state) filter;
+    let freq =
+      Cap.run ~par:(Counting.par ~min_rows_per_domain:1 domains)
+        ~session:(session_of kernel) state (Io_stats.create ())
+    in
+    let c = Cap.counters state in
+    ( List.map (fun e -> (e.Frequent.set, e.Frequent.support)) (Frequent.to_list freq),
+      Counters.(support_counted c, candidates_generated c, constraint_checks c),
+      List.map
+        (fun r -> Level_stats.(r.level, r.candidates, r.counted, r.frequent))
+        (Level_stats.rows (Cap.stats state)) )
+  in
+  let same_everywhere cs filter =
+    let base = run Counting.Trie ~domains:1 cs filter in
+    List.for_all
+      (fun (_, kernel) ->
+        List.for_all (fun domains -> run kernel ~domains cs filter = base) domain_grid)
+      kernels
+  in
+  List.for_all
+    (fun cs ->
+      run Counting.Direct2 ~domains:1 cs None = run Counting.Direct2 ~domains:1 cs (Some admit_all)
+      && List.for_all (same_everywhere cs) [ None; Some admit_all; Some sum_le_60 ])
+    bundles
 
 (* ------------------------------------------------------------------ *)
 (* Exec equivalence: answers and ccc across kernels                     *)
@@ -228,8 +274,10 @@ let print_mixed_pass (txs, fams) =
 let expected_plan txs fams =
   let singletons c = Array.length c > 0 && Array.for_all (fun s -> Itemset.cardinal s = 1) c in
   let admissible ~n_cands cands =
-    match Direct2.shape cands with
-    | Some d -> Counting.direct2_admissible ~n_cands ~n_cells:(Direct2.n_cells d)
+    match Direct2.pair_items cands with
+    | Some items ->
+        let r = Array.length items in
+        Counting.direct2_admissible ~n_cands ~n_cells:(r * (r - 1) / 2)
     | None -> false
   in
   let own = List.filter (fun c -> admissible ~n_cands:(Array.length c) c) fams in
@@ -300,6 +348,130 @@ let prop_mixed_pass_grid (txs, fams) =
     [ fams; pick [ 2; 3 ]; pick [ 4; 5 ] ]
 
 (* ------------------------------------------------------------------ *)
+(* Implicit levels 1 and 2: no itemset per candidate                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Implicit families over items up to [n + 2] (above some transactions'
+   items): a level-1 form, an all-pairs form, and a witness form whose
+   witnesses are none, all, one or some of its items; plus an explicit
+   pair family and an explicit triple family, and a minimum support. *)
+let gen_implicit_pass =
+  QCheck2.Gen.(
+    let* n = int_range 4 9 in
+    let top = n + 2 in
+    let items = map (fun l -> Array.of_list (List.sort_uniq compare l)) (list_size (int_range 0 (top + 1)) (int_range 0 top)) in
+    let* l1 = items in
+    let* l2 = items in
+    let* l3 = items in
+    let* mode = int_range 0 3 in
+    let* picks = list_repeat (Array.length l3) bool in
+    let* one = int_bound 20 in
+    let witnesses =
+      match mode with
+      | 0 -> [||]
+      | 1 -> l3
+      | 2 -> if Array.length l3 = 0 then [||] else [| l3.(one mod Array.length l3) |]
+      | _ -> Array.of_list (List.filteri (fun i _ -> List.nth picks i) (Array.to_list l3))
+    in
+    let family k sets =
+      List.map Itemset.of_list sets
+      |> List.filter (fun s -> Itemset.cardinal s = k)
+      |> List.sort_uniq Itemset.compare |> Array.of_list
+    in
+    let* pairs = list_size (int_range 1 12) (list_repeat 2 (int_range 0 top)) in
+    let* triples = list_size (int_range 1 8) (list_repeat 3 (int_range 0 top)) in
+    let* txs =
+      list_size (int_range 20 60)
+        (frequency [ (1, return []); (5, list_size (int_range 1 9) (int_range 0 n)) ])
+    in
+    let* minsup = int_range 0 6 in
+    return
+      ( Array.of_list (List.map Itemset.of_list txs),
+        [
+          Candidate.Items l1;
+          Candidate.Pairs l2;
+          Candidate.Witness_pairs { items = l3; witnesses };
+          Candidate.Sets (family 2 pairs);
+          Candidate.Sets (family 3 triples);
+        ],
+        minsup ))
+
+let print_implicit_pass (txs, fams, minsup) =
+  let items a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  let sets a = String.concat "," (Array.to_list (Array.map Itemset.to_string a)) in
+  let fam = function
+    | Candidate.Sets c -> "sets " ^ sets c
+    | Candidate.Items i -> "items " ^ items i
+    | Candidate.Pairs i -> "pairs " ^ items i
+    | Candidate.Witness_pairs { items = i; witnesses } -> Printf.sprintf "pairs %s witnesses %s" (items i) (items witnesses)
+  in
+  Printf.sprintf "minsup=%d txs=[%s] families=[%s]" minsup (sets txs)
+    (String.concat " | " (List.map fam fams))
+
+(* Passes over the implicit forms alone, two at a time (a dovetailed
+   level), and mixed with the explicit pair and trie families.  Each is
+   counted under both kernels at 1 and 3 domains on a plain and a 3-shard
+   database.  Every family's frequent candidates must equal brute force
+   over its expansion (which lists each candidate once and matches
+   {!Candidate.count}), and the pass must charge the same supports
+   counted, scans and pages, and report the same labels, pass counts and
+   shape, as the same pass with every family expanded to explicit sets. *)
+let prop_implicit_passes (txs, fams, minsup) =
+  let page_model = Page_model.make ~page_size_bytes:64 () in
+  let plain = Tx_db.create ~page_model txs in
+  let sharded = Cfq_shard.Sharded.mem_db ~page_model ~shards:3 txs in
+  let brute fam =
+    Candidate.to_sets fam |> Array.to_list
+    |> List.map (fun s -> (s, Helpers.support_of plain s))
+    |> List.filter (fun (_, c) -> c >= minsup)
+    |> List.sort (fun (a, _) (b, _) -> Itemset.compare a b)
+  in
+  let expansion_ok fam =
+    let sets = Candidate.to_sets fam in
+    Array.length sets = Candidate.count fam
+    && List.length (List.sort_uniq Itemset.compare (Array.to_list sets)) = Array.length sets
+  in
+  let pass kernel ~domains db fams =
+    let io = Io_stats.create () in
+    let session = session_of kernel in
+    let counters = List.map (fun _ -> Counters.create ()) fams in
+    let supports =
+      Counting.count_pass
+        ~par:(Counting.par ~min_rows_per_domain:1 domains)
+        ~session db io (List.combine counters fams)
+    in
+    ( List.map
+        (fun s ->
+          List.map (fun e -> (e.Frequent.set, e.Frequent.support))
+            (Array.to_list (Counting.frequent s ~minsup)))
+        supports,
+      ( List.map Counters.support_counted counters,
+        (Io_stats.scans io, Io_stats.pages_read io),
+        Counting.last_kernels session,
+        Counting.pass_counts session,
+        Counting.last_shape session ) )
+  in
+  let explicit fams = List.map (fun f -> Candidate.Sets (Candidate.to_sets f)) fams in
+  let pick idx = List.filteri (fun i _ -> List.mem i idx) fams in
+  List.for_all expansion_ok fams
+  && List.for_all
+       (fun fams ->
+         let expected = List.map brute fams in
+         List.for_all
+           (fun (_, kernel) ->
+             List.for_all
+               (fun db ->
+                 List.for_all
+                   (fun domains ->
+                     let freq, shape = pass kernel ~domains db fams in
+                     let freq_x, shape_x = pass kernel ~domains db (explicit fams) in
+                     freq = expected && freq_x = expected && shape = shape_x)
+                   domain_grid)
+               [ plain; sharded ])
+           kernels)
+       [ pick [ 0 ]; pick [ 1 ]; pick [ 2 ]; pick [ 1; 2 ]; pick [ 0; 1; 3 ]; pick [ 2; 3; 4 ]; fams ]
+
+(* ------------------------------------------------------------------ *)
 (* Rows at an offset: a disk scan hands the kernels each transaction    *)
 (* inside one shared array                                              *)
 (* ------------------------------------------------------------------ *)
@@ -338,9 +510,10 @@ let prop_rows_at_offset (txs, fams) =
       let trie = Trie.build cands in
       same_counts (fun () -> Array.make (Trie.n_candidates trie) 0) (Trie.count_row trie)
       &&
-      match Direct2.shape cands with
+      match Direct2.pair_items cands with
       | None -> true
-      | Some d ->
+      | Some items ->
+          let d = Direct2.of_items [ items ] in
           let scratch = Direct2.scratch () in
           same_counts
             (fun () -> Direct2.init_cells d)
@@ -526,4 +699,8 @@ let suite =
     unit "kernel names round-trip" test_kernel_names_roundtrip;
     unit "vertical scratch reuse matches single probes" test_vertical_scratch_reuse;
     unit "dhp bucket filter visible in level rows" test_dhp_rows;
+    Helpers.qtest ~count:40 "constrained CAP runs count the same under every kernel and path"
+      gen_mine print_mine prop_cap_counters_kernel_independent;
+    Helpers.qtest ~count:150 "implicit level-1 and level-2 passes match explicit ones and brute force"
+      gen_implicit_pass print_implicit_pass prop_implicit_passes;
   ]
