@@ -4,8 +4,9 @@
    2-var query under the default direct2 kernel; plus the trie against the
    direct kernels on the level-2 pass and on a level-1 pass of every item,
    two overlapping pair families counted from one shared triangle
-   against one triangle each, and level 2 from generation to absorb on
-   the explicit and the implicit candidate path.
+   against one triangle each, level 2 from generation to absorb on
+   the explicit and the implicit candidate path, and pair formation
+   (join, pack, weigh) at the service's scale.
    Prints a table and writes the same rows machine-readably to
    BENCH_counting.json so the perf trajectory is diffable across PRs.
 
@@ -86,6 +87,124 @@ let json_rows rows =
            "      {\"domains\": %d, \"cores\": %d, \"seconds\": %.6f, \"speedup\": %.3f, \"valid\": %b}"
            r.r_domains cores r.r_seconds r.r_speedup r.r_valid)
        rows)
+
+(* ---- pair formation at session scale ----
+   Figure 7's last box on fixed seeded sides of 190 sets each (sizes 1-3
+   over 1,000 items, prices uniform in [0, 1000), 10 types): a sort join
+   ([max(S.Price) <= min(T.Price)]) and a hash join ([S.Type = T.Type]).
+   Each join's pairs are checked against the nested loop over
+   [Two_var.eval] first.  Per emitted pair: "form" is [Pairs.form] with a
+   no-op callback; "pack" replays the join's runs into a fresh
+   [Packed.packer] and finishes it, less "weigh", which is
+   [Packed.weights] on the packed join.  Each is the best of 7 samples of
+   ~50 ms. *)
+let pairs_section () =
+  let rng = Splitmix.create ~seed:20260706L in
+  let n_items = 1000 and n_sets = 190 in
+  let prices = Item_gen.uniform_prices rng ~n:n_items ~lo:0. ~hi:1000. in
+  let types = Array.init n_items (fun _ -> float_of_int (Splitmix.int rng 10)) in
+  let info = Item_gen.item_info ~prices ~types () in
+  let side () =
+    let sets = Itemset.Hashtbl.create n_sets in
+    while Itemset.Hashtbl.length sets < n_sets do
+      let size = match Splitmix.int rng 20 with 0 -> 3 | k when k < 8 -> 2 | _ -> 1 in
+      let set = Itemset.of_list (List.init size (fun _ -> Splitmix.int rng n_items)) in
+      Itemset.Hashtbl.replace sets set (1 + Splitmix.int rng 50)
+    done;
+    let entries =
+      Itemset.Hashtbl.fold (fun set support acc -> { Frequent.set; support } :: acc) sets []
+      |> Array.of_list
+    in
+    Array.sort (fun a b -> Itemset.compare a.Frequent.set b.Frequent.set) entries;
+    entries
+  in
+  let valid_s = side () and valid_t = side () in
+  let price = Item_gen.price_attr and typ = Item_gen.type_attr in
+  let joins =
+    [
+      ("sort-join", Cfq_constr.Two_var.Agg2 (Cfq_constr.Agg.Max, price, Cfq_constr.Cmp.Le,
+                                            Cfq_constr.Agg.Min, price));
+      ("hash-join", Cfq_constr.Two_var.Set2 (typ, Cfq_constr.Two_var.Set_eq, typ));
+    ]
+  in
+  let ns_per f n_pairs =
+    let reps = ref 1 in
+    while time_best ~repeats:1 (fun () -> for _ = 1 to !reps do f () done) < 0.05 do
+      reps := 2 * !reps
+    done;
+    let best =
+      time_best ~repeats:7 (fun () ->
+          for _ = 1 to !reps do
+            f ()
+          done)
+    in
+    1e9 *. best /. float_of_int !reps /. float_of_int n_pairs
+  in
+  let rows =
+    List.map
+      (fun (name, c) ->
+        let form ?on_run () =
+          Pairs.form ~s_info:info ~t_info:info ~valid_s ~valid_t ~two_var:[ c ] ?on_run ()
+        in
+        let got = ref [] in
+        let st = form ~on_run:(Pairs.pairwise (fun i j -> got := (i, j) :: !got)) () in
+        let expected = ref [] in
+        Array.iteri
+          (fun i es ->
+            Array.iteri
+              (fun j et ->
+                if Cfq_constr.Two_var.eval ~s_info:info ~t_info:info c es.Frequent.set
+                     et.Frequent.set
+                then expected := (i, j) :: !expected)
+              valid_t)
+          valid_s;
+        if Pairs.join_method_name st.Pairs.join <> name
+           || List.sort compare !got <> List.sort compare !expected
+        then begin
+          Printf.printf "FAIL: the %s pairs differ from the nested loop's\n" name;
+          exit 1
+        end;
+        let n = st.Pairs.n_pairs in
+        let runs = ref [] in
+        ignore
+          (form ~on_run:(fun i ts lo hi -> runs := (i, Array.sub ts lo (hi - lo)) :: !runs) ()
+            : Pairs.stats);
+        let runs = List.rev !runs in
+        let pack () =
+          let p = Cfq_service.Packed.packer valid_s valid_t in
+          List.iter (fun (i, ts) -> Cfq_service.Packed.add_run p i ts 0 (Array.length ts)) runs;
+          p
+        in
+        let full = pack () in
+        let form_ns = ns_per (fun () -> ignore (form () : Pairs.stats)) n in
+        let weigh_ns = ns_per (fun () -> ignore (Cfq_service.Packed.weights full : int * int)) n in
+        let pack_ns =
+          ns_per (fun () -> ignore (Cfq_service.Packed.finish (pack ()) : Cfq_service.Packed.weighed)) n
+          -. weigh_ns
+        in
+        (name, n, form_ns, pack_ns, weigh_ns))
+      joins
+  in
+  let tbl = Table.create [ "join"; "pairs"; "form ns/pair"; "pack ns/pair"; "weigh ns/pair" ] in
+  List.iter
+    (fun (name, n, f, p, w) ->
+      Table.add_row tbl
+        [ name; string_of_int n; Printf.sprintf "%.2f" f; Printf.sprintf "%.2f" p;
+          Printf.sprintf "%.3f" w ])
+    rows;
+  Printf.printf "\npair formation (%d x %d sets; each join checked against the nested loop)\n"
+    (Array.length valid_s) (Array.length valid_t);
+  Table.print tbl;
+  ( Array.length valid_s,
+    Array.length valid_t,
+    String.concat ",\n"
+      (List.map
+         (fun (name, n, f, p, w) ->
+           Printf.sprintf
+             "      {\"join\": %S, \"pairs\": %d, \"form_ns_per_pair\": %.3f, \
+              \"pack_ns_per_pair\": %.3f, \"weigh_ns_per_pair\": %.4f}"
+             name n f p w)
+         rows) )
 
 let run (scale : Workloads.scale) =
   Printf.printf
@@ -351,6 +470,8 @@ let run (scale : Workloads.scale) =
     exec_rows;
   Printf.printf "\nanswers and counters identical to the trie at every domain count\n";
 
+  let pairs_s, pairs_t, pairs_json = pairs_section () in
+
   (* ---- machine-readable record ---- *)
   let max_domains = List.fold_left max 1 domain_grid in
   let speedup_valid = max_domains <= cores in
@@ -411,6 +532,12 @@ let run (scale : Workloads.scale) =
         Printf.sprintf "    \"candidates\": %d," (Array.length singles);
         "    \"rows\": [";
         kernel_json level1_rows;
+        "    ]";
+        "  },";
+        "  \"pairs\": {";
+        Printf.sprintf "    \"sets\": [%d, %d]," pairs_s pairs_t;
+        "    \"rows\": [";
+        pairs_json;
         "    ]";
         "  },";
         "  \"exec_run\": {";

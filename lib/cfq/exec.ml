@@ -401,14 +401,14 @@ let run ?(strategy = Plan.Optimized) ?(collect_pairs = false) ?par
   let valid_s = validate_side ctx.s_info s_counters q.Query.s_constraints s_freq in
   let valid_t = validate_side ctx.t_info t_counters q.Query.t_constraints t_freq in
   let collected = ref [] in
-  let on_pair =
-    if collect_pairs then fun i j ->
-      collected := (valid_s.(i), valid_t.(j)) :: !collected
-    else fun _ _ -> ()
+  let on_run =
+    if collect_pairs then
+      Pairs.pairwise (fun i j -> collected := (valid_s.(i), valid_t.(j)) :: !collected)
+    else fun _ _ _ _ -> ()
   in
   let pair_stats =
     Pairs.form ~s_info:ctx.s_info ~t_info:ctx.t_info ~valid_s ~valid_t
-      ~two_var:q.Query.two_var ~on_pair ()
+      ~two_var:q.Query.two_var ~on_run ()
   in
   let t2 = Unix.gettimeofday () in
   Log.debug (fun m ->

@@ -10,16 +10,20 @@
     {ul
     {- a single aggregate comparison [agg1(S.A) θ agg2(T.B)] becomes a
        {e sort join}: the [T] side is sorted by its aggregate key and each
-       [S]-set only visits its matching range — O((|S|+|T|) log |T| +
-       output);}
-    {- a single [S.A = T.B] becomes a {e hash join} on the canonical
-       projected value set;}
+       [S]-set takes one binary search and one or two contiguous runs of
+       it — O((|S|+|T|) log |T| + output);}
+    {- a single [S.A = T.B] becomes a {e hash join}: each set's key (its
+       sorted distinct projected values, hashed) is computed once, the [T]
+       side is grouped by key, and each [S]-set takes its group as one
+       run;}
     {- anything else (or a conjunction) drives off the best joinable
        constraint and verifies the residual constraints per candidate pair,
        falling back to a nested loop when nothing is joinable.}}
 
-    All methods produce identical pairs; they differ in how many 2-var
-    evaluations ([checks]) they spend. *)
+    All methods produce identical pairs, exactly those of {!Two_var.eval}
+    (NaN and undefined aggregates included); they differ in how many 2-var
+    evaluations ([checks]) they spend.  With no residual constraint a join
+    spends nothing per pair: it hands out runs of an index array. *)
 
 open Cfq_itembase
 open Cfq_constr
@@ -41,14 +45,22 @@ type stats = {
 val join_method_name : join_method -> string
 
 (** [form ~s_info ~t_info ~valid_s ~valid_t ~two_var ()] enumerates the
-    valid pairs, invoking [on_pair i j] on each (in unspecified order, each
-    pair exactly once): the pair is [(valid_s.(i), valid_t.(j))]. *)
+    valid pairs as runs: [on_run i ts lo hi] stands for the pairs
+    [(valid_s.(i), valid_t.(ts.(r)))] for [lo <= r < hi], each pair exactly
+    once over the whole call.  Runs come in ascending [i] (S-major); within
+    an [S]-set the [T]-sets follow the join's order (ascending key for the
+    sort join, ties and groups by ascending index), which is deterministic.
+    [ts] belongs to the join: read it during the call only. *)
 val form :
   s_info:Item_info.t ->
   t_info:Item_info.t ->
   valid_s:Frequent.entry array ->
   valid_t:Frequent.entry array ->
   two_var:Two_var.t list ->
-  ?on_pair:(int -> int -> unit) ->
+  ?on_run:(int -> int array -> int -> int -> unit) ->
   unit ->
   stats
+
+(** [pairwise f] is the run callback that calls [f i j] on each pair of a
+    run, in order. *)
+val pairwise : (int -> int -> unit) -> int -> int array -> int -> int -> unit

@@ -32,28 +32,32 @@ let value t attr item =
     | Some (_, col) -> col.(item)
     | None -> raise Not_found
 
+let column t attr =
+  if Attr.is_self attr then float_of_int
+  else
+    match Hashtbl.find_opt t.columns attr.Attr.name with
+    | Some (_, col) -> Array.get col
+    | None -> fun _ -> raise Not_found
+
 let project t attr s =
-  Itemset.fold (fun acc e -> Value_set.union acc (Value_set.singleton (value t attr e))) Value_set.empty s
+  let value = column t attr in
+  Itemset.fold (fun acc e -> Value_set.union acc (Value_set.singleton (value e))) Value_set.empty s
 
-let min_of t attr s =
-  Itemset.fold
-    (fun acc e ->
-      let v = value t attr e in
-      match acc with
-      | None -> Some v
-      | Some m -> Some (Float.min m v))
-    None s
+(* a left fold of [f] over the values of a non-empty [s] *)
+let fold_values f t attr s =
+  let value = column t attr and a = Itemset.unsafe_to_array s in
+  let acc = ref (value a.(0)) in
+  for k = 1 to Array.length a - 1 do
+    acc := f !acc (value a.(k))
+  done;
+  !acc
 
-let max_of t attr s =
-  Itemset.fold
-    (fun acc e ->
-      let v = value t attr e in
-      match acc with
-      | None -> Some v
-      | Some m -> Some (Float.max m v))
-    None s
+let min_of t attr s = if Itemset.is_empty s then None else Some (fold_values Float.min t attr s)
+let max_of t attr s = if Itemset.is_empty s then None else Some (fold_values Float.max t attr s)
 
-let sum_of t attr s = Itemset.fold (fun acc e -> acc +. value t attr e) 0. s
+let sum_of t attr s =
+  let value = column t attr in
+  Itemset.fold (fun acc e -> acc +. value e) 0. s
 
 let avg_of t attr s =
   let n = Itemset.cardinal s in

@@ -30,6 +30,10 @@ val find_attr : t -> string -> Attr.t option
     Raises [Not_found] if [attr] was never registered. *)
 val value : t -> Attr.t -> Item.t -> float
 
+(** [column t attr] is [value t attr] with the attribute looked up once,
+    for loops over many items. *)
+val column : t -> Attr.t -> Item.t -> float
+
 (** [project t attr s] is the value set [s.attr = { attr(e) | e ∈ s }]. *)
 val project : t -> Attr.t -> Itemset.t -> Value_set.t
 

@@ -43,26 +43,27 @@ let items = function
   | Items items | Pairs items | Witness_pairs { items; _ } -> items
   | Sets _ -> invalid_arg "Candidate.items: explicit candidates"
 
-let iter_pairs c f =
-  let rows n marked =
-    for i = 0 to n - 2 do
-      if marked i then
-        for j = i + 1 to n - 1 do
-          f i j
-        done
-      else
-        for j = i + 1 to n - 1 do
-          if marked j then f i j
-        done
-    done
-  in
-  match c with
-  | Pairs items -> rows (Array.length items) (fun _ -> true)
+let witness_mask = function
+  | Pairs items -> Array.make (Array.length items) true
   | Witness_pairs { items; witnesses } ->
       let is_w = Hashtbl.create 64 in
       Array.iter (fun w -> Hashtbl.replace is_w w ()) witnesses;
-      rows (Array.length items) (Array.unsafe_get (Array.map (Hashtbl.mem is_w) items))
-  | Sets _ | Items _ -> invalid_arg "Candidate.iter_pairs: not a pair form"
+      Array.map (Hashtbl.mem is_w) items
+  | Sets _ | Items _ -> invalid_arg "Candidate.witness_mask: not a pair form"
+
+let iter_pairs c f =
+  let marked = witness_mask c in
+  let n = Array.length marked in
+  for i = 0 to n - 2 do
+    if marked.(i) then
+      for j = i + 1 to n - 1 do
+        f i j
+      done
+    else
+      for j = i + 1 to n - 1 do
+        if marked.(j) then f i j
+      done
+  done
 
 let all_level_subsets_ok candidate ~check =
   let ok = ref true in

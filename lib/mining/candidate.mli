@@ -40,6 +40,12 @@ val items : t -> Item.t array
     [Invalid_argument] on the other forms. *)
 val iter_pairs : t -> (int -> int -> unit) -> unit
 
+(** [witness_mask c] marks the witnesses among the items of a [Pairs] or
+    [Witness_pairs] form (every item of [Pairs]): the candidates are the
+    pairs [i < j] with [i] or [j] marked.  Raises [Invalid_argument] on the
+    other forms. *)
+val witness_mask : t -> bool array
+
 (** [pairs_all items] is every 2-set over [items]. *)
 val pairs_all : Item.t array -> Itemset.t array
 

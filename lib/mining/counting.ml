@@ -343,12 +343,21 @@ let frequent s ~minsup =
       Array.sort (fun a b -> Itemset.compare a.Frequent.set b.Frequent.set) entries;
       entries
   | Cells (form, d, cells) ->
-      (* the walk is in [Itemset.compare] order already *)
-      let items = Candidate.items form in
+      (* row by row, in [Itemset.compare] order: row [i]'s cells sit at
+         [row_base rk.(i) + rk.(j)], contiguous when the family's items are
+         the layout's.  A candidate needs a witness on either side. *)
+      let items = Candidate.items form and marked = Candidate.witness_mask form in
       let rk = Direct2.ranks d items in
-      Candidate.iter_pairs form (fun i j ->
-          let c = cells.(Direct2.rank_cell d rk.(i) rk.(j)) in
-          if c >= minsup then keep (Itemset.unsafe_of_sorted_array [| items.(i); items.(j) |]) c);
+      let n = Array.length items in
+      if Array.length cells < Direct2.n_cells d then invalid_arg "Counting.frequent: cells";
+      for i = 0 to n - 2 do
+        let base = Direct2.row_base d rk.(i) and all = marked.(i) in
+        for j = i + 1 to n - 1 do
+          let c = Array.unsafe_get cells (base + Array.unsafe_get rk j) in
+          if c >= minsup && (all || Array.unsafe_get marked j) then
+            keep (Itemset.unsafe_of_sorted_array [| items.(i); items.(j) |]) c
+        done
+      done;
       Array.of_list (List.rev !out)
 
 (* per-family supports *)

@@ -39,7 +39,8 @@ let rank_of t i =
   else invalid_arg "Direct2: unranked item"
 
 let ranks t items = Array.map (rank_of t) items
-let rank_cell t ra rb = Array.unsafe_get t.row_base ra + rb
+let row_base t ra = Array.unsafe_get t.row_base ra
+let rank_cell t ra rb = row_base t ra + rb
 
 let cell t a b =
   if a >= b then invalid_arg "Direct2.cell: not an ascending pair";

@@ -41,6 +41,10 @@ val ranks : t -> Item.t array -> int array
     must be ranks of [t]: unchecked, for walks over many cells. *)
 val rank_cell : t -> int -> int -> int
 
+(** [row_base t ra] is the base of rank [ra]'s row: the cell of [(ra, rb)]
+    is [row_base t ra + rb], so a row's cells are contiguous.  Unchecked. *)
+val row_base : t -> int -> int
+
 (** Number of triangular cells — the memory cost (in words) of one
     accumulator. *)
 val n_cells : t -> int

@@ -174,21 +174,14 @@ type side_entry = {
   se_weight : int;  (* memoized cache charge: [Condensed.bytes se_cond] *)
 }
 
-(* a cached answer.  The pair list — a near cross-product of the two
-   sides — is stored as the two joined sides (every valid set, paired or
-   not) plus two indices per pair, rebuilt on lookup. *)
-type packed_pairs = {
-  pk_s : Frequent.entry array;
-  pk_t : Frequent.entry array;
-  pk_idx : int array;  (* pair i is (pk_s.(idx.(2i)), pk_t.(idx.(2i+1))) *)
-}
-
+(* a cached answer; its pair list is stored packed ([Packed.t]) and
+   rebuilt on lookup *)
 type cached_answer = {
   ca_epoch : int;
       (* the epoch the supports are exact for; checked on every lookup *)
   ca_query : Query.t;  (* simplified query, for degraded covering tests *)
   ca_answer : answer;  (* template with [pairs = []]; pairs live in ca_pairs *)
-  ca_pairs : packed_pairs;
+  ca_pairs : Packed.t;
   ca_weight : int;  (* memoized cache charge *)
 }
 
@@ -297,44 +290,10 @@ let locked t f =
       raise e
 
 (* ------------------------------------------------------------------ *)
-(* weights (approximate bytes, for the cache budget).  The collection byte
-   model lives in [Condensed] so raw and condensed forms are priced by one
-   scale; weights are computed once per insert and memoized on the entry. *)
-
-let entry_weight = Condensed.entry_weight
-
-(* packed pairs, with the cache charge of their raw pair list and of
-   their packed form *)
-type packed = {
-  pk : packed_pairs;
-  raw_weight : int;
-  packed_weight : int;
-}
-
-(* one pass over the pairs prices both forms.  A packed answer is charged
-   the distinct entries of its pairs; the unpaired valid sets it also
-   keeps are the side collection's records. *)
-let weigh pk =
-  let ws = Array.map entry_weight pk.pk_s and wt = Array.map entry_weight pk.pk_t in
-  let seen_s = Array.make (Array.length ws) false in
-  let seen_t = Array.make (Array.length wt) false in
-  let raw = ref 256 and packed = ref (256 + (8 * Array.length pk.pk_idx)) in
-  for k = 0 to (Array.length pk.pk_idx / 2) - 1 do
-    let i = pk.pk_idx.(2 * k) and j = pk.pk_idx.((2 * k) + 1) in
-    raw := !raw + 16 + ws.(i) + wt.(j);
-    if not seen_s.(i) then begin
-      seen_s.(i) <- true;
-      packed := !packed + ws.(i)
-    end;
-    if not seen_t.(j) then begin
-      seen_t.(j) <- true;
-      packed := !packed + wt.(j)
-    end
-  done;
-  { pk; raw_weight = !raw; packed_weight = !packed }
-
-(* ------------------------------------------------------------------ *)
-(* condensation: the cache's storage format *)
+(* condensation: the cache's storage format.  Weights are approximate
+   bytes for the cache budget, on one scale for collections ([Condensed])
+   and answers ([Packed]), computed once per insert and memoized on the
+   entry. *)
 
 (* condense a freshly mined or promoted collection for caching; every side
    insert is priced through here so the ratio metrics see the full
@@ -355,63 +314,12 @@ let side_frequent t entry =
   Condensed.to_frequent entry.se_cond
 
 (* ------------------------------------------------------------------ *)
-(* packing a join's output straight from its indices *)
-
-(* the index stream is buffered in chunks small enough to be allocated in
-   the minor heap (at most 256 words), then copied once into an exact-size
-   [pk_idx]; an even size keeps a pair's two indices in one chunk *)
-let chunk_words = 256
-
-type packer = {
-  valid_s : Frequent.entry array;
-  valid_t : Frequent.entry array;
-  mutable full : int array list;  (* filled chunks, newest first *)
-  mutable chunk : int array;
-  mutable fill : int;
-}
-
-let packer valid_s valid_t =
-  { valid_s; valid_t; full = []; chunk = Array.make chunk_words 0; fill = 0 }
-
-let pack_pair p i j =
-  if p.fill = chunk_words then begin
-    p.full <- p.chunk :: p.full;
-    p.chunk <- Array.make chunk_words 0;
-    p.fill <- 0
-  end;
-  p.chunk.(p.fill) <- i;
-  p.chunk.(p.fill + 1) <- j;
-  p.fill <- p.fill + 2
-
-(* the packed pairs, weighed.  The packed sides are the joined sides
-   whole, paired or not: a later delta join reads from them which sets
-   were valid. *)
-let finish_packer p =
-  let n_full = List.length p.full in
-  let idx = Array.make ((n_full * chunk_words) + p.fill) 0 in
-  List.iteri
-    (fun k c -> Array.blit c 0 idx ((n_full - 1 - k) * chunk_words) chunk_words)
-    p.full;
-  Array.blit p.chunk 0 idx (n_full * chunk_words) p.fill;
-  weigh { pk_s = p.valid_s; pk_t = p.valid_t; pk_idx = idx }
+(* answers: joined and packed as the join emits its runs *)
 
 (* join two filtered sides and pack the pairs as the join emits them *)
 let join_packed (ctx : Exec.ctx) (q : Query.t) ~valid_s ~valid_t =
-  let p = packer valid_s valid_t in
-  let stats =
-    Pairs.form ~s_info:ctx.Exec.s_info ~t_info:ctx.Exec.t_info ~valid_s ~valid_t
-      ~two_var:q.Query.two_var ~on_pair:(pack_pair p) ()
-  in
-  (stats, finish_packer p)
-
-(* the pairs a packed answer stands for, in join order *)
-let unpack_pairs pk =
-  let pairs = ref [] in
-  for i = (Array.length pk.pk_idx / 2) - 1 downto 0 do
-    pairs :=
-      (pk.pk_s.(pk.pk_idx.(2 * i)), pk.pk_t.(pk.pk_idx.((2 * i) + 1))) :: !pairs
-  done;
-  !pairs
+  Packed.join ~s_info:ctx.Exec.s_info ~t_info:ctx.Exec.t_info ~valid_s ~valid_t
+    ~two_var:q.Query.two_var
 
 (* [template] carries everything but the pairs *)
 let make_cached_answer ~epoch q (template : answer) packed =
@@ -419,15 +327,15 @@ let make_cached_answer ~epoch q (template : answer) packed =
     ca_epoch = epoch;
     ca_query = q;
     ca_answer = { template with pairs = [] };
-    ca_pairs = packed.pk;
-    ca_weight = packed.packed_weight;
+    ca_pairs = packed.Packed.pk;
+    ca_weight = packed.Packed.packed_weight;
   }
 
 (* with [t.lock] held: insert [ca] under [key] unless a seal has moved
    past [epoch], pricing the insert for the ratio metrics *)
 let insert_answer_locked t ~epoch ~key packed ca =
   if t.epoch = epoch then begin
-    Metrics.record_condensed t.service_metrics ~raw:packed.raw_weight
+    Metrics.record_condensed t.service_metrics ~raw:packed.Packed.raw_weight
       ~stored:ca.ca_weight ~condensed:true;
     ignore (Lru.insert t.answers key ~weight:ca.ca_weight ca : bool)
   end
@@ -662,12 +570,12 @@ let split_sides valid pos =
    S_kept are the sets of [valid_s] among the old answer's S-sets and S_new
    the rest, and T likewise.  The two joins are disjoint, and neither meets
    an old pair. *)
-let delta_join (ctx : Exec.ctx) (q : Query.t) (old : packed_pairs) ~valid_s ~valid_t =
-  let pos_s = positions valid_s old.pk_s and pos_t = positions valid_t old.pk_t in
-  let p = packer valid_s valid_t in
-  for k = 0 to (Array.length old.pk_idx / 2) - 1 do
-    let i = pos_s.(old.pk_idx.(2 * k)) and j = pos_t.(old.pk_idx.((2 * k) + 1)) in
-    if i >= 0 && j >= 0 then pack_pair p i j
+let delta_join (ctx : Exec.ctx) (q : Query.t) (old : Packed.t) ~valid_s ~valid_t =
+  let pos_s = positions valid_s old.Packed.pk_s and pos_t = positions valid_t old.Packed.pk_t in
+  let p = Packed.packer valid_s valid_t in
+  for k = 0 to Packed.n_pairs old - 1 do
+    let i = pos_s.(old.Packed.pk_idx.(2 * k)) and j = pos_t.(old.Packed.pk_idx.((2 * k) + 1)) in
+    if i >= 0 && j >= 0 then Packed.add_pair p i j
   done;
   let s_kept, s_new = split_sides valid_s pos_s in
   let _, t_new = split_sides valid_t pos_t in
@@ -678,13 +586,13 @@ let delta_join (ctx : Exec.ctx) (q : Query.t) (old : packed_pairs) ~valid_s ~val
            ~valid_s:(Array.map (Array.get valid_s) s_idx)
            ~valid_t:(Array.map (Array.get valid_t) t_idx)
            ~two_var:q.Query.two_var
-           ~on_pair:(fun a b -> pack_pair p s_idx.(a) t_idx.(b))
+           ~on_run:(Pairs.pairwise (fun a b -> Packed.add_pair p s_idx.(a) t_idx.(b)))
            ()
           : Pairs.stats)
   in
   join s_new (Array.init (Array.length valid_t) Fun.id);
   join s_kept t_new;
-  finish_packer p
+  Packed.finish p
 
 (* bring [ca], cached at an older epoch under [key], up to [epoch] by a
    delta join over the covering side collections at [epoch].  [None]
@@ -714,7 +622,7 @@ let promote_answer t ~ctx ~epoch ~key (q : Query.t) ca =
       let packed = delta_join ctx q ca.ca_pairs ~valid_s ~valid_t in
       let ca' =
         make_cached_answer ~epoch q
-          { ca.ca_answer with n_pairs = Array.length packed.pk.pk_idx / 2 }
+          { ca.ca_answer with n_pairs = Packed.n_pairs packed.Packed.pk }
           packed
       in
       locked t (fun () ->
@@ -756,7 +664,7 @@ let execute t ~deadline (q : Query.t) =
   | Some ca ->
       (* rebuilt outside the lock: a large answer must not stall the other
          domains' lookups and inserts *)
-      let pairs = unpack_pairs ca.ca_pairs in
+      let pairs = Packed.pairs ca.ca_pairs in
       let latency = Unix.gettimeofday () -. t0 in
       locked t (fun () -> serve_hit_locked t ca pairs ~latency)
   | None ->
@@ -776,7 +684,7 @@ let execute t ~deadline (q : Query.t) =
             latency_seconds = 0.;
             notes = rw.Rewrite.notes @ [ "query is unsatisfiable; nothing was mined" ];
           },
-            finish_packer (packer [||] [||]) )
+            Packed.finish (Packed.packer [||] [||]) )
         else begin
           let valid_s, s_cached =
             resolve_side t ~deadline ~ctx ~epoch (side_spec_of ctx q `S) io
@@ -804,7 +712,7 @@ let execute t ~deadline (q : Query.t) =
         end
       in
       let ca = make_cached_answer ~epoch q answer packed in
-      let answer = { answer with pairs = unpack_pairs packed.pk } in
+      let answer = { answer with pairs = Packed.pairs packed.Packed.pk } in
       let latency = Unix.gettimeofday () -. t0 in
       let answer = { answer with latency_seconds = latency } in
       locked t (fun () ->
@@ -925,7 +833,7 @@ let degraded_lookup_locked t (q : Query.t) =
           Metrics.record_reconstruction t.service_metrics;
           Some
             (filter_answer t.service_ctx q
-               { ca.ca_answer with pairs = unpack_pairs ca.ca_pairs })
+               { ca.ca_answer with pairs = Packed.pairs ca.ca_pairs })
     end
   end
 
@@ -1093,7 +1001,7 @@ let open_serve_locked t (q : Query.t) =
   match Lru.find t.answers key with
   | Some ca when ca.ca_epoch = t.epoch ->
       Metrics.record_answer_hit t.service_metrics;
-      `Serve (serve_hit_locked t ca (unpack_pairs ca.ca_pairs) ~latency:0.)
+      `Serve (serve_hit_locked t ca (Packed.pairs ca.ca_pairs) ~latency:0.)
   | Some _ | None -> (
       match degraded_lookup_locked t q' with
       | Some a -> `Serve a

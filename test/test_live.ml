@@ -547,7 +547,7 @@ let full_rejoin db ~n info (q : Query.t) =
   let pairs = ref [] in
   ignore
     (Pairs.form ~s_info:info ~t_info:info ~valid_s ~valid_t ~two_var:q.Query.two_var
-       ~on_pair:(fun i j -> pairs := (valid_s.(i), valid_t.(j)) :: !pairs)
+       ~on_run:(Pairs.pairwise (fun i j -> pairs := (valid_s.(i), valid_t.(j)) :: !pairs))
        ()
       : Pairs.stats);
   !pairs

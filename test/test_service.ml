@@ -357,6 +357,53 @@ let packed_answer_bytes pairs =
   in
   256 + distinct fst + distinct snd + (16 * List.length pairs)
 
+(* per-set weighing equals the byte model's per-pair definition, over
+   random joins of every method with and without residual constraints:
+   the packed pairs are the join's, in its order, and a packer fed the
+   same pairs one at a time packs and weighs the same *)
+let gen_packed_join =
+  let gen_side =
+    QCheck2.Gen.(
+      map
+        (fun sets ->
+          Array.of_list
+            (List.map
+               (fun s -> { Frequent.set = s; support = 1 + Itemset.cardinal s })
+               (List.sort_uniq Itemset.compare sets)))
+        (list_size (int_range 0 12) (Helpers.gen_itemset 6)))
+  in
+  QCheck2.Gen.(
+    triple (list_size (int_range 0 3) Helpers.gen_two_var) gen_side gen_side)
+
+let print_packed_join (cs, vs, vt) =
+  Printf.sprintf "%s |S|=%d |T|=%d"
+    (String.concat " & " (List.map Two_var.to_string cs))
+    (Array.length vs) (Array.length vt)
+
+let prop_weigh_per_set (cs, vs, vt) =
+  let info = Helpers.small_info 6 in
+  let emitted = ref [] in
+  let stats =
+    Pairs.form ~s_info:info ~t_info:info ~valid_s:vs ~valid_t:vt ~two_var:cs
+      ~on_run:(Pairs.pairwise (fun i j -> emitted := (i, j) :: !emitted))
+      ()
+  in
+  let emitted = List.rev !emitted in
+  let _, w =
+    Packed.join ~s_info:info ~t_info:info ~valid_s:vs ~valid_t:vt ~two_var:cs
+  in
+  let pairs = Packed.pairs w.Packed.pk in
+  let one_by_one = Packed.packer vs vt in
+  List.iter (fun (i, j) -> Packed.add_pair one_by_one i j) emitted;
+  let w' = Packed.finish one_by_one in
+  pairs = List.map (fun (i, j) -> (vs.(i), vt.(j))) emitted
+  && Packed.n_pairs w.Packed.pk = stats.Pairs.n_pairs
+  && w.Packed.raw_weight = raw_answer_bytes pairs
+  && w.Packed.packed_weight = packed_answer_bytes pairs
+  && w'.Packed.pk.Packed.pk_idx = w.Packed.pk.Packed.pk_idx
+  && w'.Packed.raw_weight = w.Packed.raw_weight
+  && w'.Packed.packed_weight = w.Packed.packed_weight
+
 (* every insert of a session is priced by the byte model over the pairs it
    returned: after a cold anchor query mines one side collection, distinct
    refinements are all subsumed, so each adds exactly one packed answer
@@ -653,4 +700,6 @@ let suite =
       prop_lru_budget_invariant;
     Helpers.qtest ~count:60 "service: refinement equals brute force" gen_refinement
       print_refinement prop_refinement;
+    Helpers.qtest ~count:300 "packed answers: per-set weights equal the per-pair byte model"
+      gen_packed_join print_packed_join prop_weigh_per_set;
   ]
