@@ -222,15 +222,18 @@ let run (scale : Workloads.scale) =
   let frequent_items = ref [] in
   Array.iteri (fun i f -> if f >= minsup then frequent_items := i :: !frequent_items) freqs;
   let cands = Candidate.pairs_all (Array.of_list !frequent_items) in
+  (* one pass over listed families, each family's supports in candidate
+     order *)
+  let count ?par ?session families =
+    List.map Counting.counts
+      (Counting.count_pass ?par ?session db io
+         (List.map (fun c -> (Counters.create (), Candidate.Sets c)) families))
+  in
   Printf.printf "level-2 pass: %d pair candidates over %d transactions\n%!"
     (Array.length cands) (Cfq_txdb.Tx_db.size db);
   let reference = ref [||] in
   let level2_run d =
-    let counts =
-      Counting.count_level
-        ~par:(Counting.par ~min_rows_per_domain:1 d)
-        db io (Counters.create ()) cands
-    in
+    let counts = List.hd (count ~par:(Counting.par ~min_rows_per_domain:1 d) [ cands ]) in
     if d = 1 then reference := counts
     else if counts <> !reference then begin
       Printf.printf "FAIL: level-2 counts at %d domains differ from sequential\n" d;
@@ -244,9 +247,7 @@ let run (scale : Workloads.scale) =
      trie vs direct2, both sequential so the comparison isolates the
      kernel.  Every kernel's counts are checked against the trie reference
      before its timing is reported. *)
-  let count_with session =
-    Counting.count_level ?session db io (Counters.create ()) cands
-  in
+  let count_with session = List.hd (count ?session [ cands ]) in
   let check_kernel name counts =
     if counts <> !reference then begin
       Printf.printf "FAIL: %s kernel counts differ from the trie reference\n" name;
@@ -304,13 +305,12 @@ let run (scale : Workloads.scale) =
      admissible; "one" counts each row once into one triangle over both
      families' items ([Direct2.of_items]) and reads each family's supports
      off its candidates' cells.  Both are checked against the trie first, and
-     [count_shared] under direct2 must share one triangle and agree. *)
+     [count_pass] under direct2 must share one triangle and agree. *)
   let sorted_items = Array.of_list (List.rev !frequent_items) in
   let n_freq = Array.length sorted_items in
   let fam_a = Candidate.pairs_all (Array.sub sorted_items 0 (2 * n_freq / 3))
   and fam_b = Candidate.pairs_all (Array.sub sorted_items (n_freq / 3) (n_freq - (n_freq / 3))) in
-  let shared_families = [ (Counters.create (), fam_a); (Counters.create (), fam_b) ] in
-  let shared_ref = Counting.count_shared db io shared_families in
+  let shared_ref = count [ fam_a; fam_b ] in
   let scan_into layouts =
     let layouts = Array.of_list layouts in
     let cells = Array.map Direct2.init_cells layouts in
@@ -346,10 +346,10 @@ let run (scale : Workloads.scale) =
     [
       ("two triangles", two_triangles);
       ("one triangle", one_triangle);
-      ("count_shared", fun () -> Counting.count_shared ~session db io shared_families);
+      ("count_pass", fun () -> count ~session [ fam_a; fam_b ]);
     ];
   if (Counting.last_shape session).Counting.shared_families <> 2 then begin
-    print_endline "FAIL: count_shared did not count the two families from one triangle";
+    print_endline "FAIL: count_pass did not count the two families from one triangle";
     exit 1
   end;
   let two_s, one_s, shared_speedup =
@@ -403,8 +403,7 @@ let run (scale : Workloads.scale) =
      sequential, both checked against the exact item frequencies first *)
   let singles = Array.init scale.Workloads.n_items Itemset.singleton in
   let count_singles kernel =
-    Counting.count_level ~session:(Counting.create_session kernel) db io
-      (Counters.create ()) singles
+    List.hd (count ~session:(Counting.create_session kernel) [ singles ])
   in
   List.iter
     (fun (name, kernel) ->

@@ -410,12 +410,10 @@ let parallel scale =
   let time domains =
     Gc.compact ();
     let t0 = Unix.gettimeofday () in
-    let counts =
-      Counting.count_level
-        ~par:(Counting.par domains)
-        db io (Counters.create ()) cands
+    let (_ : Counting.supports list) =
+      Counting.count_pass ~par:(Counting.par domains) db io
+        [ (Counters.create (), Candidate.Sets cands) ]
     in
-    ignore counts;
     Unix.gettimeofday () -. t0
   in
   let base = time 1 in

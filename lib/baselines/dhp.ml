@@ -66,7 +66,7 @@ let mine db io ~minsup ~universe_size ~n_buckets =
   let c2_filtered = Array.length c2 in
   let counters = Counters.create () in
   let count cands =
-    if Array.length cands = 0 then [||] else Counting.count_level db io counters cands
+    Counting.counts (List.hd (Counting.count_pass db io [ (counters, Candidate.Sets cands) ]))
   in
   let counts = count c2 in
   let entries cands counts =

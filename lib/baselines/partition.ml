@@ -12,7 +12,8 @@ let mine db io ~minsup ~n_partitions ~universe_size =
     Array.init n_partitions (fun p ->
         (p * n / n_partitions, ((p + 1) * n / n_partitions) - 1))
   in
-  Io_stats.record_scan io ~pages:(Tx_db.pages db) ~tuples:n;
+  let record_scan () = Io_stats.record_scan io ~pages:(Tx_db.pages db) ~tuples:n in
+  record_scan ();
   Array.iter
     (fun (lo, hi) ->
       if hi >= lo then begin
@@ -32,9 +33,14 @@ let mine db io ~minsup ~n_partitions ~universe_size =
                Itemset.Hashtbl.replace candidates e.Frequent.set ())
       end)
     bounds;
-  (* pass 2: exact global counts for the candidate union *)
+  (* pass 2: exact global counts for the candidate union; an empty union
+     still pays its scan, so the algorithm takes exactly two *)
   let cands = Array.of_seq (Itemset.Hashtbl.to_seq_keys candidates) in
-  let counts = Counting.count_sets db io cands in
+  if Array.length cands = 0 then record_scan ();
+  let counts =
+    Counting.counts
+      (List.hd (Counting.count_pass db io [ (Counters.create (), Candidate.Sets cands) ]))
+  in
   let by_level = Hashtbl.create 16 in
   Array.iteri
     (fun i s ->

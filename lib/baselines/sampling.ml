@@ -83,7 +83,10 @@ let mine db io ~minsup ~universe_size ~sample_frac ?(lower = 0.8) ?(seed = 1) ()
     if to_count = [] then stable := true
     else begin
       let cands = Array.of_list to_count in
-      let counts = Counting.count_sets db io cands in
+      let counts =
+        Counting.counts
+          (List.hd (Counting.count_pass db io [ (Counters.create (), Candidate.Sets cands) ]))
+      in
       Array.iteri (fun i s -> Itemset.Hashtbl.replace supports s counts.(i)) cands;
       (* expand around any border set that is globally frequent *)
       let grew = ref false in

@@ -9,7 +9,7 @@
     fault-validated, charged to the maintenance {!Cfq_txdb.Io_stats} at
     the delta's page span, not the whole database — and materialises them
     as a resident [Tx_db] twin so the shared FUP pass
-    ({!Maintain.promote_all}) rescans the delta for a free
+    ([Cfq_mining.Incremental.update_abs]) rescans the delta for a free
     page-model-identical charge instead of re-touching the store. *)
 
 open Cfq_txdb

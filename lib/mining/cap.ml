@@ -167,12 +167,13 @@ let next_candidates t =
     end
   end
 
-let absorb ?(kernel = "trie") t supports =
+let absorb t supports =
   let n = Candidate.count t.pending in
   if Counting.n_supports supports <> n then
     invalid_arg "Cap.absorb: supports misaligned with candidates";
   let entries = Counting.frequent supports ~minsup:t.minsup in
   t.level <- t.level + 1;
+  let kernel = Counting.label supports in
   Level_stats.record t.stats
     { Level_stats.level = t.level; candidates = n; counted = n; frequent = Array.length entries; kernel };
   if t.level = 1 then
@@ -200,8 +201,7 @@ let step ?par ?session t io =
         | [ s ] -> s
         | _ -> assert false
       in
-      let kernel = match session with Some s -> Counting.last_kernel s | None -> "trie" in
-      let (_ : Frequent.entry array) = absorb ~kernel t supports in
+      let (_ : Frequent.entry array) = absorb t supports in
       true
 
 let result t = Frequent.of_levels (List.rev t.levels_rev)

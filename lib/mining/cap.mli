@@ -72,13 +72,13 @@ val next_candidates : t -> Candidate.t option
 (** [absorb t supports] consumes the supports of the candidates from the
     preceding [next_candidates] (counted by {!Counting.count_pass}) and
     returns the new frequent level, in {!Itemset.compare} order: only the
-    frequent candidates become itemsets ({!Counting.frequent}).  [kernel]
-    (default ["trie"]) annotates the {!Level_stats} row with the counting
-    kernel that produced the supports. *)
-val absorb : ?kernel:string -> t -> Counting.supports -> Frequent.entry array
+    frequent candidates become itemsets ({!Counting.frequent}).  The
+    {!Level_stats} row carries the supports' kernel label
+    ({!Counting.label}). *)
+val absorb : t -> Counting.supports -> Frequent.entry array
 
 (** [step t io] runs one level — [next_candidates], one counting pass,
-    [absorb] labelled with the session's kernel — and is [false] once the
+    [absorb] — and is [false] once the
     lattice is exhausted.  [par] and [session] are as for {!run}. *)
 val step : ?par:Counting.par -> ?session:Counting.session -> t -> Io_stats.t -> bool
 

@@ -49,23 +49,15 @@ type pass_shape = { shared_families : int; rows_skipped : int }
 
 type session = {
   kernel : kernel;
-  mutable last_fams : string list;
   mutable last_shape : pass_shape;
   mutable n_trie : int;
   mutable n_direct2 : int;
 }
 
 let create_session kernel =
-  { kernel; last_fams = []; last_shape = { shared_families = 0; rows_skipped = 0 }; n_trie = 0; n_direct2 = 0 }
+  { kernel; last_shape = { shared_families = 0; rows_skipped = 0 }; n_trie = 0; n_direct2 = 0 }
 
-let last_kernels s = s.last_fams
 let last_shape s = s.last_shape
-
-let last_kernel s =
-  match List.sort_uniq compare s.last_fams with
-  | [] -> "trie"
-  | ls -> String.concat "+" ls
-
 let pass_counts s = { trie_passes = s.n_trie; direct2_passes = s.n_direct2 }
 
 let describe s = Printf.sprintf "trie=%d direct2=%d" s.n_trie s.n_direct2
@@ -81,7 +73,6 @@ let describe s = Printf.sprintf "trie=%d direct2=%d" s.n_trie s.n_direct2
    [R_shared]: a pair family read off the pass's shared triangle. *)
 type rep = R_trie of Trie.t * Itemset.t array | R_hist of int array | R_tri of Direct2.t | R_shared
 
-let rep_label = function R_trie _ -> "trie" | R_hist _ | R_tri _ | R_shared -> "direct2"
 let trie_of sets = R_trie (Trie.build sets, sets)
 
 let all_singletons cands =
@@ -319,25 +310,29 @@ let add_into total local =
 (* Supports                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* A family's counted supports: the supports of candidates [0 .. n-1]
-   with the set of candidate [i] (listed sets, an implicit family's
-   expansion, or singletons boxed on demand), or an implicit pair family
-   with the triangle it was counted into. *)
-type supports = Counted of (int -> Itemset.t) * int array | Cells of Candidate.t * Direct2.t * int array
+(* A family's counted supports: its kernel label and the supports of
+   candidates [0 .. n-1] with the set of candidate [i] (listed sets, an
+   implicit family's expansion, or singletons boxed on demand), or an
+   implicit pair family with the triangle it was counted into. *)
+type supports =
+  | Counted of string * (int -> Itemset.t) * int array
+  | Cells of Candidate.t * Direct2.t * int array
+
+let label = function Counted (l, _, _) -> l | Cells _ -> "direct2"
 
 let n_supports = function
-  | Counted (_, c) -> Array.length c
+  | Counted (_, _, c) -> Array.length c
   | Cells (form, _, _) -> Candidate.count form
 
-let counts_of = function
-  | Counted (_, c) -> c
-  | Cells _ -> invalid_arg "Counting.counts_of: an implicit family"
+let counts = function
+  | Counted (_, _, c) -> c
+  | Cells _ -> invalid_arg "Counting.counts: an implicit family"
 
 let frequent s ~minsup =
   let out = ref [] in
   let keep set support = out := { Frequent.set; support } :: !out in
   match s with
-  | Counted (set, counts) ->
+  | Counted (_, set, counts) ->
       Array.iteri (fun i c -> if c >= minsup then keep (set i) c) counts;
       let entries = Array.of_list !out in
       Array.sort (fun a b -> Itemset.compare a.Frequent.set b.Frequent.set) entries;
@@ -365,7 +360,8 @@ let extract p st =
   let read d cells = function
     | Candidate.Sets cands ->
         Counted
-          ( Array.get cands,
+          ( "direct2",
+            Array.get cands,
             Array.map (fun s -> cells.(Direct2.cell d (Itemset.get s 0) (Itemset.get s 1))) cands )
     | form -> Cells (form, d, cells)
   in
@@ -373,9 +369,12 @@ let extract p st =
     (Array.mapi
        (fun f rep ->
          match rep with
-         | R_trie (_, sets) -> Counted (Array.get sets, st.accs.(f))
+         | R_trie (_, sets) -> Counted ("trie", Array.get sets, st.accs.(f))
          | R_hist items ->
-             Counted ((fun k -> Itemset.singleton items.(k)), Array.map (fun i -> st.hist.(i)) items)
+             Counted
+               ( "direct2",
+                 (fun k -> Itemset.singleton items.(k)),
+                 Array.map (fun i -> st.hist.(i)) items )
          | R_tri d -> read d st.accs.(f) p.fams.(f)
          | R_shared -> read (Option.get p.shared) st.shared_cells p.fams.(f))
        p.reps)
@@ -388,7 +387,7 @@ let extract p st =
    the participant's accumulators.  Every representation walks the same
    pages in the same order, so the page, checksum and fault walk is the
    same for every kernel.  ccc support-counted is charged by
-   [count_shared] before the scan, per candidate and kernel-independent by
+   [count_pass] before the scan, per candidate and kernel-independent by
    construction. *)
 let scan_count ~par db io p =
   let domains = eff_domains par ~work_items:(Tx_db.size db) in
@@ -471,7 +470,7 @@ let distributed ~par db subs io p =
   total
 
 (* ------------------------------------------------------------------ *)
-(* Entry points                                                        *)
+(* The entry point                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let count_pass ?(par = sequential) ?session db io families =
@@ -482,7 +481,7 @@ let count_pass ?(par = sequential) ?session db io families =
     families;
   if List.for_all (fun (_, c) -> Candidate.count c = 0) families then
     (* nothing to count anywhere: skip the scan and charge no I/O *)
-    List.map (fun _ -> Counted (Array.get [||], [||])) families
+    List.map (fun _ -> Counted ("trie", Array.get [||], [||])) families
   else begin
     let kernel = match session with Some s -> s.kernel | None -> Trie in
     let p = plan_of kernel (List.map snd families) in
@@ -491,37 +490,21 @@ let count_pass ?(par = sequential) ?session db io families =
       | Some subs when Array.length subs > 1 -> distributed ~par db subs io p
       | _ -> scan_count ~par db io p
     in
+    let supports = extract p total in
     (* logical passes: a distributed pass counts once, like the composite's
        one charged scan, so the same mine reports the same counts on every
        backend *)
     (match session with
     | Some s ->
-        let labels = Array.to_list (Array.map rep_label p.reps) in
-        s.last_fams <- labels;
         s.last_shape <-
           {
             shared_families =
               Array.fold_left (fun n r -> if r = R_shared then n + 1 else n) 0 p.reps;
             rows_skipped = total.skipped;
           };
-        if List.mem "direct2" labels then s.n_direct2 <- s.n_direct2 + 1;
-        if List.mem "trie" labels then s.n_trie <- s.n_trie + 1
+        let uses k = List.exists (fun x -> label x = k) supports in
+        if uses "direct2" then s.n_direct2 <- s.n_direct2 + 1;
+        if uses "trie" then s.n_trie <- s.n_trie + 1
     | None -> ());
-    extract p total
+    supports
   end
-
-let count_shared ?par ?session db io families =
-  List.map counts_of
-    (count_pass ?par ?session db io
-       (List.map (fun (counters, cands) -> (counters, Candidate.Sets cands)) families))
-
-let count_level ?par ?session db io counters cands =
-  match count_shared ?par ?session db io [ (counters, cands) ] with
-  | [ counts ] -> counts
-  | _ -> assert false
-
-let count_sets db io cands =
-  let p = plan_of Trie [ Candidate.Sets cands ] in
-  match extract p (scan_count ~par:sequential db io p) with
-  | [ s ] -> counts_of s
-  | _ -> assert false

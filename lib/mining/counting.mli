@@ -84,7 +84,6 @@
     run in index order, so the injector draw sequence is deterministic;
     shard-local error pages are translated to composite coordinates. *)
 
-open Cfq_itembase
 open Cfq_txdb
 
 (** How a counting pass parallelises.  [domains <= 1] is the sequential
@@ -149,13 +148,6 @@ type session
 
 val create_session : kernel -> session
 
-(** Kernel labels of the families of the most recent pass (aligned with
-    the [families] argument), e.g. ["direct2"; "trie"]. *)
-val last_kernels : session -> string list
-
-(** Combined label of the most recent pass ("trie" before any pass). *)
-val last_kernel : session -> string
-
 type pass_counts = { trie_passes : int; direct2_passes : int }
 
 (** Logical passes per kernel: a pass whose families used both
@@ -185,6 +177,17 @@ type supports
 (** Number of candidates the supports cover. *)
 val n_supports : supports -> int
 
+(** The representation that counted the family: ["trie"], or ["direct2"]
+    for the histogram and the direct2 array.  A family of a skipped pass
+    (every family empty) reads ["trie"], as an empty family does in a
+    counted one. *)
+val label : supports -> string
+
+(** The supports in candidate order.  Raises [Invalid_argument] on an
+    implicit pair family counted into a triangle: read those with
+    {!frequent}. *)
+val counts : supports -> int array
+
 (** [frequent s ~minsup] is the candidates with support at least [minsup],
     in {!Itemset.compare} order.  Only these are built as itemsets: an
     implicit pair family counted into a triangle is read cell by cell in
@@ -195,7 +198,10 @@ val frequent : supports -> minsup:int -> Frequent.entry array
     ({!Candidate.t}), in the same pass; each family carries its own ccc
     counters and is charged {!Candidate.count} supports counted.  When
     every family is empty the pass is skipped entirely and no I/O is
-    charged.  Without a [session] every family is counted with the trie. *)
+    charged.  Without a [session] every family is counted with the trie.
+    It is the only way to count supports: mining, live maintenance, rule
+    supports and the baselines all call it, and a caller that keeps no
+    ccc counters passes a fresh {!Counters.create}. *)
 val count_pass :
   ?par:par ->
   ?session:session ->
@@ -203,31 +209,3 @@ val count_pass :
   Io_stats.t ->
   (Counters.t * Candidate.t) list ->
   supports list
-
-(** [count_shared db io families] is {!count_pass} over explicit families,
-    each family's supports in candidate order. *)
-val count_shared :
-  ?par:par ->
-  ?session:session ->
-  Tx_db.t ->
-  Io_stats.t ->
-  (Counters.t * Itemset.t array) list ->
-  int array list
-
-(** [count_level db io counters cands] counts all candidates in one pass and
-    charges [Array.length cands] to the support-counted ccc counter. *)
-val count_level :
-  ?par:par ->
-  ?session:session ->
-  Tx_db.t ->
-  Io_stats.t ->
-  Counters.t ->
-  Itemset.t array ->
-  int array
-
-(** [count_sets db io cands] counts [cands] with the trie in one
-    sequential scan of [db] and returns their supports in candidate order.
-    It charges one scan even when [cands] is empty, and no ccc counter —
-    the plain counting pass of live maintenance, rule supports and the
-    baselines. *)
-val count_sets : Tx_db.t -> Io_stats.t -> Itemset.t array -> int array

@@ -52,27 +52,16 @@ let run ?par ?session io ~s ~t ?(after_l1 = fun ~l1_s:_ ~l1_t:_ -> ())
           Counting.count_pass ?par ?session db io
             (List.map (fun (_, counters, c) -> (counters, c)) families)
         in
-        (* per-family kernel labels: a shared pass may count one side with
-           direct2 and the other with the trie *)
-        let kernels =
-          match session with
-          | Some sess ->
-              let ks = Counting.last_kernels sess in
-              if List.length ks = List.length families then ks
-              else List.map (fun _ -> "trie") families
-          | None -> List.map (fun _ -> "trie") families
-        in
         List.iter2
-          (fun (side, _, _) (kernel, counts) ->
+          (fun (side, _, _) counts ->
             match side with
             | `S ->
-                let entries = Cap.absorb ~kernel s counts in
+                let entries = Cap.absorb s counts in
                 on_s_level (Cap.level s) entries
             | `T ->
-                let entries = Cap.absorb ~kernel t counts in
+                let entries = Cap.absorb t counts in
                 on_t_level (Cap.level t) entries)
-          families
-          (List.combine kernels counts);
+          families counts;
         maybe_fire_l1 ();
         step ()
   in

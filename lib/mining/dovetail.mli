@@ -20,8 +20,8 @@ open Cfq_txdb
 (** [run io ~s ~t ()] drives both lattices to exhaustion and returns both
     frequent collections.  [par] parallelises every shared counting pass
     (see {!Counting.par}); [session] attaches a counting-kernel session
-    shared by both sides, whose per-family labels land in each side's
-    level rows.  Answers and counters are unchanged in either case. *)
+    shared by both sides, and each family's label ({!Counting.label})
+    lands in its side's level rows.  Answers and counters are unchanged in either case. *)
 val run :
   ?par:Counting.par ->
   ?session:Counting.session ->

@@ -43,7 +43,9 @@ let run db io counters ~bundle ~minsup =
     let cands = Array.of_list eligible in
     if Array.length cands = 0 then levels := [||] :: !levels
     else begin
-      let counts = Counting.count_level db io counters cands in
+      let counts =
+        Counting.counts (List.hd (Counting.count_pass db io [ (counters, Candidate.Sets cands) ]))
+      in
       let entries = ref [] in
       Array.iteri
         (fun i s ->

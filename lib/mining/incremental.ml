@@ -16,9 +16,6 @@ type 'a outcome = {
 
 let ceil_frac frac n = max 1 (int_of_float (Float.ceil (frac *. float_of_int n)))
 
-let count_in db io cands =
-  if Array.length cands = 0 then [||] else Counting.count_sets db io cands
-
 (* A deduplicating registry of sets: each distinct set gets one slot, so a
    set shared by many sides is counted once. *)
 type registry = { slots : int Itemset.Hashtbl.t; mutable sets : Itemset.t list }
@@ -66,7 +63,7 @@ let record_levels lstats ~old_sets ~old_won ~new_sets ~new_won =
              kernel = (if n > 0 then "fup-old" else "fup-delta");
            })
 
-let update_abs ?stats ~old_db ~delta io ~universe_size sides =
+let update_abs ?par ?session ?stats ~old_db ~delta io ~universe_size sides =
   List.iter
     (fun s ->
       if s.union_minsup < s.old_minsup then
@@ -141,15 +138,18 @@ let update_abs ?stats ~old_db ~delta io ~universe_size sides =
         sides
     in
     let new_sets = registered news in
-    (* 3. one old-database scan counts every side's newcomers.  If it
-       fails, only the sides that needed it fail: the rest are already
+    (* 3. one old-database scan counts every side's newcomers, and none
+       is paid when there are none ([count_pass] skips an empty pass).  If
+       it fails, only the sides that needed it fail: the rest are already
        decided by the delta alone. *)
     let old_counts =
-      if Array.length new_sets = 0 then Ok [||]
-      else
-        match count_in old_db io new_sets with
-        | c -> Ok c
-        | exception e -> Error e
+      match
+        Counting.count_pass ?par ?session old_db io
+          [ (Counters.create (), Candidate.Sets new_sets) ]
+      with
+      | [ s ] -> Ok (Counting.counts s)
+      | _ -> assert false
+      | exception e -> Error e
     in
     let new_won = Array.make (Array.length new_sets) false in
     let frequent =
@@ -183,6 +183,16 @@ let update_abs ?stats ~old_db ~delta io ~universe_size sides =
       counted_against_old = Array.length new_sets;
     }
   end
+
+(* The collection was mined at absolute threshold [m] over [base] rows, so
+   it answers every fraction f with ceil(f·base) >= m, i.e. f > (m-1)/base.
+   For those f over the union, ceil(f·union) > (m-1)·union/base, hence
+   >= floor((m-1)·union/base) + 1 — promoting to that threshold keeps every
+   previously answerable fraction answerable.  It is >= m (union >= base),
+   so the FUP seeding threshold stays positive. *)
+let promoted_minsup ~old_minsup ~base_txs ~union_txs =
+  if base_txs = 0 then max 1 old_minsup
+  else max old_minsup (((old_minsup - 1) * union_txs / base_txs) + 1)
 
 let update ~old_db ~old_frequent ~delta io ~minsup_frac ~universe_size =
   let n_old = Tx_db.size old_db and n_delta = Tx_db.size delta in

@@ -39,13 +39,15 @@ type 'a outcome = {
 }
 
 (** [update_abs ?stats ~old_db ~delta io ~universe_size sides] promotes
-    every side in one shared FUP pass — the integer-threshold core used by
-    live cache maintenance ([Cfq_live]).  The pass makes one charged scan
+    every side in one shared FUP pass — the integer-threshold core of the
+    service's live cache maintenance.  The pass makes one charged scan
     of [delta] into tid sets; those count the deduplicated union of every
     side's old sets, and one Eclat over them at the lowest seeding
     threshold any side needs seeds every side's newcomers.  The
-    deduplicated union of the newcomers is counted in at most one scan of
-    [old_db].  All scans are charged to [io].
+    deduplicated union of the newcomers is counted in at most one
+    {!Counting.count_pass} over [old_db], on [session]'s kernel and
+    spread by [par] as for {!Cap.step}; its counts are the trie's for
+    every kernel and [par].  All scans are charged to [io].
 
     The result has one entry per side, in order: [Ok f] with [f] exact at
     that side's [union_minsup] over [old_db ∪ delta] for every set of the
@@ -62,6 +64,8 @@ type 'a outcome = {
     when the level paid the old-database count and ["fup-delta"] when the
     delta alone decided it. *)
 val update_abs :
+  ?par:Counting.par ->
+  ?session:Counting.session ->
   ?stats:Level_stats.t ->
   old_db:Tx_db.t ->
   delta:Tx_db.t ->
@@ -69,6 +73,14 @@ val update_abs :
   universe_size:int ->
   side list ->
   (Frequent.t, exn) result list outcome
+
+(** [promoted_minsup ~old_minsup ~base_txs ~union_txs] is the lowest
+    integer threshold a collection exact at [old_minsup] over [base_txs]
+    rows must be promoted to over [union_txs] rows so that it still
+    answers {e every} relative support fraction the old one could answer:
+    [floor((old_minsup-1)·union/base) + 1], clamped to at least
+    [old_minsup]. *)
+val promoted_minsup : old_minsup:int -> base_txs:int -> union_txs:int -> int
 
 (** [update ~old_db ~old_frequent ~delta io ~minsup_frac ~universe_size]
     where [old_frequent] must be the exact frequent collection of [old_db]

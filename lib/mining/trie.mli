@@ -9,8 +9,8 @@
     nodes in BFS order, children contiguous), so counting walks are
     cache-friendly, allocation-free, and the trie can be shared immutably
     across domains — each domain counting into its own array via
-    {!count_row}.  [Counting.count_sets] is the one-scan entry point
-    for callers that just want the supports of a candidate array. *)
+    {!count_row}.  [Counting.count_pass] is the one-scan entry point;
+    its [Trie] kernel counts every family with one of these. *)
 
 open Cfq_itembase
 

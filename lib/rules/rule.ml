@@ -27,7 +27,8 @@ let of_pairs db io ?(min_confidence = 0.) ?(min_lift = 0.) pairs =
     pairs;
   let unions = Array.of_list (List.rev !unions) in
   let counts =
-    if Array.length unions = 0 then [||] else Counting.count_sets db io unions
+    Counting.counts
+      (List.hd (Counting.count_pass db io [ (Counters.create (), Candidate.Sets unions) ]))
   in
   let rules =
     List.filter_map

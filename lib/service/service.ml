@@ -193,13 +193,18 @@ type breaker_state =
   | Open of int
   | Half_open
 
+(* one breaker, the service's or a shard's: its state and its run of
+   consecutive failures, guarded by the service lock *)
+type breaker = { mutable state : breaker_state; mutable consec : int }
+
+let closed_breaker () = { state = Closed; consec = 0 }
+
 (* per-shard health of a sharded backend: failures whose error pages fall
    in a shard's range charge that shard's breaker, so one faulty shard
    degrades its own admissions to cache-only serving while the others keep
    mining.  All fields are guarded by the service lock. *)
 type shard_health = {
-  mutable sh_breaker : breaker_state;
-  mutable sh_consec : int;
+  sh_breaker : breaker;
   mutable sh_admissions : int;
   mutable sh_failures : int;
   mutable sh_trips : int;
@@ -229,8 +234,7 @@ type t = {
          query — and reject it when it predates the current epoch *)
   sides : side_entry Lru.t;
   service_metrics : Metrics.t;
-  mutable breaker : breaker_state;
-  mutable consec_failures : int;
+  breaker : breaker;
   mutable consec_rejections : int;
   shard_health : shard_health array;  (* one per shard; [||] unsharded *)
 }
@@ -257,16 +261,14 @@ let create ?(config = default_config) ctx =
     answers = Lru.create ~budget:(budget / 4);
     sides = Lru.create ~budget:(budget - (budget / 4));
     service_metrics = Metrics.create ();
-    breaker = Closed;
-    consec_failures = 0;
+    breaker = closed_breaker ();
     consec_rejections = 0;
     shard_health =
       (match Tx_db.shards ctx.Exec.db with
       | Some subs ->
           Array.init (Array.length subs) (fun _ ->
               {
-                sh_breaker = Closed;
-                sh_consec = 0;
+                sh_breaker = closed_breaker ();
                 sh_admissions = 0;
                 sh_failures = 0;
                 sh_trips = 0;
@@ -840,16 +842,36 @@ let degraded_lookup_locked t (q : Query.t) =
 (* ------------------------------------------------------------------ *)
 (* circuit breaker *)
 
-(* call with [t.lock] held *)
-let trip_locked t =
-  Metrics.record_breaker_trip t.service_metrics;
-  t.breaker <- Open (max 1 t.service_config.breaker_cooldown)
+(* The global breaker and each shard's run one state machine; the
+   functions below take [t.lock] as held.  [trip] opens a breaker for the
+   cooldown. *)
+let trip t b = b.state <- Open (max 1 t.service_config.breaker_cooldown)
 
-(* call with [t.lock] held *)
-let trip_shard_locked t k =
-  let sh = t.shard_health.(k) in
-  sh.sh_trips <- sh.sh_trips + 1;
-  sh.sh_breaker <- Open (max 1 t.service_config.breaker_cooldown)
+(* a success closes the breaker, in particular a half-open probe *)
+let close b =
+  b.consec <- 0;
+  b.state <- Closed
+
+(* charge one failure: a failure while half-open reopens the breaker, and
+   [breaker_threshold] consecutive failures trip it; true when it trips *)
+let note_failure t b =
+  b.consec <- b.consec + 1;
+  let threshold = t.service_config.breaker_threshold in
+  let trips =
+    threshold > 0 && (b.state = Half_open || (b.state = Closed && b.consec >= threshold))
+  in
+  if trips then trip t b;
+  trips
+
+(* an admission while the breaker is open counts down its cooldown, so it
+   half-opens after [breaker_cooldown] admissions; true when it was
+   open *)
+let count_down b =
+  match b.state with
+  | Open n ->
+      b.state <- (if n <= 1 then Half_open else Open (n - 1));
+      true
+  | Closed | Half_open -> false
 
 (* attribute a failure to the shard owning its error page.  Only faults
    installed on individual shards are attributable: with an injector on
@@ -875,45 +897,22 @@ let shard_note_failure_locked t e =
   | Some k ->
       let sh = t.shard_health.(k) in
       sh.sh_failures <- sh.sh_failures + 1;
-      sh.sh_consec <- sh.sh_consec + 1;
-      if t.service_config.breaker_threshold > 0 then (
-        match sh.sh_breaker with
-        | Half_open -> trip_shard_locked t k
-        | Closed when sh.sh_consec >= t.service_config.breaker_threshold ->
-            trip_shard_locked t k
-        | Closed | Open _ -> ())
+      if note_failure t sh.sh_breaker then sh.sh_trips <- sh.sh_trips + 1
 
 (* a cold success proves every shard served its slice: close all shard
    breakers.  Cache-served answers prove nothing about the shards and
    leave them untouched. *)
 let shard_note_cold_success t =
   if Array.length t.shard_health > 0 then
-    locked t (fun () ->
-        Array.iter
-          (fun sh ->
-            sh.sh_consec <- 0;
-            sh.sh_breaker <- Closed)
-          t.shard_health)
+    locked t (fun () -> Array.iter (fun sh -> close sh.sh_breaker) t.shard_health)
 
-(* settle the breaker on the raw (pre-degradation) outcome of an executed
-   query: any success closes it (in particular a half-open probe), any
-   failure while half-open reopens it, and [breaker_threshold] consecutive
-   failures trip it *)
+(* settle the global breaker on the raw (pre-degradation) outcome of an
+   executed query *)
 let breaker_note_outcome t ~ok =
   if t.service_config.breaker_threshold > 0 then
     locked t (fun () ->
-        if ok then begin
-          t.consec_failures <- 0;
-          t.breaker <- Closed
-        end
-        else begin
-          t.consec_failures <- t.consec_failures + 1;
-          match t.breaker with
-          | Half_open -> trip_locked t
-          | Closed when t.consec_failures >= t.service_config.breaker_threshold ->
-              trip_locked t
-          | Closed | Open _ -> ()
-        end)
+        if ok then close t.breaker
+        else if note_failure t t.breaker then Metrics.record_breaker_trip t.service_metrics)
 
 (* ------------------------------------------------------------------ *)
 (* retries and the guarded query wrapper *)
@@ -1013,14 +1012,9 @@ let breaker_admit t (q : Query.t) =
   if t.service_config.breaker_threshold <= 0 then `Admit
   else
     locked t (fun () ->
-        match t.breaker with
-        | Closed | Half_open -> `Admit
-        | Open n ->
-            (* every admission while open counts toward the cooldown, served
-               from cache or shed alike, so the breaker always half-opens
-               after [breaker_cooldown] admissions *)
-            t.breaker <- (if n <= 1 then Half_open else Open (n - 1));
-            open_serve_locked t q)
+        (* every admission while open counts toward the cooldown, served
+           from cache or shed alike *)
+        if count_down t.breaker then open_serve_locked t q else `Admit)
 
 (* per-shard admission gate: an admitted query fans over every shard, so
    one open shard breaker degrades it to cache-only serving while that
@@ -1033,13 +1027,7 @@ let shard_breaker_admit t (q : Query.t) =
     locked t (fun () ->
         let opened = ref None in
         Array.iteri
-          (fun k sh ->
-            if !opened = None then
-              match sh.sh_breaker with
-              | Open n ->
-                  sh.sh_breaker <- (if n <= 1 then Half_open else Open (n - 1));
-                  opened := Some k
-              | Closed | Half_open -> ())
+          (fun k sh -> if !opened = None && count_down sh.sh_breaker then opened := Some k)
           t.shard_health;
         match !opened with
         | None -> `Admit
@@ -1074,10 +1062,11 @@ let submit_abs t ~deadline q =
               t.consec_rejections <- t.consec_rejections + 1;
               if
                 t.service_config.breaker_threshold > 0
-                && t.breaker = Closed
+                && t.breaker.state = Closed
                 && t.consec_rejections >= t.service_config.breaker_threshold
               then begin
-                trip_locked t;
+                Metrics.record_breaker_trip t.service_metrics;
+                trip t t.breaker;
                 t.consec_rejections <- 0
               end);
           Error Rejected
@@ -1151,7 +1140,7 @@ let metrics t =
                  shard_failures = sh.sh_failures;
                  shard_trips = sh.sh_trips;
                  shard_shed = sh.sh_shed;
-                 shard_breaker = breaker_name sh.sh_breaker;
+                 shard_breaker = breaker_name sh.sh_breaker.state;
                  shard_scans =
                    (match io with Some io -> Io_stats.scans io | None -> 0);
                  shard_pages_read =
@@ -1232,24 +1221,34 @@ let maintain t ~old_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_io ~stale_
       (Item_info.universe_size old_ctx.Exec.t_info)
   in
   let stale = List.filter (fun (_, e) -> e.se_epoch < new_epoch) stale_sides in
+  (* the threshold a promoted side must be exact at to answer every
+     fraction it answered before *)
+  let union_minsup e =
+    Incremental.promoted_minsup ~old_minsup:e.se_minsup ~base_txs:delta.Cfq_live.Delta.base_txs
+      ~union_txs:(Cfq_live.Delta.union_txs delta)
+  in
   let results, recounted, old_scans =
     (* a condensed entry is rebuilt first: FUP delta-counts the full
        collection (reconstructed from its closed sets), and each promoted
-       result is re-closed below before re-insertion *)
+       result is re-closed below before re-insertion.  The old-database
+       recount runs on the service's kernel and mining domains. *)
     match
-      Cfq_live.Maintain.promote_all ~stats:lstats ~old_db:old_ctx.Exec.db ~delta
-        maint_io ~universe_size:universe
+      Incremental.update_abs ~par:t.mine_par
+        ~session:(Counting.create_session t.service_config.kernel)
+        ~stats:lstats ~old_db:old_ctx.Exec.db ~delta:delta.Cfq_live.Delta.twin maint_io
+        ~universe_size:universe
         (List.map
            (fun (_, e) ->
              {
-               Cfq_live.Maintain.frequent = side_frequent t e;
+               Incremental.old_frequent = side_frequent t e;
                old_minsup = e.se_minsup;
+               union_minsup = union_minsup e;
                max_level = e.se_max_level;
              })
            stale)
     with
-    | results, { Cfq_live.Maintain.recounted; old_scans } ->
-        (results, recounted, old_scans)
+    | { Incremental.frequent; old_scans; counted_against_old } ->
+        (frequent, counted_against_old, old_scans)
     | exception e -> (List.map (fun _ -> Error e) stale, 0, 0)
   in
   List.iter2
@@ -1259,7 +1258,8 @@ let maintain t ~old_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_io ~stale_
           (* a faulted promotion leaves the entry stale; the purge below
              removes it, so the cache still lands on a consistent epoch *)
           incr sides_evicted
-      | Ok (freq', m') ->
+      | Ok freq' ->
+          let m' = union_minsup e in
           let cond' = condense_frequent t freq' in
           let e' =
             {

@@ -137,7 +137,7 @@ let make_db t =
       ~get:(fun tid -> get t tid) ()
   in
   (* a replica-level injector is invisible in the view's own [faults]; the
-     probe lets count_shared pin faulted passes deterministically *)
+     probe lets count_pass pin faulted passes deterministically *)
   Tx_db.set_backend_faults db (fun () ->
       Array.exists (fun f -> f <> None) t.faults);
   db

@@ -1,6 +1,6 @@
 (** A partitioned transaction store: N {!Cfq_store.Store}s under one
     {!Manifest}, surfaced as a single sharded {!Cfq_txdb.Tx_db.t}
-    composite over which [Counting.count_shared] runs count-distribution
+    composite over which [Counting.count_pass] runs count-distribution
     mining (each shard counts its slice, the coordinator sums).
 
     Layout on disk for a sharded store at [PATH]:
@@ -88,7 +88,7 @@ val open_ : ?cache_pages:int -> ?group_commit:int -> string -> t
 val close : t -> unit
 
 (** The composite database: global tids in shard order, sharded so
-    [Counting.count_shared] distributes passes ({!Cfq_txdb.Tx_db.shards}
+    [Counting.count_pass] distributes passes ({!Cfq_txdb.Tx_db.shards}
     is [Some _]).  Re-fetch after {!seal}. *)
 val db : t -> Tx_db.t
 

@@ -17,7 +17,7 @@
     {!db} is the seam: a [Tx_db.t] whose rows are decoded on demand from
     4 KB pages fetched through the bounded {!Buffer_pool}, each page once
     per read into a reused per-domain scratch.  [Exec],
-    [Counting.count_shared]'s chunked parallel scans, fault injection and
+    [Counting.count_pass]'s chunked parallel scans, fault injection and
     [Tx_db.verify] all run unchanged against it, with identical answers,
     ccc counters and logical page charges as the in-memory backend; the
     pool's physical hit/miss/eviction counts accumulate in {!io}. *)

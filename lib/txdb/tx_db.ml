@@ -48,7 +48,7 @@ type t = {
   mutable faults : Fault.t option;
   (* an external backend's own fault probe: a replicated store reports
      whether any of its replicas carries an injector, so callers that pin
-     faulted scans to a deterministic order (count_shared) see turbulence
+     faulted scans to a deterministic order (count_pass) see turbulence
      the composite's [faults] field cannot *)
   mutable backend_faults : unit -> bool;
   shard_meta : shard_meta option;

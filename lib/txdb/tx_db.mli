@@ -200,7 +200,7 @@ val faults : t -> Fault.t option
 (** [set_backend_faults t probe] registers an external backend's own fault
     probe: a replicated store reports whether {e any} of its replicas
     carries an injector.  Callers that pin faulted scans to a
-    deterministic order ([Counting.count_shared]) consult
+    deterministic order ([Counting.count_pass]) consult
     {!backend_faulted}, which is [faults t <> None || probe ()]. *)
 val set_backend_faults : t -> (unit -> bool) -> unit
 

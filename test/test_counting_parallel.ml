@@ -1,4 +1,4 @@
-(* The parallel counting engine: count_shared under domains>1 must be
+(* The parallel counting engine: count_pass under domains>1 must be
    indistinguishable from the sequential pass — same counts, same ccc and
    I/O charges, same fault behaviour — whether helpers are spawned or
    borrowed from a pool. *)
@@ -22,9 +22,16 @@ let db_of_lists txs =
 let families_of (cands_s, cands_t) =
   [ (Counters.create (), cands_s); (Counters.create (), cands_t) ]
 
+(* one pass over listed families, each family's supports in candidate
+   order *)
+let count ?par db io families =
+  List.map Counting.counts
+    (Counting.count_pass ?par db io
+       (List.map (fun (counters, cands) -> (counters, Candidate.Sets cands)) families))
+
 let run_shared ?par db families =
   let io = Io_stats.create () in
-  let counts = Counting.count_shared ?par db io families in
+  let counts = count ?par db io families in
   (counts, Io_stats.scans io, Io_stats.pages_read io)
 
 (* property input: a database plus an S family and a T family *)
@@ -57,24 +64,19 @@ let prop_parallel_equals_sequential pool (_, txs, cs, ct) =
 let empty_families_skip_the_scan () =
   let db = db_of_lists [ [ 0; 1 ]; [ 1; 2 ]; [ 0 ] ] in
   let io = Io_stats.create () in
-  let counts =
-    Counting.count_shared db io [ (Counters.create (), [||]); (Counters.create (), [||]) ]
-  in
+  let counts = count db io [ (Counters.create (), [||]); (Counters.create (), [||]) ] in
   Alcotest.(check (list (array int))) "all counts empty" [ [||]; [||] ] counts;
   Alcotest.(check int) "no scan charged" 0 (Io_stats.scans io);
   Alcotest.(check int) "no pages charged" 0 (Io_stats.pages_read io);
   (* the parallel path takes the same fast path *)
   let counts =
-    Counting.count_shared
-      ~par:(Counting.par ~min_rows_per_domain:1 4)
-      db io
-      [ (Counters.create (), [||]) ]
+    count ~par:(Counting.par ~min_rows_per_domain:1 4) db io [ (Counters.create (), [||]) ]
   in
   Alcotest.(check (list (array int))) "parallel fast path" [ [||] ] counts;
   Alcotest.(check int) "still no scan" 0 (Io_stats.scans io);
   (* a non-empty family alongside an empty one still scans, once *)
   let _ =
-    Counting.count_shared db io
+    count db io
       [ (Counters.create (), [||]); (Counters.create (), [| Itemset.of_list [ 0 ] |]) ]
   in
   Alcotest.(check int) "one scan for the non-empty family" 1 (Io_stats.scans io)
@@ -89,7 +91,7 @@ let fault_outcome fault_cfg ~par txs cands =
   let io = Io_stats.create () in
   let outcome =
     match
-      Counting.count_shared ?par db io [ (Counters.create (), cands) ]
+      count ?par db io [ (Counters.create (), cands) ]
     with
     | counts -> Ok counts
     | exception Cfq_error.Error e -> Error e
@@ -293,7 +295,7 @@ let borrowed_helpers_from_a_shut_down_pool () =
   let cands = [| Itemset.of_list [ 4 ] |] in
   let io = Io_stats.create () in
   let counts =
-    Counting.count_shared
+    count
       ~par:(Counting.par ~pool ~min_rows_per_domain:1 4)
       db io
       [ (Counters.create (), cands) ]
@@ -303,10 +305,10 @@ let borrowed_helpers_from_a_shut_down_pool () =
 
 let suite =
   [
-    Helpers.qtest ~count:60 "count_shared parallel equals sequential (spawned)"
+    Helpers.qtest ~count:60 "count_pass parallel equals sequential (spawned)"
       gen_input print_input
       (prop_parallel_equals_sequential None);
-    Helpers.qtest ~count:30 "count_shared parallel equals sequential (pool-borrowed)"
+    Helpers.qtest ~count:30 "count_pass parallel equals sequential (pool-borrowed)"
       gen_input print_input
       (fun input -> with_pool (fun pool -> prop_parallel_equals_sequential (Some pool) input));
     unit "empty candidate families skip the scan" empty_families_skip_the_scan;

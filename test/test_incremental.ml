@@ -95,21 +95,19 @@ let suite =
       (fun ((_, db), cands) ->
         let cands = Array.of_list (List.sort_uniq Itemset.compare cands) in
         let io = Io_stats.create () in
-        let seq = Counting.count_level db io (Counters.create ()) cands in
-        let par =
-          Counting.count_level
-            ~par:(Counting.par ~min_rows_per_domain:1 3)
-            db io (Counters.create ()) cands
+        let count ?par () =
+          Counting.count_pass ?par db io [ (Counters.create (), Candidate.Sets cands) ]
+          |> List.map Counting.counts
         in
-        seq = par);
+        count () = count ~par:(Counting.par ~min_rows_per_domain:1 3) ());
     unit "parallel counting charges one scan" (fun () ->
         let db = Helpers.db_of_lists [ [ 0; 1 ]; [ 1 ]; [ 0 ] ] in
         let io = Io_stats.create () in
         let _ =
-          Counting.count_level
+          Counting.count_pass
             ~par:(Counting.par ~min_rows_per_domain:1 4)
-            db io (Counters.create ())
-            [| Itemset.of_list [ 0 ] |]
+            db io
+            [ (Counters.create (), Candidate.Sets [| Itemset.of_list [ 0 ] |]) ]
         in
         Alcotest.(check int) "one scan" 1 (Io_stats.scans io));
   ]

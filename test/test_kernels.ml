@@ -314,15 +314,15 @@ let prop_mixed_pass_grid (txs, fams) =
   let pass ?(domains = 1) kernel db fams =
     let io = Io_stats.create () in
     let session = session_of kernel in
-    let counts =
-      Counting.count_shared
+    let supports =
+      Counting.count_pass
         ~par:(Counting.par ~min_rows_per_domain:1 domains)
         ~session db io
-        (List.map (fun c -> (Counters.create (), c)) fams)
+        (List.map (fun c -> (Counters.create (), Candidate.Sets c)) fams)
     in
-    ( counts,
+    ( List.map Counting.counts supports,
       (Io_stats.scans io, Io_stats.pages_read io),
-      Counting.last_kernels session,
+      List.map Counting.label supports,
       Counting.last_shape session )
   in
   (* small pages, so a 3-domain pass really fans out over several chunks *)
@@ -447,7 +447,7 @@ let prop_implicit_passes (txs, fams, minsup) =
         supports,
       ( List.map Counters.support_counted counters,
         (Io_stats.scans io, Io_stats.pages_read io),
-        Counting.last_kernels session,
+        List.map Counting.label supports,
         Counting.pass_counts session,
         Counting.last_shape session ) )
   in

@@ -34,17 +34,17 @@ let pair_str answer_pairs =
        entries)
 
 (* ------------------------------------------------------------------ *)
-(* Maintain.promoted_minsup: coverage math *)
+(* Incremental.promoted_minsup: coverage math *)
 
 let promoted_minsup_units () =
   Alcotest.(check int) "empty base clamps to old" 3
-    (Cfq_live.Maintain.promoted_minsup ~old_minsup:3 ~base_txs:0 ~union_txs:9);
+    (Incremental.promoted_minsup ~old_minsup:3 ~base_txs:0 ~union_txs:9);
   Alcotest.(check int) "no growth keeps the threshold" 3
-    (Cfq_live.Maintain.promoted_minsup ~old_minsup:3 ~base_txs:10 ~union_txs:10);
+    (Incremental.promoted_minsup ~old_minsup:3 ~base_txs:10 ~union_txs:10);
   Alcotest.(check int) "50% growth scales the slack" 4
-    (Cfq_live.Maintain.promoted_minsup ~old_minsup:3 ~base_txs:10 ~union_txs:15);
+    (Incremental.promoted_minsup ~old_minsup:3 ~base_txs:10 ~union_txs:15);
   Alcotest.(check int) "minsup 1 never moves" 1
-    (Cfq_live.Maintain.promoted_minsup ~old_minsup:1 ~base_txs:4 ~union_txs:400)
+    (Incremental.promoted_minsup ~old_minsup:1 ~base_txs:4 ~union_txs:400)
 
 (* every relative fraction the old entry answered (ceil(f·base) >= m) must
    still be answered by the promoted threshold (ceil(f·union) >= m') *)
@@ -55,7 +55,7 @@ let promoted_minsup_covers () =
       let union = base + growth in
       for m = 1 to base do
         let m' =
-          Cfq_live.Maintain.promoted_minsup ~old_minsup:m ~base_txs:base
+          Incremental.promoted_minsup ~old_minsup:m ~base_txs:base
             ~union_txs:union
         in
         for pct = 1 to 100 do
@@ -92,10 +92,12 @@ let gen_update =
     let* txs = list_size (int_range 12 40) (Helpers.gen_tx n) in
     let* cut_pct = int_range 20 80 in
     let* sides = list_size (int_range 1 4) gen_side in
-    return (n, txs, cut_pct, sides))
+    let* kernel = oneofl Counting.all_kernels in
+    let* domains = oneofl [ 1; 3 ] in
+    return (n, txs, cut_pct, sides, (kernel, domains)))
 
-let print_update (n, txs, cut_pct, sides) =
-  Printf.sprintf "n=%d cut=%d%% sides=[%s] txs=%s" n cut_pct
+let print_update (n, txs, cut_pct, sides, ((kname, _), domains)) =
+  Printf.sprintf "n=%d cut=%d%% kernel=%s domains=%d sides=[%s] txs=%s" n cut_pct kname domains
     (String.concat "; "
        (List.map
           (fun (old_m, slack, cap) ->
@@ -106,7 +108,7 @@ let print_update (n, txs, cut_pct, sides) =
 
 let update_abs_equals_union_mine =
   Helpers.qtest ~count:120 "live: update_abs equals mining the union" gen_update
-    print_update (fun (n, txs, cut_pct, sides) ->
+    print_update (fun (n, txs, cut_pct, sides, ((_, kernel), domains)) ->
       let sets = Array.of_list (List.map Itemset.of_list txs) in
       let cut = max 1 (Array.length sets * cut_pct / 100) in
       let cut = min cut (Array.length sets - 1) in
@@ -130,10 +132,11 @@ let update_abs_equals_union_mine =
             })
           sides
       in
-      let run sides =
+      let run ?par ?session sides =
         let lstats = Level_stats.create () in
         let out =
-          Incremental.update_abs ~stats:lstats ~old_db ~delta io ~universe_size:n sides
+          Incremental.update_abs ?par ?session ~stats:lstats ~old_db ~delta io
+            ~universe_size:n sides
         in
         if out.Incremental.old_scans > 1 then
           QCheck2.Test.fail_reportf "FUP paid %d old scans" out.Incremental.old_scans;
@@ -154,6 +157,22 @@ let update_abs_equals_union_mine =
           out )
       in
       let shared, out = run sides in
+      (* the drawn kernel and domains recount the old database exactly as
+         the sequential trie does *)
+      let drawn, drawn_out =
+        run
+          ~par:(Counting.par ~min_rows_per_domain:1 domains)
+          ~session:(Counting.create_session kernel) sides
+      in
+      if List.map frequent_str drawn <> List.map frequent_str shared then
+        QCheck2.Test.fail_reportf "the drawn kernel and domains promoted other sets";
+      if
+        drawn_out.Incremental.counted_against_old <> out.Incremental.counted_against_old
+        || drawn_out.Incremental.old_scans <> out.Incremental.old_scans
+      then
+        QCheck2.Test.fail_reportf "the drawn run counted %d in %d old scans, the trie %d in %d"
+          drawn_out.Incremental.counted_against_old drawn_out.Incremental.old_scans
+          out.Incremental.counted_against_old out.Incremental.old_scans;
       (* the shared pass counts each distinct candidate once: never more
          than the one-side calls together *)
       let alone = List.map (fun side -> run [ side ]) sides in
