@@ -358,6 +358,7 @@ let run_live_passes service ~repeat ~ingest file =
                   lv_old_scans;
                   lv_scans;
                   lv_pages_read;
+                  lv_pass_counts;
                 } =
                   lv
                 in
@@ -365,10 +366,11 @@ let run_live_passes service ~repeat ~ingest file =
                   "epoch %d: sealed %d transactions; %d sides promoted, %d \
                    evicted; %d answers carried to their next lookup, %d \
                    dropped; %d candidates recounted (%d old-db scans, %d \
-                   maintenance scans, %d pages)\n\n"
+                   maintenance scans, %d pages; recount passes %s)\n\n"
                   lv_epoch lv_sealed lv_sides_promoted lv_sides_evicted
                   lv_answers_promoted lv_answers_evicted lv_recounted lv_old_scans
-                  lv_scans lv_pages_read;
+                  lv_scans lv_pages_read
+                  (Cfq_mining.Counting.describe_counts lv_pass_counts);
                 Ok ()))
   in
   let rec passes n =

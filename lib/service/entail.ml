@@ -77,3 +77,26 @@ let conj_implies cs c = trivially_true c || List.exists (fun c' -> implies c' c)
 
 let subsumes ~cached ~requested =
   List.for_all (fun c -> conj_implies requested c) cached
+
+let negation = function
+  | One_var.Agg_cmp (Agg.Min, a, Cmp.Ge, c) -> One_var.Agg_cmp (Agg.Min, a, Cmp.Lt, c)
+  | One_var.Agg_cmp (Agg.Min, a, Cmp.Gt, c) -> One_var.Agg_cmp (Agg.Min, a, Cmp.Le, c)
+  | One_var.Agg_cmp (Agg.Max, a, Cmp.Le, c) -> One_var.Agg_cmp (Agg.Max, a, Cmp.Gt, c)
+  | One_var.Agg_cmp (Agg.Max, a, Cmp.Lt, c) -> One_var.Agg_cmp (Agg.Max, a, Cmp.Ge, c)
+  | c -> invalid_arg ("Entail.negation: " ^ One_var.to_string c)
+
+(* [r] bounds the subject of the bound [c] in the same direction: a set
+   satisfying [r] has a defined (non-NaN) aggregate, so it satisfies
+   exactly one of [c] and its negation *)
+let widens c r =
+  match (c, r) with
+  | One_var.Agg_cmp (g, a, op, _), One_var.Agg_cmp (g', a', op', _) when Agg.equal g g' && Attr.equal a a' -> (
+      match (g, op, op') with
+      | Agg.Min, (Cmp.Ge | Cmp.Gt), (Cmp.Ge | Cmp.Gt) | Agg.Max, (Cmp.Le | Cmp.Lt), (Cmp.Le | Cmp.Lt) -> true
+      | _ -> false)
+  | _ -> false
+
+let widening ~cached ~requested =
+  match List.filter (fun c -> not (conj_implies requested c)) cached with
+  | [ c ] when List.exists (widens c) requested -> Some c
+  | _ -> None

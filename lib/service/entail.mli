@@ -25,3 +25,22 @@ val conj_implies : One_var.t list -> One_var.t -> bool
     conjunction [cached] contains every set satisfying the conjunction
     [requested], i.e. [requested] entails each atom of [cached]. *)
 val subsumes : cached:One_var.t list -> requested:One_var.t list -> bool
+
+(** [widening ~cached ~requested] is the one atom of [cached] that
+    [requested] does not entail, when [requested] entails every other one
+    and that atom is a bound [min(X.A) >= c], [min(X.A) > c],
+    [max(X.A) <= c] or [max(X.A) < c] that [requested] widens: it bounds
+    the same aggregate of the same attribute in the same direction.
+    [None] otherwise, in particular when two atoms are not entailed.
+
+    A collection mined under [cached] then holds every set that satisfies
+    [requested] and the atom; every other such set satisfies its
+    {!negation}, a required witness group (Lemma 1), since the requested
+    bound keeps the aggregate defined. *)
+val widening : cached:One_var.t list -> requested:One_var.t list -> One_var.t option
+
+(** [negation c] is the bound that holds of a set exactly when the bound
+    [c] of a {!widening} does not, wherever the aggregate is a number:
+    [min(X.A) < c] for [min(X.A) >= c], and so on.  Raises
+    [Invalid_argument] on any other atom. *)
+val negation : One_var.t -> One_var.t

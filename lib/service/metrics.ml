@@ -15,6 +15,7 @@ type snapshot = {
   answer_hits : int;
   subsumption_hits : int;
   sides_mined : int;
+  sides_relaxed : int;
   answer_misses : int;
   deadline_expired : int;
   rejected : int;
@@ -67,6 +68,7 @@ type t = {
   mutable answer_misses : int;
   mutable subsumption_hits : int;
   mutable sides_mined : int;
+  mutable sides_relaxed : int;
   mutable deadline_expired : int;
   mutable rejected : int;
   mutable failures : int;
@@ -110,6 +112,7 @@ let create () =
     answer_misses = 0;
     subsumption_hits = 0;
     sides_mined = 0;
+    sides_relaxed = 0;
     deadline_expired = 0;
     rejected = 0;
     failures = 0;
@@ -152,6 +155,7 @@ let reset t =
   t.answer_misses <- 0;
   t.subsumption_hits <- 0;
   t.sides_mined <- 0;
+  t.sides_relaxed <- 0;
   t.deadline_expired <- 0;
   t.rejected <- 0;
   t.failures <- 0;
@@ -200,6 +204,7 @@ let record_answer_hit t = t.answer_hits <- t.answer_hits + 1
 let record_answer_miss t = t.answer_misses <- t.answer_misses + 1
 let record_subsumption_hit t = t.subsumption_hits <- t.subsumption_hits + 1
 let record_side_mined t = t.sides_mined <- t.sides_mined + 1
+let record_side_relaxed t = t.sides_relaxed <- t.sides_relaxed + 1
 let record_deadline_expired t = t.deadline_expired <- t.deadline_expired + 1
 let record_rejected t = t.rejected <- t.rejected + 1
 let record_failure t = t.failures <- t.failures + 1
@@ -262,6 +267,7 @@ let snapshot t ?(shards = []) ?(failovers = 0) ~answer_entries ~answer_bytes
     answer_misses = t.answer_misses;
     subsumption_hits = t.subsumption_hits;
     sides_mined = t.sides_mined;
+    sides_relaxed = t.sides_relaxed;
     deadline_expired = t.deadline_expired;
     rejected = t.rejected;
     failures = t.failures;
@@ -316,6 +322,7 @@ let table (s : snapshot) =
   int "answer-cache misses" s.answer_misses;
   int "subsumption hits (sides)" s.subsumption_hits;
   int "sides mined cold" s.sides_mined;
+  int "sides relaxed" s.sides_relaxed;
   int "deadline expired" s.deadline_expired;
   int "rejected (queue full)" s.rejected;
   int "failures" s.failures;

@@ -27,6 +27,9 @@ type snapshot = {
   answer_hits : int;  (** served verbatim from the answer cache *)
   subsumption_hits : int;  (** sides served by filtering a cached collection *)
   sides_mined : int;  (** sides that had to run the mining engine *)
+  sides_relaxed : int;
+      (** of those, sides mined as a relaxation: a cached neighbour plus a
+          mine of only the sets it misses *)
   answer_misses : int;  (** queries not found in the answer cache *)
   deadline_expired : int;
   rejected : int;  (** refused at admission (queue full) *)
@@ -105,6 +108,7 @@ val record_answer_hit : t -> unit
 val record_answer_miss : t -> unit
 val record_subsumption_hit : t -> unit
 val record_side_mined : t -> unit
+val record_side_relaxed : t -> unit
 val record_deadline_expired : t -> unit
 val record_rejected : t -> unit
 val record_failure : t -> unit
