@@ -177,13 +177,12 @@ let run_cmd verbose tx items types seed strategy (config : Service.config) n_pai
       Printf.printf "query: %s\n\n" (Query.to_string q);
       let ctx = Exec.context db info in
       let collect = n_pairs > 0 || pairs_out <> None in
-      let mine_domains =
-        if config.mine_domains = 0 then Domain.recommended_domain_count ()
-        else config.mine_domains
+      let par =
+        if config.mine_domains = 0 then None
+        else Some (Cfq_mining.Counting.par config.mine_domains)
       in
-      let par = Cfq_mining.Counting.par mine_domains in
       let r =
-        Exec.run ~strategy ~collect_pairs:collect ~par ~kernel:config.kernel ctx q
+        Exec.run ~strategy ~collect_pairs:collect ?par ~kernel:config.kernel ctx q
       in
       print_endline (Explain.result_to_string r);
       if n_pairs > 0 then begin

@@ -344,22 +344,26 @@ let empty_result plan notes =
   }
 
 (* resolve the user's [par] into one that can be threaded through a whole
-   run: a multi-domain request without a pool to borrow from gets a private
-   pool for the run's lifetime (instead of spawning fresh domains on every
-   level), torn down by [cleanup] *)
-let resolve_par par =
-  match par with
-  | None -> (None, fun () -> ())
-  | Some p when p.Counting.domains <= 1 -> (None, fun () -> ())
-  | Some ({ Counting.pool = Some _; _ } as p) -> (Some p, fun () -> ())
-  | Some ({ Counting.pool = None; _ } as p) ->
-      let domains = p.Counting.domains in
-      let pool =
-        Cfq_exec_pool.Pool.create ~domains:(domains - 1)
-          ~queue_capacity:(4 * domains) ()
-      in
-      ( Some { p with Counting.pool = Some pool },
-        fun () -> Cfq_exec_pool.Pool.shutdown pool )
+   run.  Without one, a database with rows enough for a second participant
+   counts on every recommended domain; a smaller one stays sequential and
+   spawns nothing.  A multi-domain request without a pool to borrow from
+   gets a private pool for the run's lifetime (instead of spawning fresh
+   domains on every level), torn down by [cleanup] *)
+let resolve_par db par =
+  let p =
+    match par with
+    | Some p -> p
+    | None when Tx_db.size db >= 2 * Counting.default_min_rows_per_domain ->
+        Counting.par (Domain.recommended_domain_count ())
+    | None -> Counting.sequential
+  in
+  let domains = p.Counting.domains in
+  if domains <= 1 || Option.is_some p.Counting.pool then (p, ignore)
+  else
+    let pool =
+      Cfq_exec_pool.Pool.create ~domains:(domains - 1) ~queue_capacity:(4 * domains) ()
+    in
+    ({ p with Counting.pool = Some pool }, fun () -> Cfq_exec_pool.Pool.shutdown pool)
 
 let run ?(strategy = Plan.Optimized) ?(collect_pairs = false) ?par
     ?(kernel = Counting.Direct2) ctx (q : Query.t) =
@@ -377,16 +381,16 @@ let run ?(strategy = Plan.Optimized) ?(collect_pairs = false) ?par
   let io = Io_stats.create () in
   let notes = ref (List.rev rw.Rewrite.notes) in
   let t0 = Unix.gettimeofday () in
-  let par, cleanup_pool = resolve_par par in
+  let par, cleanup_pool = resolve_par ctx.db par in
   (* one counting session per run: the kernel and its pass counts *)
   let session = Counting.create_session kernel in
   let (s_freq, s_counters, s_levels), (t_freq, t_counters, t_levels) =
     Fun.protect ~finally:cleanup_pool (fun () ->
         match strategy with
-        | Plan.Apriori_plus -> run_apriori_plus ?par ~session ctx q io
+        | Plan.Apriori_plus -> run_apriori_plus ~par ~session ctx q io
         | Plan.Cap_one_var | Plan.Optimized ->
-            run_lattices ~notes ?par ~session ctx q plan io
-        | Plan.Sequential_t_first -> run_sequential ?par ~session ctx q plan io
+            run_lattices ~notes ~par ~session ctx q plan io
+        | Plan.Sequential_t_first -> run_sequential ~par ~session ctx q plan io
         | Plan.Full_materialize ->
             (* FM counts exactly one explicit candidate batch; the trie pass
                is already the direct representation there *)
@@ -394,7 +398,9 @@ let run ?(strategy = Plan.Optimized) ?(collect_pairs = false) ?par
   in
   if strategy <> Plan.Full_materialize then
     notes :=
-      Printf.sprintf "counting kernels (%s): %s" (Counting.kernel_name kernel)
+      Printf.sprintf "counting kernels (%s) on %d domain%s: %s"
+        (Counting.kernel_name kernel) par.Counting.domains
+        (if par.Counting.domains = 1 then "" else "s")
         (Counting.describe session)
       :: !notes;
   let t1 = Unix.gettimeofday () in

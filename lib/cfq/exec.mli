@@ -66,8 +66,12 @@ val total_counted : result -> int
     (Optimized, Cap_one_var, Sequential_t_first) across
     [par.Counting.domains] domains — borrowed from [par.Counting.pool]
     when given (the serving case), otherwise from a private pool created
-    for this run.  Answers, ccc counters, and I/O charges are identical to
-    the sequential execution for every [domains] value.
+    for this run.  Without [par], a database of at least
+    [2 * Counting.default_min_rows_per_domain] rows counts on
+    [Domain.recommended_domain_count ()] domains, a smaller one
+    sequentially with no pool; the kernel note names the width
+    ([on 2 domains]).  Answers, ccc counters, and I/O charges are
+    identical to the sequential execution at every width.
 
     [kernel] selects the support-counting kernel (see {!Counting.kernel});
     the default [Direct2] counts levels 1 and 2 with direct arrays,

@@ -39,7 +39,6 @@ let compile ~nonneg info cs = add ~nonneg (unconstrained info) cs
 
 let permits_item t e = Sel.eval t.info t.mgf.Mgf.universe e
 let am_ok t s = List.for_all (fun c -> One_var.eval t.info c s) t.am_checks
-let post_ok t s = List.for_all (fun c -> One_var.eval t.info c s) t.post_checks
 let requires_witness t s = Mgf.requires_witness t.info t.mgf s
 let requires t = t.mgf.Mgf.requires
 let eval_originals t s = List.for_all (fun c -> One_var.eval t.info c s) t.originals

@@ -38,9 +38,6 @@ val permits_item : t -> Item.t -> bool
 (** All anti-monotone checks. *)
 val am_ok : t -> Itemset.t -> bool
 
-(** All deferred checks. *)
-val post_ok : t -> Itemset.t -> bool
-
 (** Witness requirement of the combined MGF. *)
 val requires_witness : t -> Itemset.t -> bool
 

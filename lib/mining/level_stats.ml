@@ -12,11 +12,6 @@ let create () = { rows = [] }
 let record t r = t.rows <- r :: t.rows
 let rows t = List.rev t.rows
 
-let frequent_at t k =
-  match List.find_opt (fun r -> r.level = k) t.rows with
-  | Some r -> r.frequent
-  | None -> 0
-
 let pp ppf t =
   List.iter
     (fun r ->

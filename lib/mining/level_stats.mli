@@ -20,7 +20,4 @@ val create : unit -> t
 val record : t -> row -> unit
 val rows : t -> row list
 
-(** [frequent_at t k] is 0 when level [k] was never reached. *)
-val frequent_at : t -> int -> int
-
 val pp : Format.formatter -> t -> unit

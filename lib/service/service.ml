@@ -77,7 +77,7 @@ let knobs =
       ~doc:
         "Domains each counting scan fans out over, borrowed from idle \
          workers; 0 inherits domains (for a single run: every recommended \
-         domain of the machine), 1 counts sequentially."
+         domain of the machine, from 4,096 rows), 1 counts sequentially."
       (fun c -> c.mine_domains)
       (fun c mine_domains -> { c with mine_domains });
     int_knob "cache-mb" ~min:0 ~doc:"Cache memory budget in MiB."

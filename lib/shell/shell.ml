@@ -38,7 +38,10 @@ let create ?ctx () =
     last_live = None;
   }
 
-let par_of t = Cfq_mining.Counting.par (max 1 t.config.mine_domains)
+(* mine-domains 0 leaves the width to [Exec.run]: every recommended domain *)
+let par_of t =
+  if t.config.mine_domains = 0 then None
+  else Some (Cfq_mining.Counting.par t.config.mine_domains)
 
 (* the serving layer is bound to one database: (re)create it lazily and
    retire it when the session attaches a different context *)
@@ -330,7 +333,7 @@ let do_live t =
 
 let do_run t ctx q =
   match
-    Exec.run_result ~strategy:t.strategy ~collect_pairs:true ~par:(par_of t)
+    Exec.run_result ~strategy:t.strategy ~collect_pairs:true ?par:(par_of t)
       ~kernel:t.config.kernel ctx q
   with
   | Ok r ->

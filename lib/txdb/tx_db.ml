@@ -519,4 +519,3 @@ let shard_of_page t page =
   locate m.pg_base page
 
 let shard_page_base t k = (shard_meta_exn t).pg_base.(k)
-let shard_tx_base t k = (shard_meta_exn t).tx_base.(k)

@@ -106,10 +106,8 @@ val shard_io : t -> Io_stats.t array
     Raises [Invalid_argument] on an ordinary database. *)
 val shard_of_page : t -> int -> int
 
-(** First composite page / tid of shard [k].  Raise on ordinary DBs. *)
+(** First composite page of shard [k].  Raises on ordinary DBs. *)
 val shard_page_base : t -> int -> int
-
-val shard_tx_base : t -> int -> int
 
 val size : t -> int
 

@@ -30,6 +30,14 @@ let all_subsets n =
 
 let db_of_lists txs = Tx_db.create (Array.of_list (List.map Itemset.of_list txs))
 
+(* [rows] seeded random rows over [0, n), each of 1 to n-1 items: large
+   enough databases for a parallel default without a generator per row *)
+let seeded_rows ~seed ~n rows =
+  let rng = Random.State.make [| seed |] in
+  Array.init rows (fun _ ->
+      Itemset.of_list
+        (List.init (1 + Random.State.int rng (n - 1)) (fun _ -> Random.State.int rng n)))
+
 let support_of db s =
   let io = Io_stats.create () in
   Tx_db.support db io s

@@ -169,7 +169,7 @@ let exec_run_parallel_equals_sequential () =
       Cfq_core.Exec.total_checks r,
       Io_stats.scans r.Cfq_core.Exec.io )
   in
-  let seq = run () in
+  let seq = run ~par:Counting.sequential () in
   List.iter
     (fun domains ->
       let par = run ~par:(Counting.par ~min_rows_per_domain:1 domains) () in
@@ -274,13 +274,135 @@ let default_work_floor_is_result_identical () =
       Io_stats.scans r.Cfq_core.Exec.io,
       Io_stats.pages_read r.Cfq_core.Exec.io )
   in
-  let seq = run () in
+  let seq = run ~par:Counting.sequential () in
   let floored = run ~par:(Counting.par 4) () in
   let forced = run ~par:(Counting.par ~min_rows_per_domain:1 4) () in
   if floored <> seq then
     Alcotest.fail "default work floor diverged from sequential";
   if forced <> seq then
     Alcotest.fail "forced fan-out diverged from sequential"
+
+(* ------------------------------------------------------------------ *)
+(* Exec.run's default width                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Domain ids are handed out in spawn order, so the domains [f] spawned
+   are the gap between the ids of two probe domains around it. *)
+let spawned f =
+  let probe () = (Domain.join (Domain.spawn Domain.self) :> int) in
+  let before = probe () in
+  let r = f () in
+  (r, probe () - before - 1)
+
+let kernel_note r =
+  match
+    List.find_opt (String.starts_with ~prefix:"counting kernels") r.Cfq_core.Exec.notes
+  with
+  | Some note -> note
+  | None -> Alcotest.fail "no counting kernels note"
+
+let default_run rows =
+  let n = 8 in
+  let db = Tx_db.create (Helpers.seeded_rows ~seed:7 ~n rows) in
+  let ctx = Cfq_core.Exec.context db (Helpers.small_info n) in
+  let q =
+    Cfq_core.Parser.parse
+      "{(S,T) | freq(S) >= 0.1 & freq(T) >= 0.1 & max(S.Price) <= min(T.Price)}"
+  in
+  spawned (fun () -> kernel_note (Cfq_core.Exec.run ctx q))
+
+let default_fans_out_on_a_large_db () =
+  let cores = Domain.recommended_domain_count () in
+  if cores = 1 then Alcotest.skip ();
+  let note, n = default_run (2 * Counting.default_min_rows_per_domain) in
+  Alcotest.(check bool) note true
+    (Astring_contains.contains note (Printf.sprintf "on %d domains:" cores));
+  Alcotest.(check int) "a private pool of the other domains" (cores - 1) n
+
+let default_is_sequential_on_a_small_db () =
+  let note, n = default_run 60 in
+  Alcotest.(check bool) note true (Astring_contains.contains note "on 1 domain:");
+  Alcotest.(check int) "no pool" 0 n
+
+(* The default against an explicit sequential run on random databases
+   with rows enough to fan out, on memory, a 3-shard composite and an
+   on-disk store whose pool holds an eighth of its pages, for both
+   kernels: the same pairs, frequent sets, ccc counters, scans and pages,
+   and with one page corrupted the same typed error. *)
+let gen_default_input =
+  QCheck2.Gen.(
+    let* n = Helpers.gen_universe_size in
+    let* seed = int_bound 1_000_000 in
+    let* extra = int_bound 1000 in
+    let* q = Helpers.gen_query in
+    return (n, seed, (2 * Counting.default_min_rows_per_domain) + extra, q))
+
+let print_default_input (n, seed, rows, q) =
+  Printf.sprintf "n=%d seed=%d rows=%d %s" n seed rows (Cfq_core.Query.to_string q)
+
+let small_pages = Page_model.make ~page_size_bytes:256 ()
+
+let with_backend name sets f =
+  match name with
+  | "memory" -> f (Tx_db.create ~page_model:small_pages sets)
+  | "sharded" -> f (Cfq_shard.Sharded.mem_db ~page_model:small_pages ~shards:3 sets)
+  | _ ->
+      let path = Filename.temp_file "cfq_default_width" ".cfqdb" in
+      let remove () =
+        List.iter
+          (fun p -> if Sys.file_exists p then Sys.remove p)
+          [ path; path ^ ".wal" ]
+      in
+      Fun.protect ~finally:remove (fun () ->
+          Cfq_store.Store.build ~page_model:small_pages path sets;
+          let pages = Page_model.pages_for small_pages (Array.map Itemset.cardinal sets) in
+          let st = Cfq_store.Store.open_ ~cache_pages:(max 1 (pages / 8)) path in
+          Fun.protect ~finally:(fun () -> Cfq_store.Store.close st) (fun () ->
+              f (Cfq_store.Store.db st)))
+
+let fingerprint r =
+  let open Cfq_core.Exec in
+  let side s =
+    ( List.map (fun e -> (e.Frequent.set, e.Frequent.support)) (Frequent.to_list s.frequent),
+      Counters.support_counted s.counters,
+      Counters.constraint_checks s.counters,
+      Counters.candidates_generated s.counters )
+  in
+  ( Helpers.sorted_pairs (List.map (fun (s, t) -> (s.Frequent.set, t.Frequent.set)) r.pairs),
+    (side r.s, side r.t, r.pair_stats.Cfq_core.Pairs.checks),
+    (Io_stats.scans r.io, Io_stats.pages_read r.io) )
+
+let prop_default_equals_sequential (n, seed, rows, q) =
+  let sets = Helpers.seeded_rows ~seed ~n rows in
+  let ctx db = Cfq_core.Exec.context db (Helpers.small_info n) in
+  List.for_all
+    (fun backend ->
+      with_backend backend sets (fun db ->
+          List.for_all
+            (fun (kname, kernel) ->
+              let run ?par () =
+                Cfq_core.Exec.run_result ~collect_pairs:true ?par ~kernel (ctx db) q
+              in
+              let clean = (run (), run ~par:Counting.sequential ()) in
+              let faulted par =
+                Tx_db.set_faults db
+                  (Some
+                     (Fault.create
+                        { Fault.default_config with corrupt_p = 0.5; seed = Int64.of_int seed }));
+                Fun.protect ~finally:(fun () -> Tx_db.set_faults db None) (fun () ->
+                    Result.map fingerprint (run ?par ()))
+              in
+              match (clean, faulted None, faulted (Some Counting.sequential)) with
+              (* a run that scans meets the corrupted page; an
+                 unsatisfiable query reads nothing *)
+              | (Ok d, Ok s), f, f'
+                when fingerprint d = fingerprint s && f = f'
+                     && (Io_stats.scans s.Cfq_core.Exec.io = 0
+                        || match f with Error (Cfq_error.Corrupt_page _) -> true | _ -> false) ->
+                  true
+              | _ -> QCheck2.Test.fail_reportf "%s, %s: the default diverged" backend kname)
+            Counting.all_kernels))
+    [ "memory"; "sharded"; "store" ]
 
 let with_pool f =
   let pool = Cfq_exec_pool.Pool.create ~domains:2 ~queue_capacity:8 () in
@@ -322,4 +444,9 @@ let suite =
     unit "default work floor is result-identical" default_work_floor_is_result_identical;
     unit "borrowing from a shut-down pool degrades gracefully"
       borrowed_helpers_from_a_shut_down_pool;
+    unit "Exec.run fans out by default on 4,096 rows" default_fans_out_on_a_large_db;
+    unit "Exec.run stays sequential by default on 60 rows"
+      default_is_sequential_on_a_small_db;
+    Helpers.qtest ~count:16 "Exec.run at its default equals sequential on every backend"
+      gen_default_input print_default_input prop_default_equals_sequential;
   ]

@@ -300,4 +300,23 @@ let suite =
               (contains (out (Shell.create ()) ("open " ^ path)) "6 transactions");
             let _ = Shell.eval t2 "quit" in
             ()));
+    unit "mine-domains 0 counts on every recommended domain" (fun () ->
+        (* 4,096 rows, enough for the default to fan out, as [cfq run] does *)
+        let db = Cfq_txdb.Tx_db.create (Helpers.seeded_rows ~seed:3 ~n:8 4096) in
+        let t = Shell.create ~ctx:(Exec.context db (Helpers.small_info 8)) () in
+        let q = "run freq(S) >= 0.1 & freq(T) >= 0.1 & max(S.Price) <= min(T.Price)" in
+        let answers o =
+          String.split_on_char '\n' (untimed o)
+          |> List.filter (fun l -> not (contains l "counting kernels"))
+        in
+        let _ = out t "set mine-domains 0" in
+        let wide = out t q in
+        let cores = Domain.recommended_domain_count () in
+        Alcotest.(check bool) "every recommended domain" true
+          (contains wide
+             (Printf.sprintf "on %d domain%s:" cores (if cores = 1 then "" else "s")));
+        let _ = out t "set mine-domains 1" in
+        let narrow = out t q in
+        Alcotest.(check bool) "one domain" true (contains narrow "on 1 domain:");
+        Alcotest.(check (list string)) "same answers" (answers narrow) (answers wide));
   ]
