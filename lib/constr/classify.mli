@@ -13,7 +13,6 @@
     (Definition 4 w.r.t. S). *)
 val anti_monotone_s : Two_var.t -> bool
 
-val anti_monotone_t : Two_var.t -> bool
 
 (** Anti-monotone w.r.t. both variables — the Figure 1 column. *)
 val anti_monotone : Two_var.t -> bool

@@ -38,7 +38,4 @@ val reduce :
   Two_var.t ->
   t
 
-(** A reduction that prunes nothing (used before L1 is known). *)
-val no_pruning : t
-
 val pp : Format.formatter -> t -> unit

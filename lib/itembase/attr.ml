@@ -12,7 +12,3 @@ let self = { name = "Item"; kind = Categorical }
 let is_self a = String.equal a.name "Item"
 let equal a b = String.equal a.name b.name && a.kind = b.kind
 let pp ppf a = Format.pp_print_string ppf a.name
-
-let pp_kind ppf = function
-  | Numeric -> Format.pp_print_string ppf "numeric"
-  | Categorical -> Format.pp_print_string ppf "categorical"

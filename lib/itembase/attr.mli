@@ -24,4 +24,3 @@ val self : t
 val is_self : t -> bool
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val pp_kind : Format.formatter -> kind -> unit

@@ -49,14 +49,5 @@ val blit : src:t -> dst:t -> unit
 (** [inter_inplace dst src] sets [dst := dst ∧ src] without allocating —
     the scratch-buffer primitive of multi-way popcount intersections. *)
 val inter_inplace : t -> t -> unit
-
-(** Usable bits per word of the packed representation (62).  Writers that
-    partition a vector across domains must align their ranges to this so no
-    word is shared between two writers. *)
-val bits_per_word : int
-
-(** [popcount w] is the number of set bits of one raw word (word-parallel,
-    no loop). *)
-val popcount : int -> int
 val iter : (Item.t -> unit) -> t -> unit
 val pp : Format.formatter -> t -> unit

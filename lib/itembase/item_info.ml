@@ -1,9 +1,15 @@
 type t = {
+  id : int;  (* process-unique, stamped at construction *)
   universe_size : int;
   columns : (string, Attr.t * float array) Hashtbl.t;
 }
 
-let create ~universe_size = { universe_size; columns = Hashtbl.create 8 }
+let next_id = Atomic.make 1
+
+let create ~universe_size =
+  { id = Atomic.fetch_and_add next_id 1; universe_size; columns = Hashtbl.create 8 }
+
+let id t = t.id
 let universe_size t = t.universe_size
 
 let add_column t attr values =

@@ -12,6 +12,11 @@ type t
     [0 .. universe_size - 1]. *)
 val create : universe_size:int -> t
 
+(** [id t] is a process-wide token for the physical identity of [t],
+    stamped by {!create}: distinct tables get distinct ids, even when
+    their columns are equal. *)
+val id : t -> int
+
 val universe_size : t -> int
 
 (** [add_column t attr values] registers attribute [attr] with per-item

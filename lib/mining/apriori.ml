@@ -1,5 +1,3 @@
-open Cfq_itembase
-open Cfq_txdb
 open Cfq_constr
 
 type outcome = {
@@ -12,32 +10,3 @@ let mine db info io ?max_level ?par ?session ~minsup () =
   let state = Cap.create db info ?max_level ~minsup (Bundle.unconstrained info) in
   let frequent = Cap.run ?par ?session state io in
   { frequent; counters = Cap.counters state; stats = Cap.stats state }
-
-let mine_brute db io ~minsup ~universe_size =
-  if universe_size > 20 then invalid_arg "Apriori.mine_brute: universe too large";
-  let universe = Itemset.of_array (Array.init universe_size (fun i -> i)) in
-  let subsets = ref [] in
-  Itemset.powerset universe (fun s ->
-      if not (Itemset.is_empty s) then subsets := s :: !subsets);
-  let subsets = Array.of_list !subsets in
-  let counts = Array.make (Array.length subsets) 0 in
-  Tx_db.iter_scan db io (fun tx ->
-      Array.iteri
-        (fun i s ->
-          if Itemset.subset s tx.Transaction.items then counts.(i) <- counts.(i) + 1)
-        subsets);
-  let by_level = Hashtbl.create 16 in
-  Array.iteri
-    (fun i s ->
-      if counts.(i) >= minsup then begin
-        let k = Itemset.cardinal s in
-        let cur = Option.value ~default:[] (Hashtbl.find_opt by_level k) in
-        Hashtbl.replace by_level k ({ Frequent.set = s; support = counts.(i) } :: cur)
-      end)
-    subsets;
-  let max_k = Hashtbl.fold (fun k _ acc -> max k acc) by_level 0 in
-  let levels =
-    List.init max_k (fun i ->
-        Array.of_list (Option.value ~default:[] (Hashtbl.find_opt by_level (i + 1))))
-  in
-  Frequent.of_levels levels

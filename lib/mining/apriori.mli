@@ -23,8 +23,3 @@ val mine :
   minsup:int ->
   unit ->
   outcome
-
-(** [mine_brute db io ~minsup ~universe_size] is the exponential reference
-    implementation over the item universe — only for tests on tiny
-    universes (≤ 20 items). *)
-val mine_brute : Tx_db.t -> Io_stats.t -> minsup:int -> universe_size:int -> Frequent.t

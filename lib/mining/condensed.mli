@@ -26,14 +26,11 @@
     collapse to one closed representative (cf. the closed-itemset global
     constraint, arXiv 1604.04894). *)
 
-open Cfq_itembase
-
 (** {1 Cache byte model}
 
     The approximate byte weights the service cache charges; kept here so
     raw and condensed forms are priced by one model. *)
 
-val itemset_weight : Itemset.t -> int
 val entry_weight : Frequent.entry -> int
 
 (** [frequent_weight f] is the raw collection's weight: a 128-byte base

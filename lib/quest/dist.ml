@@ -24,11 +24,6 @@ let exponential rng ~mean =
   let u = Float.max 1e-300 (Splitmix.float rng) in
   -.mean *. log u
 
-let geometric rng ~p =
-  if p <= 0. || p > 1. then invalid_arg "Dist.geometric";
-  let u = Float.max 1e-300 (Splitmix.float rng) in
-  int_of_float (Float.floor (log u /. log (1. -. p)))
-
 let pick_weighted rng cumulative =
   let n = Array.length cumulative in
   if n = 0 then invalid_arg "Dist.pick_weighted";

@@ -3,9 +3,6 @@
 
 val uniform : Splitmix.t -> lo:float -> hi:float -> float
 
-(** Standard normal via Box–Muller. *)
-val std_normal : Splitmix.t -> float
-
 (** [normal rng ~mean ~stddev] *)
 val normal : Splitmix.t -> mean:float -> stddev:float -> float
 
@@ -17,9 +14,6 @@ val poisson : Splitmix.t -> mean:float -> int
 
 (** [exponential rng ~mean] *)
 val exponential : Splitmix.t -> mean:float -> float
-
-(** [geometric rng ~p] is the number of failures before the first success. *)
-val geometric : Splitmix.t -> p:float -> int
 
 (** [pick_weighted rng cumulative] draws an index according to a cumulative
     weight array ([cumulative.(last)] is the total mass). *)

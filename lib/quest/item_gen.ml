@@ -2,9 +2,6 @@ open Cfq_itembase
 
 let uniform_prices rng ~n ~lo ~hi = Array.init n (fun _ -> Dist.uniform rng ~lo ~hi)
 
-let normal_prices rng ~n ~mean ~stddev =
-  Array.init n (fun _ -> Float.max 0. (Dist.normal rng ~mean ~stddev))
-
 let split_prices rng ~n ~split ~low ~high =
   Array.init n (fun i -> if i < split then low rng else high rng)
 

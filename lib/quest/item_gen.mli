@@ -6,11 +6,6 @@ open Cfq_itembase
     [[lo, hi]]. *)
 val uniform_prices : Splitmix.t -> n:int -> lo:float -> hi:float -> float array
 
-(** [normal_prices rng ~n ~mean ~stddev] draws one price per item, normal,
-    clamped at 0 below (prices are non-negative, as required by the induced
-    weaker constraints of Section 5.1). *)
-val normal_prices : Splitmix.t -> n:int -> mean:float -> stddev:float -> float array
-
 (** [split_prices rng ~n ~split ~low ~high] gives items [0 .. split-1]
     prices drawn by [low] and the rest by [high]; used by the §7.3 workload
     where the [S]-side and [T]-side item pools follow different normals. *)

@@ -23,10 +23,6 @@ val io_seconds : t -> Io_stats.t -> float
 (** [total t ~cpu io] = cpu + simulated I/O. *)
 val total : t -> cpu:float -> Io_stats.t -> float
 
-(** [cost_of_result t r] applies {!total} to an execution result (mining
-    and pair phases). *)
-val cost_of_result : t -> Cfq_core.Exec.result -> float
-
 (** [mining_cost t r] is the step-1 cost only — lattice computation CPU plus
     I/O.  This is what the paper's speedups measure (Section 6.2: "we only
     focus on the performance of the first step"). *)

@@ -20,9 +20,6 @@ val load : string -> ((int * string) list, string) result
     their line; the rest run through {!Service.run_many}. *)
 val run : Service.t -> ?deadline:float -> (int * string) list -> item list
 
-(** One human-readable line per item: status, pair count, cost, latency. *)
-val report_lines : item list -> string list
-
 (** [run_file service ?deadline path] is [load] + [run] + rendering,
     returning the report plus the service metrics table, or an error
     message. *)

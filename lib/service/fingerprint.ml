@@ -3,37 +3,17 @@ open Cfq_txdb
 open Cfq_constr
 open Cfq_core
 
-(* Databases carry their own id.  Attribute tables are identified
-   physically through a registry that pins what it has seen; it stays short
-   (one entry per loaded table), while every live seal makes a new
-   database. *)
-
-let registry_mutex = Mutex.create ()
-let info_registry : (Item_info.t * int) list ref = ref []
-let next_info_id = ref 0
+(* Databases and attribute tables carry their own ids, so a fingerprint
+   keeps neither alive. *)
 
 let db_id = Tx_db.id
-
-let info_id info =
-  Mutex.lock registry_mutex;
-  let id =
-    match List.find_opt (fun (v', _) -> v' == info) !info_registry with
-    | Some (_, id) -> id
-    | None ->
-        incr next_info_id;
-        info_registry := (info, !next_info_id) :: !info_registry;
-        !next_info_id
-  in
-  Mutex.unlock registry_mutex;
-  id
-
 let sorted_unique strings = List.sort_uniq String.compare strings
 
 let side_constraints cs =
   String.concat " & " (sorted_unique (List.map One_var.to_string cs))
 
 let side_key ~info ~minsup_abs ~max_level cs =
-  Printf.sprintf "side|info=%d|minsup=%d|maxlvl=%s|%s" (info_id info) minsup_abs
+  Printf.sprintf "side|info=%d|minsup=%d|maxlvl=%s|%s" (Item_info.id info) minsup_abs
     (match max_level with None -> "-" | Some l -> string_of_int l)
     (side_constraints cs)
 

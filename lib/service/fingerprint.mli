@@ -18,16 +18,10 @@ open Cfq_core
     keep it alive. *)
 val db_id : Tx_db.t -> int
 
-(** [info_id info] — same, for attribute tables, found in a registry that
-    keeps every table it has seen alive (one entry per loaded table). *)
-val info_id : Item_info.t -> int
-
-(** Canonical rendering of a 1-var constraint list: sorted, deduplicated. *)
-val side_constraints : One_var.t list -> string
-
 (** [side_key ~info ~minsup_abs ~max_level cs] keys one side's frequent
-    collection: attribute table, absolute threshold, depth cap, constraint
-    set. *)
+    collection: attribute table (its {!Item_info.id}, which keeps no
+    table alive), absolute threshold, depth cap, and the constraint set,
+    sorted and deduplicated. *)
 val side_key :
   info:Item_info.t -> minsup_abs:int -> max_level:int option -> One_var.t list -> string
 

@@ -1,3 +1,4 @@
+open Cfq_itembase
 open Cfq_mining
 
 type t = {
@@ -107,6 +108,8 @@ let finish p =
   let raw_weight, packed_weight = weights p in
   { pk = { pk_s = p.valid_s; pk_t = p.valid_t; pk_idx = idx }; raw_weight; packed_weight }
 
+let n_pairs pk = Array.length pk.pk_idx / 2
+
 let join ~s_info ~t_info ~valid_s ~valid_t ~two_var =
   let p = packer valid_s valid_t in
   let stats =
@@ -114,7 +117,75 @@ let join ~s_info ~t_info ~valid_s ~valid_t ~two_var =
   in
   (stats, finish p)
 
-let n_pairs pk = Array.length pk.pk_idx / 2
+(* for every old set, its index in [valid], or -1.  Filtered collections
+   list their sets in [Itemset.compare] order, so one merge pass suffices.
+   A side that [Condensed] kept raw lists each level in the order it was
+   mined, which need not be [Itemset.compare] order; such sides are matched
+   by hashing. *)
+let positions valid (old : Frequent.entry array) =
+  let ascending (a : Frequent.entry array) =
+    let ok = ref true in
+    for i = 1 to Array.length a - 1 do
+      if Itemset.compare a.(i - 1).Frequent.set a.(i).Frequent.set >= 0 then ok := false
+    done;
+    !ok
+  in
+  if ascending valid && ascending old then begin
+    let n = Array.length valid and i = ref 0 in
+    Array.map
+      (fun (e : Frequent.entry) ->
+        while !i < n && Itemset.compare valid.(!i).Frequent.set e.Frequent.set < 0 do
+          incr i
+        done;
+        if !i < n && Itemset.equal valid.(!i).Frequent.set e.Frequent.set then !i else -1)
+      old
+  end
+  else begin
+    let at = Itemset.Hashtbl.create (Array.length valid) in
+    Array.iteri (fun i (e : Frequent.entry) -> Itemset.Hashtbl.replace at e.Frequent.set i) valid;
+    Array.map
+      (fun (e : Frequent.entry) ->
+        Option.value ~default:(-1) (Itemset.Hashtbl.find_opt at e.Frequent.set))
+      old
+  end
+
+(* the indices of [valid] whose set the old answer held ([kept]) and the
+   rest ([newcomers]) *)
+let split_sides valid pos =
+  let old = Array.make (Array.length valid) false in
+  Array.iter (fun i -> if i >= 0 then old.(i) <- true) pos;
+  let pick keep =
+    Array.of_list
+      (List.filter (fun i -> old.(i) = keep) (List.init (Array.length valid) Fun.id))
+  in
+  (pick true, pick false)
+
+(* (S_new x valid_t) u (S_kept x T_new), where S_kept are the sets of
+   [valid_s] among the old answer's S-sets and S_new the rest, and T
+   likewise: the two joins are disjoint, and neither meets an old pair *)
+let delta_join ~s_info ~t_info ~two_var old ~valid_s ~valid_t =
+  let pos_s = positions valid_s old.pk_s and pos_t = positions valid_t old.pk_t in
+  let p = packer valid_s valid_t in
+  for k = 0 to n_pairs old - 1 do
+    let i = pos_s.(old.pk_idx.(2 * k)) and j = pos_t.(old.pk_idx.((2 * k) + 1)) in
+    if i >= 0 && j >= 0 then add_pair p i j
+  done;
+  let s_kept, s_new = split_sides valid_s pos_s in
+  let _, t_new = split_sides valid_t pos_t in
+  let join s_idx t_idx =
+    if Array.length s_idx > 0 && Array.length t_idx > 0 then
+      ignore
+        (Cfq_core.Pairs.form ~s_info ~t_info
+           ~valid_s:(Array.map (Array.get valid_s) s_idx)
+           ~valid_t:(Array.map (Array.get valid_t) t_idx)
+           ~two_var
+           ~on_run:(Cfq_core.Pairs.pairwise (fun a b -> add_pair p s_idx.(a) t_idx.(b)))
+           ()
+          : Cfq_core.Pairs.stats)
+  in
+  join s_new (Array.init (Array.length valid_t) Fun.id);
+  join s_kept t_new;
+  finish p
 
 let pairs pk =
   let pairs = ref [] in

@@ -62,6 +62,23 @@ val join :
   two_var:Two_var.t list ->
   Cfq_core.Pairs.stats * weighed
 
+(** [delta_join ~s_info ~t_info ~two_var old ~valid_s ~valid_t] is the
+    answer [old] brought up to a new epoch whose valid sets are [valid_s]
+    and [valid_t]: FUP's argument (Cheung et al., reference [6] of the
+    paper) applied to an answer instead of support counts.  Figure 1's
+    2-var constraints read item attributes and never supports, so a pair
+    stays a pair exactly while both of its sides stay valid.  The result
+    is the old pairs whose two sets are still valid, re-supported, plus a
+    join of the newcomers only. *)
+val delta_join :
+  s_info:Item_info.t ->
+  t_info:Item_info.t ->
+  two_var:Two_var.t list ->
+  t ->
+  valid_s:Frequent.entry array ->
+  valid_t:Frequent.entry array ->
+  weighed
+
 val n_pairs : t -> int
 
 (** The pairs a packed answer stands for, in packing order. *)

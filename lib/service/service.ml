@@ -158,22 +158,6 @@ let error_to_string = function
   | Fault e -> "fault: " ^ Cfq_error.to_string e
   | Failed msg -> "failed: " ^ msg
 
-(* one side's cached frequent collection, as mined.  The collection is
-   stored condensed (closed sets only, [Condensed.t]) when the round-trip
-   is provably lossless; lookups rebuild the raw collection on demand.  The cache charges the memoized [se_weight],
-   so a condensed entry makes room for more distinct fingerprints under
-   the same budget. *)
-type side_entry = {
-  se_epoch : int;  (* database generation the supports are exact for *)
-  se_info : Item_info.t;  (* shared, immutable; needed to re-key on promotion *)
-  se_info_id : int;
-  se_minsup : int;  (* absolute support it was mined at *)
-  se_max_level : int option;
-  se_constraints : One_var.t list;  (* normalised 1-var conjunction it was mined under *)
-  se_cond : Condensed.t;
-  se_weight : int;  (* memoized cache charge: [Condensed.bytes se_cond] *)
-}
-
 (* a cached answer; its pair list is stored packed ([Packed.t]) and
    rebuilt on lookup *)
 type cached_answer = {
@@ -232,7 +216,7 @@ type t = {
       (* the epoch and (simplified) query are kept alongside each answer so
          degraded serving can test whether a cached answer covers a new
          query — and reject it when it predates the current epoch *)
-  sides : side_entry Lru.t;
+  sides : Side_cache.entry Lru.t;
   service_metrics : Metrics.t;
   breaker : breaker;
   mutable consec_rejections : int;
@@ -297,23 +281,19 @@ let locked t f =
    and answers ([Packed]), computed once per insert and memoized on the
    entry. *)
 
-(* condense a freshly mined or promoted collection for caching; every side
-   insert is priced through here so the ratio metrics see the full
-   stream *)
-let condense_frequent t freq =
-  let cond = Condensed.of_frequent freq in
-  locked t (fun () ->
-      Metrics.record_condensed t.service_metrics
-        ~raw:(Condensed.raw_bytes cond) ~stored:(Condensed.bytes cond)
-        ~condensed:(Condensed.is_condensed cond));
-  cond
+(* with [t.lock] held: price a side collection entering the cache, so the
+   ratio metrics see every insert *)
+let record_condensed_locked t cond =
+  Metrics.record_condensed t.service_metrics ~raw:(Condensed.raw_bytes cond)
+    ~stored:(Condensed.bytes cond) ~condensed:(Condensed.is_condensed cond)
 
 (* rebuild a side's raw collection — one reconstruction paid when the
    closed form is stored.  Never call with [t.lock] held. *)
 let side_frequent t entry =
-  if Condensed.is_condensed entry.se_cond then
+  let cond = Side_cache.condensed entry in
+  if Condensed.is_condensed cond then
     locked t (fun () -> Metrics.record_reconstruction t.service_metrics);
-  Condensed.to_frequent entry.se_cond
+  Condensed.to_frequent cond
 
 (* ------------------------------------------------------------------ *)
 (* answers: joined and packed as the join emits its runs *)
@@ -369,338 +349,99 @@ let check_deadline = function
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* side resolution: cached collection via subsumption, or cold CAP mining *)
-
-type side_spec = {
-  sp_info : Item_info.t;
-  sp_minsup : int;
-  sp_max_level : int option;
-  sp_constraints : One_var.t list;
-}
-
-let side_spec_of (ctx : Exec.ctx) (q : Query.t) = function
-  | `S ->
-      {
-        sp_info = ctx.Exec.s_info;
-        sp_minsup = Tx_db.absolute_support ctx.Exec.db q.Query.s_minsup;
-        sp_max_level = q.Query.max_level;
-        sp_constraints = q.Query.s_constraints;
-      }
-  | `T ->
-      {
-        sp_info = ctx.Exec.t_info;
-        sp_minsup = Tx_db.absolute_support ctx.Exec.db q.Query.t_minsup;
-        sp_max_level = q.Query.max_level;
-        sp_constraints = q.Query.t_constraints;
-      }
-
-(* cached [entry] can stand for [spec] at [epoch]: current epoch (its
-   supports are exact for the live database), same attribute table
-   ([info_id], looked up once per lookup), mined at least as deep and at
-   most as high a threshold.  Side keys carry no database identity —
-   without the epoch check a post-seal lookup would happily serve pre-seal
-   supports. *)
-let entry_fits ~epoch ~info_id entry spec =
-  entry.se_epoch = epoch
-  && entry.se_info_id = info_id
-  && entry.se_minsup <= spec.sp_minsup
-  && (match entry.se_max_level with
-     | None -> true
-     | Some cached_cap -> (
-         match spec.sp_max_level with
-         | Some requested_cap -> cached_cap >= requested_cap
-         | None -> false))
-
-(* What the side cache holds for [spec]: the covering entry with the
-   fewest sets (it fits and [spec] entails its whole constraint set), or
-   failing one every neighbour (it fits and [spec] entails all but one
-   atom, a bound [spec] widens: {!Entail.widening}), with that atom. *)
-type side_lookup =
-  | Covering of string * side_entry
-  | Neighbours of (string * side_entry * One_var.t) list
-
-(* call with [t.lock] held: one fold over the side cache *)
-let lookup_side_locked t ~epoch spec =
-  let info_id = Fingerprint.info_id spec.sp_info in
-  let best, neighbours =
-    Lru.fold
-      (fun ((best, neighbours) as acc) ~key ~value ->
-        if not (entry_fits ~epoch ~info_id value spec) then acc
-        else if Entail.subsumes ~cached:value.se_constraints ~requested:spec.sp_constraints then
-          match best with
-          | Some (_, b) when Condensed.n_sets b.se_cond <= Condensed.n_sets value.se_cond -> acc
-          | _ -> (Some (key, value), neighbours)
-        else if best <> None then acc
-        else
-          match Entail.widening ~cached:value.se_constraints ~requested:spec.sp_constraints with
-          | Some atom -> (best, (key, value, atom) :: neighbours)
-          | None -> acc)
-      (None, []) t.sides
-  in
-  match best with
-  | Some (key, entry) -> Covering (key, entry)
-  | None -> Neighbours (List.rev neighbours)
-
-(* with [t.lock] held: the covering side entry at [epoch], bumped *)
-let covering_side_locked t ~epoch spec =
-  match lookup_side_locked t ~epoch spec with
-  | Covering (key, entry) ->
-      ignore (Lru.find t.sides key : side_entry option);
-      Some entry
-  | Neighbours _ -> None
-
-(* the mined collection may exceed the request (lower threshold, weaker
-   constraints, deferred atoms): filter down to exactly the valid sets,
-   counting every 1-var evaluation as a constraint check *)
-let filter_valid spec freq checks =
-  let out = ref [] in
-  Frequent.iter
-    (fun e ->
-      let ok =
-        e.Frequent.support >= spec.sp_minsup
-        && (match spec.sp_max_level with
-           | Some cap -> Itemset.cardinal e.Frequent.set <= cap
-           | None -> true)
-        && List.for_all
-             (fun c ->
-               incr checks;
-               One_var.eval spec.sp_info c e.Frequent.set)
-             spec.sp_constraints
-      in
-      if ok then out := e :: !out)
-    freq;
-  Array.of_list (List.rev !out)
+(* side resolution: plan from the side cache, then run the plan *)
 
 (* drive the CAP state machine one level at a time so the deadline is
-   honoured between scans *)
-let mine_side ~deadline ~par ~kernel (ctx : Exec.ctx) spec io =
-  let bundle = Bundle.compile ~nonneg:ctx.Exec.nonneg spec.sp_info spec.sp_constraints in
+   honoured between scans; charges [counters] and returns the collection
+   with the mine's pass counts *)
+let mine_cold t ~deadline (ctx : Exec.ctx) (spec : Side_cache.spec) io counters =
+  let bundle = Bundle.compile ~nonneg:ctx.Exec.nonneg spec.info spec.constraints in
   let state =
-    Cap.create ctx.Exec.db spec.sp_info ?max_level:spec.sp_max_level
-      ~minsup:spec.sp_minsup bundle
+    Cap.create ctx.Exec.db spec.info ?max_level:spec.max_level ~minsup:spec.minsup bundle
   in
   (* one session per cold mine: its pass counts feed the metrics *)
-  let session = Counting.create_session kernel in
+  let session = Counting.create_session t.service_config.kernel in
   let rec loop () =
     check_deadline deadline;
-    if Cap.step ~par ~session state io then loop ()
+    if Cap.step ~par:t.mine_par ~session state io then loop ()
   in
   loop ();
-  (Cap.result state, Cap.counters state, session)
+  Counters.merge counters (Cap.counters state);
+  (Cap.result state, Counting.pass_counts session)
 
-(* The neighbour of narrowest witness band: the fewest items that [spec]
-   permits and that hold a witness of its atom's negation; ties go to the
-   fewest sets. *)
-let narrowest ~nonneg spec = function
-  | ([] | [ _ ]) as ns -> List.nth_opt ns 0
-  | ns ->
-      let info = spec.sp_info in
-      let permits = Bundle.permits_item (Bundle.compile ~nonneg info spec.sp_constraints) in
-      let band atom =
-        (* the negation compiles to its one witness group *)
-        match Bundle.requires (Bundle.compile ~nonneg info [ Entail.negation atom ]) with
-        | [ witness ] ->
-            let n = ref 0 in
-            for i = 0 to Item_info.universe_size info - 1 do
-              if Sel.eval info witness i && permits i then incr n
-            done;
-            !n
-        | _ -> max_int
-      in
-      let weigh ((_, e, atom) as n) = ((band atom, Condensed.n_sets e.se_cond), n) in
-      let best =
-        List.fold_left
-          (fun (bw, bn) n ->
-            let w, n = weigh n in
-            if compare w bw < 0 then (w, n) else (bw, bn))
-          (weigh (List.hd ns)) (List.tl ns)
-      in
-      Some (snd best)
-
-let merge_relaxation ~kept ~fresh =
-  Frequent.of_entries (Array.to_list kept @ Array.to_list fresh)
-
-(* insert a side's collection under its key at [epoch] unless a seal has
-   raced the mine: supports counted against the pre-seal snapshot must
-   not enter the cache at the new epoch *)
-let insert_side t ~epoch spec freq =
-  let cond = condense_frequent t freq in
-  let entry =
-    {
-      se_epoch = epoch;
-      se_info = spec.sp_info;
-      se_info_id = Fingerprint.info_id spec.sp_info;
-      se_minsup = spec.sp_minsup;
-      se_max_level = spec.sp_max_level;
-      se_constraints = spec.sp_constraints;
-      se_cond = cond;
-      se_weight = Condensed.bytes cond;
-    }
-  in
-  let key =
-    Fingerprint.side_key ~info:spec.sp_info ~minsup_abs:spec.sp_minsup
-      ~max_level:spec.sp_max_level spec.sp_constraints
-  in
+(* record a mine and cache its collection under [spec] at [epoch], unless
+   a seal has raced the mine: supports counted against the pre-seal
+   snapshot must not enter the cache at the new epoch *)
+let cache_mined t ~epoch ~relaxed spec freq (passes : Counting.pass_counts) =
+  let entry = Side_cache.fresh ~epoch spec (Condensed.of_frequent freq) in
   locked t (fun () ->
-      if t.epoch = epoch then ignore (Lru.insert t.sides key ~weight:entry.se_weight entry : bool))
+      let m = t.service_metrics in
+      Metrics.record_side_mined m;
+      if relaxed then Metrics.record_side_relaxed m;
+      Metrics.record_kernel_passes m ~trie:passes.Counting.trie_passes
+        ~direct2:passes.Counting.direct2_passes;
+      record_condensed_locked t (Side_cache.condensed entry);
+      if t.epoch = epoch then Side_cache.insert t.sides entry)
 
-(* mine [spec] cold, charging [counters] and the kernel passes *)
-let mine_cold t ~deadline ~ctx spec io counters =
-  let freq, side_counters, session =
-    mine_side ~deadline ~par:t.mine_par ~kernel:t.service_config.kernel ctx spec io
-  in
-  Counters.merge counters side_counters;
-  let pc = Counting.pass_counts session in
-  locked t (fun () ->
-      Metrics.record_side_mined t.service_metrics;
-      Metrics.record_kernel_passes t.service_metrics ~trie:pc.Counting.trie_passes
-        ~direct2:pc.Counting.direct2_passes);
-  freq
-
-(* A side is resolved from the cache (a covering entry, filtered), by a
-   relaxation (a neighbour, plus a mine of only what it misses), or cold.
-   Returns the valid sets, whether no mining ran, and a note.
-
-   Relaxation: the neighbour was mined under [spec]'s constraints but for
-   one bound [atom] that [spec] widens.  Every valid set satisfies [atom],
-   and is then in the neighbour with its support at this epoch, or holds
-   a witness of its negation, and is then found by CAP under [spec] and
-   the negation, whose witness group restricts every counting pass above
-   level 1 to the rows holding a witness.  The two parts are disjoint:
-   the neighbour's sets are kept only where they satisfy [atom], and the
-   mine's only where they are valid under the negation too, so hold a
-   witness (its level 1 is every frequent permitted item, and its
-   singletons without a witness are the neighbour's too). *)
-let resolve_side t ~deadline ~ctx ~epoch ~side spec io counters checks =
-  check_deadline deadline;
+(* the side's plan: looked up under the lock, a neighbour chosen outside
+   it, the chosen neighbour bumped *)
+let plan_side t ~(ctx : Exec.ctx) ~epoch spec =
   let found =
     locked t (fun () ->
-        match lookup_side_locked t ~epoch spec with
-        | Covering (key, entry) ->
-            ignore (Lru.find t.sides key : side_entry option);
-            Metrics.record_subsumption_hit t.service_metrics;
-            `Covered entry
-        | Neighbours ns -> `Neighbours ns)
+        let found = Side_cache.lookup t.sides ~epoch spec in
+        (match found with
+        | Side_cache.Covering _ -> Metrics.record_subsumption_hit t.service_metrics
+        | Side_cache.Neighbours _ -> ());
+        found)
   in
-  match found with
-  | `Covered entry -> (filter_valid spec (side_frequent t entry) checks, true, None)
-  | `Neighbours ns -> (
-      match narrowest ~nonneg:ctx.Exec.nonneg spec ns with
-      | Some (key, entry, atom) ->
-          locked t (fun () -> ignore (Lru.find t.sides key : side_entry option));
-          let neg = Entail.negation atom in
-          let relax = { spec with sp_constraints = neg :: spec.sp_constraints } in
-          let mined = mine_cold t ~deadline ~ctx relax io counters in
-          let kept =
-            filter_valid { spec with sp_constraints = atom :: spec.sp_constraints }
-              (side_frequent t entry) checks
-          in
-          let merged = merge_relaxation ~kept ~fresh:(filter_valid relax mined checks) in
-          locked t (fun () -> Metrics.record_side_relaxed t.service_metrics);
-          insert_side t ~epoch spec merged;
-          let note =
-            Printf.sprintf "%s side relaxed: cached under %s, mined only %s" side
-              (One_var.to_string atom) (One_var.to_string neg)
-          in
-          (Array.of_list (Frequent.to_list merged), false, Some note)
-      | None ->
-          let freq = mine_cold t ~deadline ~ctx spec io counters in
-          insert_side t ~epoch spec freq;
-          (* filter the collection as mined: the cold path never pays a
-             reconstruction *)
-          (filter_valid spec freq checks, false, None))
+  match Side_cache.plan ~nonneg:ctx.Exec.nonneg spec found with
+  | Side_cache.Relaxed (e, _) as plan ->
+      locked t (fun () -> Side_cache.bump t.sides e);
+      plan
+  | (Side_cache.Covered _ | Side_cache.Cold) as plan -> plan
+
+(* A side is planned and then run: filtered from a covering entry, grown
+   from a neighbour by a relaxation, or mined cold.  Returns the valid
+   sets, whether no mining ran, and a note. *)
+let resolve_side t ~deadline ~ctx ~epoch ~side spec io counters checks =
+  check_deadline deadline;
+  match plan_side t ~ctx ~epoch spec with
+  | Side_cache.Covered e -> (Side_cache.filter_valid spec (side_frequent t e) checks, true, None)
+  | Side_cache.Relaxed (e, atom) ->
+      let relax = Side_cache.relaxation spec atom in
+      let mined, passes = mine_cold t ~deadline ctx relax io counters in
+      let merged =
+        Side_cache.merge_relaxation spec atom ~relax ~neighbour:(side_frequent t e) ~mined
+          checks
+      in
+      cache_mined t ~epoch ~relaxed:true spec merged passes;
+      let note =
+        Printf.sprintf "%s side relaxed: cached under %s, mined only %s" side
+          (One_var.to_string atom)
+          (One_var.to_string (Entail.negation atom))
+      in
+      (Array.of_list (Frequent.to_list merged), false, Some note)
+  | Side_cache.Cold ->
+      let freq, passes = mine_cold t ~deadline ctx spec io counters in
+      cache_mined t ~epoch ~relaxed:false spec freq passes;
+      (* filter the collection as mined: the cold path never pays a
+         reconstruction *)
+      (Side_cache.filter_valid spec freq checks, false, None)
 
 (* ------------------------------------------------------------------ *)
-(* promoting a cached answer across seals: the delta join *)
-
-(* for every old set, its index in [valid], or -1.  Filtered collections
-   list their sets in [Itemset.compare] order, so one merge pass suffices.
-   A side that [Condensed] kept raw lists each level in the order it was
-   mined, which need not be [Itemset.compare] order; such sides are matched
-   by hashing. *)
-let positions valid (old : Frequent.entry array) =
-  let ascending (a : Frequent.entry array) =
-    let ok = ref true in
-    for i = 1 to Array.length a - 1 do
-      if Itemset.compare a.(i - 1).Frequent.set a.(i).Frequent.set >= 0 then ok := false
-    done;
-    !ok
-  in
-  if ascending valid && ascending old then begin
-    let n = Array.length valid and i = ref 0 in
-    Array.map
-      (fun (e : Frequent.entry) ->
-        while !i < n && Itemset.compare valid.(!i).Frequent.set e.Frequent.set < 0 do
-          incr i
-        done;
-        if !i < n && Itemset.equal valid.(!i).Frequent.set e.Frequent.set then !i else -1)
-      old
-  end
-  else begin
-    let at = Itemset.Hashtbl.create (Array.length valid) in
-    Array.iteri (fun i (e : Frequent.entry) -> Itemset.Hashtbl.replace at e.Frequent.set i) valid;
-    Array.map
-      (fun (e : Frequent.entry) ->
-        Option.value ~default:(-1) (Itemset.Hashtbl.find_opt at e.Frequent.set))
-      old
-  end
-
-(* the indices of [valid] whose set the old answer held ([kept]) and the
-   rest ([newcomers]) *)
-let split_sides valid pos =
-  let old = Array.make (Array.length valid) false in
-  Array.iter (fun i -> if i >= 0 then old.(i) <- true) pos;
-  let pick keep =
-    Array.of_list
-      (List.filter (fun i -> old.(i) = keep) (List.init (Array.length valid) Fun.id))
-  in
-  (pick true, pick false)
-
-(* FUP's argument (Cheung et al., reference [6] of the paper) applied to an
-   answer instead of support counts.  Figure 1's 2-var constraints read item
-   attributes and never supports, so a pair stays a pair exactly while both
-   of its sides stay valid.  The answer at the new epoch is the old pairs
-   whose two sets are still in [valid_s] and [valid_t], re-supported, plus a
-   join of the newcomers only: (S_new x valid_t) u (S_kept x T_new), where
-   S_kept are the sets of [valid_s] among the old answer's S-sets and S_new
-   the rest, and T likewise.  The two joins are disjoint, and neither meets
-   an old pair. *)
-let delta_join (ctx : Exec.ctx) (q : Query.t) (old : Packed.t) ~valid_s ~valid_t =
-  let pos_s = positions valid_s old.Packed.pk_s and pos_t = positions valid_t old.Packed.pk_t in
-  let p = Packed.packer valid_s valid_t in
-  for k = 0 to Packed.n_pairs old - 1 do
-    let i = pos_s.(old.Packed.pk_idx.(2 * k)) and j = pos_t.(old.Packed.pk_idx.((2 * k) + 1)) in
-    if i >= 0 && j >= 0 then Packed.add_pair p i j
-  done;
-  let s_kept, s_new = split_sides valid_s pos_s in
-  let _, t_new = split_sides valid_t pos_t in
-  let join s_idx t_idx =
-    if Array.length s_idx > 0 && Array.length t_idx > 0 then
-      ignore
-        (Pairs.form ~s_info:ctx.Exec.s_info ~t_info:ctx.Exec.t_info
-           ~valid_s:(Array.map (Array.get valid_s) s_idx)
-           ~valid_t:(Array.map (Array.get valid_t) t_idx)
-           ~two_var:q.Query.two_var
-           ~on_run:(Pairs.pairwise (fun a b -> Packed.add_pair p s_idx.(a) t_idx.(b)))
-           ()
-          : Pairs.stats)
-  in
-  join s_new (Array.init (Array.length valid_t) Fun.id);
-  join s_kept t_new;
-  Packed.finish p
+(* promoting a cached answer across seals *)
 
 (* bring [ca], cached at an older epoch under [key], up to [epoch] by a
    delta join over the covering side collections at [epoch].  [None]
    drops the answer: a side has no covering collection, so the caller
    serves [q] through the subsumption or cold path instead. *)
 let promote_answer t ~ctx ~epoch ~key (q : Query.t) ca =
-  let spec_s = side_spec_of ctx q `S and spec_t = side_spec_of ctx q `T in
+  let spec_s = Side_cache.side ctx q `S and spec_t = Side_cache.side ctx q `T in
   let covering =
     locked t (fun () ->
-        match
-          (covering_side_locked t ~epoch spec_s, covering_side_locked t ~epoch spec_t)
-        with
-        | Some cs, Some ct -> Some (cs, ct)
+        let found_t = Side_cache.lookup t.sides ~epoch spec_t in
+        match (Side_cache.lookup t.sides ~epoch spec_s, found_t) with
+        | Side_cache.Covering cs, Side_cache.Covering ct -> Some (cs, ct)
         | _ ->
             (match Lru.find t.answers key with
             | Some cur when cur == ca -> Lru.remove t.answers key
@@ -712,9 +453,12 @@ let promote_answer t ~ctx ~epoch ~key (q : Query.t) ca =
   Option.map
     (fun (cs, ct) ->
       let checks = ref 0 in
-      let valid_s = filter_valid spec_s (side_frequent t cs) checks in
-      let valid_t = filter_valid spec_t (side_frequent t ct) checks in
-      let packed = delta_join ctx q ca.ca_pairs ~valid_s ~valid_t in
+      let valid_s = Side_cache.filter_valid spec_s (side_frequent t cs) checks in
+      let valid_t = Side_cache.filter_valid spec_t (side_frequent t ct) checks in
+      let packed =
+        Packed.delta_join ~s_info:ctx.Exec.s_info ~t_info:ctx.Exec.t_info
+          ~two_var:q.Query.two_var ca.ca_pairs ~valid_s ~valid_t
+      in
       let ca' =
         make_cached_answer ~epoch q
           { ca.ca_answer with n_pairs = Packed.n_pairs packed.Packed.pk }
@@ -782,11 +526,11 @@ let execute t ~deadline (q : Query.t) =
             Packed.finish (Packed.packer [||] [||]) )
         else begin
           let valid_s, s_cached, s_note =
-            resolve_side t ~deadline ~ctx ~epoch ~side:"S" (side_spec_of ctx q `S) io
+            resolve_side t ~deadline ~ctx ~epoch ~side:"S" (Side_cache.side ctx q `S) io
               counters checks
           in
           let valid_t, t_cached, t_note =
-            resolve_side t ~deadline ~ctx ~epoch ~side:"T" (side_spec_of ctx q `T) io
+            resolve_side t ~deadline ~ctx ~epoch ~side:"T" (Side_cache.side ctx q `T) io
               counters checks
           in
           check_deadline deadline;
@@ -829,32 +573,23 @@ let execute t ~deadline (q : Query.t) =
    requested thresholds and constraints yields exactly the requested
    pairs; what degrades is only the per-query cost accounting and notes. *)
 
-let abs_minsup (ctx : Exec.ctx) frac = Tx_db.absolute_support ctx.Exec.db frac
-
-let level_covers ~cached ~requested =
-  match (cached, requested) with
-  | None, _ -> true
-  | Some _, None -> false
-  | Some c, Some r -> c >= r
-
 (* every 2-var atom the cached run enforced is requested too, so no pair
    the requested query wants was pruned from the cached answer *)
 let two_var_covers ~cached ~requested =
   List.for_all (fun c -> List.mem c requested) cached
 
+(* both sides by the side cache's covering rule, and the 2-var atoms *)
 let answer_covers ctx ~(cached_q : Query.t) ~(requested : Query.t) =
-  abs_minsup ctx cached_q.Query.s_minsup <= abs_minsup ctx requested.Query.s_minsup
-  && abs_minsup ctx cached_q.Query.t_minsup <= abs_minsup ctx requested.Query.t_minsup
-  && level_covers ~cached:cached_q.Query.max_level ~requested:requested.Query.max_level
-  && Entail.subsumes ~cached:cached_q.Query.s_constraints
-       ~requested:requested.Query.s_constraints
-  && Entail.subsumes ~cached:cached_q.Query.t_constraints
-       ~requested:requested.Query.t_constraints
+  let covers side =
+    Side_cache.covers ~cached:(Side_cache.side ctx cached_q side)
+      ~requested:(Side_cache.side ctx requested side)
+  in
+  covers `S && covers `T
   && two_var_covers ~cached:cached_q.Query.two_var ~requested:requested.Query.two_var
 
 let filter_answer (ctx : Exec.ctx) (requested : Query.t) (a : answer) =
-  let s_min = abs_minsup ctx requested.Query.s_minsup in
-  let t_min = abs_minsup ctx requested.Query.t_minsup in
+  let s_min = Tx_db.absolute_support ctx.Exec.db requested.Query.s_minsup in
+  let t_min = Tx_db.absolute_support ctx.Exec.db requested.Query.t_minsup in
   let checks = ref 0 in
   let keep_level set =
     match requested.Query.max_level with
@@ -1303,7 +1038,7 @@ let ingest t items =
    brought up to date by a delta join on its next lookup
    ([promote_answer]).  Inserts are guarded by the epoch: if another seal
    raced us, our results are stale and the final purge removes them. *)
-let maintain t ~old_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_io ~stale_sides
+let maintain t ~old_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_io ~stale
     ~answers_carried ~answers_dropped () =
   let sides_promoted = ref 0 and sides_evicted = ref 0 in
   (* one Level_stats per seal: the shared FUP pass's rows land here, so its
@@ -1314,12 +1049,11 @@ let maintain t ~old_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_io ~stale_
       (Item_info.universe_size old_ctx.Exec.s_info)
       (Item_info.universe_size old_ctx.Exec.t_info)
   in
-  let stale = List.filter (fun (_, e) -> e.se_epoch < new_epoch) stale_sides in
   (* the threshold a promoted side must be exact at to answer every
      fraction it answered before *)
   let union_minsup e =
-    Incremental.promoted_minsup ~old_minsup:e.se_minsup ~base_txs:delta.Cfq_live.Delta.base_txs
-      ~union_txs:(Cfq_live.Delta.union_txs delta)
+    Incremental.promoted_minsup ~old_minsup:(Side_cache.spec e).Side_cache.minsup
+      ~base_txs:delta.Cfq_live.Delta.base_txs ~union_txs:(Cfq_live.Delta.union_txs delta)
   in
   let session = Counting.create_session t.service_config.kernel in
   let results, recounted, old_scans =
@@ -1332,12 +1066,13 @@ let maintain t ~old_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_io ~stale_
         ~stats:lstats ~old_db:old_ctx.Exec.db ~delta:delta.Cfq_live.Delta.twin maint_io
         ~universe_size:universe
         (List.map
-           (fun (_, e) ->
+           (fun e ->
+             let spec = Side_cache.spec e in
              {
                Incremental.old_frequent = side_frequent t e;
-               old_minsup = e.se_minsup;
+               old_minsup = spec.Side_cache.minsup;
                union_minsup = union_minsup e;
-               max_level = e.se_max_level;
+               max_level = spec.Side_cache.max_level;
              })
            stale)
     with
@@ -1346,52 +1081,28 @@ let maintain t ~old_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_io ~stale_
     | exception e -> (List.map (fun _ -> Error e) stale, 0, 0)
   in
   List.iter2
-    (fun (key, e) result ->
+    (fun e result ->
       match result with
       | Error _ ->
           (* a faulted promotion leaves the entry stale; the purge below
              removes it, so the cache still lands on a consistent epoch *)
           incr sides_evicted
       | Ok freq' ->
-          let m' = union_minsup e in
-          let cond' = condense_frequent t freq' in
           let e' =
-            {
-              e with
-              se_epoch = new_epoch;
-              se_minsup = m';
-              se_cond = cond';
-              se_weight = Condensed.bytes cond';
-            }
-          in
-          let key' =
-            Fingerprint.side_key ~info:e.se_info ~minsup_abs:m'
-              ~max_level:e.se_max_level e.se_constraints
+            Side_cache.promoted e ~epoch:new_epoch ~minsup:(union_minsup e)
+              (Condensed.of_frequent freq')
           in
           locked t (fun () ->
-              if t.epoch = new_epoch then begin
-                (* the old binding may have been re-keyed over by another
-                   promotion landing on this key (its threshold moved onto
-                   ours): remove only while it is still stale *)
-                (match Lru.find t.sides key with
-                | Some cur when cur.se_epoch < new_epoch -> Lru.remove t.sides key
-                | Some _ | None -> ());
-                if Lru.insert t.sides key' ~weight:e'.se_weight e' then
-                  incr sides_promoted
-                else incr sides_evicted
-              end))
+              record_condensed_locked t (Side_cache.condensed e');
+              if t.epoch = new_epoch then
+                if Side_cache.promote t.sides ~stale:e e' then incr sides_promoted
+                else incr sides_evicted))
     stale results;
   (* whatever side is still stale — faulted promotions, budget-refused
      inserts, raced seals — goes now: every surviving side is at the live
      epoch.  Stale answers stay: a lookup promotes them or drops them. *)
   locked t (fun () ->
-      let side_keys =
-        Lru.fold
-          (fun acc ~key ~value ->
-            if value.se_epoch < t.epoch then key :: acc else acc)
-          [] t.sides
-      in
-      List.iter (Lru.remove t.sides) side_keys;
+      Side_cache.purge t.sides ~epoch:t.epoch;
       Metrics.record_maintenance t.service_metrics ~sides_promoted:!sides_promoted
         ~sides_evicted:!sides_evicted ~recounted ~old_scans
         ~scans:(Io_stats.scans maint_io)
@@ -1446,7 +1157,7 @@ let seal_live t =
       | Some delta ->
           let new_epoch = Cfq_live.Source.epoch src in
           let new_ctx = { old_ctx with Exec.db = Cfq_live.Source.db src } in
-          let stale_sides, (answers_carried, answers_dropped) =
+          let stale, (answers_carried, answers_dropped) =
             locked t (fun () ->
                 (* swap first: queries admitted from here on run against the
                    new database (cold until promotion catches up — correct,
@@ -1455,12 +1166,12 @@ let seal_live t =
                 t.service_ctx <- new_ctx;
                 t.epoch <- new_epoch;
                 Metrics.record_seal t.service_metrics ~epoch:new_epoch;
-                ( Lru.fold (fun acc ~key ~value -> (key, value) :: acc) [] t.sides,
+                ( Side_cache.stale t.sides ~epoch:new_epoch,
                   rekey_answers_locked t new_ctx ))
           in
           (* the pass runs on a worker domain (bounded admission: the pool's
              queue), inline in the caller when the queue is full *)
           Some
             (Pool.run t.pool
-               (maintain t ~old_ctx ~new_epoch ~delta ~maint_io ~stale_sides
+               (maintain t ~old_ctx ~new_epoch ~delta ~maint_io ~stale
                   ~answers_carried ~answers_dropped)))

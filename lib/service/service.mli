@@ -229,15 +229,6 @@ val epoch : t -> int
     source. *)
 val ingest : t -> Cfq_itembase.Itemset.t -> unit
 
-(** [merge_relaxation ~kept ~fresh] is a relaxed side's collection: the
-    neighbour's sets valid for the request, each satisfying the bound the
-    request widens ([kept]), and the relaxation mine's valid sets, each
-    holding a witness of its negation ([fresh]), level by level in
-    {!Cfq_itembase.Itemset.compare} order.  The two are disjoint by
-    construction; a set in both (say a singleton without a witness from
-    the mine's level 1) would appear twice. *)
-val merge_relaxation : kept:Frequent.entry array -> fresh:Frequent.entry array -> Frequent.t
-
 (** One seal's maintenance outcome. *)
 type live = {
   lv_epoch : int;  (** the epoch this seal minted *)

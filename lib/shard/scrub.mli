@@ -39,7 +39,6 @@ type report = {
   rows : replica_report list;  (** shard-major, replica-minor order *)
 }
 
-val outcome_name : outcome -> string
 
 (** ["shard K replica J: OUTCOME -> HEALTH"], one scrubbed replica. *)
 val replica_report_to_string : replica_report -> string

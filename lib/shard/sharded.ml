@@ -43,6 +43,9 @@ let run_starts page_of n =
   done;
   Array.of_list (List.rev !starts)
 
+(* [shards] contiguous (possibly empty) tid ranges, in order, each
+   boundary snapped to a page-run start of the global packing: balanced by
+   page runs, like [Tx_db.scan_chunks] *)
 let tid_ranges ?(page_model = Page_model.default) sizes ~shards =
   let n = Array.length sizes in
   let shards = max 1 shards in

@@ -32,23 +32,6 @@ type t
 (** [shard_path path k] is the store path of shard [k]. *)
 val shard_path : string -> int -> string
 
-(** {2 Partitioner} *)
-
-(** [tid_ranges ?page_model sizes ~shards] splits [0, Array.length sizes)
-    into [shards] contiguous (possibly empty) [(lo, hi)] ranges, in order,
-    each boundary snapped to a page-run start of the global packing.
-    Balanced by page runs, like [Tx_db.scan_chunks]. *)
-val tid_ranges :
-  ?page_model:Page_model.t -> int array -> shards:int -> (int * int) array
-
-(** [slices ?page_model sets ~shards] materialises the per-shard
-    transaction slices of {!tid_ranges} in shard order. *)
-val slices :
-  ?page_model:Page_model.t ->
-  Itemset.t array ->
-  shards:int ->
-  Itemset.t array array
-
 (** {2 Building and opening} *)
 
 (** [build ?page_model ?replicas ?on_shard_built ~shards path sets]
