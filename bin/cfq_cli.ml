@@ -346,30 +346,7 @@ let run_live_passes service ~repeat ~ingest file =
                 print_endline "nothing to seal: the file holds no transactions\n";
                 Ok ()
             | Some lv ->
-                let {
-                  Cfq_service.Service.lv_epoch;
-                  lv_sealed;
-                  lv_sides_promoted;
-                  lv_sides_evicted;
-                  lv_answers_promoted;
-                  lv_answers_evicted;
-                  lv_recounted;
-                  lv_old_scans;
-                  lv_scans;
-                  lv_pages_read;
-                  lv_pass_counts;
-                } =
-                  lv
-                in
-                Printf.printf
-                  "epoch %d: sealed %d transactions; %d sides promoted, %d \
-                   evicted; %d answers carried to their next lookup, %d \
-                   dropped; %d candidates recounted (%d old-db scans, %d \
-                   maintenance scans, %d pages; recount passes %s)\n\n"
-                  lv_epoch lv_sealed lv_sides_promoted lv_sides_evicted
-                  lv_answers_promoted lv_answers_evicted lv_recounted lv_old_scans
-                  lv_scans lv_pages_read
-                  (Cfq_mining.Counting.describe_counts lv_pass_counts);
+                Printf.printf "%s\n\n" (Cfq_service.Service.live_to_string lv);
                 Ok ()))
   in
   let rec passes n =

@@ -1,11 +1,4 @@
 (** Human-readable EXPLAIN output for plans and execution results. *)
 
-(** [plan ppf q p] prints the query and the optimizer's decisions. *)
-val plan : Format.formatter -> Query.t -> Plan.t -> unit
-
-(** [result ppf r] prints a full execution report: per-side level profile,
-    ccc counters, I/O, pair statistics, timings. *)
-val result : Format.formatter -> Exec.result -> unit
-
 val plan_to_string : Query.t -> Plan.t -> string
 val result_to_string : Exec.result -> string

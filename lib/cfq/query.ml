@@ -15,9 +15,6 @@ let make ?(s_minsup = 0.01) ?(t_minsup = 0.01) ?(s_constraints = [])
     invalid_arg "Query.make: support thresholds must be in [0, 1]";
   { s_minsup; t_minsup; s_constraints; t_constraints; two_var; max_level }
 
-let n_constraints t =
-  (List.length t.s_constraints, List.length t.t_constraints, List.length t.two_var)
-
 let pp ppf t =
   Format.fprintf ppf "{(S,T) | freq(S) >= %g & freq(T) >= %g" t.s_minsup t.t_minsup;
   List.iter (fun c -> Format.fprintf ppf " & %a" (One_var.pp_with_var "S") c) t.s_constraints;

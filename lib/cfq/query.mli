@@ -28,8 +28,5 @@ val make :
   unit ->
   t
 
-(** Number of constraints of each kind, for reporting. *)
-val n_constraints : t -> int * int * int
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -39,15 +39,5 @@ let compile ~nonneg info cs = add ~nonneg (unconstrained info) cs
 
 let permits_item t e = Sel.eval t.info t.mgf.Mgf.universe e
 let am_ok t s = List.for_all (fun c -> One_var.eval t.info c s) t.am_checks
-let requires_witness t s = Mgf.requires_witness t.info t.mgf s
 let requires t = t.mgf.Mgf.requires
 let eval_originals t s = List.for_all (fun c -> One_var.eval t.info c s) t.originals
-
-let pp ppf t =
-  let pp_list ppf l =
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " & ")
-      One_var.pp ppf l
-  in
-  Format.fprintf ppf "@[<v>mgf: %a@,am: %a@,post: %a@]" Mgf.pp t.mgf pp_list t.am_checks
-    pp_list t.post_checks

@@ -38,14 +38,9 @@ val permits_item : t -> Item.t -> bool
 (** All anti-monotone checks. *)
 val am_ok : t -> Itemset.t -> bool
 
-(** Witness requirement of the combined MGF. *)
-val requires_witness : t -> Itemset.t -> bool
-
 (** Required witness groups (empty for class-1-only bundles). *)
 val requires : t -> Sel.t list
 
 (** [eval_originals t s] evaluates the uncompiled conjunction — the
     reference semantics. *)
 val eval_originals : t -> Itemset.t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -53,8 +53,3 @@ let requires_witness info t s =
 
 let satisfied info t s =
   Itemset.for_all (fun e -> permits_item info t e) s && requires_witness info t s
-
-let pp ppf t =
-  Format.fprintf ppf "universe: %a; requires: [%a]" Sel.pp t.universe
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ") Sel.pp)
-    t.requires

@@ -48,5 +48,3 @@ val requires_witness : Item_info.t -> t -> Itemset.t -> bool
     for a constraint with an exact MGF this coincides with
     [One_var.eval]. *)
 val satisfied : Item_info.t -> t -> Itemset.t -> bool
-
-val pp : Format.formatter -> t -> unit

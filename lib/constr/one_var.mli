@@ -20,7 +20,6 @@ type t =
   | Card_cmp of Cmp.t * int  (** [|S| θ n] *)
   | Nonempty  (** the trivial [S ≠ ∅] *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** [pp_with_var "S" ppf c] prints in the concrete query syntax, e.g.

@@ -124,15 +124,3 @@ let reduce ~s_info ~t_info ~l1_s ~l1_t c =
               s_tight = tight && distinct_t;
               t_tight = tight && distinct_s;
             })
-
-let pp ppf t =
-  let pp_conds ppf conds =
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " & ")
-      One_var.pp ppf conds
-  in
-  Format.fprintf ppf "C1(S): %a%s; C2(T): %a%s"
-    pp_conds t.s_conds
-    (if t.s_tight then " (tight)" else "")
-    pp_conds t.t_conds
-    (if t.t_tight then " (tight)" else "")

@@ -37,5 +37,3 @@ val reduce :
   l1_t:Itemset.t ->
   Two_var.t ->
   t
-
-val pp : Format.formatter -> t -> unit

@@ -23,10 +23,3 @@ let conj sels =
       | True, s -> s
       | acc, s -> And (acc, s))
     True sels
-
-let rec pp ppf = function
-  | True -> Format.pp_print_string ppf "true"
-  | Cmp (attr, op, c) -> Format.fprintf ppf "%a %a %g" Attr.pp attr Cmp.pp op c
-  | In (attr, vs) -> Format.fprintf ppf "%a in %a" Attr.pp attr Value_set.pp vs
-  | Not_in (attr, vs) -> Format.fprintf ppf "%a not in %a" Attr.pp attr Value_set.pp vs
-  | And (a, b) -> Format.fprintf ppf "%a & %a" pp a pp b

@@ -18,5 +18,3 @@ val eval : Item_info.t -> t -> Item.t -> bool
 
 (** [conj sels] folds a conjunction, dropping [True]s. *)
 val conj : t list -> t
-
-val pp : Format.formatter -> t -> unit

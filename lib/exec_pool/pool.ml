@@ -70,8 +70,6 @@ let create ?domains ?(queue_capacity = 1024) () =
   t.workers <- List.init domains (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
-let size t = List.length t.workers
-
 let queue_depth t =
   Mutex.lock t.mutex;
   let n = Queue.length t.jobs in

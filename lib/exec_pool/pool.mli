@@ -19,9 +19,6 @@ type 'a promise
     1024). *)
 val create : ?domains:int -> ?queue_capacity:int -> unit -> t
 
-(** Number of worker domains. *)
-val size : t -> int
-
 (** Jobs currently waiting (excludes running ones). *)
 val queue_depth : t -> int
 

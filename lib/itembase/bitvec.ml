@@ -9,8 +9,6 @@ let create ~universe_size =
   if universe_size < 0 then invalid_arg "Bitvec.create";
   { universe_size; words = Array.make ((universe_size + bits_per_word - 1) / bits_per_word) 0 }
 
-let universe_size t = t.universe_size
-
 let check t i =
   if i < 0 || i >= t.universe_size then invalid_arg "Bitvec: item out of range"
 
@@ -110,5 +108,3 @@ let to_itemset t =
     if mem t i then out := i :: !out
   done;
   Itemset.of_list !out
-
-let pp ppf t = Itemset.pp ppf (to_itemset t)

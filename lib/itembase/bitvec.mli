@@ -11,8 +11,6 @@ type t
 (** [create ~universe_size] is the empty set over [0 .. universe_size-1]. *)
 val create : universe_size:int -> t
 
-val universe_size : t -> int
-
 val of_itemset : universe_size:int -> Itemset.t -> t
 val to_itemset : t -> Itemset.t
 
@@ -50,4 +48,3 @@ val blit : src:t -> dst:t -> unit
     the scratch-buffer primitive of multi-way popcount intersections. *)
 val inter_inplace : t -> t -> unit
 val iter : (Item.t -> unit) -> t -> unit
-val pp : Format.formatter -> t -> unit

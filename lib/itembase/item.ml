@@ -1,8 +1,5 @@
 type t = int
 
 let compare = Int.compare
-let equal = Int.equal
-let hash i = i
 
 let pp ppf i = Format.fprintf ppf "i%d" i
-let to_string i = "i" ^ string_of_int i

@@ -7,10 +7,5 @@
 type t = int
 
 val compare : t -> t -> int
-val equal : t -> t -> bool
-val hash : t -> int
 
 val pp : Format.formatter -> t -> unit
-
-(** [to_string i] is the canonical textual form ["i<n>"]. *)
-val to_string : t -> string

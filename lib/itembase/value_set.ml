@@ -22,7 +22,6 @@ let min_value s = FSet.min_elt_opt s
 let max_value s = FSet.max_elt_opt s
 let sum s = FSet.fold (fun v acc -> acc +. v) s 0.
 let fold f acc s = FSet.fold (fun v acc -> f acc v) s acc
-let exists = FSet.exists
 let for_all = FSet.for_all
 
 let pp ppf s =

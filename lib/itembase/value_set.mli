@@ -11,7 +11,6 @@ type t
 
 val empty : t
 val of_list : float list -> t
-val to_list : t -> float list
 val singleton : float -> t
 
 val cardinal : t -> int
@@ -29,7 +28,6 @@ val min_value : t -> float option
 val max_value : t -> float option
 val sum : t -> float
 val fold : ('a -> float -> 'a) -> 'a -> t -> 'a
-val exists : (float -> bool) -> t -> bool
 val for_all : (float -> bool) -> t -> bool
 
 val pp : Format.formatter -> t -> unit

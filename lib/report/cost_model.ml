@@ -11,14 +11,5 @@ let default = make ()
 let io_seconds t io = t.seconds_per_page *. float_of_int (Io_stats.pages_read io)
 let total t ~cpu io = cpu +. io_seconds t io
 
-let cost_of_result t (r : Cfq_core.Exec.result) =
-  total t ~cpu:(r.Cfq_core.Exec.mining_seconds +. r.Cfq_core.Exec.pair_seconds)
-    r.Cfq_core.Exec.io
-
 let mining_cost t (r : Cfq_core.Exec.result) =
   total t ~cpu:r.Cfq_core.Exec.mining_seconds r.Cfq_core.Exec.io
-
-let speedup t ~baseline ~optimized =
-  let b = cost_of_result t baseline in
-  let o = cost_of_result t optimized in
-  if o <= 0. then infinity else b /. o

@@ -27,7 +27,3 @@ val total : t -> cpu:float -> Io_stats.t -> float
     I/O.  This is what the paper's speedups measure (Section 6.2: "we only
     focus on the performance of the first step"). *)
 val mining_cost : t -> Cfq_core.Exec.result -> float
-
-(** [speedup t ~baseline ~optimized] is the cost ratio
-    [cost baseline / cost optimized]. *)
-val speedup : t -> baseline:Cfq_core.Exec.result -> optimized:Cfq_core.Exec.result -> float

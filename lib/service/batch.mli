@@ -15,11 +15,6 @@ type item = {
     problems. *)
 val load : string -> ((int * string) list, string) result
 
-(** [run service ?deadline items] parses, validates and executes every
-    query.  Parse and validation failures surface as [Failed] outcomes on
-    their line; the rest run through {!Service.run_many}. *)
-val run : Service.t -> ?deadline:float -> (int * string) list -> item list
-
 (** [run_file service ?deadline path] is [load] + [run] + rendering,
     returning the report plus the service metrics table, or an error
     message. *)

@@ -149,48 +149,6 @@ let create () =
     reconstructions = 0;
   }
 
-let reset t =
-  t.queries <- 0;
-  t.answer_hits <- 0;
-  t.answer_misses <- 0;
-  t.subsumption_hits <- 0;
-  t.sides_mined <- 0;
-  t.sides_relaxed <- 0;
-  t.deadline_expired <- 0;
-  t.rejected <- 0;
-  t.failures <- 0;
-  t.support_counted <- 0;
-  t.constraint_checks <- 0;
-  t.scans <- 0;
-  t.pages_read <- 0;
-  t.total_latency <- 0.;
-  t.max_latency <- 0.;
-  t.queue_high_water <- 0;
-  t.retries <- 0;
-  t.degraded <- 0;
-  t.breaker_trips <- 0;
-  t.shed <- 0;
-  t.inline_runs <- 0;
-  t.fault_transient <- 0;
-  t.fault_corrupt <- 0;
-  t.fault_crash <- 0;
-  t.kernel_trie_passes <- 0;
-  t.kernel_direct2_passes <- 0;
-  t.live_epoch <- 0;
-  t.seals <- 0;
-  t.sides_promoted <- 0;
-  t.sides_evicted <- 0;
-  t.answers_promoted <- 0;
-  t.answers_evicted <- 0;
-  t.maint_recounted <- 0;
-  t.maint_old_scans <- 0;
-  t.maint_scans <- 0;
-  t.maint_pages_read <- 0;
-  t.cond_raw_bytes <- 0;
-  t.cond_bytes <- 0;
-  t.cond_inserts <- 0;
-  t.reconstructions <- 0
-
 let record_query t ~latency ~support_counted ~constraint_checks ~scans ~pages_read =
   t.queries <- t.queries + 1;
   t.support_counted <- t.support_counted + support_counted;
@@ -381,9 +339,3 @@ let table (s : snapshot) =
            r.shard_shed r.shard_scans r.shard_pages_read r.shard_failovers))
     s.shards;
   tbl
-
-let pp ppf (s : snapshot) =
-  Format.fprintf ppf
-    "queries=%d hits=%d subsumed=%d mined=%d expired=%d rejected=%d counted=%d checks=%d"
-    s.queries s.answer_hits s.subsumption_hits s.sides_mined s.deadline_expired
-    s.rejected s.support_counted s.constraint_checks

@@ -93,7 +93,6 @@ type snapshot = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 
 val record_query :
   t ->
@@ -175,5 +174,3 @@ val snapshot :
 
 (** Render as a two-column report table. *)
 val table : snapshot -> Cfq_report.Table.t
-
-val pp : Format.formatter -> snapshot -> unit

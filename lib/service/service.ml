@@ -47,19 +47,25 @@ type knob = {
   parse : string -> config -> (config, string) result;
 }
 
-let knob_error name expected v = Error (Printf.sprintf "%s: expected %s, got %S" name expected v)
-
-let int_knob name ~min ~doc get set =
+(* a knob whose values [of_string] reads: [None] for a value that is not
+   [expected] *)
+let knob name ~doc ~expected print of_string set =
   {
     name;
     doc;
-    print = (fun c -> string_of_int (get c));
+    print;
     parse =
       (fun v c ->
-        match int_of_string_opt v with
-        | Some n when n >= min -> Ok (set c n)
-        | Some _ | None -> knob_error name (Printf.sprintf "an integer >= %d" min) v);
+        match of_string v with
+        | Some x -> Ok (set c x)
+        | None -> Error (Printf.sprintf "%s: expected %s, got %S" name expected v));
   }
+
+let int_knob name ~min ~doc get set =
+  knob name ~doc ~expected:(Printf.sprintf "an integer >= %d" min)
+    (fun c -> string_of_int (get c))
+    (fun v -> Option.bind (int_of_string_opt v) (fun n -> if n >= min then Some n else None))
+    set
 
 (* shortest decimal that reads back as the same float *)
 let print_float x =
@@ -83,18 +89,15 @@ let knobs =
     int_knob "cache-mb" ~min:0 ~doc:"Cache memory budget in MiB."
       (fun c -> c.cache_budget / mib)
       (fun c mb -> { c with cache_budget = mb * mib });
-    {
-      name = "deadline";
-      doc = "Per-query wall-clock deadline in seconds; none = unbounded.";
-      print =
-        (fun c -> match c.default_deadline with None -> "none" | Some s -> print_float s);
-      parse =
-        (fun v c ->
-          match (v, float_of_string_opt v) with
-          | ("none" | "off"), _ -> Ok { c with default_deadline = None }
-          | _, Some s when s > 0. -> Ok { c with default_deadline = Some s }
-          | _ -> knob_error "deadline" "a positive number of seconds or none" v);
-    };
+    knob "deadline" ~doc:"Per-query wall-clock deadline in seconds; none = unbounded."
+      ~expected:"a positive number of seconds or none"
+      (fun c -> match c.default_deadline with None -> "none" | Some s -> print_float s)
+      (fun v ->
+        match (v, float_of_string_opt v) with
+        | ("none" | "off"), _ -> Some None
+        | _, Some s when s > 0. -> Some (Some s)
+        | _ -> None)
+      (fun c default_deadline -> { c with default_deadline });
     int_knob "retries" ~min:0 ~doc:"Max retries of a transiently failed query."
       (fun c -> c.retries)
       (fun c retries -> { c with retries });
@@ -102,22 +105,15 @@ let knobs =
       ~doc:"Consecutive failures that trip the circuit breaker (0 disables)."
       (fun c -> c.breaker_threshold)
       (fun c breaker_threshold -> { c with breaker_threshold });
-    {
-      name = "kernel";
-      doc =
+    knob "kernel"
+      ~doc:
         "Support-counting kernel: trie (the reference scan-per-level path) or \
          direct2 (the default: direct level-1 and level-2 count arrays, the trie's \
-         page charges).  Answers are identical for every kernel.";
-      print = (fun c -> Counting.kernel_name c.kernel);
-      parse =
-        (fun v c ->
-          match Counting.kernel_of_string v with
-          | Some kernel -> Ok { c with kernel }
-          | None ->
-              knob_error "kernel"
-                ("one of " ^ String.concat ", " (List.map fst Counting.all_kernels))
-                v);
-    };
+         page charges).  Answers are identical for every kernel."
+      ~expected:("one of " ^ String.concat ", " (List.map fst Counting.all_kernels))
+      (fun c -> Counting.kernel_name c.kernel)
+      Counting.kernel_of_string
+      (fun c kernel -> { c with kernel });
   ]
 
 type served_from =
@@ -157,17 +153,6 @@ let error_to_string = function
   | Deadline_exceeded -> "deadline exceeded"
   | Fault e -> "fault: " ^ Cfq_error.to_string e
   | Failed msg -> "failed: " ^ msg
-
-(* a cached answer; its pair list is stored packed ([Packed.t]) and
-   rebuilt on lookup *)
-type cached_answer = {
-  ca_epoch : int;
-      (* the epoch the supports are exact for; checked on every lookup *)
-  ca_query : Query.t;  (* simplified query, for degraded covering tests *)
-  ca_answer : answer;  (* template with [pairs = []]; pairs live in ca_pairs *)
-  ca_pairs : Packed.t;
-  ca_weight : int;  (* memoized cache charge *)
-}
 
 (* circuit breaker: [Open n] sheds the next [n] admissions, then half-opens;
    the cooldown is admission-counted, not wall-clock, so breaker behaviour
@@ -212,10 +197,7 @@ type t = {
       (* intra-query counting parallelism: helpers are borrowed from [pool],
          never spawned, so the service as a whole never oversubscribes *)
   lock : Mutex.t;
-  answers : cached_answer Lru.t;
-      (* the epoch and (simplified) query are kept alongside each answer so
-         degraded serving can test whether a cached answer covers a new
-         query — and reject it when it predates the current epoch *)
+  answers : Answer_cache.entry Lru.t;
   sides : Side_cache.entry Lru.t;
   service_metrics : Metrics.t;
   breaker : breaker;
@@ -248,38 +230,26 @@ let create ?(config = default_config) ctx =
     breaker = closed_breaker ();
     consec_rejections = 0;
     shard_health =
-      (match Tx_db.shards ctx.Exec.db with
-      | Some subs ->
-          Array.init (Array.length subs) (fun _ ->
-              {
-                sh_breaker = closed_breaker ();
-                sh_admissions = 0;
-                sh_failures = 0;
-                sh_trips = 0;
-                sh_shed = 0;
-              })
-      | None -> [||]);
+      Array.init
+        (match Tx_db.shards ctx.Exec.db with Some subs -> Array.length subs | None -> 0)
+        (fun _ ->
+          {
+            sh_breaker = closed_breaker ();
+            sh_admissions = 0;
+            sh_failures = 0;
+            sh_trips = 0;
+            sh_shed = 0;
+          });
   }
 
 let ctx t = t.service_ctx
 let config t = t.service_config
 let epoch t = t.epoch
 
-let locked t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-      Mutex.unlock t.lock;
-      v
-  | exception e ->
-      Mutex.unlock t.lock;
-      raise e
+let locked t f = Mutex.protect t.lock f
 
 (* ------------------------------------------------------------------ *)
-(* condensation: the cache's storage format.  Weights are approximate
-   bytes for the cache budget, on one scale for collections ([Condensed])
-   and answers ([Packed]), computed once per insert and memoized on the
-   entry. *)
+(* side collections: priced as they enter the cache, rebuilt on lookup *)
 
 (* with [t.lock] held: price a side collection entering the cache, so the
    ratio metrics see every insert *)
@@ -296,48 +266,43 @@ let side_frequent t entry =
   Condensed.to_frequent cond
 
 (* ------------------------------------------------------------------ *)
-(* answers: joined and packed as the join emits its runs *)
+(* answers *)
 
-(* join two filtered sides and pack the pairs as the join emits them *)
-let join_packed (ctx : Exec.ctx) (q : Query.t) ~valid_s ~valid_t =
-  Packed.join ~s_info:ctx.Exec.s_info ~t_info:ctx.Exec.t_info ~valid_s ~valid_t
-    ~two_var:q.Query.two_var
-
-(* [template] carries everything but the pairs *)
-let make_cached_answer ~epoch q (template : answer) packed =
+(* The one place an answer is built and its pairs unpacked: never with
+   [t.lock] held, so a large answer does not stall the other domains'
+   lookups and inserts.  Its latency runs from [t0], the admission of an
+   executed query; an answer served from the caches alone reads 0. *)
+let answer ?t0 ~served_from ~support_counted ~constraint_checks ~scans ~pages_read ~notes pk =
+  let pairs = Packed.pairs pk in
   {
-    ca_epoch = epoch;
-    ca_query = q;
-    ca_answer = { template with pairs = [] };
-    ca_pairs = packed.Packed.pk;
-    ca_weight = packed.Packed.packed_weight;
-  }
-
-(* with [t.lock] held: insert [ca] under [key] unless a seal has moved
-   past [epoch], pricing the insert for the ratio metrics *)
-let insert_answer_locked t ~epoch ~key packed ca =
-  if t.epoch = epoch then begin
-    Metrics.record_condensed t.service_metrics ~raw:packed.Packed.raw_weight
-      ~stored:ca.ca_weight ~condensed:true;
-    ignore (Lru.insert t.answers key ~weight:ca.ca_weight ca : bool)
-  end
-
-(* with [t.lock] held: serve [ca] from the cache, its [pairs] rebuilt
-   [latency] seconds after admission, at no database cost *)
-let serve_hit_locked t ca pairs ~latency =
-  Metrics.record_reconstruction t.service_metrics;
-  Metrics.record_query t.service_metrics ~latency ~support_counted:0
-    ~constraint_checks:0 ~scans:0 ~pages_read:0;
-  {
-    ca.ca_answer with
     pairs;
-    served_from = Answer_cache;
-    support_counted = 0;
-    constraint_checks = 0;
-    scans = 0;
-    pages_read = 0;
-    latency_seconds = latency;
+    n_pairs = Packed.n_pairs pk;
+    served_from;
+    support_counted;
+    constraint_checks;
+    scans;
+    pages_read;
+    latency_seconds = (match t0 with Some t0 -> Unix.gettimeofday () -. t0 | None -> 0.);
+    notes;
   }
+
+let hit_answer ?t0 e =
+  answer ?t0 ~served_from:Answer_cache ~support_counted:0 ~constraint_checks:0 ~scans:0
+    ~pages_read:0 ~notes:(Answer_cache.notes e) (Answer_cache.packed e)
+
+(* a covering answer's sides filtered and joined under the request;
+   the pairs are exact, the cost counters are not *)
+let degraded_answer (ctx, q, e) =
+  let checks, pk = Answer_cache.degrade ctx q e in
+  answer ~served_from:Degraded ~support_counted:0 ~constraint_checks:checks ~scans:0
+    ~pages_read:0 ~notes:[ "degraded: joined from a cached superset answer's sides" ] pk
+
+(* with [t.lock] held: an answer-cache hit, served [latency] seconds after
+   admission at no database cost *)
+let record_hit_locked t ~latency =
+  Metrics.record_reconstruction t.service_metrics;
+  Metrics.record_query t.service_metrics ~latency ~support_counted:0 ~constraint_checks:0
+    ~scans:0 ~pages_read:0
 
 (* ------------------------------------------------------------------ *)
 (* deadline handling *)
@@ -431,11 +396,11 @@ let resolve_side t ~deadline ~ctx ~epoch ~side spec io counters checks =
 (* ------------------------------------------------------------------ *)
 (* promoting a cached answer across seals *)
 
-(* bring [ca], cached at an older epoch under [key], up to [epoch] by a
-   delta join over the covering side collections at [epoch].  [None]
-   drops the answer: a side has no covering collection, so the caller
-   serves [q] through the subsumption or cold path instead. *)
-let promote_answer t ~ctx ~epoch ~key (q : Query.t) ca =
+(* bring [e], the stale answer to [q], up to [epoch] by a delta join over
+   the covering side collections at [epoch].  [None] drops the answer: a
+   side has no covering collection, so the caller serves [q] through the
+   subsumption or cold path instead. *)
+let promote_answer t ~ctx ~epoch (q : Query.t) e =
   let spec_s = Side_cache.side ctx q `S and spec_t = Side_cache.side ctx q `T in
   let covering =
     locked t (fun () ->
@@ -443,9 +408,7 @@ let promote_answer t ~ctx ~epoch ~key (q : Query.t) ca =
         match (Side_cache.lookup t.sides ~epoch spec_s, found_t) with
         | Side_cache.Covering cs, Side_cache.Covering ct -> Some (cs, ct)
         | _ ->
-            (match Lru.find t.answers key with
-            | Some cur when cur == ca -> Lru.remove t.answers key
-            | Some _ | None -> ());
+            Answer_cache.drop t.answers e;
             Metrics.record_answer_miss t.service_metrics;
             Metrics.record_answer_evicted t.service_metrics;
             None)
@@ -455,20 +418,12 @@ let promote_answer t ~ctx ~epoch ~key (q : Query.t) ca =
       let checks = ref 0 in
       let valid_s = Side_cache.filter_valid spec_s (side_frequent t cs) checks in
       let valid_t = Side_cache.filter_valid spec_t (side_frequent t ct) checks in
-      let packed =
-        Packed.delta_join ~s_info:ctx.Exec.s_info ~t_info:ctx.Exec.t_info
-          ~two_var:q.Query.two_var ca.ca_pairs ~valid_s ~valid_t
-      in
-      let ca' =
-        make_cached_answer ~epoch q
-          { ca.ca_answer with n_pairs = Packed.n_pairs packed.Packed.pk }
-          packed
-      in
+      let e' = Answer_cache.promote ctx ~epoch q e ~valid_s ~valid_t in
       locked t (fun () ->
-          insert_answer_locked t ~epoch ~key packed ca';
+          Answer_cache.insert t.answers t.service_metrics ~current:t.epoch e';
           Metrics.record_answer_hit t.service_metrics;
           Metrics.record_answer_promoted t.service_metrics);
-      ca')
+      e')
     covering
 
 (* ------------------------------------------------------------------ *)
@@ -480,49 +435,37 @@ let execute t ~deadline (q : Query.t) =
   let ctx, epoch = locked t (fun () -> (t.service_ctx, t.epoch)) in
   let rw = Rewrite.simplify q in
   let q = rw.Rewrite.query in
+  let unsat = rw.Rewrite.s_unsat || rw.Rewrite.t_unsat in
   let key = Fingerprint.query_key ctx q in
   let cached =
     match
       locked t (fun () ->
-          match Lru.find t.answers key with
-          | Some ca when ca.ca_epoch = epoch ->
+          match Answer_cache.lookup t.answers ~epoch key with
+          | Answer_cache.Hit _ as found ->
               Metrics.record_answer_hit t.service_metrics;
-              `Hit ca
-          | Some ca when ca.ca_epoch < epoch && not (rw.Rewrite.s_unsat || rw.Rewrite.t_unsat)
-            ->
-              `Stale ca
-          | Some _ | None ->
+              found
+          | Answer_cache.Stale _ as found when not unsat -> found
+          | Answer_cache.Stale _ | Answer_cache.Miss ->
               Metrics.record_answer_miss t.service_metrics;
-              `Miss)
+              Answer_cache.Miss)
     with
-    | `Hit ca -> Some ca
-    | `Stale ca -> promote_answer t ~ctx ~epoch ~key q ca
-    | `Miss -> None
+    | Answer_cache.Hit e -> Some e
+    | Answer_cache.Stale e -> promote_answer t ~ctx ~epoch q e
+    | Answer_cache.Miss -> None
   in
   match cached with
-  | Some ca ->
-      (* rebuilt outside the lock: a large answer must not stall the other
-         domains' lookups and inserts *)
-      let pairs = Packed.pairs ca.ca_pairs in
-      let latency = Unix.gettimeofday () -. t0 in
-      locked t (fun () -> serve_hit_locked t ca pairs ~latency)
+  | Some e ->
+      let a = hit_answer ~t0 e in
+      locked t (fun () -> record_hit_locked t ~latency:a.latency_seconds);
+      a
   | None ->
       let io = Io_stats.create () in
       let counters = Counters.create () in
       let checks = ref 0 in
-      let answer, packed =
-        if rw.Rewrite.s_unsat || rw.Rewrite.t_unsat then
-          ( {
-            pairs = [];
-            n_pairs = 0;
-            served_from = Cold;
-            support_counted = 0;
-            constraint_checks = 0;
-            scans = 0;
-            pages_read = 0;
-            latency_seconds = 0.;
-            notes = rw.Rewrite.notes @ [ "query is unsatisfiable; nothing was mined" ];
-          },
+      let served_from, notes, packed =
+        if unsat then
+          ( Cold,
+            rw.Rewrite.notes @ [ "query is unsatisfiable; nothing was mined" ],
             Packed.finish (Packed.packer [||] [||]) )
         else begin
           let valid_s, s_cached, s_note =
@@ -534,138 +477,48 @@ let execute t ~deadline (q : Query.t) =
               counters checks
           in
           check_deadline deadline;
-          let pair_stats, packed = join_packed ctx q ~valid_s ~valid_t in
-          let served_from = if s_cached && t_cached then Subsumed else Cold in
-          ( {
-            pairs = [];
-            n_pairs = pair_stats.Pairs.n_pairs;
-            served_from;
-            support_counted = Counters.support_counted counters;
-            constraint_checks = !checks + pair_stats.Pairs.checks;
-            scans = Io_stats.scans io;
-            pages_read = Io_stats.pages_read io;
-            latency_seconds = 0.;
-            notes = rw.Rewrite.notes @ List.filter_map Fun.id [ s_note; t_note ];
-          },
+          let pair_stats, packed =
+            Packed.join ~s_info:ctx.Exec.s_info ~t_info:ctx.Exec.t_info ~valid_s ~valid_t
+              ~two_var:q.Query.two_var
+          in
+          checks := !checks + pair_stats.Pairs.checks;
+          ( (if s_cached && t_cached then Subsumed else Cold),
+            rw.Rewrite.notes @ List.filter_map Fun.id [ s_note; t_note ],
             packed )
         end
       in
-      let ca = make_cached_answer ~epoch q answer packed in
-      let answer = { answer with pairs = Packed.pairs packed.Packed.pk } in
-      let latency = Unix.gettimeofday () -. t0 in
-      let answer = { answer with latency_seconds = latency } in
+      let a =
+        answer ~t0 ~served_from ~support_counted:(Counters.support_counted counters)
+          ~constraint_checks:!checks ~scans:(Io_stats.scans io)
+          ~pages_read:(Io_stats.pages_read io) ~notes packed.Packed.pk
+      in
+      let e = Answer_cache.make ~key ~epoch q ~notes packed in
       locked t (fun () ->
-          insert_answer_locked t ~epoch ~key packed ca;
-          Metrics.record_query t.service_metrics ~latency
-            ~support_counted:answer.support_counted
-            ~constraint_checks:answer.constraint_checks ~scans:answer.scans
-            ~pages_read:answer.pages_read);
+          Answer_cache.insert t.answers t.service_metrics ~current:t.epoch e;
+          Metrics.record_query t.service_metrics ~latency:a.latency_seconds
+            ~support_counted:a.support_counted ~constraint_checks:a.constraint_checks
+            ~scans:a.scans ~pages_read:a.pages_read);
       Log.debug (fun m ->
-          m "served %s: %d pairs, %d counted (%s)" key answer.n_pairs
-            answer.support_counted
-            (served_from_name answer.served_from));
-      answer
+          m "served %s: %d pairs, %d counted (%s)" key a.n_pairs a.support_counted
+            (served_from_name a.served_from));
+      a
 
 (* ------------------------------------------------------------------ *)
-(* graceful degradation: serve a failed query by filtering a cached
-   superset answer.  The database is immutable and cached pairs carry
-   absolute supports, so filtering an entailed superset answer down to the
-   requested thresholds and constraints yields exactly the requested
-   pairs; what degrades is only the per-query cost accounting and notes. *)
+(* graceful degradation *)
 
-(* every 2-var atom the cached run enforced is requested too, so no pair
-   the requested query wants was pruned from the cached answer *)
-let two_var_covers ~cached ~requested =
-  List.for_all (fun c -> List.mem c requested) cached
-
-(* both sides by the side cache's covering rule, and the 2-var atoms *)
-let answer_covers ctx ~(cached_q : Query.t) ~(requested : Query.t) =
-  let covers side =
-    Side_cache.covers ~cached:(Side_cache.side ctx cached_q side)
-      ~requested:(Side_cache.side ctx requested side)
-  in
-  covers `S && covers `T
-  && two_var_covers ~cached:cached_q.Query.two_var ~requested:requested.Query.two_var
-
-let filter_answer (ctx : Exec.ctx) (requested : Query.t) (a : answer) =
-  let s_min = Tx_db.absolute_support ctx.Exec.db requested.Query.s_minsup in
-  let t_min = Tx_db.absolute_support ctx.Exec.db requested.Query.t_minsup in
-  let checks = ref 0 in
-  let keep_level set =
-    match requested.Query.max_level with
-    | Some cap -> Itemset.cardinal set <= cap
-    | None -> true
-  in
-  let one_var info cs set =
-    List.for_all
-      (fun c ->
-        incr checks;
-        One_var.eval info c set)
-      cs
-  in
-  let keep ((es : Frequent.entry), (et : Frequent.entry)) =
-    es.Frequent.support >= s_min
-    && et.Frequent.support >= t_min
-    && keep_level es.Frequent.set && keep_level et.Frequent.set
-    && one_var ctx.Exec.s_info requested.Query.s_constraints es.Frequent.set
-    && one_var ctx.Exec.t_info requested.Query.t_constraints et.Frequent.set
-    && List.for_all
-         (fun c ->
-           incr checks;
-           Two_var.eval ~s_info:ctx.Exec.s_info ~t_info:ctx.Exec.t_info c
-             es.Frequent.set et.Frequent.set)
-         requested.Query.two_var
-  in
-  let pairs = List.filter keep a.pairs in
-  {
-    pairs;
-    n_pairs = List.length pairs;
-    served_from = Degraded;
-    support_counted = 0;
-    constraint_checks = !checks;
-    scans = 0;
-    pages_read = 0;
-    latency_seconds = 0.;
-    notes = [ "degraded: filtered from a cached superset answer" ];
-  }
-
-(* call with [t.lock] held *)
-let degraded_lookup_locked t (q : Query.t) =
-  if not t.service_config.degrade then None
-  else begin
-    let rw = Rewrite.simplify q in
+(* with [t.lock] held: a cached answer covering the simplified query, with
+   the ctx and query that [degraded_answer] joins its sides under once the
+   lock is released *)
+let degraded_lookup_locked t (rw : Rewrite.outcome) =
+  if (not t.service_config.degrade) || rw.Rewrite.s_unsat || rw.Rewrite.t_unsat then None
+  else
     let q = rw.Rewrite.query in
-    if rw.Rewrite.s_unsat || rw.Rewrite.t_unsat then None
-    else begin
-      (* MRU-first: the first covering answer is the most recent one.
-         Degraded serving folds over answer *values*, not keys, so the
-         epoch stamp is the only thing keeping pre-seal supports out *)
-      let hit =
-        Lru.fold
-          (fun best ~key ~value:ca ->
-            match best with
-            | Some _ -> best
-            | None ->
-                if
-                  ca.ca_epoch = t.epoch
-                  && answer_covers t.service_ctx ~cached_q:ca.ca_query
-                       ~requested:q
-                then Some (key, ca)
-                else None)
-          None t.answers
-      in
-      match hit with
-      | None -> None
-      | Some (key, ca) ->
-          ignore (Lru.find t.answers key : cached_answer option)
-          (* bump recency *);
-          Metrics.record_degraded t.service_metrics;
-          Metrics.record_reconstruction t.service_metrics;
-          Some
-            (filter_answer t.service_ctx q
-               { ca.ca_answer with pairs = Packed.pairs ca.ca_pairs })
-    end
-  end
+    Option.map
+      (fun e ->
+        Metrics.record_degraded t.service_metrics;
+        Metrics.record_reconstruction t.service_metrics;
+        (t.service_ctx, q, e))
+      (Answer_cache.covering t.answers t.service_ctx ~epoch:t.epoch q)
 
 (* ------------------------------------------------------------------ *)
 (* circuit breaker *)
@@ -701,46 +554,23 @@ let count_down b =
       true
   | Closed | Half_open -> false
 
-(* attribute a failure to the shard owning its error page.  Only faults
-   installed on individual shards are attributable: with an injector on
-   the whole composite the failure is store-wide, so shard breakers stay
-   out of it and only the global breaker reacts. *)
-let shard_of_error t (e : Cfq_error.t) =
+(* with [t.lock] held: charge a failure to the shard owning its error
+   page.  Only faults installed on individual shards are attributable:
+   with an injector on the whole composite the failure is store-wide, so
+   shard breakers stay out of it and only the global breaker reacts. *)
+let shard_note_failure_locked t (e : Cfq_error.t) =
   let db = t.service_ctx.Exec.db in
-  if Array.length t.shard_health = 0 || Tx_db.faults db <> None then None
-  else
+  if Array.length t.shard_health > 0 && Tx_db.faults db = None then
     match e with
     | Cfq_error.Transient_io { page } | Cfq_error.Corrupt_page { page } -> (
-        match Tx_db.shard_of_page db page with
-        | k -> Some k
-        | exception Invalid_argument _ -> None)
+        match t.shard_health.(Tx_db.shard_of_page db page) with
+        | sh ->
+            sh.sh_failures <- sh.sh_failures + 1;
+            if note_failure t sh.sh_breaker then sh.sh_trips <- sh.sh_trips + 1
+        | exception Invalid_argument _ -> ())
     | Cfq_error.Deadline | Cfq_error.Overload | Cfq_error.Query_crash _
     | Cfq_error.No_live_source ->
-        None
-
-(* call with [t.lock] held *)
-let shard_note_failure_locked t e =
-  match shard_of_error t e with
-  | None -> ()
-  | Some k ->
-      let sh = t.shard_health.(k) in
-      sh.sh_failures <- sh.sh_failures + 1;
-      if note_failure t sh.sh_breaker then sh.sh_trips <- sh.sh_trips + 1
-
-(* a cold success proves every shard served its slice: close all shard
-   breakers.  Cache-served answers prove nothing about the shards and
-   leave them untouched. *)
-let shard_note_cold_success t =
-  if Array.length t.shard_health > 0 then
-    locked t (fun () -> Array.iter (fun sh -> close sh.sh_breaker) t.shard_health)
-
-(* settle the global breaker on the raw (pre-degradation) outcome of an
-   executed query *)
-let breaker_note_outcome t ~ok =
-  if t.service_config.breaker_threshold > 0 then
-    locked t (fun () ->
-        if ok then close t.breaker
-        else if note_failure t t.breaker then Metrics.record_breaker_trip t.service_metrics)
+        ()
 
 (* ------------------------------------------------------------------ *)
 (* retries and the guarded query wrapper *)
@@ -760,53 +590,57 @@ let retry_delay t q attempt =
   t.service_config.backoff_base *. (2. ** float_of_int attempt) *. (0.5 +. jitter)
 
 let guarded t ~deadline q () =
-  let fail e =
-    locked t (fun () ->
-        Metrics.record_fault t.service_metrics e;
-        Metrics.record_failure t.service_metrics;
-        shard_note_failure_locked t e);
-    Error (Fault e)
-  in
   let rec attempt n =
     match execute t ~deadline q with
     | a -> Ok a
-    | exception Expired ->
-        locked t (fun () ->
-            Metrics.record_deadline_expired t.service_metrics;
-            Metrics.record_query t.service_metrics
-              ~latency:(0. (* not meaningfully attributable *))
-              ~support_counted:0 ~constraint_checks:0 ~scans:0 ~pages_read:0);
-        Error Deadline_exceeded
+    | exception Expired -> Error Deadline_exceeded
     | exception Cfq_error.Error e ->
-        if Cfq_error.is_transient e && n < t.service_config.retries then begin
-          let delay = retry_delay t q n in
-          let in_budget =
-            match deadline with
-            | Some d -> Unix.gettimeofday () +. delay < d
-            | None -> true
-          in
-          if in_budget then begin
-            locked t (fun () -> Metrics.record_retry t.service_metrics);
-            if delay > 0. then Unix.sleepf delay;
-            attempt (n + 1)
-          end
-          else fail e
+        let delay = retry_delay t q n in
+        let in_budget =
+          match deadline with Some d -> Unix.gettimeofday () +. delay < d | None -> true
+        in
+        if Cfq_error.is_transient e && n < t.service_config.retries && in_budget then begin
+          locked t (fun () -> Metrics.record_retry t.service_metrics);
+          if delay > 0. then Unix.sleepf delay;
+          attempt (n + 1)
         end
-        else fail e
-    | exception e -> fail (Cfq_error.Query_crash (Printexc.to_string e))
+        else Error (Fault e)
+    | exception e -> Error (Fault (Cfq_error.Query_crash (Printexc.to_string e)))
   in
   let raw = attempt 0 in
-  breaker_note_outcome t ~ok:(match raw with Ok _ -> true | Error _ -> false);
-  (match raw with
-  | Ok a when a.served_from = Cold -> shard_note_cold_success t
-  | _ -> ());
-  match raw with
-  | Ok _ -> raw
-  | Error (Fault _ | Deadline_exceeded) -> (
-      match locked t (fun () -> degraded_lookup_locked t q) with
-      | Some a -> Ok a
-      | None -> raw)
-  | Error _ -> raw
+  (* settle the raw (pre-degradation) outcome: its metrics and the
+     breakers; a failure is served degraded when a cached answer covers
+     it *)
+  let settle_locked () =
+    let m = t.service_metrics in
+    match raw with
+    | Ok a ->
+        close t.breaker;
+        (* a cold success proves every shard served its slice; a
+           cache-served answer proves nothing about the shards *)
+        if a.served_from = Cold then Array.iter (fun sh -> close sh.sh_breaker) t.shard_health;
+        None
+    | Error err ->
+        (match err with
+        | Fault e ->
+            Metrics.record_fault m e;
+            Metrics.record_failure m;
+            shard_note_failure_locked t e
+        | Deadline_exceeded ->
+            Metrics.record_deadline_expired m;
+            Metrics.record_query m ~latency:0. (* not meaningfully attributable *)
+              ~support_counted:0 ~constraint_checks:0 ~scans:0 ~pages_read:0
+        | Rejected | Overloaded | Failed _ -> ());
+        if note_failure t t.breaker then Metrics.record_breaker_trip m;
+        degraded_lookup_locked t (Rewrite.simplify q)
+  in
+  (* with the breakers off, a success has nothing to settle *)
+  match
+    if t.service_config.breaker_threshold <= 0 && Result.is_ok raw then None
+    else locked t settle_locked
+  with
+  | Some d -> Ok (degraded_answer d)
+  | None -> raw
 
 (* ------------------------------------------------------------------ *)
 (* admission *)
@@ -816,63 +650,54 @@ let absolute_deadline t deadline =
   | Some d, _ | None, Some d -> Some (Unix.gettimeofday () +. d)
   | None, None -> None
 
-(* admission decision under the breaker.  While open, queries that the
-   caches can answer without touching the database are still served;
-   everything else is shed, counting down to a half-open probe. *)
-(* with [t.lock] held: serve an admission arriving while some breaker is
-   open from the caches alone, or shed it *)
-let open_serve_locked t (q : Query.t) =
+(* with [t.lock] held: an admission arriving while some breaker is open
+   is served from the caches alone, an answer-cache hit or a degraded
+   answer, or shed *)
+let open_lookup_locked t (q : Query.t) =
   let rw = Rewrite.simplify q in
-  let q' = rw.Rewrite.query in
-  let key = Fingerprint.query_key t.service_ctx q' in
-  match Lru.find t.answers key with
-  | Some ca when ca.ca_epoch = t.epoch ->
+  match
+    Answer_cache.lookup t.answers ~epoch:t.epoch
+      (Fingerprint.query_key t.service_ctx rw.Rewrite.query)
+  with
+  | Answer_cache.Hit e ->
       Metrics.record_answer_hit t.service_metrics;
-      `Serve (serve_hit_locked t ca (Packed.pairs ca.ca_pairs) ~latency:0.)
-  | Some _ | None -> (
-      match degraded_lookup_locked t q' with
-      | Some a -> `Serve a
+      record_hit_locked t ~latency:0.;
+      `Hit e
+  | Answer_cache.Stale _ | Answer_cache.Miss -> (
+      match degraded_lookup_locked t rw with
+      | Some d -> `Degrade d
       | None ->
           Metrics.record_shed t.service_metrics;
           `Shed)
 
+(* admission under the breakers.  Every admission while the global breaker
+   is open counts toward its cooldown, served from the caches or shed
+   alike.  Past it, an admitted query fans over every shard, so one open
+   shard breaker likewise serves it from the caches while that shard cools
+   down; a half-open breaker admits the probe. *)
 let breaker_admit t (q : Query.t) =
   if t.service_config.breaker_threshold <= 0 then `Admit
   else
     locked t (fun () ->
-        (* every admission while open counts toward the cooldown, served
-           from cache or shed alike *)
-        if count_down t.breaker then open_serve_locked t q else `Admit)
-
-(* per-shard admission gate: an admitted query fans over every shard, so
-   one open shard breaker degrades it to cache-only serving while that
-   shard cools down; a half-open shard admits the probe.  Runs after the
-   global gate, with the same admission-counted cooldown discipline. *)
-let shard_breaker_admit t (q : Query.t) =
-  if Array.length t.shard_health = 0 || t.service_config.breaker_threshold <= 0
-  then `Admit
-  else
-    locked t (fun () ->
-        let opened = ref None in
-        Array.iteri
-          (fun k sh -> if !opened = None && count_down sh.sh_breaker then opened := Some k)
-          t.shard_health;
-        match !opened with
-        | None -> `Admit
-        | Some k -> (
-            match open_serve_locked t q with
-            | `Serve a -> `Serve a
-            | `Shed ->
-                t.shard_health.(k).sh_shed <- t.shard_health.(k).sh_shed + 1;
-                `Shed))
+        if count_down t.breaker then open_lookup_locked t q
+        else
+          let opened = ref None in
+          Array.iteri
+            (fun k sh -> if !opened = None && count_down sh.sh_breaker then opened := Some k)
+            t.shard_health;
+          match !opened with
+          | None -> `Admit
+          | Some k -> (
+              match open_lookup_locked t q with
+              | `Shed ->
+                  t.shard_health.(k).sh_shed <- t.shard_health.(k).sh_shed + 1;
+                  `Shed
+              | (`Hit _ | `Degrade _) as served -> served))
 
 let submit_abs t ~deadline q =
-  match
-    match breaker_admit t q with
-    | `Admit -> shard_breaker_admit t q
-    | (`Serve _ | `Shed) as r -> r
-  with
-  | `Serve a -> Ok (Immediate (Ok a))
+  match breaker_admit t q with
+  | `Hit e -> Ok (Immediate (Ok (hit_answer e)))
+  | `Degrade d -> Ok (Immediate (Ok (degraded_answer d)))
   | `Shed -> Error Overloaded
   | `Admit -> (
       locked t (fun () ->
@@ -921,31 +746,24 @@ let run t ?deadline q =
   | Error e -> Error e
 
 let run_many t ?deadline qs =
-  (* submit everything, draining the oldest ticket whenever admission is
+  (* submit everything, awaiting the oldest ticket whenever admission is
      refused, so arbitrarily long batches respect the bounded queue *)
-  let results = ref [] (* (index, result) *) in
-  let pending = Queue.create () (* (index, ticket) in submission order *) in
-  let drain_one () =
-    match Queue.take_opt pending with
-    | None -> ()
-    | Some (i, ticket) -> results := (i, await ticket) :: !results
+  let pending = Queue.create () (* awaits in submission order *) in
+  let submit_one q =
+    let rec try_submit () =
+      match submit t ?deadline q with
+      | Ok ticket ->
+          let r = lazy (await ticket) in
+          Queue.add r pending;
+          r
+      | Error Rejected when not (Queue.is_empty pending) ->
+          ignore (Lazy.force (Queue.take pending) : (answer, error) result);
+          try_submit ()
+      | Error e -> Lazy.from_val (Error e)
+    in
+    try_submit ()
   in
-  List.iteri
-    (fun i q ->
-      let rec try_submit () =
-        match submit t ?deadline q with
-        | Ok ticket -> Queue.add (i, ticket) pending
-        | Error Rejected when Queue.length pending > 0 ->
-            drain_one ();
-            try_submit ()
-        | Error e -> results := (i, Error e) :: !results
-      in
-      try_submit ())
-    qs;
-  while Queue.length pending > 0 do
-    drain_one ()
-  done;
-  List.map snd (List.sort (fun (i, _) (j, _) -> compare i j) !results)
+  List.map Lazy.force (List.map submit_one qs)
 
 let breaker_name = function
   | Closed -> "closed"
@@ -956,27 +774,21 @@ let metrics t =
   locked t (fun () ->
       let shard_ios = Tx_db.shard_io t.service_ctx.Exec.db in
       let shards =
-        Array.to_list
-          (Array.mapi
-             (fun k sh ->
-               let io =
-                 if k < Array.length shard_ios then Some shard_ios.(k) else None
-               in
-               {
-                 Metrics.shard = k;
-                 shard_admissions = sh.sh_admissions;
-                 shard_failures = sh.sh_failures;
-                 shard_trips = sh.sh_trips;
-                 shard_shed = sh.sh_shed;
-                 shard_breaker = breaker_name sh.sh_breaker.state;
-                 shard_scans =
-                   (match io with Some io -> Io_stats.scans io | None -> 0);
-                 shard_pages_read =
-                   (match io with Some io -> Io_stats.pages_read io | None -> 0);
-                 shard_failovers =
-                   (match io with Some io -> Io_stats.failovers io | None -> 0);
-               })
-             t.shard_health)
+        List.mapi
+          (fun k sh ->
+            let io f = if k < Array.length shard_ios then f shard_ios.(k) else 0 in
+            {
+              Metrics.shard = k;
+              shard_admissions = sh.sh_admissions;
+              shard_failures = sh.sh_failures;
+              shard_trips = sh.sh_trips;
+              shard_shed = sh.sh_shed;
+              shard_breaker = breaker_name sh.sh_breaker.state;
+              shard_scans = io Io_stats.scans;
+              shard_pages_read = io Io_stats.pages_read;
+              shard_failovers = io Io_stats.failovers;
+            })
+          (Array.to_list t.shard_health)
       in
       let failovers =
         Array.fold_left (fun a io -> a + Io_stats.failovers io) 0 shard_ios
@@ -1016,6 +828,15 @@ type live = {
   lv_pages_read : int;
   lv_pass_counts : Counting.pass_counts;
 }
+
+let live_to_string lv =
+  Printf.sprintf
+    "epoch %d: sealed %d transactions; %d sides promoted, %d evicted; %d answers carried to \
+     their next lookup, %d dropped; %d candidates recounted (%d old-db scans, %d maintenance \
+     scans, %d pages; recount passes %s)"
+    lv.lv_epoch lv.lv_sealed lv.lv_sides_promoted lv.lv_sides_evicted lv.lv_answers_promoted
+    lv.lv_answers_evicted lv.lv_recounted lv.lv_old_scans lv.lv_scans lv.lv_pages_read
+    (Counting.describe_counts lv.lv_pass_counts)
 
 let attach_source t src =
   locked t (fun () ->
@@ -1107,44 +928,23 @@ let maintain t ~old_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_io ~stale
         ~sides_evicted:!sides_evicted ~recounted ~old_scans
         ~scans:(Io_stats.scans maint_io)
         ~pages_read:(Io_stats.pages_read maint_io));
-  Log.debug (fun m ->
-      m "epoch %d: %d+%d sides promoted+evicted, %d+%d answers carried+dropped (%d pages)@ %a"
-        new_epoch !sides_promoted !sides_evicted answers_carried answers_dropped
-        (Io_stats.pages_read maint_io)
-        Level_stats.pp lstats);
-  {
-    lv_epoch = new_epoch;
-    lv_sealed = delta.Cfq_live.Delta.delta_txs;
-    lv_sides_promoted = !sides_promoted;
-    lv_sides_evicted = !sides_evicted;
-    lv_answers_promoted = answers_carried;
-    lv_answers_evicted = answers_dropped;
-    lv_recounted = recounted;
-    lv_old_scans = old_scans;
-    lv_scans = Io_stats.scans maint_io;
-    lv_pages_read = Io_stats.pages_read maint_io;
-    lv_pass_counts = Counting.pass_counts session;
-  }
-
-(* with [t.lock] held: move every cached answer to its key under [ctx].
-   Query keys carry the database id and absolute supports, so a re-ask
-   after a seal would miss the old key.  An answer keeps its epoch and its
-   recency and is neither filtered nor joined here.  Two answers landing
-   on one key stand for the same thresholds; the more recent is kept.
-   Returns the answers carried and dropped. *)
-let rekey_answers_locked t ctx =
-  (* fold is MRU-first; consing flips to LRU-first, so re-insertions
-     preserve the recency order *)
-  let all = Lru.fold (fun acc ~key ~value -> (key, value) :: acc) [] t.answers in
-  List.iter (fun (key, _) -> Lru.remove t.answers key) all;
-  List.fold_left
-    (fun (carried, dropped) (_, ca) ->
-      let key = Fingerprint.query_key ctx ca.ca_query in
-      let taken = Lru.mem t.answers key in
-      if Lru.insert t.answers key ~weight:ca.ca_weight ca && not taken then
-        (carried + 1, dropped)
-      else (carried, dropped + 1))
-    (0, 0) all
+  let lv =
+    {
+      lv_epoch = new_epoch;
+      lv_sealed = delta.Cfq_live.Delta.delta_txs;
+      lv_sides_promoted = !sides_promoted;
+      lv_sides_evicted = !sides_evicted;
+      lv_answers_promoted = answers_carried;
+      lv_answers_evicted = answers_dropped;
+      lv_recounted = recounted;
+      lv_old_scans = old_scans;
+      lv_scans = Io_stats.scans maint_io;
+      lv_pages_read = Io_stats.pages_read maint_io;
+      lv_pass_counts = Counting.pass_counts session;
+    }
+  in
+  Log.debug (fun m -> m "%s@ %a" (live_to_string lv) Level_stats.pp lstats);
+  lv
 
 let seal_live t =
   match t.live_source with
@@ -1167,7 +967,7 @@ let seal_live t =
                 t.epoch <- new_epoch;
                 Metrics.record_seal t.service_metrics ~epoch:new_epoch;
                 ( Side_cache.stale t.sides ~epoch:new_epoch,
-                  rekey_answers_locked t new_ctx ))
+                  Answer_cache.rekey t.answers new_ctx ))
           in
           (* the pass runs on a worker domain (bounded admission: the pool's
              queue), inline in the caller when the queue is full *)

@@ -252,6 +252,10 @@ type live = {
           it counts on the service's [kernel] *)
 }
 
+(** One line per seal: [epoch N: sealed K transactions; …] with every
+    count of the record, as [cfq serve --ingest] and the shell print it. *)
+val live_to_string : live -> string
+
 (** [seal_live t] seals pending appends and maintains the caches across
     the new epoch (see above).  [None] when nothing was pending — the
     epoch does not move.  Raises [Cfq_error.Error No_live_source] with no

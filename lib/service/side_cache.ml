@@ -42,24 +42,27 @@ let covers ~cached ~requested =
   fits ~cached ~requested
   && Entail.subsumes ~cached:cached.constraints ~requested:requested.constraints
 
-let filter_valid spec freq checks =
+(* keep [e] in [out] when it is valid for [spec] *)
+let keep spec checks out (e : Frequent.entry) =
+  if
+    e.Frequent.support >= spec.minsup
+    && (match spec.max_level with
+       | Some cap -> Itemset.cardinal e.Frequent.set <= cap
+       | None -> true)
+    && List.for_all
+         (fun c ->
+           incr checks;
+           One_var.eval spec.info c e.Frequent.set)
+         spec.constraints
+  then out := e :: !out
+
+let filter iter spec src checks =
   let out = ref [] in
-  Frequent.iter
-    (fun e ->
-      let ok =
-        e.Frequent.support >= spec.minsup
-        && (match spec.max_level with
-           | Some cap -> Itemset.cardinal e.Frequent.set <= cap
-           | None -> true)
-        && List.for_all
-             (fun c ->
-               incr checks;
-               One_var.eval spec.info c e.Frequent.set)
-             spec.constraints
-      in
-      if ok then out := e :: !out)
-    freq;
+  iter (keep spec checks out) src;
   Array.of_list (List.rev !out)
+
+let filter_valid spec freq checks = filter Frequent.iter spec freq checks
+let filter_entries spec entries checks = filter Array.iter spec entries checks
 
 (* The collection is stored condensed (closed sets only) when the round
    trip is provably lossless; the cache charges [weight], memoized, so a

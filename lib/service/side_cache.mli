@@ -35,8 +35,8 @@ val side : Exec.ctx -> Query.t -> [ `S | `T ] -> spec
     every set valid for [requested], with its support.  The same attribute
     table, a threshold no higher, a depth cap no lower, and [requested]
     entails every atom of [cached] ({!Entail.subsumes}).  This is the one
-    covering rule: side lookups and degraded answer serving both apply
-    it. *)
+    covering rule: side lookups apply it, and {!Answer_cache} applies it
+    to both sides of an answer. *)
 val covers : cached:spec -> requested:spec -> bool
 
 (** [filter_valid spec freq checks] is the sets of [freq] valid for
@@ -44,6 +44,10 @@ val covers : cached:spec -> requested:spec -> bool
     counting every 1-var evaluation in [checks].  A covering collection
     may hold more than the request: lower threshold, weaker constraints. *)
 val filter_valid : spec -> Frequent.t -> int ref -> Frequent.entry array
+
+(** [filter_entries spec entries checks] is {!filter_valid} over an entry
+    array: a cached answer's packed side. *)
+val filter_entries : spec -> Frequent.entry array -> int ref -> Frequent.entry array
 
 (** {2 Entries} *)
 

@@ -164,7 +164,6 @@ let set_fault t ~replica f =
   | Some st -> Tx_db.set_faults (Store.db st) f
   | None -> ()
 
-let fault t ~replica = t.faults.(replica)
 let set_write_fault t ~replica v = t.write_faults.(replica) <- v
 
 (* ------------------------------------------------------------------ *)

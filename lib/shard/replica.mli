@@ -21,6 +21,10 @@ type t
     serve a read or act as a repair source. *)
 exception No_healthy_replica of int
 
+(** [shard_path base k] is shard [k]'s store path, [base.shardK]: the
+    one place the name is made. *)
+val shard_path : string -> int -> string
+
 (** [replica_path base ~shard ~replica] — replica 0 is [base.shardK]
     (the pre-replication path, so version-1 stores open unchanged),
     replica [j >= 1] is [base.shardK.rJ]. *)
@@ -65,7 +69,6 @@ val db : t -> Tx_db.t
 val io : t -> Io_stats.t
 
 val replica_count : t -> int
-val quorum : int -> int
 val preferred : t -> int
 val failovers : t -> int
 val health : t -> replica:int -> Manifest.health
@@ -101,8 +104,6 @@ val seal : t -> int
 (** Install an injector on one replica's current db handle; survives
     {!seal} and {!repair} (re-installed on the new handle). *)
 val set_fault : t -> replica:int -> Fault.t option -> unit
-
-val fault : t -> replica:int -> Fault.t option
 
 (** Make mirrored writes to replica [j] fail with [Transient_io]. *)
 val set_write_fault : t -> replica:int -> bool -> unit

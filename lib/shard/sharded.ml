@@ -19,7 +19,7 @@ type t = {
   mutable last_seal : seal_info option;
 }
 
-let shard_path path k = Printf.sprintf "%s.shard%d" path k
+let shard_path = Replica.shard_path
 
 (* ------------------------------------------------------------------ *)
 (* Partitioner                                                         *)

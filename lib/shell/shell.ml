@@ -231,10 +231,6 @@ let append_all src_db append =
    buffered: a crash mid-loop may lose the last partial group, but nothing
    is acknowledged until the seal, which flushes and folds everything
    durably. *)
-(* the kernels of a seal's old-database recount *)
-let recount_passes lv =
-  "recount passes " ^ Cfq_mining.Counting.describe_counts lv.Service.lv_pass_counts
-
 let do_ingest t store_path fimi_path =
   match Cfq_data.Fimi.read fimi_path with
   | exception (Cfq_data.Fimi.Bad_format msg | Sys_error msg) -> say "ingest failed: %s" msg
@@ -264,16 +260,8 @@ let do_ingest t store_path fimi_path =
               t.last_live <- Some lv;
               t.ctx <- Some (Service.ctx service);
               t.last <- None;
-              say
-                "ingested %d transactions into %s (now %d total)@\n\
-                 epoch %d: %d sides promoted, %d evicted; %d answers carried to \
-                 their next lookup, %d dropped; %d candidates recounted (%d old-db \
-                 scans; %s), %d maintenance pages"
-                n store_path (Source.size source) lv.Service.lv_epoch
-                lv.Service.lv_sides_promoted lv.Service.lv_sides_evicted
-                lv.Service.lv_answers_promoted lv.Service.lv_answers_evicted
-                lv.Service.lv_recounted lv.Service.lv_old_scans
-                (recount_passes lv) lv.Service.lv_pages_read)
+              say "ingested %d transactions into %s (now %d total)@\n%s" n store_path
+                (Source.size source) (Service.live_to_string lv))
       | Some source, None when Source.located_at source store_path ->
           (* no service over this source: retire any stale one, seal, and
              rebuild the context around the replaced db handle *)
@@ -312,22 +300,7 @@ let do_live t =
       let seal_line =
         match t.last_live with
         | None -> "no seal maintained yet"
-        | Some lv ->
-            Printf.sprintf
-              "last seal (epoch %d): %d txs folded; %d sides promoted, %d \
-               evicted; %d answers carried, %d dropped; %d candidates \
-               recounted (%d old-db scans; %s), %d scans / %d pages of \
-               maintenance I/O"
-              lv.Service.lv_epoch lv.Service.lv_sealed
-              lv.Service.lv_sides_promoted
-              lv.Service.lv_sides_evicted
-              lv.Service.lv_answers_promoted
-              lv.Service.lv_answers_evicted
-              lv.Service.lv_recounted
-              lv.Service.lv_old_scans
-              (recount_passes lv)
-              lv.Service.lv_scans
-              lv.Service.lv_pages_read
+        | Some lv -> "last seal: " ^ Service.live_to_string lv
       in
       say "epoch %d@\n%s@\n%s" (Service.epoch s) source_line seal_line
 

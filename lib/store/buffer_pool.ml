@@ -62,9 +62,6 @@ let create ~path ~page_size ~n_pages ~data_off ~crcs ~capacity ~stats () =
     closed = false;
   }
 
-let capacity t = Array.length t.frames
-let stats t = t.stats
-
 let resident t =
   Mutex.lock t.mutex;
   let n = Hashtbl.length t.slot_of in

@@ -68,8 +68,5 @@ val with_scan_page : t -> int -> (bytes -> 'a) -> 'a
     [Invalid_argument] rather than reading through a dead fd. *)
 val close : t -> unit
 
-val capacity : t -> int
-val stats : t -> Io_stats.t
-
 (** Frames currently holding a page (for tests and reports). *)
 val resident : t -> int

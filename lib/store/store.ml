@@ -294,15 +294,6 @@ let pread_exact t ~off buf ~pos len =
     o := !o + r
   done
 
-(* raw bytes of data page [p], fresh from disk (no CRC check) *)
-let read_page t p =
-  let ps = t.seg.Segment.pm.Page_model.page_size_bytes in
-  if p < 0 || p >= t.seg.Segment.layout.Page_codec.pages then
-    invalid_arg "Store.read_page";
-  let buf = Bytes.create ps in
-  pread_exact t ~off:(Segment.data_off t.seg + (p * ps)) buf ~pos:0 ps;
-  buf
-
 (* One pass, one read per page.  Each page's raw CRC is checked as it
    arrives; the run of transactions whose records start on a page (one
    page, or the dedicated pages of an oversized record) is then decoded

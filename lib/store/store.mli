@@ -158,10 +158,6 @@ val page_faults_to_string : page_fault list -> string
     each page read — the scrubber's I/O throttle hook. *)
 val verify_pages : ?throttle:(page:int -> unit) -> t -> page_fault list
 
-(** [read_page t p] is the raw bytes of data page [p], fresh from disk
-    (no CRC check) — the export half of the seam. *)
-val read_page : t -> int -> bytes
-
 (** All sealed transactions, decoded from one raw segment read (bypassing
     the pool) — what anti-entropy repair copies from a healthy replica. *)
 val read_all : t -> Itemset.t array

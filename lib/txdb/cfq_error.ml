@@ -22,8 +22,6 @@ let to_string = function
   | Query_crash msg -> "query crashed: " ^ msg
   | No_live_source -> "no live source attached: nothing to ingest into or seal"
 
-let pp ppf e = Format.pp_print_string ppf (to_string e)
-
 (* readable payloads when an [Error] escapes uncaught *)
 let () =
   Printexc.register_printer (function

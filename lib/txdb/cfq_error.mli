@@ -37,4 +37,3 @@ val raise_error : t -> 'a
 val is_transient : t -> bool
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

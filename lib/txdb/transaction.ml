@@ -7,4 +7,3 @@ type t = {
 
 let make ~tid ~items = { tid; items }
 let cardinal t = Itemset.cardinal t.items
-let pp ppf t = Format.fprintf ppf "#%d:%a" t.tid Itemset.pp t.items

@@ -9,4 +9,3 @@ type t = {
 
 val make : tid:int -> items:Itemset.t -> t
 val cardinal : t -> int
-val pp : Format.formatter -> t -> unit

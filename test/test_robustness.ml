@@ -224,6 +224,65 @@ let degraded_answer_is_exact () =
   Alcotest.(check int) "one degraded answer" 1 m.Metrics.degraded;
   Tx_db.set_faults db None
 
+(* a degraded answer joins the cached sides under the request, so a 2-var
+   atom the cached query lacks is enforced on the pairs *)
+let degraded_answer_adds_a_two_var_atom () =
+  let db, info, ctx = mk_ctx () in
+  with_service ~config:{ base_config with Service.retries = 0; breaker_threshold = 0 } ctx
+  @@ fun service ->
+  let cached = Parser.parse "{(S,T) | freq(S) >= 0.1 & freq(T) >= 0.1 & max(S.Price) <= min(T.Price)}" in
+  let asked =
+    Parser.parse
+      "{(S,T) | freq(S) >= 0.15 & freq(T) >= 0.15 & max(S.Price) <= min(T.Price) & S.Type = T.Type}"
+  in
+  let primed = check_answer "prime" db info cached (Service.run service cached) in
+  Service.cache_drop_sides service;
+  install db { Fault.default_config with Fault.transient_p = 1.0 };
+  let a = check_answer "degraded with S.Type = T.Type" db info asked (Service.run service asked) in
+  Alcotest.(check bool) "flagged degraded" true (a.Service.served_from = Service.Degraded);
+  Alcotest.(check bool) "some pairs" true (a.Service.n_pairs > 0);
+  Alcotest.(check bool) "the atom drops cached pairs" true (a.Service.n_pairs < primed.Service.n_pairs);
+  Alcotest.(check int) "n_pairs counts the pairs" (List.length a.Service.pairs) a.Service.n_pairs;
+  Tx_db.set_faults db None
+
+(* while the breaker is open, admissions are served from the answer cache
+   alone: a hit on the cached query and a degraded answer to a covered
+   refinement, neither executed (no failure charged), and the rest shed *)
+let open_breaker_hits_and_degrades () =
+  let db, info, ctx = mk_ctx () in
+  with_service
+    ~config:{ breaker_config with Service.degrade = true; breaker_cooldown = 8 }
+    ctx
+  @@ fun service ->
+  let (_ : Service.answer) = check_answer "prime" db info q_narrow (Service.run service q_narrow) in
+  install db { Fault.default_config with Fault.transient_p = 1.0 };
+  let fail label =
+    match Service.run service q_broad with
+    | Error (Service.Fault _) -> ()
+    | _ -> Alcotest.failf "%s: expected a fault" label
+  in
+  fail "f1";
+  fail "f2";
+  let hit = check_answer "hit while open" db info q_narrow (Service.run service q_narrow) in
+  Alcotest.(check bool) "served from the answer cache" true
+    (hit.Service.served_from = Service.Answer_cache);
+  let refined =
+    Query.make ~s_minsup:0.25 ~t_minsup:0.2
+      ~s_constraints:[ One_var.Agg_cmp (Agg.Max, price, Cmp.Ge, 30.) ]
+      ()
+  in
+  let d = check_answer "degraded while open" db info refined (Service.run service refined) in
+  Alcotest.(check bool) "served degraded" true (d.Service.served_from = Service.Degraded);
+  (match Service.run service q_broad with
+  | Error Service.Overloaded -> ()
+  | _ -> Alcotest.fail "expected Overloaded");
+  let m = Service.metrics service in
+  Alcotest.(check int) "one trip" 1 m.Metrics.breaker_trips;
+  Alcotest.(check int) "one degraded answer" 1 m.Metrics.degraded;
+  Alcotest.(check int) "only the tripping failures" 2 m.Metrics.failures;
+  Alcotest.(check int) "one shed" 1 m.Metrics.shed;
+  Tx_db.set_faults db None
+
 (* ------------------------------------------------------------------ *)
 (* pool fallbacks *)
 
@@ -606,6 +665,10 @@ let suite =
     Alcotest.test_case "open breaker serves the answer cache" `Quick
       open_breaker_serves_the_answer_cache;
     Alcotest.test_case "degraded answer is exact" `Quick degraded_answer_is_exact;
+    Alcotest.test_case "degraded answer adds a 2-var atom" `Quick
+      degraded_answer_adds_a_two_var_atom;
+    Alcotest.test_case "open breaker: a hit and a degraded answer" `Quick
+      open_breaker_hits_and_degrades;
     Alcotest.test_case "pool: queue-full falls back inline" `Quick
       pool_queue_full_falls_back_inline;
     Alcotest.test_case "pool: shutdown semantics" `Quick pool_shutdown_semantics;
