@@ -41,18 +41,9 @@ let types_arg =
     & info [ "types" ] ~docv:"N" ~doc:"Number of distinct item types (Type attribute).")
 
 let strategy_arg =
-  let strategies =
-    [
-      ("apriori+", Plan.Apriori_plus);
-      ("cap", Plan.Cap_one_var);
-      ("optimized", Plan.Optimized);
-      ("sequential", Plan.Sequential_t_first);
-      ("fm", Plan.Full_materialize);
-    ]
-  in
   Arg.(
     value
-    & opt (enum strategies) Plan.Optimized
+    & opt (enum Plan.all_strategies) Plan.Optimized
     & info [ "strategy" ] ~docv:"STRATEGY"
         ~doc:"Execution strategy: $(b,apriori+), $(b,cap) (1-var pushing only), \
               $(b,optimized), $(b,sequential) (T lattice first, exact bounds) or \
@@ -123,38 +114,18 @@ let info_out_arg =
 
 (* ------------------------------------------------------------------ *)
 
-let build_data ~tx ~items ~types ~seed =
-  let rng = Splitmix.create ~seed:(Int64.of_int seed) in
-  let params = { (Quest_gen.scaled tx) with Quest_gen.n_items = items } in
-  let db = Quest_gen.generate rng params in
-  let prices = Item_gen.uniform_prices rng ~n:items ~lo:0. ~hi:1000. in
-  let type_col = Array.init items (fun _ -> float_of_int (Splitmix.int rng types)) in
-  let info = Item_gen.item_info ~prices ~types:type_col () in
-  (db, info)
+let msg r = Result.map_error (fun m -> `Msg m) r
 
 let parse_query text =
   match Parser.parse_result text with
   | Ok q -> Ok q
   | Error msg -> Error (`Msg ("query: " ^ msg))
 
+(* without an attribute table, constraints over Item still work *)
 let load_or_generate ~tx ~items ~types ~seed ~data ~iteminfo =
   match data with
-  | None -> Ok (build_data ~tx ~items ~types ~seed)
-  | Some path -> (
-      match Cfq_data.Fimi.read path with
-      | exception Cfq_data.Fimi.Bad_format msg -> Error (`Msg msg)
-      | db -> (
-          let universe_size =
-            match Cfq_data.Fimi.max_item db with Some m -> m + 1 | None -> 1
-          in
-          match iteminfo with
-          | None ->
-              (* no attribute table: constraints over Item still work *)
-              Ok (db, Cfq_itembase.Item_info.create ~universe_size)
-          | Some info_path -> (
-              match Cfq_data.Item_csv.read info_path ~universe_size with
-              | exception Cfq_data.Item_csv.Bad_format msg -> Error (`Msg msg)
-              | info -> Ok (db, info))))
+  | None -> Ok (Quest_gen.market ~seed ~n_tx:tx ~n_items:items ~n_types:types)
+  | Some path -> msg (Source.load path iteminfo)
 
 let run_cmd verbose tx items types seed strategy (config : Service.config) n_pairs
     data iteminfo pairs_out text =
@@ -175,32 +146,18 @@ let run_cmd verbose tx items types seed strategy (config : Service.config) n_pai
       Printf.printf "database: %d transactions (%d pages)\n"
         (Cfq_txdb.Tx_db.size db) (Cfq_txdb.Tx_db.pages db);
       Printf.printf "query: %s\n\n" (Query.to_string q);
-      let ctx = Exec.context db info in
-      let collect = n_pairs > 0 || pairs_out <> None in
-      let par =
-        if config.mine_domains = 0 then None
-        else Some (Cfq_mining.Counting.par config.mine_domains)
-      in
-      let r =
-        Exec.run ~strategy ~collect_pairs:collect ?par ~kernel:config.kernel ctx q
-      in
-      print_endline (Explain.result_to_string r);
-      if n_pairs > 0 then begin
-        Printf.printf "\nfirst %d pairs:\n" n_pairs;
-        List.iteri
-          (fun i (s, t) ->
-            if i < n_pairs then
-              Printf.printf "  %s => %s\n"
-                (Cfq_itembase.Itemset.to_string s.Cfq_mining.Frequent.set)
-                (Cfq_itembase.Itemset.to_string t.Cfq_mining.Frequent.set))
-          r.Exec.pairs
-      end;
-      (match pairs_out with
-      | Some path ->
-          Cfq_data.Result_csv.write_pairs path r.Exec.pairs;
-          Printf.printf "wrote %d pairs to %s\n" (List.length r.Exec.pairs) path
-      | None -> ());
-      Ok ())
+      let collect_pairs = n_pairs > 0 || pairs_out <> None in
+      match Service.run_once config ~strategy ~collect_pairs (Exec.context db info) q with
+      | Error e -> Error (`Msg (Cfq_txdb.Cfq_error.to_string e))
+      | Ok r ->
+          print_endline (Explain.result_to_string r);
+          if n_pairs > 0 then Printf.printf "\n%s\n" (Explain.pairs_to_string n_pairs r);
+          (match pairs_out with
+          | Some path ->
+              Cfq_data.Result_csv.write_pairs path r.Exec.pairs;
+              Printf.printf "wrote %d pairs to %s\n" (List.length r.Exec.pairs) path
+          | None -> ());
+          Ok ())
 
 let advise_cmd tx items types seed data iteminfo text =
   match parse_query text with
@@ -282,7 +239,7 @@ let fault_spike_arg =
 
 let fault_seed_arg =
   Arg.(
-    value & opt int 0x5EED
+    value & opt int64 0x5EEDL
     & info [ "fault-seed" ] ~docv:"SEED" ~doc:"Seed of the deterministic fault stream.")
 
 let fault_term =
@@ -292,7 +249,7 @@ let fault_term =
       Cfq_txdb.Fault.transient_p;
       corrupt_p;
       spike_p;
-      seed = Int64.of_int seed;
+      seed;
     }
   in
   Term.(const config $ fault_transient_arg $ fault_corrupt_arg $ fault_spike_arg
@@ -321,33 +278,21 @@ let ingest_arg =
    following pass exercises the promoted cache at the new epoch. *)
 let run_live_passes service ~repeat ~ingest file =
   let total = max repeat (List.length ingest + 1) in
-  let live = Cfq_service.Service.live_source service <> None in
+  let live = Service.live_source service <> None in
   let pending = ref ingest in
   let seal_next () =
     match !pending with
     | [] -> Ok ()
     | path :: rest -> (
         pending := rest;
-        match Cfq_data.Fimi.read path with
-        | exception Cfq_data.Fimi.Bad_format msg -> Error (`Msg msg)
-        | src -> (
-            match
-              for i = 0 to Cfq_txdb.Tx_db.size src - 1 do
-                Cfq_service.Service.ingest service
-                  (Cfq_txdb.Tx_db.get src i).Cfq_txdb.Transaction.items
-              done;
-              Printf.printf "=== ingest %s: %d transactions ===\n" path
-                (Cfq_txdb.Tx_db.size src);
-              Cfq_service.Service.seal_live service
-            with
-            | exception Cfq_txdb.Cfq_error.Error e ->
-                Error (`Msg ("ingest failed: " ^ Cfq_txdb.Cfq_error.to_string e))
-            | None ->
-                print_endline "nothing to seal: the file holds no transactions\n";
-                Ok ()
-            | Some lv ->
-                Printf.printf "%s\n\n" (Cfq_service.Service.live_to_string lv);
-                Ok ()))
+        match Service.ingest_file service path with
+        | Error m -> Error (`Msg ("ingest failed: " ^ m))
+        | Ok (n, lv) ->
+            Printf.printf "=== ingest %s: %d transactions ===\n" path n;
+            (match lv with
+            | None -> print_endline "nothing to seal: the file holds no transactions\n"
+            | Some lv -> Printf.printf "%s\n\n" (Service.live_to_string lv));
+            Ok ())
   in
   let rec passes n =
     if n > total then Ok ()
@@ -458,44 +403,17 @@ let store_build_cmd verbose tx items types seed data iteminfo store_path shards
   match load_or_generate ~tx ~items ~types ~seed ~data ~iteminfo with
   | Error e -> Error e
   | Ok (db, info) ->
-      Cfq_data.Item_csv.write (store_path ^ ".info.csv") info;
-      if shards > 1 || replicas > 1 then begin
-        let sets =
-          Array.init (Cfq_txdb.Tx_db.size db) (fun i ->
-              (Cfq_txdb.Tx_db.get db i).Cfq_txdb.Transaction.items)
-        in
-        Cfq_shard.Sharded.build ~shards ~replicas store_path sets;
-        let sh = Cfq_shard.Sharded.open_ store_path in
-        let m = Cfq_shard.Sharded.manifest sh in
-        Printf.printf
-          "store: %s (sharded)\nshards: %d (%s partition)%s\ntransactions: %d\n\
-           pages (4K): %d\nitem universe: %d\n"
-          store_path
-          (Cfq_shard.Sharded.shard_count sh)
-          (Cfq_shard.Manifest.partition_name m.Cfq_shard.Manifest.partition)
-          (if replicas > 1 then Printf.sprintf "\nreplicas: %d per shard" replicas
-           else "")
-          (Cfq_shard.Sharded.size sh)
-          (Cfq_shard.Sharded.pages sh)
-          (Cfq_shard.Sharded.universe_size sh);
-        Array.iteri
-          (fun k st ->
-            Printf.printf "shard %d: %s (%d transactions, %d pages)\n" k
-              (Cfq_store.Store.path st) (Cfq_store.Store.size st)
-              (Cfq_store.Store.pages st))
-          (Cfq_shard.Sharded.stores sh);
-        Cfq_shard.Sharded.close sh
-      end
-      else begin
-        Cfq_store.Store.save_db store_path db;
-        let store = Cfq_store.Store.open_ store_path in
-        Printf.printf "store: %s\ntransactions: %d\npages (4K): %d\nitem universe: %d\n"
-          store_path (Cfq_store.Store.size store)
-          (Cfq_store.Store.pages store)
-          (Cfq_store.Store.universe_size store);
-        Cfq_store.Store.close store
-      end;
-      Ok ()
+      Source.save ~shards ~replicas store_path db info;
+      let spec =
+        Source.Disk { path = store_path; cache_pages = None; shards = 1; replicas = 1 }
+      in
+      msg
+        (Result.map
+           (fun src ->
+             Printf.printf "store: %s\nitemInfo: %s\n" (Source.summary src)
+               (Source.info_path store_path);
+             Source.close src)
+           (Source.open_ spec))
 
 (* replay the batch on the (possibly sharded) store and on a plain
    in-memory copy of the same transactions: answers and ccc counters
@@ -547,8 +465,6 @@ let verify_backends db info file =
       in
       go lines)
 
-let msg r = Result.map_error (fun m -> `Msg m) r
-
 (* the --fault-shard / --fault-replica target: a shard, optionally
    narrowed to one replica *)
 let fault_target fault_shard fault_replica =
@@ -566,47 +482,12 @@ let inject_faults src fault ~shard ~replica =
     if shard = None then Ok ()
     else Error "--fault-shard/--fault-replica need an active fault probability"
   else
-    match Source.set_fault src ?shard ?replica (Some (Fault.create fault)) with
+    let f = Some (Fault.create fault) in
+    match Source.set_fault src ?shard ?replica f with
     | Error msg -> Error ("fault injection: " ^ msg)
     | Ok () ->
-        Printf.printf
-          "fault injection%s: transient-p=%g corrupt-p=%g spike-p=%g seed=%Ld\n\n"
-          (match (shard, replica) with
-          | Some k, Some j -> Printf.sprintf " (shard %d, replica %d)" k j
-          | Some k, None -> Printf.sprintf " (shard %d)" k
-          | None, _ -> "")
-          fault.Fault.transient_p fault.Fault.corrupt_p fault.Fault.spike_p
-          fault.Fault.seed;
+        Printf.printf "%s\n\n" (Source.fault_report ?shard ?replica f);
         Ok ()
-
-(* physical I/O of the backend's buffer pools, printed at shutdown *)
-let print_backend_io src =
-  let open Cfq_txdb in
-  Option.iter
-    (fun store ->
-      let io = Cfq_store.Store.io store in
-      Printf.printf "buffer pool: %d hits, %d misses, %d evictions (cache %d of %d pages)\n"
-        (Io_stats.pool_hits io) (Io_stats.pool_misses io) (Io_stats.pool_evictions io)
-        (Cfq_store.Store.cache_pages store)
-        (Cfq_store.Store.pages store))
-    (Source.store src);
-  Option.iter
-    (fun sh ->
-      let ios = Tx_db.shard_io (Cfq_shard.Sharded.db sh) in
-      Array.iteri
-        (fun k st ->
-          let io = Cfq_store.Store.io st in
-          Printf.printf
-            "shard %d: %d scans, %d pages read; pool %d hits, %d misses, %d \
-             evictions (cache %d of %d pages)\n"
-            k (Io_stats.scans ios.(k)) (Io_stats.pages_read ios.(k))
-            (Io_stats.pool_hits io) (Io_stats.pool_misses io) (Io_stats.pool_evictions io)
-            (Cfq_store.Store.cache_pages st)
-            (Cfq_store.Store.pages st))
-        (Cfq_shard.Sharded.stores sh);
-      if Cfq_shard.Sharded.replicas sh > 1 then
-        Printf.printf "replica failovers: %d\n" (Cfq_shard.Sharded.failovers sh))
-    (Source.sharded src)
 
 (* the backend to serve: the store at --store, else generated or --data
    transactions in memory *)
@@ -649,7 +530,8 @@ let serve_cmd verbose tx items types seed data iteminfo store cache_pages shards
     Service.shutdown service;
     result
   in
-  print_backend_io src;
+  (* the backend's physical I/O, after the service is down *)
+  List.iter print_endline (Source.io_lines src);
   Source.close src;
   served
 
@@ -663,38 +545,19 @@ let store_verify_cmd verbose store_path cache_pages repair =
       { path = store_path; cache_pages = Some cache_pages; shards = 1; replicas = 1 }
   in
   let verify src =
-    match (Source.store src, Source.sharded src) with
-    | Some store, _ ->
-        let opened = Cfq_store.Store.path store in
-        let faults = Cfq_store.Store.verify_pages store in
-        if faults = [] then begin
-          Printf.printf "%s: all %d pages verified\n" opened (Cfq_store.Store.pages store);
-          Ok ()
-        end
-        else
-          Error
-            (Printf.sprintf "%s: %d bad pages: %s" opened (List.length faults)
-               (Cfq_store.Store.page_faults_to_string faults))
-    | None, Some sh when repair ->
+    match Source.sharded src with
+    | Some sh when repair ->
         let report = Cfq_shard.Scrub.run sh in
-        List.iter
-          (fun r -> print_endline (Cfq_shard.Scrub.replica_report_to_string r))
-          report.Cfq_shard.Scrub.rows;
-        Printf.printf "scrubbed %d pages: %d faults, %d replicas repaired, %d repair failures\n"
-          report.Cfq_shard.Scrub.scrubbed_pages report.Cfq_shard.Scrub.faults_found
-          report.Cfq_shard.Scrub.repairs report.Cfq_shard.Scrub.repair_failures;
+        print_endline (Cfq_shard.Scrub.report_to_string report);
         if report.Cfq_shard.Scrub.repair_failures = 0 then Ok ()
         else Error "scrub left unrepaired replicas"
-    | None, Some sh ->
-        let rows = Cfq_shard.Scrub.health_report sh in
-        List.iter (fun r -> print_endline (Cfq_shard.Scrub.health_row_to_string r)) rows;
-        if Cfq_shard.Scrub.healthy_report rows then begin
-          print_endline "all replicas healthy, every page verified";
-          Ok ()
-        end
+    | sharded ->
+        let healthy, report = Source.verify src in
+        print_endline report;
+        if healthy then Ok ()
+        else if sharded = None then Error "verification failed"
         else
           Error "verification failed; run 'store verify --repair' to quarantine and rebuild"
-    | None, None -> Ok ()
   in
   msg
     (Result.bind (Source.open_ spec) (fun src ->
@@ -716,7 +579,7 @@ let repl_cmd () =
   Ok ()
 
 let gen_cmd tx items types seed out info_out =
-  let db, info = build_data ~tx ~items ~types ~seed in
+  let db, info = Quest_gen.market ~seed ~n_tx:tx ~n_items:items ~n_types:types in
   Printf.printf "transactions: %d\nitems: %d\navg length: %.2f\npages (4K): %d\n"
     (Cfq_txdb.Tx_db.size db) items (Cfq_txdb.Tx_db.avg_tx_len db)
     (Cfq_txdb.Tx_db.pages db);

@@ -31,3 +31,17 @@ let result ppf (r : Exec.result) =
 
 let plan_to_string q p = Format.asprintf "%a" (fun ppf () -> plan ppf q p) ()
 let result_to_string r = Format.asprintf "%a" result r
+
+let pairs_to_string n (r : Exec.result) =
+  match List.filteri (fun i _ -> i < n) r.Exec.pairs with
+  | [] -> "no pairs (none answered the query, or none were collected)"
+  | shown ->
+      String.concat "\n  "
+        (Printf.sprintf "%d of %d pairs:" (List.length shown)
+           r.Exec.pair_stats.Pairs.n_pairs
+        :: List.map
+             (fun (s, t) ->
+               Cfq_itembase.Itemset.to_string s.Frequent.set
+               ^ " => "
+               ^ Cfq_itembase.Itemset.to_string t.Frequent.set)
+             shown)

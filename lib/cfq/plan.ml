@@ -29,6 +29,15 @@ let strategy_name = function
   | Sequential_t_first -> "sequential-t-first"
   | Full_materialize -> "full-materialize"
 
+let all_strategies =
+  [
+    ("apriori+", Apriori_plus);
+    ("cap", Cap_one_var);
+    ("optimized", Optimized);
+    ("sequential", Sequential_t_first);
+    ("fm", Full_materialize);
+  ]
+
 let pp ppf t =
   Format.fprintf ppf "@[<v>strategy: %s" (strategy_name t.strategy);
   List.iter

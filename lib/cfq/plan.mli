@@ -35,4 +35,8 @@ type t = {
 }
 
 val strategy_name : strategy -> string
+
+(** Every strategy under the name [cfq run --strategy] and the shell's
+    [set strategy] accept. *)
+val all_strategies : (string * strategy) list
 val pp : Format.formatter -> t -> unit

@@ -2,6 +2,7 @@ open Cfq_itembase
 open Cfq_txdb
 module Store = Cfq_store.Store
 module Sharded = Cfq_shard.Sharded
+module Replica = Cfq_shard.Replica
 
 type backend =
   | In_mem of {
@@ -62,7 +63,7 @@ let open_ = function
           | Cfq_shard.Manifest.Bad_manifest msg
           | Sys_error msg ) ->
           Error msg
-      | exception Cfq_shard.Replica.No_healthy_replica k ->
+      | exception Replica.No_healthy_replica k ->
           Error (Printf.sprintf "%s: shard %d has no healthy replica" path k)
       | exception Unix.Unix_error (e, _, _) ->
           Error (path ^ ": " ^ Unix.error_message e))
@@ -86,7 +87,6 @@ let size t = Tx_db.size (db t)
 let backend_name t =
   match t.backend with In_mem _ -> "mem" | On_store _ -> "store" | On_shards _ -> "sharded"
 
-let store t = match t.backend with On_store s -> Some s | _ -> None
 let sharded t = match t.backend with On_shards s -> Some s | _ -> None
 
 let path t =
@@ -97,21 +97,20 @@ let path t =
 
 let located_at t p = path t = Some p || t.origin = Some p
 
+let fimi_universe db = match Cfq_data.Fimi.max_item db with Some i -> i + 1 | None -> 1
+
 let universe_size t =
   match t.backend with
-  | In_mem m -> (
-      match Cfq_data.Fimi.max_item m.mem_db with Some i -> i + 1 | None -> 1)
+  | In_mem m -> fimi_universe m.mem_db
   | On_store s -> Store.universe_size s
   | On_shards s -> Sharded.universe_size s
 
+let info_path path = path ^ ".info.csv"
+
 (* the table covers the data's universe and every item the CSV lists: a
-   sparse store's universe ends at its largest item that occurs *)
-let item_info t =
-  let universe_size = max 1 (universe_size t) in
-  let candidates =
-    List.filter_map (Option.map (fun p -> p ^ ".info.csv")) [ path t; t.origin ]
-  in
-  match List.find_opt Sys.file_exists candidates with
+   sparse store's universe ends at its largest item that occurs, and a
+   generated table names every item of the generator's universe *)
+let read_info ~universe_size = function
   | None -> Ok (Item_info.create ~universe_size)
   | Some p -> (
       match
@@ -120,6 +119,23 @@ let item_info t =
       with
       | info -> Ok info
       | exception (Cfq_data.Item_csv.Bad_format msg | Sys_error msg) -> Error msg)
+
+let item_info t =
+  List.filter_map (Option.map info_path) [ path t; t.origin ]
+  |> List.find_opt Sys.file_exists
+  |> read_info ~universe_size:(max 1 (universe_size t))
+
+let save ?(shards = 1) ?(replicas = 1) path db info =
+  if shards > 1 || replicas > 1 then
+    Sharded.build ~shards ~replicas path
+      (Array.init (Tx_db.size db) (fun i -> (Tx_db.get db i).Transaction.items))
+  else Store.save_db path db;
+  Cfq_data.Item_csv.write (info_path path) info
+
+let load fimi info =
+  match Cfq_data.Fimi.read fimi with
+  | exception (Cfq_data.Fimi.Bad_format msg | Sys_error msg) -> Error msg
+  | db -> Result.map (fun i -> (db, i)) (read_info ~universe_size:(fimi_universe db) info)
 
 let recovery_suffix stores =
   let replayed, torn =
@@ -171,6 +187,74 @@ let set_fault t ?shard ?replica f =
           Result.map
             (fun () -> Sharded.set_replica_fault s ~shard:k ~replica:j f)
             (in_range "replica" j (Sharded.replicas s)))
+
+let fault_report ?shard ?replica f =
+  let pin =
+    match (shard, replica) with
+    | Some k, Some j -> Printf.sprintf " (shard %d, replica %d)" k j
+    | Some k, None -> Printf.sprintf " (shard %d)" k
+    | None, _ -> ""
+  in
+  match Option.map Fault.config f with
+  | None -> "fault injection off" ^ pin
+  | Some c ->
+      Printf.sprintf "fault injection on: transient-p=%g corrupt-p=%g spike-p=%g seed=%Ld%s"
+        c.Fault.transient_p c.Fault.corrupt_p c.Fault.spike_p c.Fault.seed pin
+
+let verify t =
+  match t.backend with
+  | In_mem _ -> (true, "in memory: no pages on disk to verify")
+  | On_store s -> (
+      match Store.verify_pages s with
+      | [] ->
+          (true, Printf.sprintf "%s: all %d pages verified" (Store.path s) (Store.pages s))
+      | faults ->
+          ( false,
+            Printf.sprintf "VERIFICATION FAILED -- %s: %d bad pages: %s" (Store.path s)
+              (List.length faults) (Store.page_faults_to_string faults) ))
+  | On_shards s ->
+      let rows = Cfq_shard.Scrub.health_report s in
+      let healthy = Cfq_shard.Scrub.healthy_report rows in
+      ( healthy,
+        String.concat "\n  "
+          ((if healthy then "all replicas healthy, every page verified"
+            else "VERIFICATION FAILED")
+          :: List.map Cfq_shard.Scrub.health_row_to_string rows) )
+
+let pool_stats st =
+  let io = Store.io st in
+  Printf.sprintf "%d hits, %d misses, %d evictions (cache %d of %d pages)"
+    (Io_stats.pool_hits io) (Io_stats.pool_misses io) (Io_stats.pool_evictions io)
+    (Store.cache_pages st) (Store.pages st)
+
+let replica_lines g =
+  if Replica.replica_count g <= 1 then []
+  else
+    List.init (Replica.replica_count g) (fun j ->
+        Printf.sprintf "  replica %d: %s%s, %d read errors, %d write errors" j
+          (Cfq_shard.Manifest.health_name (Replica.health g ~replica:j))
+          (if j = Replica.preferred g then " (preferred)" else "")
+          (Replica.read_errors g ~replica:j) (Replica.write_errors g ~replica:j))
+
+let io_lines t =
+  match t.backend with
+  | In_mem _ -> []
+  | On_store s -> [ "buffer pool: " ^ pool_stats s ]
+  | On_shards s ->
+      let ios = Tx_db.shard_io (Sharded.db s) in
+      let groups = Sharded.groups s in
+      List.concat
+        (List.mapi
+           (fun k st ->
+             Printf.sprintf "shard %d: %d transactions, %d scans, %d pages read; pool %s" k
+               (Store.size st) (Io_stats.scans ios.(k)) (Io_stats.pages_read ios.(k))
+               (pool_stats st)
+             :: replica_lines groups.(k))
+           (Array.to_list (Sharded.stores s)))
+      @
+      if Sharded.replicas s > 1 then
+        [ Printf.sprintf "replica failovers: %d" (Sharded.failovers s) ]
+      else []
 
 let append_tx t items =
   (match t.backend with
@@ -227,3 +311,12 @@ let seal t io =
     let base = Tx_db.size ndb - sealed in
     Some (Delta.extract ~epoch:t.epoch ~base_txs:base ~ranges ndb io)
   end
+
+let append_file t fimi =
+  match Cfq_data.Fimi.read fimi with
+  | exception (Cfq_data.Fimi.Bad_format msg | Sys_error msg) -> Error msg
+  | db ->
+      for i = 0 to Tx_db.size db - 1 do
+        append_tx t (Tx_db.get db i).Transaction.items
+      done;
+      Ok (Tx_db.size db)

@@ -61,9 +61,6 @@ val backend_name : t -> string
 
 (** {2 Backend introspection} *)
 
-(** The plain store behind the source, if that is the backend. *)
-val store : t -> Cfq_store.Store.t option
-
 (** The sharded store behind the source, if that is the backend. *)
 val sharded : t -> Cfq_shard.Sharded.t option
 
@@ -74,10 +71,27 @@ val path : t -> string option
     spec named (a plain segment whose sharded twin was opened). *)
 val located_at : t -> string -> bool
 
-(** The itemInfo table stored beside the source ([PATH.info.csv] of the
+(** [info_path path] is where the itemInfo table of the store at [path]
+    lives: [path ^ ".info.csv"]. *)
+val info_path : string -> string
+
+(** The itemInfo table stored beside the source ({!info_path} of the
     opened file, else of the path the spec named), or a bare table over
-    the item universe when there is none. *)
+    the item universe when there is none.  The table covers the data's
+    universe and every item the CSV lists. *)
 val item_info : t -> (Item_info.t, string) result
+
+(** [save ?shards ?replicas path db info] writes [db] to a store at
+    [path], sharded under a manifest when [shards] or [replicas] exceeds 1
+    (both default to 1), and [info] to {!info_path}[ path], where
+    {!open_} and {!item_info} find them.  I/O failures raise. *)
+val save : ?shards:int -> ?replicas:int -> string -> Tx_db.t -> Item_info.t -> unit
+
+(** [load fimi info] reads a FIMI file and, when given, an itemInfo CSV,
+    sized as {!item_info} sizes a table: the data's universe and every
+    item the CSV lists (a bare table without one).  Unreadable or
+    malformed files are [Error]s. *)
+val load : string -> string option -> (Tx_db.t * Item_info.t, string) result
 
 (** One line: path, size, pages, pool or shard layout, and what recovery
     did on open. *)
@@ -91,6 +105,26 @@ val summary : t -> string
 val set_fault :
   t -> ?shard:int -> ?replica:int -> Fault.t option -> (unit, string) result
 
+(** [fault_report ?shard ?replica f] is the line a front end prints after
+    {!set_fault} installed [f]: ["fault injection on: transient-p=P
+    corrupt-p=C spike-p=S seed=N"] read back from the injector's own
+    config, or ["fault injection off"], then the pin, as in
+    [" (shard K, replica J)"]. *)
+val fault_report : ?shard:int -> ?replica:int -> Fault.t option -> string
+
+(** [verify t] re-reads every page from disk: every replica of a sharded
+    store ({!Cfq_shard.Scrub.health_report}, one row per replica), or
+    every page of a plain one.  The flag is [true] when all are healthy;
+    the text opens with ["VERIFICATION FAILED"] when not. *)
+val verify : t -> bool * string
+
+(** The backend's physical I/O, one line each: a plain store's
+    ["buffer pool: H hits, M misses, E evictions (cache C of P pages)"];
+    a sharded store's line per shard (scans, pages read, its pool), per
+    replica health when replicated, and ["replica failovers: N"].  Empty
+    in memory. *)
+val io_lines : t -> string list
+
 (** {2 Ingestion} *)
 
 val append_tx : t -> Itemset.t -> unit
@@ -100,3 +134,9 @@ val flush : t -> unit
     nothing was pending; otherwise the new epoch's {!Delta.t}, whose
     extraction scan (delta pages only) is charged to [io]. *)
 val seal : t -> Io_stats.t -> Delta.t option
+
+(** [append_file t fimi] appends every transaction of a FIMI file
+    through {!append_tx} and returns how many; seal them with {!seal} or a
+    service's [seal_live].  An unreadable or malformed file is an [Error]
+    and appends nothing. *)
+val append_file : t -> string -> (int, string) result

@@ -137,3 +137,10 @@ let generate_itemsets rng p =
   out
 
 let generate rng p = Tx_db.create (generate_itemsets rng p)
+
+let market ~seed ~n_tx ~n_items ~n_types =
+  let rng = Splitmix.create ~seed:(Int64.of_int seed) in
+  let db = generate rng { (scaled n_tx) with n_items } in
+  let prices = Item_gen.uniform_prices rng ~n:n_items ~lo:0. ~hi:1000. in
+  let types = Array.init n_items (fun _ -> float_of_int (Splitmix.int rng n_types)) in
+  (db, Item_gen.item_info ~prices ~types ())

@@ -38,3 +38,10 @@ val generate : Splitmix.t -> params -> Tx_db.t
 
 (** [generate_itemsets rng p] is the raw itemset array behind {!generate}. *)
 val generate_itemsets : Splitmix.t -> params -> Itemset.t array
+
+(** [market ~seed ~n_tx ~n_items ~n_types] is the synthetic market of
+    [cfq gen], of the other CLI commands without [--data] and of the
+    shell's [gen]: {!generate} at [scaled n_tx] over [n_items] items, then
+    per item a uniform Price in [[0, 1000]] and one of [n_types] Types,
+    all drawn from one stream seeded by [seed]. *)
+val market : seed:int -> n_tx:int -> n_items:int -> n_types:int -> Tx_db.t * Item_info.t

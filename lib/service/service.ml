@@ -116,6 +116,12 @@ let knobs =
       (fun c kernel -> { c with kernel });
   ]
 
+let run_once config ?strategy ~collect_pairs ctx q =
+  let par =
+    if config.mine_domains = 0 then None else Some (Counting.par config.mine_domains)
+  in
+  Exec.run_result ?strategy ~collect_pairs ?par ~kernel:config.kernel ctx q
+
 type served_from =
   | Cold
   | Answer_cache
@@ -975,3 +981,11 @@ let seal_live t =
             (Pool.run t.pool
                (maintain t ~old_ctx ~new_epoch ~delta ~maint_io ~stale
                   ~answers_carried ~answers_dropped)))
+
+let ingest_file t fimi =
+  match t.live_source with
+  | None -> no_source ()
+  | Some src -> (
+      match Result.map (fun n -> (n, seal_live t)) (Cfq_live.Source.append_file src fimi) with
+      | r -> r
+      | exception Cfq_error.Error e -> Error (Cfq_error.to_string e))

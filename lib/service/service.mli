@@ -116,6 +116,19 @@ type knob = {
     and kernel, in that order. *)
 val knobs : knob list
 
+(** [run_once config ?strategy ~collect_pairs ctx q] runs one query
+    directly, as [cfq run] and the shell's [run] do, not through a
+    service, under the knobs a single run reads: [kernel], and
+    [mine-domains], where 0 leaves the width to {!Cfq_core.Exec.run}
+    (every recommended domain from 4,096 rows). *)
+val run_once :
+  config ->
+  ?strategy:Plan.strategy ->
+  collect_pairs:bool ->
+  Exec.ctx ->
+  Query.t ->
+  (Exec.result, Cfq_error.t) result
+
 type served_from =
   | Cold  (** at least one side ran the mining engine *)
   | Answer_cache  (** verbatim answer-cache hit *)
@@ -261,6 +274,13 @@ val live_to_string : live -> string
     epoch does not move.  Raises [Cfq_error.Error No_live_source] with no
     source attached. *)
 val seal_live : t -> live option
+
+(** [ingest_file t fimi] appends every transaction of a FIMI file
+    through the attached source and {!seal_live}s them, as [cfq serve
+    --ingest] and the shell's [ingest] do: the number appended and the
+    seal's outcome, or an unreadable file or a store fault as text.
+    Raises [Cfq_error.Error No_live_source] with no source attached. *)
+val ingest_file : t -> string -> (int * live option, string) result
 
 (** [retry_delay t q attempt] is the backoff slept before retry [attempt]
     of [q]: [backoff_base · 2ᵃ · (0.5 + j)] where the jitter [j ∈ [0,1)]

@@ -227,6 +227,15 @@ let health_row_to_string r =
         Printf.sprintf " -- %d bad pages: %s" (List.length faults)
           (Store.page_faults_to_string faults))
 
-let replica_report_to_string r =
-  Printf.sprintf "shard %d replica %d: %s -> %s" r.rr_shard r.rr_replica
-    (outcome_name r.rr_outcome) (Manifest.health_name r.rr_health)
+let report_to_string report =
+  String.concat "\n  "
+    (Printf.sprintf "scrubbed %d pages: %d faults, %d replicas repaired, %d repair failures"
+       report.scrubbed_pages report.faults_found report.repairs report.repair_failures
+    :: List.filter_map
+         (fun r ->
+           if r.rr_outcome = Clean then None
+           else
+             Some
+               (Printf.sprintf "shard %d replica %d: %s -> %s" r.rr_shard r.rr_replica
+                  (outcome_name r.rr_outcome) (Manifest.health_name r.rr_health)))
+         report.rows)

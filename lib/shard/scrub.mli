@@ -40,8 +40,10 @@ type report = {
 }
 
 
-(** ["shard K replica J: OUTCOME -> HEALTH"], one scrubbed replica. *)
-val replica_report_to_string : replica_report -> string
+(** ["scrubbed N pages: F faults, R replicas repaired, X repair
+    failures"], then one indented ["shard K replica J: OUTCOME -> HEALTH"]
+    line per replica the scrub did not find clean. *)
+val report_to_string : report -> string
 
 (** [run t] scrubs and (by default) repairs.  [~repair:false] verifies
     and quarantines only.  [throttle_pages]/[throttle_sleep] sleep that

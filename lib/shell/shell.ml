@@ -38,11 +38,6 @@ let create ?ctx () =
     last_live = None;
   }
 
-(* mine-domains 0 leaves the width to [Exec.run]: every recommended domain *)
-let par_of t =
-  if t.config.mine_domains = 0 then None
-  else Some (Cfq_mining.Counting.par t.config.mine_domains)
-
 (* the serving layer is bound to one database: (re)create it lazily and
    retire it when the session attaches a different context *)
 let drop_service t =
@@ -97,7 +92,8 @@ let help_text =
       "  scrub                          verify + quarantine bad replicas, rebuild";
       "                                 them from healthy siblings, re-admit";
       "  set                            list every setting's current value";
-      "  set strategy <name>            apriori+ | cap | optimized | sequential | fm";
+      "  set strategy <name>            "
+      ^ String.concat " | " (List.map fst Plan.all_strategies);
       "  set minconf <float>            rule confidence threshold";
       "  set <knob> <value>             service knob; a change restarts the service:";
       "                                 "
@@ -123,15 +119,6 @@ let help_text =
       "  help | quit";
     ]
 
-let strategies =
-  [
-    ("apriori+", Plan.Apriori_plus);
-    ("cap", Plan.Cap_one_var);
-    ("optimized", Plan.Optimized);
-    ("sequential", Plan.Sequential_t_first);
-    ("fm", Plan.Full_materialize);
-  ]
-
 let with_ctx t f =
   match t.ctx with
   | Some ctx -> f ctx
@@ -148,46 +135,28 @@ let parse_query t ctx text f =
                (List.map (Format.asprintf "error: %a" Validate.pp_error) errors))
       | Ok () -> f (t, q))
 
-let do_load t path info_path =
-  match Cfq_data.Fimi.read path with
-  | exception Cfq_data.Fimi.Bad_format msg -> say "load failed: %s" msg
-  | exception Sys_error msg -> say "load failed: %s" msg
-  | db -> (
-      let universe_size =
-        match Cfq_data.Fimi.max_item db with Some m -> m + 1 | None -> 1
-      in
-      let info_result =
-        match info_path with
-        | None -> Ok (Item_info.create ~universe_size)
-        | Some p -> (
-            match Cfq_data.Item_csv.read p ~universe_size with
-            | info -> Ok info
-            | exception Cfq_data.Item_csv.Bad_format msg -> Error msg
-            | exception Sys_error msg -> Error msg)
-      in
-      match info_result with
-      | Error msg -> say "load failed: %s" msg
-      | Ok info ->
-          t.ctx <- Some (Exec.context db info);
-          t.last <- None;
-          drop_service t;
-          drop_source t;
-          say "loaded %d transactions over %d items" (Tx_db.size db) universe_size)
-
-let do_gen t n_tx n_items seed =
-  let rng = Splitmix.create ~seed:(Int64.of_int seed) in
-  let params = { (Quest_gen.scaled n_tx) with Quest_gen.n_items = n_items } in
-  let db = Quest_gen.generate rng params in
-  let prices = Item_gen.uniform_prices rng ~n:n_items ~lo:0. ~hi:1000. in
-  let types = Array.init n_items (fun _ -> float_of_int (Splitmix.int rng 20)) in
-  t.ctx <- Some (Exec.context db (Item_gen.item_info ~prices ~types ()));
+(* a newly attached database retires the last result, the service and the
+   previous backend *)
+let attach t ?source db info =
+  t.ctx <- Some (Exec.context db info);
   t.last <- None;
   drop_service t;
   drop_source t;
+  t.source <- source
+
+let do_load t path info_path =
+  match Source.load path info_path with
+  | Error msg -> say "load failed: %s" msg
+  | Ok (db, info) ->
+      attach t db info;
+      say "loaded %d transactions over %d items" (Tx_db.size db)
+        (Item_info.universe_size info)
+
+let do_gen t n_tx n_items seed =
+  let db, info = Quest_gen.market ~seed ~n_tx ~n_items ~n_types:20 in
+  attach t db info;
   say "generated %d transactions over %d items (avg length %.1f; Price, Type attributes)"
     (Tx_db.size db) n_items (Tx_db.avg_tx_len db)
-
-let info_csv_path store_path = store_path ^ ".info.csv"
 
 (* 'open' front door: [Source.open_] decides plain, sharded, or a split
    into a sharded twin (shards=N, or 'set replicas' above 1) *)
@@ -201,29 +170,17 @@ let do_open t path cache_pages shards =
           Source.close src;
           say "open failed: %s" msg
       | Ok info ->
-          t.ctx <- Some (Exec.context (Source.db src) info);
-          t.last <- None;
-          drop_service t;
-          drop_source t;
-          t.source <- Some src;
+          attach t ~source:src (Source.db src) info;
           say "opened %s" (Source.summary src))
 
 let do_save ctx path =
-  match
-    Cfq_store.Store.save_db path ctx.Exec.db;
-    Cfq_data.Item_csv.write (info_csv_path path) ctx.Exec.s_info
-  with
+  match Source.save path ctx.Exec.db ctx.Exec.s_info with
   | () ->
       say "wrote %d transactions to %s (+ %s)" (Tx_db.size ctx.Exec.db) path
-        (info_csv_path path)
+        (Source.info_path path)
   | exception Unix.Unix_error (e, _, _) ->
       say "save failed: %s: %s" path (Unix.error_message e)
   | exception Sys_error msg -> say "save failed: %s" msg
-
-let append_all src_db append =
-  for i = 0 to Tx_db.size src_db - 1 do
-    append (Tx_db.get src_db i).Transaction.items
-  done
 
 (* [store_path] may name the attached source (its segment, its manifest,
    or the plain segment its sharded twin was split from); any other store
@@ -232,54 +189,52 @@ let append_all src_db append =
    is acknowledged until the seal, which flushes and folds everything
    durably. *)
 let do_ingest t store_path fimi_path =
-  match Cfq_data.Fimi.read fimi_path with
-  | exception (Cfq_data.Fimi.Bad_format msg | Sys_error msg) -> say "ingest failed: %s" msg
-  | src_db -> (
-      let n = Tx_db.size src_db in
-      let seal source =
-        append_all src_db (Source.append_tx source);
+  let failed msg = say "ingest failed: %s" msg in
+  let ingested n source =
+    Printf.sprintf "ingested %d transactions into %s (now %d total)" n store_path
+      (Source.size source)
+  in
+  let seal source =
+    match Source.append_file source fimi_path with
+    | Error msg -> failed msg
+    | Ok n ->
         ignore (Source.seal source (Io_stats.create ()));
-        say "ingested %d transactions into %s (now %d total)" n store_path
-          (Source.size source)
-      in
-      match (t.source, live_service t) with
-      | Some source, Some service when Source.located_at source store_path -> (
-          (* the service stays up across the seal: appends go through its
-             live source, and the seal's maintenance pass promotes the warm
-             caches to the new epoch instead of dropping them (in-flight
-             queries finish on the still-readable pre-seal snapshot) *)
-          if Option.is_none (Service.live_source service) then
-            Service.attach_source service source;
-          match
-            append_all src_db (Service.ingest service);
-            Service.seal_live service
-          with
-          | exception Cfq_error.Error e -> say "ingest failed: %s" (Cfq_error.to_string e)
-          | None -> say "nothing to ingest: %s holds no transactions" fimi_path
-          | Some lv ->
-              t.last_live <- Some lv;
-              t.ctx <- Some (Service.ctx service);
-              t.last <- None;
-              say "ingested %d transactions into %s (now %d total)@\n%s" n store_path
-                (Source.size source) (Service.live_to_string lv))
-      | Some source, None when Source.located_at source store_path ->
-          (* no service over this source: retire any stale one, seal, and
-             rebuild the context around the replaced db handle *)
-          drop_service t;
-          let r = seal source in
-          Option.iter
-            (fun ctx -> t.ctx <- Some (Exec.context (Source.db source) ctx.Exec.s_info))
-            t.ctx;
+        say "%s" (ingested n source)
+  in
+  match (t.source, live_service t) with
+  | Some source, Some service when Source.located_at source store_path -> (
+      (* the service stays up across the seal: appends go through its
+         live source, and the seal's maintenance pass promotes the warm
+         caches to the new epoch instead of dropping them (in-flight
+         queries finish on the still-readable pre-seal snapshot) *)
+      if Option.is_none (Service.live_source service) then
+        Service.attach_source service source;
+      match Service.ingest_file service fimi_path with
+      | Error msg -> failed msg
+      | Ok (_, None) -> say "nothing to ingest: %s holds no transactions" fimi_path
+      | Ok (n, Some lv) ->
+          t.last_live <- Some lv;
+          t.ctx <- Some (Service.ctx service);
           t.last <- None;
-          r
-      | _ -> (
-          let spec =
-            Source.Disk { path = store_path; cache_pages = None; shards = 1; replicas = 1 }
-          in
-          match Source.open_ spec with
-          | Error msg -> say "ingest failed: %s" msg
-          | Ok source ->
-              Fun.protect ~finally:(fun () -> Source.close source) (fun () -> seal source)))
+          say "%s@\n%s" (ingested n source) (Service.live_to_string lv))
+  | Some source, None when Source.located_at source store_path ->
+      (* no service over this source: retire any stale one, seal, and
+         rebuild the context around the replaced db handle *)
+      drop_service t;
+      let r = seal source in
+      Option.iter
+        (fun ctx -> t.ctx <- Some (Exec.context (Source.db source) ctx.Exec.s_info))
+        t.ctx;
+      t.last <- None;
+      r
+  | _ -> (
+      let spec =
+        Source.Disk { path = store_path; cache_pages = None; shards = 1; replicas = 1 }
+      in
+      match Source.open_ spec with
+      | Error msg -> failed msg
+      | Ok source ->
+          Fun.protect ~finally:(fun () -> Source.close source) (fun () -> seal source))
 
 let do_live t =
   match t.service with
@@ -306,8 +261,7 @@ let do_live t =
 
 let do_run t ctx q =
   match
-    Exec.run_result ~strategy:t.strategy ~collect_pairs:true ?par:(par_of t)
-      ~kernel:t.config.kernel ctx q
+    Service.run_once t.config ~strategy:t.strategy ~collect_pairs:true ctx q
   with
   | Ok r ->
       t.last <- Some r;
@@ -318,32 +272,25 @@ let fault_usage =
   "usage: set fault <transient-p> [<corrupt-p> [<seed>]] [shard=K [replica=J]] | \
    set fault off [shard=K [replica=J]]"
 
-(* the probability/seed words of 'set fault', shared by every target:
-   Ok (None, _) = off, Ok (Some config, description) = inject *)
+(* the probability and seed words of 'set fault', shared by every target:
+   Ok None = off.  The seed is an integer, read as --fault-seed reads it *)
 let parse_fault_spec args =
+  let d = Fault.default_config in
+  let prob w =
+    Option.bind (float_of_string_opt w) (fun p -> if p >= 0. && p <= 1. then Some p else None)
+  in
+  let on ?(cp = "0") ?(seed = Int64.to_string d.Fault.seed) p =
+    match (prob p, prob cp, Int64.of_string_opt seed) with
+    | Some transient_p, Some corrupt_p, Some seed ->
+        Ok (Some { d with Fault.transient_p; corrupt_p; seed })
+    | _ -> Error fault_usage
+  in
   match args with
-  | [ "off" ] -> Ok (None, "off")
-  | _ -> (
-      match List.map float_of_string_opt args with
-      | [ Some p ] when p >= 0. && p <= 1. ->
-          Ok
-            ( Some { Fault.default_config with Fault.transient_p = p },
-              Printf.sprintf "on: transient-p=%g" p )
-      | [ Some p; Some cp ] when p >= 0. && p <= 1. && cp >= 0. && cp <= 1. ->
-          Ok
-            ( Some { Fault.default_config with Fault.transient_p = p; corrupt_p = cp },
-              Printf.sprintf "on: transient-p=%g corrupt-p=%g" p cp )
-      | [ Some p; Some cp; Some seed ] when p >= 0. && p <= 1. && cp >= 0. && cp <= 1. ->
-          Ok
-            ( Some
-                {
-                  Fault.default_config with
-                  Fault.transient_p = p;
-                  corrupt_p = cp;
-                  seed = Int64.of_float seed;
-                },
-              Printf.sprintf "on: transient-p=%g corrupt-p=%g seed=%.0f" p cp seed )
-      | _ -> Error fault_usage)
+  | [ "off" ] -> Ok None
+  | [ p ] -> on p
+  | [ p; cp ] -> on ~cp p
+  | [ p; cp; seed ] -> on ~cp ~seed p
+  | _ -> Error fault_usage
 
 let injector_report db =
   match Tx_db.faults db with
@@ -380,13 +327,13 @@ let do_set_fault t ctx args =
   with
   | Error msg, _, _ -> say "%s" msg
   | _, Error msg, _ | _, _, Error msg -> say "set fault: %s" msg
-  | Ok (spec, desc), Ok shard, Ok replica -> (
+  | Ok spec, Ok shard, Ok replica -> (
+      let f = Option.map Fault.create spec in
       (* an unscoped 'off' reports what the injector did before clearing *)
       let report =
         if spec = None && shard = None then injector_report ctx.Exec.db
-        else "fault injection " ^ desc
+        else Source.fault_report ?shard ?replica f
       in
-      let f = Option.map Fault.create spec in
       let applied =
         match (t.source, shard, replica) with
         | Some src, _, _ -> Source.set_fault src ?shard ?replica f
@@ -395,31 +342,14 @@ let do_set_fault t ctx args =
             Ok ()
         | None, _, _ -> Error "the attached database is not sharded"
       in
-      match (applied, shard, replica) with
-      | Error msg, _, _ -> say "set fault: %s" msg
-      | Ok (), Some k, Some j -> say "%s (shard %d, replica %d)" report k j
-      | Ok (), Some k, None -> say "%s (shard %d)" report k
-      | Ok (), None, _ -> say "%s" report)
+      match applied with
+      | Error msg -> say "set fault: %s" msg
+      | Ok () -> say "%s" report)
 
 let do_pairs t n =
   match t.last with
   | None -> say "no previous run; use 'run <query>' first"
-  | Some r ->
-      let shown = ref [] in
-      List.iteri
-        (fun i (s, p) ->
-          if i < n then
-            shown :=
-              Printf.sprintf "  %s => %s"
-                (Itemset.to_string s.Cfq_mining.Frequent.set)
-                (Itemset.to_string p.Cfq_mining.Frequent.set)
-              :: !shown)
-        r.Exec.pairs;
-      if !shown = [] then say "the last run produced no pairs (or none were collected)"
-      else
-        say "%d of %d pairs:\n%s" (min n (List.length r.Exec.pairs))
-          r.Exec.pair_stats.Pairs.n_pairs
-          (String.concat "\n" (List.rev !shown))
+  | Some r -> say "%s" (Explain.pairs_to_string n r)
 
 let do_rules t ctx q =
   let rules, r = Cfq_rules.Rule.mine ~strategy:t.strategy ~min_confidence:t.min_conf ctx q in
@@ -435,22 +365,12 @@ let do_rules t ctx q =
     (String.concat "\n" shown)
 
 let do_verify t =
-  match Option.map (fun s -> (Source.sharded s, Source.store s)) t.source with
-  | Some (Some sh, _) ->
-      let rows = Cfq_shard.Scrub.health_report sh in
-      say "%s\n%s"
-        (if Cfq_shard.Scrub.healthy_report rows then
-           "all replicas healthy, every page verified"
-         else "VERIFICATION FAILED -- run 'scrub' to quarantine and repair")
-        (String.concat "\n"
-           (List.map (fun r -> "  " ^ Cfq_shard.Scrub.health_row_to_string r) rows))
-  | Some (None, Some store) -> (
-      match Cfq_store.Store.verify_pages store with
-      | [] -> say "all %d pages verified" (Cfq_store.Store.pages store)
-      | faults ->
-          say "VERIFICATION FAILED -- %d bad pages: %s" (List.length faults)
-            (Cfq_store.Store.page_faults_to_string faults))
-  | _ -> say "no persistent store attached; use 'open' first"
+  match t.source with
+  | None -> say "no persistent store attached; use 'open' first"
+  | Some src ->
+      let healthy, report = Source.verify src in
+      if healthy || Source.sharded src = None then say "%s" report
+      else say "%s\nrun 'scrub' to quarantine and repair" report
 
 let do_scrub t =
   match Option.bind t.source Source.sharded with
@@ -465,18 +385,7 @@ let do_scrub t =
           t.ctx <- Some (Exec.context (Cfq_shard.Sharded.db sh) ctx.Exec.s_info)
       | None -> ());
       t.last <- None;
-      let rows =
-        List.filter
-          (fun r -> r.Cfq_shard.Scrub.rr_outcome <> Cfq_shard.Scrub.Clean)
-          report.Cfq_shard.Scrub.rows
-      in
-      say "scrubbed %d pages: %d faults, %d replicas repaired, %d repair failures%s"
-        report.Cfq_shard.Scrub.scrubbed_pages report.Cfq_shard.Scrub.faults_found
-        report.Cfq_shard.Scrub.repairs report.Cfq_shard.Scrub.repair_failures
-        (String.concat ""
-           (List.map
-              (fun r -> "\n  " ^ Cfq_shard.Scrub.replica_report_to_string r)
-              rows))
+      say "%s" (Cfq_shard.Scrub.report_to_string report)
 
 let do_stats t ctx =
   let db = ctx.Exec.db in
@@ -485,65 +394,15 @@ let do_stats t ctx =
     |> List.map (fun a -> a.Attr.name)
     |> String.concat ", "
   in
-  let store_line =
-    match Option.bind t.source Source.store with
-    | None -> ""
-    | Some s ->
-        let io = Cfq_store.Store.io s in
-        Printf.sprintf "\nstore: %s (cache %d pages; pool hits %d, misses %d, evictions %d)"
-          (Cfq_store.Store.path s)
-          (Cfq_store.Store.cache_pages s)
-          (Io_stats.pool_hits io) (Io_stats.pool_misses io)
-          (Io_stats.pool_evictions io)
+  let backend =
+    match t.source with
+    | None -> []
+    | Some src -> ("store: " ^ Source.summary src) :: Source.io_lines src
   in
-  let shard = Option.bind t.source Source.sharded in
-  let manifest_line =
-    match shard with
-    | None -> ""
-    | Some sh ->
-        let m = Cfq_shard.Sharded.manifest sh in
-        Printf.sprintf "\nsharded store: %s (%s partition, generation %d)"
-          (Cfq_shard.Sharded.path sh)
-          (Cfq_shard.Manifest.partition_name m.Cfq_shard.Manifest.partition)
-          m.Cfq_shard.Manifest.generation
-  in
-  let shard_lines =
-    match Tx_db.shards db with
-    | None -> ""
-    | Some subs ->
-        let ios = Tx_db.shard_io db in
-        let replica_lines k =
-          match shard with
-          | None -> ""
-          | Some sh ->
-              let g = (Cfq_shard.Sharded.groups sh).(k) in
-              if Cfq_shard.Replica.replica_count g <= 1 then ""
-              else
-                String.concat ""
-                  (List.init (Cfq_shard.Replica.replica_count g) (fun j ->
-                       Printf.sprintf
-                         "\n  replica %d: %s%s, %d read errors, %d write errors" j
-                         (Cfq_shard.Manifest.health_name
-                            (Cfq_shard.Replica.health g ~replica:j))
-                         (if j = Cfq_shard.Replica.preferred g then " (preferred)"
-                          else "")
-                         (Cfq_shard.Replica.read_errors g ~replica:j)
-                         (Cfq_shard.Replica.write_errors g ~replica:j)))
-                ^ Printf.sprintf "\n  failovers: %d" (Cfq_shard.Replica.failovers g)
-        in
-        String.concat ""
-          (List.init (Array.length subs) (fun k ->
-               Printf.sprintf
-                 "\nshard %d: %d transactions, %d pages, %d scans, %d pages read%s"
-                 k (Tx_db.size subs.(k)) (Tx_db.pages subs.(k))
-                 (Io_stats.scans ios.(k))
-                 (Io_stats.pages_read ios.(k))
-                 (replica_lines k)))
-  in
-  say "transactions: %d\navg length: %.2f\npages (4K): %d\nchunk runs: %d\nattributes: %s%s%s%s"
+  say "transactions: %d\navg length: %.2f\npages (4K): %d\nchunk runs: %d\nattributes: %s%s"
     (Tx_db.size db) (Tx_db.avg_tx_len db) (Tx_db.pages db) (Tx_db.chunk_runs db)
     (if attrs = "" then "(none)" else attrs)
-    store_line manifest_line shard_lines
+    (String.concat "" (List.map (( ^ ) "\n") backend))
 
 let settings t =
   String.concat "\n"
@@ -591,13 +450,13 @@ let eval t line =
   | "set" -> (
       match split_words rest with
       | [ "strategy"; name ] -> (
-          match List.assoc_opt name strategies with
+          match List.assoc_opt name Plan.all_strategies with
           | Some s ->
               t.strategy <- s;
               say "strategy set to %s" (Plan.strategy_name s)
           | None ->
               say "unknown strategy %S; one of: %s" name
-                (String.concat ", " (List.map fst strategies)))
+                (String.concat ", " (List.map fst Plan.all_strategies)))
       | [ "minconf"; v ] -> (
           match float_of_string_opt v with
           | Some f when f >= 0. && f <= 1. ->

@@ -12,7 +12,7 @@
     {v
     load <tx.fimi> [<items.csv>]   attach a database (and itemInfo table)
     gen <n_tx> <n_items> [seed]    generate a synthetic Quest database
-    set strategy <name>            apriori+ | cap | optimized | sequential | fm
+    set strategy <name>            a strategy of Cfq_core.Plan.all_strategies
     set minconf <float>            rule confidence threshold
     set <knob> <value>             a knob of Cfq_service.Service.knobs
     set                            list every setting's current value
